@@ -1,16 +1,15 @@
 """Command-line entry point: solve / rate / estimate / test / prior / simulate.
 
 Exit codes: 0 success, 1 input error, 2 numerical failure (solver bracket
-cap).  Every JSON output embeds {tool_version, config_hash, seed} so any
-artifact can be reproduced from its own metadata.
+cap); a failure inside a simulation exits with the code of its cause.  Every
+JSON output embeds {tool_version, config_hash, seed} so any artifact can be
+reproduced from its own metadata.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import math
 import os
 import sys
 
@@ -18,22 +17,11 @@ import numpy as np
 
 from ._version import __version__
 from .config import ConfigError, parse_config
-from .estimators import (
-    EstimationInput,
-    adaptive_estimate,
-    collier_estimate,
-    default_zeta,
-    family_estimate,
-    linear_test,
-    nonsymmetric_estimate,
-    oracle_estimate,
-    plugin_estimate,
-    unknown_sigma_estimate,
-)
+from .estimators import VARIANTS, EstimationInput, linear_test
 from .loading import LoadingSpec, LoadingVector, drop_zero_loadings, make_loading
 from .lowerbound import build_prior, chi2_mixture_bound, prior_moments, sample_prior
 from .rates import RateCalculator, closed_form_for_spec
-from .sim import risk_grid, run_risk
+from .sim import SimulationError, SimulationReport, config_hash, risk_grid, run_risk
 from .threshold import BracketError, solve_adaptive_beta, solve_beta, solve_lambda_H
 
 __all__ = ["main", "console_main"]
@@ -49,21 +37,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _meta(params: dict, seed: int | None = None) -> dict:
-    blob = json.dumps(params, sort_keys=True, separators=(",", ":"))
-    return {
-        "tool_version": __version__,
-        "config_hash": hashlib.sha256(blob.encode("utf-8")).hexdigest(),
-        "seed": seed,
-    }
+    return {"tool_version": __version__, "config_hash": config_hash(params), "seed": seed}
+
+
+def _write(text: str, out: str | None) -> None:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
 def _add_loading_args(p: argparse.ArgumentParser) -> None:
@@ -81,10 +67,10 @@ def _add_loading_args(p: argparse.ArgumentParser) -> None:
 
 def _loading_from_args(args) -> tuple[LoadingVector, LoadingSpec | None]:
     if args.loading_file:
-        values = _read_floats(args.loading_file)
+        raw = values = _read_floats(args.loading_file)
         if args.drop_zeros:
-            values, kept = drop_zero_loadings(values)
-            dropped = len(_read_floats(args.loading_file)) - len(kept)
+            values, kept = drop_zero_loadings(raw)
+            dropped = raw.size - kept.size
             if dropped:
                 print(f"dropped {dropped} zero loadings", file=sys.stderr)
         spec = LoadingSpec(kind="explicit", values=tuple(float(v) for v in values))
@@ -173,21 +159,9 @@ def _cmd_rate(args) -> int:
             grid = [int(x) for x in args.s_grid.split(",")]
         else:
             grid = [args.s] if args.s else list(range(1, min(loading.d, 32) + 1))
-        cols = ["s", "beta", "lambda_o", "nu", "j1", "phi_o", "lambda_star",
-                "nu_star", "phi_star", "phi_adp", "closed_form", "ratio"]
-        lines = ["# sparsefn " + __version__ + " config_hash=" + meta["config_hash"]
-                 + " seed=None", ",".join(cols)]
-        for s in grid:
-            row = _rate_row(calc, spec, args.alpha, s)
-            lines.append(",".join("" if row[c] is None else repr(row[c])
-                                  if isinstance(row[c], float) else str(row[c])
-                                  for c in cols))
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        rows = [_rate_row(calc, spec, args.alpha, s) for s in grid]
+        report = SimulationReport("rate", list(rows[0]), rows, meta["config_hash"], None)
+        _write(report.to_csv(), args.out)
         return 0
     if args.s is None:
         raise CliError("rate needs --s (or --csv with --s-grid)")
@@ -206,24 +180,6 @@ def _input_from_args(args, loading: LoadingVector) -> EstimationInput:
                            kappa=args.kappa)
 
 
-def _run_variant(args, inp: EstimationInput):
-    v = args.variant
-    if v == "oracle":
-        return oracle_estimate(inp, args.s)
-    if v == "family":
-        return family_estimate(inp, args.s)
-    if v == "adaptive":
-        zeta = args.zeta if args.zeta is not None else default_zeta(inp.alpha)
-        return adaptive_estimate(inp, zeta)
-    if v == "nonsym":
-        return nonsymmetric_estimate(inp, args.s, args.c_h)
-    if v == "unknown-sigma":
-        return unknown_sigma_estimate(inp, args.s, args.gamma_split, args.shuffle_blocks)
-    if v == "collier":
-        return collier_estimate(inp, args.s)
-    return plugin_estimate(inp)
-
-
 def _estimate_meta(args, **extra) -> dict:
     return _meta({**_loading_params(args), "variant": args.variant, "s": args.s,
                   "alpha": args.alpha, "tau": args.tau, "sigma": args.sigma,
@@ -235,9 +191,11 @@ def _estimate_meta(args, **extra) -> dict:
 def _cmd_estimate(args) -> int:
     loading, _spec = _loading_from_args(args)
     inp = _input_from_args(args, loading)
-    if args.variant not in ("adaptive", "plugin") and args.s is None:
+    variant = VARIANTS[args.variant]
+    if variant.needs_s and args.s is None:
         raise CliError(f"--variant {args.variant} needs --s")
-    res = _run_variant(args, inp)
+    res = variant.run(inp, args.s, None, zeta=args.zeta, c_h=args.c_h,
+                      gamma_split=args.gamma_split, shuffle_seed=args.shuffle_blocks)
     payload = {
         "value": res.value,
         "s_used": res.s_used,
@@ -308,13 +266,9 @@ def _cmd_simulate(args) -> int:
         report = risk_grid(cfg.sim, cfg.grid, workers=workers)
     else:
         report = run_risk(cfg.sim)
-    text_out = report.to_csv() if args.format == "csv" else report.to_json() + "\n"
+    _write(report.to_csv() if args.format == "csv" else report.to_json() + "\n", args.out)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text_out)
         print(f"wrote {len(report.rows)} rows to {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(text_out)
     return 0
 
 
@@ -351,9 +305,7 @@ def _build_parser() -> _Parser:
                            ("test", "run the linear-functional test")):
         p = sub.add_parser(name, help=helptext)
         _add_loading_args(p)
-        p.add_argument("--variant", default="oracle",
-                       choices=["oracle", "family", "adaptive", "nonsym",
-                                "unknown-sigma", "collier", "plugin"],
+        p.add_argument("--variant", default="oracle", choices=VARIANTS,
                        help="estimator variant (default oracle)")
         p.add_argument("--s", type=int, help="sparsity level")
         p.add_argument("--alpha", type=float, required=True, help="noise tail exponent")
@@ -418,9 +370,13 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except BracketError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
+    except (BracketError, SimulationError) as exc:
+        # a failed replicate exits like the error that failed it
+        if isinstance(exc, BracketError) or isinstance(exc.__cause__, BracketError):
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 2
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,6 +8,7 @@ serializes to something that reparses equal.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .estimators import VARIANTS, default_zeta
@@ -63,13 +64,37 @@ def _check_keys(obj, allowed: set, path: str) -> None:
 def _number(v, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{path}: expected a number")
-    return float(v)
+    try:
+        x = float(v)
+    except OverflowError:  # an integer literal beyond the float range
+        x = math.inf
+    if not math.isfinite(x):  # json.loads also reads the literals NaN and Infinity
+        raise ConfigError(f"{path}: expected a finite number")
+    return x
 
 
 def _integer(v, path: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{path}: expected an integer")
     return v
+
+
+def _list(v, path: str, check) -> tuple:
+    """The elements of a JSON list as a tuple, each validated by ``check``."""
+    if not isinstance(v, list):
+        raise ConfigError(f"{path}: expected a list")
+    for i, x in enumerate(v):
+        check(x, f"{path}[{i}]")
+    return tuple(v)
+
+
+def _build(cls, path: str, **fields):
+    """``cls(**fields)``, its ValueError reported under ``path``.  The fields
+    are parsed before the call, so their own errors keep their paths."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _string(v, path: str) -> str:
@@ -81,19 +106,17 @@ def _string(v, path: str) -> str:
 def _parse_loading(obj, path: str) -> LoadingSpec:
     _check_keys(obj, {"kind", "d", "values", "gamma_d", "gamma_lambda", "c", "gamma"}, path)
     kind = _string(_require(obj, "kind", path), f"{path}.kind")
-    try:
-        return LoadingSpec(
-            kind=kind,
-            d=_integer(obj["d"], f"{path}.d") if "d" in obj else None,
-            values=tuple(obj["values"]) if "values" in obj else None,
-            gamma_d=_number(obj["gamma_d"], f"{path}.gamma_d") if "gamma_d" in obj else None,
-            gamma_lambda=(_number(obj["gamma_lambda"], f"{path}.gamma_lambda")
-                          if "gamma_lambda" in obj else None),
-            c=_number(obj["c"], f"{path}.c") if "c" in obj else None,
-            gamma=_number(obj["gamma"], f"{path}.gamma") if "gamma" in obj else None,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return _build(
+        LoadingSpec, path,
+        kind=kind,
+        d=_integer(obj["d"], f"{path}.d") if "d" in obj else None,
+        values=_list(obj["values"], f"{path}.values", _number) if "values" in obj else None,
+        gamma_d=_number(obj["gamma_d"], f"{path}.gamma_d") if "gamma_d" in obj else None,
+        gamma_lambda=(_number(obj["gamma_lambda"], f"{path}.gamma_lambda")
+                      if "gamma_lambda" in obj else None),
+        c=_number(obj["c"], f"{path}.c") if "c" in obj else None,
+        gamma=_number(obj["gamma"], f"{path}.gamma") if "gamma" in obj else None,
+    )
 
 
 def _parse_noise(obj, path: str) -> NoiseModel:
@@ -101,15 +124,13 @@ def _parse_noise(obj, path: str) -> NoiseModel:
     family = _string(_require(obj, "family", path), f"{path}.family")
     if family not in FAMILIES:
         raise ConfigError(f"{path}.family: unknown family {family!r}")
-    try:
-        return NoiseModel(
-            family=family,
-            alpha=_number(_require(obj, "alpha", path), f"{path}.alpha"),
-            tau=_number(_require(obj, "tau", path), f"{path}.tau"),
-            tail_class=_string(obj.get("class", "G"), f"{path}.class"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return _build(
+        NoiseModel, path,
+        family=family,
+        alpha=_number(_require(obj, "alpha", path), f"{path}.alpha"),
+        tau=_number(_require(obj, "tau", path), f"{path}.tau"),
+        tail_class=_string(obj.get("class", "G"), f"{path}.class"),
+    )
 
 
 def _parse_estimator(obj, path: str, alpha: float) -> EstimatorSpec:
@@ -122,37 +143,33 @@ def _parse_estimator(obj, path: str, alpha: float) -> EstimatorSpec:
         zeta = _number(zeta, f"{path}.zeta")
     else:
         zeta = default_zeta(alpha)
-    try:
-        return EstimatorSpec(
-            variant=variant,
-            s=_integer(obj["s"], f"{path}.s") if "s" in obj else None,
-            kappa=_number(obj.get("kappa", 1.0), f"{path}.kappa"),
-            zeta=zeta,
-            gamma_split=_number(obj.get("gamma_split", 0.5), f"{path}.gamma_split"),
-            c_h=_number(obj["c_h"], f"{path}.c_h") if obj.get("c_h") is not None else None,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return _build(
+        EstimatorSpec, path,
+        variant=variant,
+        s=_integer(obj["s"], f"{path}.s") if "s" in obj else None,
+        kappa=_number(obj.get("kappa", 1.0), f"{path}.kappa"),
+        zeta=zeta,
+        gamma_split=_number(obj.get("gamma_split", 0.5), f"{path}.gamma_split"),
+        c_h=_number(obj["c_h"], f"{path}.c_h") if obj.get("c_h") is not None else None,
+    )
 
 
 def _parse_theta(obj, path: str) -> ThetaSpec:
     _check_keys(obj, {"kind", "support", "values", "rho", "n_spikes", "placement",
                       "s", "c1", "c_alpha2"}, path)
     kind = _string(obj.get("kind", "zero"), f"{path}.kind")
-    try:
-        return ThetaSpec(
-            kind=kind,
-            support=tuple(obj["support"]) if "support" in obj else None,
-            values=tuple(obj["values"]) if "values" in obj else None,
-            rho=_number(obj["rho"], f"{path}.rho") if "rho" in obj else None,
-            n_spikes=_integer(obj["n_spikes"], f"{path}.n_spikes") if "n_spikes" in obj else None,
-            placement=_string(obj.get("placement", "tail"), f"{path}.placement"),
-            s=_integer(obj["s"], f"{path}.s") if "s" in obj else None,
-            c1=_number(obj["c1"], f"{path}.c1") if "c1" in obj else None,
-            c_alpha2=_number(obj.get("c_alpha2", 1.0), f"{path}.c_alpha2"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return _build(
+        ThetaSpec, path,
+        kind=kind,
+        support=_list(obj["support"], f"{path}.support", _integer) if "support" in obj else None,
+        values=_list(obj["values"], f"{path}.values", _number) if "values" in obj else None,
+        rho=_number(obj["rho"], f"{path}.rho") if "rho" in obj else None,
+        n_spikes=_integer(obj["n_spikes"], f"{path}.n_spikes") if "n_spikes" in obj else None,
+        placement=_string(obj.get("placement", "tail"), f"{path}.placement"),
+        s=_integer(obj["s"], f"{path}.s") if "s" in obj else None,
+        c1=_number(obj["c1"], f"{path}.c1") if "c1" in obj else None,
+        c_alpha2=_number(obj.get("c_alpha2", 1.0), f"{path}.c_alpha2"),
+    )
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -190,12 +207,9 @@ def parse_config(text: str) -> ExperimentConfig:
     if workers is not None:
         workers = _integer(workers, "simulation.workers")
 
-    try:
-        sim = SimConfig(loading=loading, noise=noise, sigma=sigma, theta=theta,
-                        estimator=estimator, replicates=replicates, seed=seed,
-                        s_assumed=s_assumed)
-    except ValueError as exc:
-        raise ConfigError(f"simulation: {exc}") from exc
+    sim = _build(SimConfig, "simulation", loading=loading, noise=noise, sigma=sigma,
+                 theta=theta, estimator=estimator, replicates=replicates, seed=seed,
+                 s_assumed=s_assumed)
     return ExperimentConfig(version, sim, grid, workers)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,8 @@ from .rates import RateCalculator, j3_index
 from .streams import generator
 
 __all__ = [
+    "VARIANTS",
+    "Variant",
     "EstimationInput",
     "EstimateResult",
     "TestResult",
@@ -39,9 +42,6 @@ __all__ = [
     "unknown_sigma_estimate",
     "linear_test",
 ]
-
-VARIANTS = ("oracle", "family", "adaptive", "nonsym", "unknown-sigma", "collier", "plugin")
-
 
 def default_zeta(alpha: float) -> float:
     """Lepski band constant: the theory only requires 'sufficiently large'."""
@@ -71,12 +71,13 @@ class EstimationInput:
             raise ValueError(f"y must have length d={self.loading.d}")
         if not np.all(np.isfinite(y)):
             raise ValueError("y entries must be finite")
-        if self.alpha <= 0 or self.tau <= 0:
-            raise ValueError("alpha and tau must be positive")
-        if self.sigma is not None and self.sigma < 0:
-            raise ValueError("sigma must be nonnegative or None (unknown)")
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.tau)
+                and self.alpha > 0 and self.tau > 0):
+            raise ValueError("alpha and tau must be positive and finite")
+        if self.sigma is not None and not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError("sigma must be nonnegative and finite, or None (unknown)")
+        if not (math.isfinite(self.kappa) and self.kappa > 0):
+            raise ValueError("kappa must be positive and finite")
         y.flags.writeable = False
         object.__setattr__(self, "y", y)
 
@@ -335,3 +336,37 @@ def linear_test(inp: EstimationInput, s: int, t0: float, B: float, *,
     stat = oracle_estimate(inp, s, calculator=calc).value
     thr = B * sigma * math.sqrt(calc.phi_o(s))
     return TestResult(int(abs(stat - t0) > thr), float(stat), float(thr))
+
+
+@dataclass(frozen=True)
+class Variant:
+    """A registered estimator: how to call it, whether it needs the sparsity
+    level ``s``, and the rate benchmark (a RateCalculator method name) its
+    risk is reported against.
+
+    ``run(inp, s, calculator, *, zeta, c_h, gamma_split, shuffle_seed)``
+    ignores the arguments its estimator does not take.
+    """
+
+    run: Callable[..., EstimateResult]
+    needs_s: bool
+    rate_kind: str
+
+
+# The entries look the estimators up in this module's namespace at call time,
+# so a wrapper installed on a module attribute sees every call.
+VARIANTS = {
+    "oracle": Variant(lambda inp, s, calc, **_: oracle_estimate(inp, s, calculator=calc),
+                      True, "phi_o"),
+    "family": Variant(lambda inp, s, calc, **_: family_estimate(inp, s, calculator=calc),
+                      True, "phi_o"),
+    "adaptive": Variant(lambda inp, s, calc, zeta, **_:
+                        adaptive_estimate(inp, zeta, calculator=calc), False, "phi_adp"),
+    "nonsym": Variant(lambda inp, s, calc, c_h, **_:
+                      nonsymmetric_estimate(inp, s, c_h, calculator=calc), True, "phi_o"),
+    "unknown-sigma": Variant(lambda inp, s, calc, gamma_split, shuffle_seed, **_:
+                             unknown_sigma_estimate(inp, s, gamma_split, shuffle_seed,
+                                                    calculator=calc), True, "phi_o"),
+    "collier": Variant(lambda inp, s, calc, **_: collier_estimate(inp, s), True, "phi_o"),
+    "plugin": Variant(lambda inp, s, calc, **_: plugin_estimate(inp), False, "phi_o"),
+}

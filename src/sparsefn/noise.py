@@ -48,8 +48,9 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown noise family {self.family!r}")
-        if self.alpha <= 0 or self.tau <= 0:
-            raise ValueError("alpha and tau must be positive")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.tau)
+                and self.alpha > 0 and self.tau > 0):
+            raise ValueError("alpha and tau must be positive and finite")
         if self.tail_class not in ("G", "H"):
             raise ValueError("tail class must be 'G' or 'H'")
         if self.tail_class == "G" and self.family not in _SYMMETRIC:

@@ -23,6 +23,7 @@ from .threshold import (
     Tolerances,
     ThresholdSolution,
     adaptive_target,
+    log_energy,
     log_phi_objective,
     solve_beta,
 )
@@ -70,14 +71,6 @@ class AdaptiveRateProfile:
     phi_adp: float
 
 
-def _log_nu2(loading: LoadingVector, alpha: float, beta_plus: float) -> float:
-    log_eta = np.log(loading.abs_values)
-    w = -beta_plus / loading.abs_values**alpha
-    x = 2.0 * log_eta + w
-    m = float(np.max(x))
-    return m + math.log(float(np.exp(x - m).sum()))
-
-
 def _cutoff(loading: LoadingVector, lam: float) -> int:
     """max{ j : |eta_j| >= lam } with the empty-set convention 0 (ties included)."""
     neg = -loading.abs_values  # ascending
@@ -88,8 +81,8 @@ class RateCalculator:
     """Memoized rate computations for a fixed loading and tail parameter."""
 
     def __init__(self, loading: LoadingVector, alpha: float, tol: Tolerances | None = None):
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not (math.isfinite(alpha) and alpha > 0):
+            raise ValueError("alpha must be positive and finite")
         self.loading = loading
         self.alpha = float(alpha)
         self.tol = tol or Tolerances()
@@ -113,7 +106,7 @@ class RateCalculator:
 
     def _profile_from(self, sol: ThresholdSolution, s: int) -> RateProfile:
         beta_plus = max(sol.beta, 0.0)
-        nu = math.exp(0.5 * _log_nu2(self.loading, self.alpha, beta_plus))
+        nu = math.exp(0.5 * log_energy(self.loading, self.alpha, beta_plus))
         lam = sol.lambda_
         j1 = self.loading.d if lam == 0.0 else _cutoff(self.loading, lam)
         phi = (lam * s + nu) ** 2
@@ -146,7 +139,7 @@ class RateCalculator:
         sol = self.star_solution(s)
         beta_plus = max(sol.beta, 0.0)
         return math.sqrt((1.0 + math.log(s))
-                         * math.exp(_log_nu2(self.loading, self.alpha, beta_plus)))
+                         * math.exp(log_energy(self.loading, self.alpha, beta_plus)))
 
     def s_star(self) -> int:
         """Largest s with lambda_star(s) > 0, i.e. adaptive_target(s) < phi(0); 0 if none."""

@@ -22,20 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._version import __version__
-from .estimators import (
-    EstimationInput,
-    adaptive_estimate,
-    collier_estimate,
-    default_zeta,
-    family_estimate,
-    linear_test,
-    mom_sigma,
-    nonsymmetric_estimate,
-    oracle_estimate,
-    plugin_estimate,
-    unknown_sigma_estimate,
-    VARIANTS,
-)
+from .estimators import VARIANTS, EstimationInput, linear_test, mom_sigma, oracle_estimate
 from .loading import LoadingSpec, LoadingVector, make_loading
 from .lowerbound import build_prior, draw_prior
 from .noise import NoiseModel, sample_with
@@ -55,6 +42,7 @@ __all__ = [
     "run_test_power",
     "calibrate_test_threshold",
     "GRID_AXES",
+    "config_hash",
 ]
 
 GRID_AXES = ("alpha", "d", "estimator", "rho", "s", "sigma")
@@ -63,6 +51,12 @@ RESULT_COLUMNS = ["estimator", "n_rep", "mse", "mse_se", "rate_kind", "rate_valu
 
 class SimulationError(RuntimeError):
     """Estimator failure inside a replicate, annotated for reproduction."""
+
+
+def config_hash(params: dict) -> str:
+    """SHA-256 of the compact, key-sorted JSON form of ``params``."""
+    blob = json.dumps(params, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -165,8 +159,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError("sigma must be nonnegative and finite")
         if self.s_assumed < 1:
             raise ValueError("s_assumed must be >= 1")
 
@@ -183,8 +177,7 @@ class SimConfig:
         }
 
     def hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return config_hash(self.to_dict())
 
 
 @dataclass
@@ -259,30 +252,6 @@ def _fixed_theta(config: SimConfig, loading: LoadingVector,
 # single-cell risk experiment
 # ---------------------------------------------------------------------------
 
-def _resolve_s(config: SimConfig) -> int:
-    return config.estimator.s if config.estimator.s is not None else config.s_assumed
-
-
-def _dispatch(config: SimConfig, inp: EstimationInput, calc: RateCalculator):
-    spec = config.estimator
-    v = spec.variant
-    if v == "oracle":
-        return oracle_estimate(inp, _resolve_s(config), calculator=calc)
-    if v == "family":
-        return family_estimate(inp, _resolve_s(config), calculator=calc)
-    if v == "adaptive":
-        zeta = spec.zeta if spec.zeta is not None else default_zeta(inp.alpha)
-        return adaptive_estimate(inp, zeta, calculator=calc)
-    if v == "nonsym":
-        return nonsymmetric_estimate(inp, _resolve_s(config), spec.c_h, calculator=calc)
-    if v == "unknown-sigma":
-        return unknown_sigma_estimate(inp, _resolve_s(config), spec.gamma_split,
-                                      calculator=calc)
-    if v == "collier":
-        return collier_estimate(inp, _resolve_s(config))
-    return plugin_estimate(inp)
-
-
 def _data_tags(cell: dict) -> list:
     return [[k, cell[k]] for k in sorted(cell) if k != "estimator"]
 
@@ -298,6 +267,9 @@ def _run_cell(config: SimConfig, cell: dict) -> dict:
                             config.theta.c_alpha2)
     tags = _data_tags(cell)
     eta_orig = loading.original_values
+    spec = config.estimator
+    variant = VARIANTS[spec.variant]
+    s = spec.s if spec.s is not None else config.s_assumed
 
     errors = []
     for r in range(config.replicates):
@@ -310,8 +282,9 @@ def _run_cell(config: SimConfig, cell: dict) -> dict:
                               generator(config.seed, "cell", tags, "xi", r))
             y = theta + config.sigma * xi
             inp = EstimationInput(y, loading, alpha, tau, sigma=config.sigma,
-                                  kappa=config.estimator.kappa)
-            est = _dispatch(config, inp, calc)
+                                  kappa=spec.kappa)
+            est = variant.run(inp, s, calc, zeta=spec.zeta, c_h=spec.c_h,
+                              gamma_split=spec.gamma_split, shuffle_seed=None)
             target = float(np.dot(eta_orig, theta))
             errors.append((est.value - target) ** 2)
         except (ValueError, RuntimeError) as exc:
@@ -326,15 +299,13 @@ def _run_cell(config: SimConfig, cell: dict) -> dict:
         mse_se = math.sqrt(var / n)
     else:
         mse_se = float("nan")
-    if config.estimator.variant == "adaptive":
-        rate_kind, rate_value = "phi_adp", calc.phi_adp(config.s_assumed)
-    else:
-        rate_kind, rate_value = "phi_o", calc.phi_o(config.s_assumed)
+    rate_kind = variant.rate_kind
+    rate_value = getattr(calc, rate_kind)(config.s_assumed)
     denom = config.sigma**2 * rate_value
     ratio = mse / denom if denom > 0 else float("inf") if mse > 0 else 0.0
     row = dict(cell)
     row.update(
-        estimator=config.estimator.variant,
+        estimator=spec.variant,
         n_rep=n,
         mse=mse,
         mse_se=mse_se,
@@ -369,7 +340,7 @@ def _apply_cell(base: SimConfig, cell: dict) -> SimConfig:
             theta = dataclasses.replace(theta, rho=float(value))
         elif axis == "s":
             s_assumed = int(value)
-            if estimator.s is not None or estimator.variant not in ("adaptive", "plugin"):
+            if estimator.s is not None or VARIANTS[estimator.variant].needs_s:
                 estimator = dataclasses.replace(estimator, s=int(value))
             if theta.kind == "spike_grid":
                 theta = dataclasses.replace(theta, n_spikes=int(value))

@@ -113,6 +113,12 @@ def log_phi_objective(loading: LoadingVector, alpha: float, beta: float) -> floa
     return _logsumexp(log_eta + w) - 0.5 * _logsumexp(2.0 * log_eta + w)
 
 
+def log_energy(loading: LoadingVector, alpha: float, beta: float) -> float:
+    """log(sum_j eta_j^2 exp(-beta/|eta_j|^alpha)): log(nu^2) at beta >= 0."""
+    w = -beta / loading.abs_values**alpha
+    return _logsumexp(2.0 * np.log(loading.abs_values) + w)
+
+
 def phi_objective(loading: LoadingVector, alpha: float, beta: float) -> float:
     """phi(beta) itself; overflows to inf only when the true value exceeds
     the float64 range (beta very negative with tiny loadings)."""
@@ -120,13 +126,34 @@ def phi_objective(loading: LoadingVector, alpha: float, beta: float) -> float:
     return math.exp(lp) if lp < 709.0 else math.inf
 
 
-def _bisect_decreasing(g, lo: float, hi: float, tol: Tolerances, iters: int,
-                       resid_rel_of, rel_cap: float) -> tuple[float, float, int]:
-    """Bisect a strictly decreasing g with g(lo) > 0 > g(hi).
+def _solve_decreasing(g, tol: Tolerances, resid_rel_of,
+                      rel_cap: float) -> tuple[float, float, int]:
+    """Root of a strictly decreasing g: geometric bracket expansion from 0,
+    probing x = +-1, +-2, +-4, ... on the root's side, then bisection.
 
     ``resid_rel_of`` maps a g-value to the relative objective residual and
     ``rel_cap`` is the residual stopping level.  Returns
-    (root, g(root), iterations)."""
+    (root, g(root), evaluations of g)."""
+    iters = 1
+    g0 = g(0.0)
+    if g0 == 0.0:
+        return 0.0, 0.0, iters
+
+    direction = 1.0 if g0 > 0.0 else -1.0
+    near, step = 0.0, 1.0
+    for _ in range(tol.max_doublings):
+        far = direction * step
+        gfar = g(far)
+        iters += 1
+        if direction * gfar <= 0.0:
+            break
+        near = far
+        step *= 2.0
+    else:
+        span = f"[0, {step}]" if direction > 0.0 else f"[-{step}, 0]"
+        raise BracketError(f"no sign change in {span} after {tol.max_doublings} doublings")
+    lo, hi = (near, far) if direction > 0.0 else (far, near)
+
     best_x, best_g = lo, g(lo)
     ghi = g(hi)
     if abs(ghi) < abs(best_g):
@@ -163,38 +190,8 @@ def solve_beta(loading: LoadingVector, alpha: float, target: float,
     def g(b: float) -> float:
         return log_phi_objective(loading, alpha, b) - log_target
 
-    iters = 1
-    g0 = g(0.0)
-    if g0 == 0.0:
-        return ThresholdSolution(equation, target, 0.0, 0.0, 0.0, iters)
-
-    # Geometric expansion: probe beta = +-1, +-2, +-4, ... on the root's side.
-    step = 1.0
-    if g0 > 0.0:
-        lo, glo = 0.0, g0
-        for _ in range(tol.max_doublings):
-            hi, ghi = step, g(step)
-            iters += 1
-            if ghi <= 0.0:
-                break
-            lo, glo = hi, ghi
-            step *= 2.0
-        else:
-            raise BracketError(f"no sign change in [0, {step}] after {tol.max_doublings} doublings")
-    else:
-        hi, ghi = 0.0, g0
-        for _ in range(tol.max_doublings):
-            lo, glo = -step, g(-step)
-            iters += 1
-            if glo >= 0.0:
-                break
-            hi, ghi = lo, glo
-            step *= 2.0
-        else:
-            raise BracketError(f"no sign change in [-{step}, 0] after {tol.max_doublings} doublings")
-
-    beta, gbest, iters = _bisect_decreasing(g, lo, hi, tol, iters, _safe_expm1,
-                                            rel_cap=tol.rel + tol.abs / target)
+    beta, gbest, iters = _solve_decreasing(g, tol, _safe_expm1,
+                                           rel_cap=tol.rel + tol.abs / target)
     lam = max(beta, 0.0) ** (1.0 / alpha)
     residual = _safe_expm1(gbest) * target
     return ThresholdSolution(equation, target, beta, lam, residual, iters)
@@ -236,23 +233,7 @@ def solve_lambda_H(loading: LoadingVector, alpha: float, s: int,
     def g(lam: float) -> float:
         return float(np.exp(-((lam / tail) ** alpha)).sum()) - s
 
-    iters = 1
-    g0 = g(0.0)
-    if g0 == 0.0:
-        return ThresholdSolution("asym", float(s), 0.0, 0.0, 0.0, iters)
-
-    step = 1.0
-    lo, glo = 0.0, g0
-    for _ in range(tol.max_doublings):
-        hi, ghi = step, g(step)
-        iters += 1
-        if ghi <= 0.0:
-            break
-        lo, glo = hi, ghi
-        step *= 2.0
-    else:
-        raise BracketError(f"no sign change in [0, {step}] after {tol.max_doublings} doublings")
-
-    lam, gbest, iters = _bisect_decreasing(g, lo, hi, tol, iters, lambda v: v / s,
-                                           rel_cap=tol.rel + tol.abs / s)
+    # g(0) = d - s^2 + 1 - s >= 0, so the expansion always runs upward
+    lam, gbest, iters = _solve_decreasing(g, tol, lambda v: v / s,
+                                          rel_cap=tol.rel + tol.abs / s)
     return ThresholdSolution("asym", float(s), lam, lam, gbest, iters)

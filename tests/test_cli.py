@@ -1,11 +1,19 @@
+import argparse
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from sparsefn.cli import main
+from sparsefn.cli import _build_parser, main
 from sparsefn.config import ConfigError, parse_config, serialize_config
+from sparsefn.estimators import VARIANTS
+from sparsefn.loading import LoadingSpec
+from sparsefn.noise import NoiseModel
+from sparsefn.rates import RateCalculator
+from sparsefn.sim import EstimatorSpec, SimConfig, ThetaSpec, run_risk
+from sparsefn.threshold import BracketError
 
 
 BASE_CONFIG = {
@@ -57,6 +65,24 @@ def test_typo_rejection_names_path():
     bad3["estimator"] = {"variant": "oracle", "s": "three"}
     with pytest.raises(ConfigError, match=r"estimator\.s"):
         parse_config(json.dumps(bad3))
+
+
+@pytest.mark.parametrize("patch, path", [
+    ({"sigma": float("nan")}, "sigma"),
+    ({"sigma": 10**400}, "sigma"),
+    ({"noise": {"family": "gaussian", "alpha": float("inf"), "tau": 2.0}}, "noise.alpha"),
+    ({"estimator": {"variant": "oracle", "kappa": float("-inf")}}, "estimator.kappa"),
+    ({"loading": {"kind": "explicit", "values": ["a", 1.0]}}, "loading.values[0]"),
+    ({"loading": {"kind": "explicit", "values": [1.0, float("nan")]}}, "loading.values[1]"),
+    ({"loading": {"kind": "explicit", "values": 3.0}}, "loading.values"),
+    ({"theta": {"kind": "fixed", "support": [0, 1.5], "values": [1.0, 2.0]}},
+     "theta.support[1]"),
+    ({"theta": {"kind": "fixed", "support": [0], "values": [float("inf")]}},
+     "theta.values[0]"),
+])
+def test_bad_numbers_rejected_with_path(patch, path):
+    with pytest.raises(ConfigError, match="^" + re.escape(path) + ":"):
+        parse_config(json.dumps(dict(BASE_CONFIG, **patch)))
 
 
 def test_schema_version_checked():
@@ -232,3 +258,85 @@ def test_cli_test_rejects_non_oracle_variant(tmp_path):
     assert main(["test", "--variant", "collier", "--s", "3", "--alpha", "2",
                  "--tau", "2", "--loading-spec", "homogeneous", "--d", "10",
                  "--y-file", str(yfile), "--t0", "0", "--B", "1"]) == 1
+
+
+def _estimate_variant_choices() -> list:
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return list(next(a for a in sub.choices["estimate"]._actions
+                     if a.dest == "variant").choices)
+
+
+@pytest.mark.parametrize("name", list(VARIANTS))
+def test_registered_variant_is_wired_through_cli_and_sim(name, tmp_path, capsys):
+    assert _estimate_variant_choices() == list(VARIANTS)
+    variant = VARIANTS[name]
+    yfile = tmp_path / "y.txt"
+    yfile.write_text("3.0\n" + "".join(f"{0.1 * (-1) ** i}\n" for i in range(39)))
+    argv = ["estimate", "--variant", name, "--alpha", "2", "--tau", "2",
+            "--loading-spec", "homogeneous", "--d", "40", "--y-file", str(yfile)]
+    rc, p = run_json(capsys, argv + ["--s", "1"])
+    assert rc == 0 and p["variant"] == name
+    assert main(argv) == (1 if variant.needs_s else 0)
+
+    report = run_risk(SimConfig(
+        loading=LoadingSpec("homogeneous", d=40), noise=NoiseModel("gaussian", 2.0, 2.0),
+        sigma=1.0, theta=ThetaSpec("zero"), estimator=EstimatorSpec(name), replicates=2,
+        seed=5, s_assumed=2))
+    row = report.rows[0]
+    assert math.isfinite(row["mse"]) and row["rate_kind"] == variant.rate_kind
+
+
+def test_drop_zeros_reads_count_and_dimension(tmp_path, capsys):
+    lfile = tmp_path / "loading.txt"
+    lfile.write_text("2.0\n0.0\n-1.0\n0\n0.5\n")
+    argv = ["rate", "--loading-file", str(lfile), "--alpha", "2", "--csv"]
+    assert main(argv) == 1  # zero loadings are rejected unless dropped
+    capsys.readouterr()
+    assert main(argv + ["--drop-zeros"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "dropped 2 zero loadings\n"
+    # without --s-grid the CSV has one row per s = 1..d
+    assert [line.split(",")[0] for line in captured.out.splitlines()[2:]] == ["1", "2", "3"]
+
+
+def _grid_config(tmp_path, **kw) -> str:
+    cfg = dict(BASE_CONFIG, theta={"kind": "zero"}, **kw)
+    cfg["simulation"] = {"replicates": 3, "s_assumed": 2, "grid": {"sigma": [1.0, 2.0]}}
+    cpath = tmp_path / "c.json"
+    cpath.write_text(json.dumps(cfg))
+    return str(cpath)
+
+
+def test_bracket_failure_inside_simulation_exits_2(tmp_path, capsys, monkeypatch):
+    def no_bracket(self, s):
+        raise BracketError("no sign change")
+
+    monkeypatch.setattr(RateCalculator, "oracle", no_bracket)
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--config", _grid_config(tmp_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("numerical failure: replicate 0 failed")
+    assert not out.exists()
+
+
+def test_input_failure_inside_simulation_exits_1(tmp_path, capsys):
+    cpath = _grid_config(tmp_path, estimator={"variant": "collier", "s": 2},
+                         loading={"kind": "two_phase", "d": 40, "gamma_d": 0.4,
+                                  "gamma_lambda": 0.2})
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--config", cpath, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: replicate 0 failed") and "homogeneous" in err
+    assert not out.exists()
+
+
+def test_simulate_rejects_nan_sigma_before_any_replicate(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr("sparsefn.sim.sample_with", never)
+    cpath = tmp_path / "c.json"
+    cpath.write_text(json.dumps(dict(BASE_CONFIG, sigma=float("nan"))))
+    assert "NaN" in cpath.read_text()
+    assert main(["simulate", "--config", str(cpath)]) == 1
+    assert capsys.readouterr().err.startswith("config error: sigma:")

@@ -381,3 +381,12 @@ def test_requires_sigma_when_known_variant():
     with pytest.warns(UserWarning):
         res = unknown_sigma_estimate(inp8, 1, 0.5)
     assert res.value == 5.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["alpha", "tau", "kappa", "sigma"])
+def test_input_rejects_non_finite(field, bad):
+    kw = {"alpha": 2.0, "tau": 2.0, "sigma": 1.0, "kappa": 1.0}
+    kw[field] = bad
+    with pytest.raises(ValueError, match="finite"):
+        EstimationInput(np.zeros(3), HOM3, **kw)

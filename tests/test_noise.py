@@ -42,6 +42,13 @@ def test_model_validation():
     NoiseModel("shifted_exponential", 1.0, 2.0, "H")
 
 
+@pytest.mark.parametrize("alpha, tau", [(math.nan, 2.0), (math.inf, 2.0),
+                                        (2.0, math.nan), (2.0, math.inf)])
+def test_model_rejects_non_finite(alpha, tau):
+    with pytest.raises(ValueError, match="finite"):
+        NoiseModel("gaussian", alpha, tau, "G")
+
+
 def test_determinism_and_stream_separation():
     a = sample(GAUSS, 1000, 123)
     b = sample(GAUSS, 1000, 123)

@@ -258,3 +258,9 @@ def test_rate_calculator_validates_s():
         calc.oracle(0)
     with pytest.raises(ValueError):
         calc.adaptive(101)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_rate_calculator_rejects_non_finite_alpha(alpha):
+    with pytest.raises(ValueError, match="finite"):
+        RateCalculator(HOM100, alpha)

@@ -97,6 +97,12 @@ def test_grid_rejects_unknown_axis():
         risk_grid(config(), {"bananas": [1]})
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf])
+def test_config_rejects_non_finite_sigma(sigma):
+    with pytest.raises(ValueError, match="finite"):
+        config(sigma=sigma)
+
+
 def test_rate_denominator_kind_per_variant():
     adaptive = run_risk(config(estimator=EstimatorSpec("adaptive"), replicates=5))
     assert adaptive.rows[0]["rate_kind"] == "phi_adp"
