@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .estimators import VARIANTS, default_zeta
 from .loading import LoadingSpec
 from .noise import FAMILIES, NoiseModel
-from .sim import EstimatorSpec, SimConfig, ThetaSpec
+from .sim import GRID_AXES, EstimatorSpec, SimConfig, ThetaSpec, check_grid
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "serialize_config"]
 
@@ -197,12 +197,6 @@ def parse_config(text: str) -> ExperimentConfig:
                          "simulation.s_assumed")
     theta = _parse_theta(obj.get("theta", {"kind": "zero"}), "theta")
     grid = sim_obj.get("grid")
-    if grid is not None:
-        if not isinstance(grid, dict):
-            raise ConfigError("simulation.grid: expected an object of axis lists")
-        for axis, vals in grid.items():
-            if not isinstance(vals, list) or not vals:
-                raise ConfigError(f"simulation.grid.{axis}: expected a nonempty list")
     workers = sim_obj.get("workers")
     if workers is not None:
         workers = _integer(workers, "simulation.workers")
@@ -210,7 +204,27 @@ def parse_config(text: str) -> ExperimentConfig:
     sim = _build(SimConfig, "simulation", loading=loading, noise=noise, sigma=sigma,
                  theta=theta, estimator=estimator, replicates=replicates, seed=seed,
                  s_assumed=s_assumed)
+    if grid is not None:
+        _check_grid_values(grid)
+    try:
+        check_grid(sim, grid or {})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return ExperimentConfig(version, sim, grid, workers)
+
+
+_GRID_VALUES = {"d": _integer, "estimator": _string, "s": _integer}  # the rest: numbers
+
+
+def _check_grid_values(grid) -> None:
+    if not isinstance(grid, dict):
+        raise ConfigError("simulation.grid: expected an object of axis lists")
+    for axis, values in grid.items():
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"simulation.grid.{axis}: expected a nonempty list")
+        if axis in GRID_AXES:
+            for i, value in enumerate(values):
+                _GRID_VALUES.get(axis, _number)(value, f"simulation.grid.{axis}[{i}]")
 
 
 def serialize_config(config: ExperimentConfig) -> str:

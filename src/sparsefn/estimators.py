@@ -12,15 +12,17 @@ are reported in the caller's original order.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .loading import LoadingVector
-from .rates import RateCalculator, j3_index
+from .rates import RateCalculator, RateTable, j3_index
 from .streams import generator
 
 __all__ = [
@@ -87,13 +89,40 @@ class EstimationInput:
         return self.sigma
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimateResult:
+    """An estimate; ``keep`` is a read-only boolean mask of the kept
+    coordinates in the caller's original order, and ``kept_indices`` lists
+    them, built on first read.  Equality and hashing go by
+    (value, s_used, threshold, kept_indices, variant)."""
+
     value: float
     s_used: int
     threshold: float
-    kept_indices: tuple[int, ...]
+    keep: np.ndarray = field(repr=False)
     variant: str
+
+    def __post_init__(self) -> None:
+        keep = np.asarray(self.keep)
+        if keep.dtype != bool or keep.ndim != 1:
+            raise TypeError("keep must be a 1-d boolean mask")
+        keep.flags.writeable = False
+        object.__setattr__(self, "keep", keep)
+
+    @cached_property
+    def kept_indices(self) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(self.keep).tolist())
+
+    def _key(self) -> tuple:
+        return (self.value, self.s_used, self.threshold, self.kept_indices, self.variant)
+
+    def __eq__(self, other):
+        if not isinstance(other, EstimateResult):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -129,9 +158,9 @@ def _threshold_sum(eta: np.ndarray, ys: np.ndarray, cutoff: int, threshold: floa
 
 def _result(inp: EstimationInput, keep: np.ndarray, value: float, s: int,
             threshold: float, variant: str) -> EstimateResult:
-    orig = inp.loading.order[np.nonzero(keep)[0]]
-    return EstimateResult(value, int(s), float(threshold),
-                          tuple(sorted(int(i) for i in orig)), variant)
+    """``keep`` is in sorted-loading order."""
+    return EstimateResult(value, int(s), float(threshold), inp.loading.to_original(keep),
+                          variant)
 
 
 def oracle_estimate(inp: EstimationInput, s: int, *,
@@ -168,10 +197,9 @@ def collier_estimate(inp: EstimationInput, s: int) -> EstimateResult:
         keep = np.ones(d, dtype=bool)
         return _result(inp, keep, value, s, 0.0, "collier")
     thr = sigma * math.sqrt(2.0 * math.log1p(d / s**2))
-    keep = np.abs(inp.y) > thr
+    keep = np.abs(inp.y) > thr  # already original order
     value = float(inp.y[keep].sum())
-    orig = np.nonzero(keep)[0]  # already original order
-    return EstimateResult(value, s, thr, tuple(int(i) for i in orig), "collier")
+    return EstimateResult(value, s, thr, keep, "collier")
 
 
 def family_estimate(inp: EstimationInput, s: int, *,
@@ -187,19 +215,21 @@ def family_estimate(inp: EstimationInput, s: int, *,
     return _result(inp, keep, value, s, thr, "family")
 
 
-def _family_values(inp: EstimationInput, calc: RateCalculator, s_max: int) -> np.ndarray:
+def _family_values(inp: EstimationInput, table: RateTable) -> np.ndarray:
+    """Family estimates for s = 1..len(table.j2) in O(d log s0).
+
+    j2(s) is nondecreasing and the threshold nonincreasing in s, so once a
+    coordinate is kept -- in the plug-in head or above the threshold -- every
+    later member keeps it too.  Each coordinate's etay is therefore added at
+    the first member keeping it, and a prefix sum over s gives every member.
+    """
     sigma = inp.require_sigma()
-    eta = inp.loading.values
-    ys = inp.loading.to_sorted(inp.y)
-    etay = eta * ys
-    abs_etay = np.abs(etay)
-    out = np.empty(s_max)
-    for s in range(1, s_max + 1):
-        thr = inp.kappa * sigma * inp.tau * calc.lambda_star(s)
-        keep = abs_etay > thr
-        keep[: calc.j2(s)] = True
-        out[s - 1] = etay[keep].sum()
-    return out
+    etay = inp.loading.values * inp.loading.to_sorted(inp.y)
+    thr = inp.kappa * sigma * inp.tau * table.lambda_star
+    above_from = np.searchsorted(-thr, -np.abs(etay), side="right")  # thr(s) < |etay|
+    first = np.minimum(above_from, table.head_from)
+    n = thr.size
+    return np.cumsum(np.bincount(first, weights=etay, minlength=n + 1)[:n])
 
 
 def _lepski_core(inp: EstimationInput, zeta: float,
@@ -209,10 +239,10 @@ def _lepski_core(inp: EstimationInput, zeta: float,
         raise ValueError("zeta must be positive")
     sigma = inp.require_sigma()
     s_star = calc.s_star()
-    cap = min(s_star + 1, inp.loading.d)
-    values = _family_values(inp, calc, cap)
-    omega = np.array([math.sqrt(zeta * sigma**2 * calc.phi_adp(sp))
-                      for sp in range(1, cap + 1)])
+    table = calc.table()
+    cap = table.j2.size  # min(s0, d)
+    values = _family_values(inp, table)
+    omega = np.sqrt(zeta * sigma**2 * table.phi_adp)
     s_hat = s_star + 1
     for s in range(1, s_star + 1):
         tail = slice(s, cap)
@@ -247,7 +277,7 @@ def adaptive_estimate(inp: EstimationInput, zeta: float | None = None, *,
     calc = _calc(inp, calculator)
     s_hat, _s_star, cap, _values, _omega = _lepski_core(inp, zeta, calc)
     res = family_estimate(inp, min(s_hat, cap), calculator=calc)
-    return EstimateResult(res.value, s_hat, res.threshold, res.kept_indices, "adaptive")
+    return dataclasses.replace(res, s_used=s_hat, variant="adaptive")
 
 
 def nonsymmetric_estimate(inp: EstimationInput, s: int, c_h: float | None = None, *,

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
+    "LoadingLevels",
     "LoadingVector",
     "LoadingSpec",
     "make_loading",
@@ -22,6 +25,43 @@ __all__ = [
 ]
 
 _KINDS = ("explicit", "homogeneous", "two_phase", "exp_decay")
+
+
+def _is_permutation(order: np.ndarray) -> bool:
+    """True when the integer array ``order`` holds each of 0..len-1 once."""
+    if order.size and not (order.min() >= 0 and order.max() < order.size):
+        return False
+    seen = np.zeros(order.size, dtype=bool)
+    seen[order] = True
+    return bool(seen.all())
+
+
+class LoadingLevels(NamedTuple):
+    """The distinct |eta| values of a loading in decreasing order, with counts.
+
+    Level k covers the sorted positions ``ends[k] - counts[k] .. ends[k] - 1``.
+    Without ties every level is one coordinate: ``counts`` and ``ends`` are
+    then None and ``values`` is the loading's ``abs_values`` array itself, so
+    the view costs no memory.
+    """
+
+    values: np.ndarray
+    counts: np.ndarray | None
+    ends: np.ndarray | None
+
+    @property
+    def tied(self) -> bool:
+        return self.counts is not None
+
+    def covered(self, k):
+        """The number of sorted positions in the first k levels (k scalar or array)."""
+        return k if self.ends is None else np.where(k > 0, self.ends[k - 1], 0)
+
+    def level_of(self, position: int) -> int:
+        """The level holding the 0-based sorted position ``position``."""
+        if self.ends is None:
+            return position
+        return int(np.searchsorted(self.ends, position, side="right"))
 
 
 @dataclass(frozen=True)
@@ -48,12 +88,14 @@ class LoadingVector:
         a = np.abs(values)
         if np.any(a[:-1] < a[1:]):
             raise ValueError("loading must be sorted by decreasing |value|")
-        if order.shape != values.shape or set(order.tolist()) != set(range(values.size)):
+        if order.shape != values.shape or not _is_permutation(order):
             raise ValueError("order must be a permutation of 0..d-1")
         values.flags.writeable = False
         order.flags.writeable = False
+        a.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "order", order)
+        object.__setattr__(self, "_abs", a)
 
     @property
     def d(self) -> int:
@@ -61,7 +103,20 @@ class LoadingVector:
 
     @property
     def abs_values(self) -> np.ndarray:
-        return np.abs(self.values)
+        """|values|, computed once; read-only."""
+        return self._abs
+
+    @cached_property
+    def levels(self) -> LoadingLevels:
+        """The distinct |eta| levels, by run-length over the sorted |eta| in O(d)."""
+        a = self._abs
+        ends = np.append(np.flatnonzero(a[1:] != a[:-1]) + 1, a.size)
+        if ends.size == a.size:
+            return LoadingLevels(a, None, None)
+        values, counts = a[ends - 1], np.diff(ends, prepend=0)
+        for arr in (values, counts, ends):
+            arr.flags.writeable = False
+        return LoadingLevels(values, counts, ends)
 
     def to_sorted(self, x: np.ndarray) -> np.ndarray:
         """Reorder a vector from the original coordinate order to sorted order."""

@@ -6,31 +6,35 @@ tail energy nu, the plug-in cutoff j1 and the benchmark
 phi_o = (lambda_o * s + nu)^2.  Adaptive analogues replace the target by
 s / (2 sqrt(log(es))) and carry the extra log(es) factor in nu_star.
 
-A RateCalculator memoizes solver calls per (loading, alpha); the adaptive
-machinery (Lepski selection, assumption diagnostics) reuses one instance so
-each sparsity level is solved at most once.
+A RateCalculator serves one (loading, alpha): it holds one PhiKernel, solves
+every equation through it and memoizes solves per s.  Its ``table()`` solves
+the adaptive equation for every s = 1..min(s0, d) in one batched bisection
+and tabulates what the Lepski selection reads, so a simulation cell, which
+owns one calculator, does that work once rather than once per replicate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .loading import LoadingVector, make_loading, LoadingSpec, effective_dimension
 from .threshold import (
+    PhiKernel,
     Tolerances,
     ThresholdSolution,
+    _solve_phi,
+    _threshold_solution,
     adaptive_target,
-    log_energy,
-    log_phi_objective,
-    solve_beta,
 )
 
 __all__ = [
     "RateProfile",
     "AdaptiveRateProfile",
+    "RateTable",
     "RateCalculator",
     "oracle_rate",
     "oracle_rate_decomposed",
@@ -71,14 +75,30 @@ class AdaptiveRateProfile:
     phi_adp: float
 
 
-def _cutoff(loading: LoadingVector, lam: float) -> int:
-    """max{ j : |eta_j| >= lam } with the empty-set convention 0 (ties included)."""
-    neg = -loading.abs_values  # ascending
-    return int(np.searchsorted(neg, -lam, side="right"))
+class RateTable(NamedTuple):
+    """Adaptive quantities for s = 1..min(s0, d), indexed by s - 1.
+
+    ``head_from[j]`` is the first index s - 1 whose plug-in head (sorted
+    positions below j2(s)) contains sorted position j, or len(j2) if none.
+    """
+
+    lambda_star: np.ndarray
+    j2: np.ndarray
+    nu_star: np.ndarray
+    phi_adp: np.ndarray
+    head_from: np.ndarray
+
+
+def _cutoff(loading: LoadingVector, lam):
+    """max{ j : |eta_j| >= lam } with the empty-set convention 0 (ties
+    included), for a scalar or an array of lam; d at lam = 0."""
+    levels = loading.levels
+    return levels.covered(levels.values.size
+                          - np.searchsorted(levels.values[::-1], lam, side="left"))
 
 
 class RateCalculator:
-    """Memoized rate computations for a fixed loading and tail parameter."""
+    """Rate computations for a fixed loading and tail parameter."""
 
     def __init__(self, loading: LoadingVector, alpha: float, tol: Tolerances | None = None):
         if not (math.isfinite(alpha) and alpha > 0):
@@ -88,8 +108,32 @@ class RateCalculator:
         self.tol = tol or Tolerances()
         self._oracle: dict[int, RateProfile] = {}
         self._star: dict[int, ThresholdSolution] = {}
+        self._ladder: tuple | None = None  # (targets, beta, g, iterations) for s = 1..n
+        self._table: RateTable | None = None
         self._s_star: int | None = None
-        self._log_phi0 = log_phi_objective(loading, alpha, 0.0)
+        self._kernel = PhiKernel(loading, alpha)
+
+    def _nu2_log(self, beta: float) -> float:
+        """log(nu^2) at max(beta, 0)."""
+        return float(self._kernel.log_energy(np.array([max(beta, 0.0)]))[0])
+
+    def _solve(self, equation: str, target: float) -> ThresholdSolution:
+        beta, g, iters = _solve_phi(self._kernel, [target], self.tol)
+        return _threshold_solution(equation, self.alpha, target, float(beta[0]), float(g[0]),
+                                   int(iters[0]))
+
+    def _nu_star(self, s: np.ndarray, beta: np.ndarray) -> np.ndarray:
+        """nu_star at each s from its adaptive root beta."""
+        return np.sqrt((1.0 + np.log(s)) * np.exp(self._kernel.log_energy(np.maximum(beta, 0.0))))
+
+    def _phi_adp(self, s: np.ndarray, lam: np.ndarray, nu: np.ndarray) -> np.ndarray:
+        """phi_adp at s = 1, ... (each s <= min(s0, d)) from lambda_star and
+        nu_star there: phi_star = (s lambda_star)^2 + nu_star^2, and below
+        alpha = 2 at least phi_star(1) log(es)^2."""
+        phi = (s * lam) ** 2 + nu**2
+        if self.alpha < 2.0:
+            phi = np.maximum(phi, phi[0] * (1.0 + np.log(s)) ** 2)
+        return phi
 
     # -- oracle side ---------------------------------------------------------
 
@@ -99,16 +143,15 @@ class RateCalculator:
             raise ValueError(f"s must be in [1, {self.loading.d}]")
         prof = self._oracle.get(s)
         if prof is None:
-            sol = solve_beta(self.loading, self.alpha, s / 2.0, self.tol)
+            sol = self._solve("oracle", s / 2.0)
             prof = self._profile_from(sol, s)
             self._oracle[s] = prof
         return prof
 
     def _profile_from(self, sol: ThresholdSolution, s: int) -> RateProfile:
-        beta_plus = max(sol.beta, 0.0)
-        nu = math.exp(0.5 * log_energy(self.loading, self.alpha, beta_plus))
+        nu = math.exp(0.5 * self._nu2_log(sol.beta))
         lam = sol.lambda_
-        j1 = self.loading.d if lam == 0.0 else _cutoff(self.loading, lam)
+        j1 = int(_cutoff(self.loading, lam))
         phi = (lam * s + nu) ** 2
         return RateProfile(s, self.alpha, sol.beta, lam, nu, j1, phi)
 
@@ -123,8 +166,13 @@ class RateCalculator:
             raise ValueError(f"s must be in [1, {self.loading.d}]")
         sol = self._star.get(s)
         if sol is None:
-            sol = solve_beta(self.loading, self.alpha, adaptive_target(s), self.tol,
-                             equation="adaptive")
+            if self._ladder is not None and s <= self._ladder[0].size:
+                targets, beta, g, iters = self._ladder
+                sol = _threshold_solution("adaptive", self.alpha, float(targets[s - 1]),
+                                          float(beta[s - 1]), float(g[s - 1]),
+                                          int(iters[s - 1]))
+            else:
+                sol = self._solve("adaptive", adaptive_target(s))
             self._star[s] = sol
         return sol
 
@@ -132,19 +180,38 @@ class RateCalculator:
         return self.star_solution(s).lambda_
 
     def j2(self, s: int) -> int:
-        lam = self.lambda_star(s)
-        return self.loading.d if lam == 0.0 else _cutoff(self.loading, lam)
+        return int(_cutoff(self.loading, self.lambda_star(s)))
 
     def nu_star(self, s: int) -> float:
         sol = self.star_solution(s)
-        beta_plus = max(sol.beta, 0.0)
-        return math.sqrt((1.0 + math.log(s))
-                         * math.exp(log_energy(self.loading, self.alpha, beta_plus)))
+        return float(self._nu_star(np.array([float(s)]), np.array([sol.beta]))[0])
+
+    def table(self) -> RateTable:
+        """The adaptive ladder for s = 1..min(s0, d), solved in one batched
+        bisection on the first call.  ``lambda_star`` and ``j2`` equal the
+        per-s methods exactly; ``nu_star`` and ``phi_adp`` up to the rounding
+        of the batched energy evaluation."""
+        if self._table is None:
+            n = min(self.s0(), self.loading.d)
+            targets = np.array([adaptive_target(s) for s in range(1, n + 1)])
+            self._ladder = (targets, *_solve_phi(self._kernel, targets, self.tol))
+            beta = self._ladder[1]
+            inv = 1.0 / self.alpha
+            lam = np.array([max(b, 0.0) ** inv for b in beta.tolist()])
+            j2 = _cutoff(self.loading, lam)
+            s = np.arange(1, n + 1)
+            nu = self._nu_star(s, beta)
+            phi = self._phi_adp(s, lam, nu)
+            head_from = np.searchsorted(j2, np.arange(self.loading.d), side="right")
+            for arr in (lam, j2, nu, phi, head_from):
+                arr.flags.writeable = False
+            self._table = RateTable(lam, j2, nu, phi, head_from)
+        return self._table
 
     def s_star(self) -> int:
         """Largest s with lambda_star(s) > 0, i.e. adaptive_target(s) < phi(0); 0 if none."""
         if self._s_star is None:
-            log_phi0 = self._log_phi0
+            log_phi0 = float(self._kernel.log_phi(np.zeros(1))[0])
             if math.log(adaptive_target(1)) >= log_phi0:
                 self._s_star = 0
             else:
@@ -172,12 +239,12 @@ class RateCalculator:
         return (s * sol.lambda_) ** 2 + self.nu_star(s) ** 2
 
     def phi_adp(self, s: int) -> float:
-        base = self.phi_star(s)
-        if 0.0 < self.alpha < 2.0:
-            cap = min(s, self.s0())
-            floor = self.phi_star(1) * (1.0 + math.log(cap)) ** 2
-            return max(base, floor)
-        return base
+        """Flat beyond s0: phi_adp(s) = phi_adp(min(s, s0))."""
+        s = min(int(s), self.s0(), self.loading.d)
+        ks = np.array([1.0, s])
+        lam = np.array([self.lambda_star(1), self.lambda_star(s)])
+        nu = np.array([self.nu_star(1), self.nu_star(s)])
+        return float(self._phi_adp(ks, lam, nu)[1])
 
     def adaptive(self, s: int) -> AdaptiveRateProfile:
         s = int(s)

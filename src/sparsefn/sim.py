@@ -43,6 +43,7 @@ __all__ = [
     "calibrate_test_threshold",
     "GRID_AXES",
     "config_hash",
+    "check_grid",
 ]
 
 GRID_AXES = ("alpha", "d", "estimator", "rho", "s", "sigma")
@@ -252,6 +253,34 @@ def _fixed_theta(config: SimConfig, loading: LoadingVector,
 # single-cell risk experiment
 # ---------------------------------------------------------------------------
 
+def _cell_problem(config: SimConfig) -> tuple[str, str] | None:
+    """The first sparsity level or support index of ``config`` that does not
+    fit its loading's dimension d, as (field path, "value must be in [lo, hi]"),
+    or None."""
+    spec = config.loading
+    d = len(spec.values) if spec.kind == "explicit" else int(spec.d)
+    variant = VARIANTS[config.estimator.variant]
+    sparsity = []
+    if variant.needs_s:
+        sparsity.append(("estimator.s", config.estimator.s) if config.estimator.s is not None
+                        else ("simulation.s_assumed", config.s_assumed))
+    if variant.rate_kind == "phi_o":  # phi_o(s_assumed) needs s_assumed <= d
+        sparsity.append(("simulation.s_assumed", config.s_assumed))
+    theta = config.theta
+    if theta.kind == "spike_grid":
+        sparsity.append(("theta.n_spikes", theta.n_spikes))
+    elif theta.kind == "prior":
+        sparsity.append(("theta.s", theta.s))
+    for field, value in sparsity:
+        if not 1 <= value <= d:
+            return field, f"{value} must be in [1, {d}]"
+    if theta.kind == "fixed":
+        for i, j in enumerate(theta.support):
+            if not 0 <= j < d:
+                return f"theta.support[{i}]", f"{j} must be in [0, {d - 1}]"
+    return None
+
+
 def _data_tags(cell: dict) -> list:
     return [[k, cell[k]] for k in sorted(cell) if k != "estimator"]
 
@@ -318,6 +347,7 @@ def _run_cell(config: SimConfig, cell: dict) -> dict:
 
 def run_risk(config: SimConfig) -> SimulationReport:
     """Replicated risk experiment for a single configuration."""
+    check_grid(config, {})
     row = _run_cell(config, {})
     return SimulationReport("risk", list(RESULT_COLUMNS), [row], config.hash(), config.seed)
 
@@ -354,24 +384,50 @@ def _apply_cell(base: SimConfig, cell: dict) -> SimConfig:
                                theta=theta, estimator=estimator, s_assumed=s_assumed)
 
 
+def check_grid(base: SimConfig, grid: dict) -> tuple[list[dict], list[SimConfig]]:
+    """Every cell of ``grid`` in sorted-axis product order and its config
+    (``base`` with the cell applied), each range-checked, so no cell fails on
+    a range after earlier cells have run.
+
+    A failure raises ValueError at a config path: ``simulation.grid.<axis>[i]``
+    when that entry alone breaks a base that is fine without it, the base
+    field when the base is at fault, and the whole cell otherwise."""
+    axes = sorted(grid)
+    base_problem = _cell_problem(base)
+    for a in axes:
+        if a not in GRID_AXES:
+            raise ValueError(f"simulation.grid.{a}: unknown grid axis; supported: {GRID_AXES}")
+        for i, value in enumerate(grid[a]):
+            where = f"simulation.grid.{a}[{i}]"
+            try:
+                problem = _cell_problem(_apply_cell(base, {a: value}))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from exc
+            if problem is not None and problem != base_problem:
+                raise ValueError(f"{where}: {problem[0]}={problem[1]}")
+    cells = [dict(zip(axes, combo)) for combo in itertools.product(*(grid[a] for a in axes))]
+    configs = [_apply_cell(base, cell) for cell in cells]
+    for cell, config in zip(cells, configs):
+        problem = _cell_problem(config)
+        if problem is None:
+            continue
+        if problem == base_problem:
+            raise ValueError(f"{problem[0]}: {problem[1]}")
+        raise ValueError(f"simulation.grid cell {cell}: {problem[0]}={problem[1]}")
+    return cells, configs
+
+
 def risk_grid(base: SimConfig, grid: dict, workers: int = 1) -> SimulationReport:
     """Cartesian sweep; cell streams are keyed by the (sorted) data coordinates
     so axis declaration order and worker count never change the result."""
     axes = sorted(grid)
-    for a in axes:
-        if a not in GRID_AXES:
-            raise ValueError(f"unknown grid axis {a!r}; supported: {GRID_AXES}")
-    cells = [dict(zip(axes, combo))
-             for combo in itertools.product(*[list(grid[a]) for a in axes])]
-
-    def one(cell: dict) -> dict:
-        return _run_cell(_apply_cell(base, cell), cell)
+    cells, configs = check_grid(base, grid)
 
     if workers > 1 and len(cells) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, cells))
+            rows = list(pool.map(_run_cell, configs, cells))
     else:
-        rows = [one(c) for c in cells]
+        rows = [_run_cell(config, cell) for config, cell in zip(configs, cells)]
     cell_cols = [a for a in axes if a not in RESULT_COLUMNS]
     return SimulationReport("risk", cell_cols + list(RESULT_COLUMNS), rows,
                             base.hash(), base.seed)

@@ -319,6 +319,16 @@ def test_bracket_failure_inside_simulation_exits_2(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
+def test_solve_root_below_float_resolution_exits_2(tmp_path, capsys):
+    lpath = tmp_path / "loading.txt"
+    lpath.write_text("1.0\n1e-100\n")
+    out = tmp_path / "sol.json"
+    assert main(["solve", "--loading-file", str(lpath), "--alpha", "4", "--target", "1e3",
+                 "--out", str(out)]) == 2
+    assert "below float resolution" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_input_failure_inside_simulation_exits_1(tmp_path, capsys):
     cpath = _grid_config(tmp_path, estimator={"variant": "collier", "s": 2},
                          loading={"kind": "two_phase", "d": 40, "gamma_d": 0.4,
@@ -340,3 +350,45 @@ def test_simulate_rejects_nan_sigma_before_any_replicate(tmp_path, capsys, monke
     assert "NaN" in cpath.read_text()
     assert main(["simulate", "--config", str(cpath)]) == 1
     assert capsys.readouterr().err.startswith("config error: sigma:")
+
+
+def _with_sim(grid=None, **patch):
+    cfg = dict(BASE_CONFIG, **patch)
+    cfg["simulation"] = {"replicates": 3, "s_assumed": 3}
+    if grid is not None:
+        cfg["simulation"]["grid"] = grid
+    return cfg
+
+
+@pytest.mark.parametrize("cfg, message", [
+    (_with_sim({"s": [1, 2, 50]}), "simulation.grid.s[2]: estimator.s=50 must be in [1, 40]"),
+    (_with_sim({"rho": [1.0]}, theta={"kind": "spike_grid", "rho": 1.0, "n_spikes": 41}),
+     "theta.n_spikes: 41 must be in [1, 40]"),
+    (_with_sim({"s": [3, 45]}, estimator={"variant": "adaptive"},
+               theta={"kind": "prior", "s": 2, "c1": 0.5}),
+     "simulation.grid.s[1]: theta.s=45 must be in [1, 40]"),
+    (_with_sim({"d": [50, 20]}, theta={"kind": "fixed", "support": [0, 30], "values": [1.0, 2.0]}),
+     "simulation.grid.d[1]: theta.support[1]=30 must be in [0, 19]"),
+    (_with_sim(estimator={"variant": "oracle", "s": 41}), "estimator.s: 41 must be in [1, 40]"),
+    (_with_sim({"s": [1, "2"]}), "simulation.grid.s[1]: expected an integer"),
+    (_with_sim({"estimator": ["oracle", "fancy"]}), "simulation.grid.estimator[1]: unknown"),
+    (_with_sim({"rho": [1.0]}, theta={"kind": "zero"}),
+     "simulation.grid.rho[0]: rho axis requires a spike_grid theta"),
+])
+def test_every_grid_cell_checked_at_parse_time(cfg, message):
+    with pytest.raises(ConfigError, match="^" + re.escape(message)):
+        parse_config(json.dumps(cfg))
+
+
+def test_simulate_rejects_out_of_range_cell_before_any_replicate(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr("sparsefn.sim.sample_with", never)
+    cpath = tmp_path / "c.json"
+    cpath.write_text(json.dumps(_with_sim({"s": [1, 2, 50]})))
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--config", str(cpath), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: simulation.grid.s[2]: estimator.s=50 must be in [1, 40]\n")
+    assert not out.exists()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparsefn.estimators import (
+    EstimateResult,
     EstimationInput,
     adaptive_estimate,
     collier_estimate,
@@ -390,3 +391,84 @@ def test_input_rejects_non_finite(field, bad):
     kw[field] = bad
     with pytest.raises(ValueError, match="finite"):
         EstimationInput(np.zeros(3), HOM3, **kw)
+
+
+# -- per-cell rate table -------------------------------------------------------------
+
+def _family_loop(inp, calc, n):
+    """Reference: each family member summed over its own keep set."""
+    etay = inp.loading.values * inp.loading.to_sorted(inp.y)
+    out = []
+    for s in range(1, n + 1):
+        keep = np.abs(etay) > inp.kappa * inp.sigma * inp.tau * calc.lambda_star(s)
+        keep[: calc.j2(s)] = True
+        out.append(float(etay[keep].sum()))
+    return np.array(out)
+
+
+def _lepski_loop(values, calc, zeta, sigma, s_star):
+    cap = values.size
+    for s in range(1, s_star + 1):
+        if all(abs(values[s - 1] - values[sp - 1]) <= math.sqrt(zeta * sigma**2 * calc.phi_adp(sp))
+               for sp in range(s + 1, cap + 1)):
+            return s
+    return s_star + 1
+
+
+@pytest.mark.parametrize("spec, alpha", [
+    (LoadingSpec("homogeneous", d=300), 2.0),
+    (LoadingSpec("two_phase", d=3000, gamma_d=0.4, gamma_lambda=0.2), 1.0),
+    (LoadingSpec("exp_decay", d=400, c=0.02, gamma=1.0), 0.5),
+    (LoadingSpec("explicit", values=tuple(np.random.default_rng(2).lognormal(size=150))), 1.0),
+])
+def test_vectorized_family_sums_match_per_s_loop(spec, alpha):
+    lv = make_loading(spec)
+    calc = RateCalculator(lv, alpha)
+    rng = np.random.default_rng(7)
+    for rep in range(6):
+        y = rng.normal(size=lv.d)
+        y[rng.choice(lv.d, size=5, replace=False)] += rng.uniform(2.0, 30.0, size=5)
+        inp = EstimationInput(y, lv, alpha, 2.0, sigma=1.0)
+        sel = lepski_select(inp, 10.0 ** rep, calculator=calc)
+        ref = _family_loop(inp, calc, len(sel.estimates))
+        scale = float(np.abs(lv.values * y).sum())
+        np.testing.assert_allclose(sel.estimates, ref, rtol=1e-12, atol=1e-12 * scale)
+        assert sel.s_hat == _lepski_loop(ref, calc, 10.0 ** rep, 1.0, sel.s_star)
+
+
+def test_rate_table_matches_per_s_methods():
+    for spec, alpha in ((LoadingSpec("two_phase", d=2000, gamma_d=0.4, gamma_lambda=0.2), 1.0),
+                        (LoadingSpec("exp_decay", d=300, c=0.02, gamma=1.0), 2.0)):
+        lv = make_loading(spec)
+        table = RateCalculator(lv, alpha).table()
+        ref = RateCalculator(lv, alpha)
+        s = range(1, table.j2.size + 1)
+        assert table.j2.size == min(ref.s0(), lv.d)
+        assert list(table.lambda_star) == [ref.lambda_star(k) for k in s]
+        assert list(table.j2) == [ref.j2(k) for k in s]
+        np.testing.assert_allclose(table.nu_star, [ref.nu_star(k) for k in s], rtol=1e-13)
+        np.testing.assert_allclose(table.phi_adp, [ref.phi_adp(k) for k in s], rtol=1e-13)
+
+
+def test_kept_indices_built_on_first_read():
+    rng = np.random.default_rng(3)
+    lv = make_loading(LoadingSpec("explicit", values=tuple(rng.normal(size=50))))
+    y = rng.normal(size=50) * 4.0
+    res = oracle_estimate(EstimationInput(y, lv, 2.0, 1.0), 3)
+    assert "kept_indices" not in vars(res)
+    j1 = RateCalculator(lv, 2.0).oracle(3).j1
+    etay = lv.values * lv.to_sorted(y)
+    kept = [j for j in range(50) if j < j1 or abs(etay[j]) > res.threshold]
+    assert res.kept_indices == tuple(sorted(int(lv.order[j]) for j in kept))
+    assert "kept_indices" in vars(res)
+
+
+def test_results_differing_only_in_kept_coordinates_differ():
+    a = EstimateResult(1.0, 2, 0.5, np.array([True, False]), "oracle")
+    b = EstimateResult(1.0, 2, 0.5, np.array([False, True]), "oracle")
+    assert a != b and a == EstimateResult(1.0, 2, 0.5, np.array([True, False]), "oracle")
+    assert hash(a) == hash(EstimateResult(1.0, 2, 0.5, np.array([True, False]), "oracle"))
+    with pytest.raises(ValueError):
+        a.keep[1] = True
+    with pytest.raises(TypeError):
+        EstimateResult(1.0, 2, 0.5, (0, 1), "oracle")  # indices, not a mask

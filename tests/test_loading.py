@@ -106,3 +106,27 @@ def test_values_are_immutable():
     lv = make_loading(LoadingSpec("homogeneous", d=3))
     with pytest.raises(ValueError):
         lv.values[0] = 7.0
+
+
+def test_level_view_run_length():
+    hom = make_loading(LoadingSpec("homogeneous", d=7)).levels
+    assert hom.tied and list(hom.values) == [1.0] and list(hom.counts) == [7]
+    two = make_loading(LoadingSpec("two_phase", d=100, gamma_d=0.5, gamma_lambda=0.5)).levels
+    assert list(two.values) == [10.0, 1.0] and list(two.counts) == [10, 90]
+    assert list(two.ends) == [10, 100]
+    assert two.level_of(9) == 0 and two.level_of(10) == 1
+    assert list(two.covered(np.array([0, 1, 2]))) == [0, 10, 100]
+    lv = make_loading(LoadingSpec("explicit", values=(-2.0, 1.0, 2.0, 0.5, -1.0, 1.0)))
+    tied = lv.levels
+    assert list(tied.values) == [2.0, 1.0, 0.5] and list(tied.counts) == [2, 3, 1]
+    assert lv.levels is tied and lv.abs_values is lv.abs_values
+
+
+def test_level_view_untied_shares_abs_values():
+    lv = make_loading(LoadingSpec("exp_decay", d=50, c=0.1, gamma=1.0))
+    levels = lv.levels
+    assert not levels.tied and levels.counts is None and levels.ends is None
+    assert levels.values is lv.abs_values
+    assert levels.level_of(17) == 17 and levels.covered(5) == 5
+    with pytest.raises(ValueError):
+        lv.abs_values[0] = 3.0  # read-only

@@ -13,6 +13,7 @@ from sparsefn.rates import (
     oracle_rate,
     oracle_rate_decomposed,
 )
+from sparsefn.threshold import log_phi_objective
 
 HOM100 = make_loading(LoadingSpec("homogeneous", d=100))
 
@@ -264,3 +265,23 @@ def test_rate_calculator_validates_s():
 def test_rate_calculator_rejects_non_finite_alpha(alpha):
     with pytest.raises(ValueError, match="finite"):
         RateCalculator(HOM100, alpha)
+
+
+@pytest.mark.parametrize("spec, alpha", [
+    (LoadingSpec("two_phase", d=10_000, gamma_d=0.4, gamma_lambda=0.2), 1.0),
+    (LoadingSpec("two_phase", d=10_000, gamma_d=0.4, gamma_lambda=0.2), 2.0),
+    (LoadingSpec("exp_decay", d=2000, c=0.01, gamma=1.0), 2.0),
+    (LoadingSpec("homogeneous", d=1000), 0.5),
+])
+def test_every_ladder_and_oracle_root_solves_its_equation(spec, alpha):
+    lv = make_loading(spec)
+    calc = RateCalculator(lv, alpha)
+    roots = [(sol.beta, sol.lambda_, sol.target) for sol in
+             map(calc.star_solution, range(1, calc.table().j2.size + 1))]
+    roots += [(p.beta, p.lambda_o, s / 2.0) for s, p in
+              ((s, calc.oracle(s)) for s in (1, 2, 5, 20))]
+    log_phi0 = log_phi_objective(lv, alpha, 0.0)
+    for beta, lam, target in roots:
+        rel = math.expm1(log_phi_objective(lv, alpha, beta) - math.log(target))
+        # a root at or below 0 only has to be there: every rate reads max(beta, 0)
+        assert abs(rel) <= calc.tol.rel or (lam == 0.0 and log_phi0 <= math.log(target))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -250,3 +251,18 @@ def test_csv_columns_and_meta_line():
     assert lines[0].startswith("# sparsefn ")
     assert lines[1] == "rho,estimator,n_rep,mse,mse_se,rate_kind,rate_value,ratio"
     assert len(lines) == 4
+
+
+def test_risk_grid_checks_every_cell_before_any_replicate(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr("sparsefn.sim.sample_with", never)
+    message = "simulation.grid.s[1]: estimator.s=41 must be in [1, 40]"
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        risk_grid(config(), {"s": [1, 41]})
+    message = "simulation.grid cell {'d': 30, 's': 35}: estimator.s=35 must be in [1, 30]"
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        risk_grid(config(), {"d": [30, 40], "s": [1, 35]})
+    with pytest.raises(ValueError, match=r"^theta\.support\[0\]: 40 must be in \[0, 39\]"):
+        run_risk(config(theta=ThetaSpec("fixed", support=(40,), values=(1.0,))))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sparsefn.loading import LoadingSpec, make_loading
 from sparsefn.threshold import (
+    BracketError,
+    PhiKernel,
     Tolerances,
+    _solve_phi,
+    _safe_expm1,
     adaptive_target,
     log_phi_objective,
     phi_objective,
@@ -232,3 +237,124 @@ def test_tolerances_contract_recorded():
     tol = Tolerances()
     assert tol.rel == 1e-10 and tol.width == 1e-12
     assert tol.max_iter == 200 and tol.max_doublings == 120
+
+
+# -- level kernel and batched bisection -------------------------------------------
+
+def _dense_log_phi(values, alpha, beta):
+    """Reference over every coordinate: log-sum-exps in plain numpy."""
+    a = np.abs(np.asarray(values, dtype=float))
+    w = -beta * a**-alpha
+    x1, x2 = np.log(a) + w, 2.0 * np.log(a) + w
+    lse = [m + math.log(float(np.exp(x - m).sum())) for x, m in ((x1, x1.max()), (x2, x2.max()))]
+    return lse[0] - 0.5 * lse[1], lse[1]
+
+
+def _random_tied_loading(rng):
+    levels = np.sort(np.exp(rng.uniform(-2.0, 2.0, size=rng.integers(1, 6))))[::-1]
+    counts = rng.integers(1, 40, size=levels.size)
+    vals = np.repeat(levels, counts) * rng.choice([-1.0, 1.0], size=counts.sum())
+    return make_loading(LoadingSpec("explicit", values=tuple(rng.permutation(vals))))
+
+
+def test_level_kernel_matches_dense_formula_on_tied_loadings():
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        lv = _random_tied_loading(rng)
+        alpha = float(rng.choice([0.5, 1.0, 2.0, 4.0]))
+        betas = rng.uniform(-3.0, 6.0, size=7)
+        kernel = PhiKernel(lv, alpha)
+        assert kernel.levels.tied == (kernel.levels.values.size < lv.d)
+        dense = [_dense_log_phi(lv.values, alpha, b) for b in betas]
+        np.testing.assert_allclose(kernel.log_phi(betas), [p for p, _ in dense], rtol=1e-13)
+        np.testing.assert_allclose(kernel.log_energy(betas), [e for _, e in dense], rtol=1e-13)
+        start = int(rng.integers(0, lv.d))
+        # (lam/|eta|)^alpha <= 3^alpha keeps exp's conditioning within the tolerance
+        lams = rng.uniform(0.0, 3.0, size=4) * lv.abs_values[-1]
+        tail = [float(np.exp(-((lam / lv.abs_values[start:]) ** alpha)).sum()) for lam in lams]
+        np.testing.assert_allclose(kernel.tail_sum(lams, start), tail, rtol=1e-13)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(PhiKernel, name)
+
+    def counted(self, xs, *args):
+        calls.append(np.asarray(xs).size)
+        return original(self, xs, *args)
+
+    monkeypatch.setattr(PhiKernel, name, counted)
+    return calls
+
+
+def test_each_iteration_is_one_kernel_evaluation(monkeypatch):
+    # the bracket ends found by the expansion are not evaluated again
+    lv = make_loading(LoadingSpec("homogeneous", d=1000))
+    rows = _counting(monkeypatch, "log_phi")
+    sol = solve_beta(lv, 2.0, 5.0)
+    assert rows == [1] * sol.iterations and sol.iterations == 36
+    assert sol.beta == 3.6888794540427625 and sol.residual == 1.7793433393681527e-10
+    tails = _counting(monkeypatch, "tail_sum")
+    sol = solve_lambda_H(lv, 2.0, 5)
+    assert tails == [1] * sol.iterations and sol.iterations == 39
+    assert sol.lambda_ == 2.2965244771330617
+
+
+@pytest.mark.parametrize("spec", [
+    LoadingSpec("homogeneous", d=500),
+    LoadingSpec("two_phase", d=10_000, gamma_d=0.4, gamma_lambda=0.2),
+    LoadingSpec("exp_decay", d=2000, c=0.01, gamma=1.0),
+    LoadingSpec("explicit", values=tuple(np.random.default_rng(8).lognormal(size=300))),
+])
+@pytest.mark.parametrize("alpha", [0.5, 2.0])
+def test_batched_ladder_equals_one_target_solves(spec, alpha):
+    lv = make_loading(spec)
+    targets = [adaptive_target(s) for s in range(1, 121)] + [0.01, 1e3]
+    beta, g, iters = _solve_phi(PhiKernel(lv, alpha), targets, None)
+    for i, target in enumerate(targets):
+        one = solve_beta(lv, alpha, target)
+        assert (beta[i], iters[i]) == (one.beta, one.iterations)
+        assert _safe_expm1(g[i]) * target == one.residual
+
+
+def test_log_phi_finite_loading_limits():
+    # |eta|^-alpha overflows: the true log is far above the float range
+    assert log_phi_objective(explicit(1.0, 1e-100), 4.0, -1.0) == math.inf
+    # ... and at beta > 0 the tiny coordinate's weight is exactly 0: phi = e^-1/2
+    assert log_phi_objective(explicit(1.0, 1e-100), 4.0, 1.0) == -0.5
+    lv = explicit(1e200, 1e-200)
+    assert math.isfinite(log_phi_objective(lv, 2.0, 0.0))
+    sol = solve_beta(lv, 2.0, 1.0)
+    assert sol.meets(Tolerances())
+
+
+def test_root_below_float_resolution_raises():
+    # phi(beta) = 1e3 at beta ~ -1.4e-399: every float beta < 0 gives phi = inf
+    with pytest.raises(BracketError, match="below float resolution"):
+        solve_beta(explicit(1.0, 1e-100), 4.0, 1e3)
+    # a tiny negative root that floats can hold still returns its lambda = 0
+    lv = make_loading(LoadingSpec("exp_decay", d=100, c=2.0, gamma=1.0))
+    assert solve_beta(lv, 2.0, 25.0).lambda_ == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(min_value=-300.0, max_value=300.0), min_size=1, max_size=12),
+    st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]),
+    st.one_of(st.floats(min_value=-1e3, max_value=1e3),
+              st.floats(min_value=-1e300, max_value=1e300)),
+    st.floats(min_value=1e-300, max_value=1e300),
+)
+def test_log_phi_never_nan_over_600_decades(exponents, alpha, beta, gap):
+    lv = make_loading(LoadingSpec("explicit",
+                                  values=tuple(sorted((10.0**e for e in exponents), reverse=True))))
+    beta2 = beta + gap
+    assume(math.isfinite(beta2) and beta2 > beta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        lo, hi = log_phi_objective(lv, alpha, beta), log_phi_objective(lv, alpha, beta2)
+    assert not (math.isnan(lo) or math.isnan(hi))
+    # non-increasing up to the rounding of log-sum-exps whose terms reach
+    # 2 log|eta| in magnitude, where phi is flat in beta
+    scale = 1.0 + 2.0 * math.log(10.0) * max(abs(e) for e in exponents)
+    assert hi <= lo + 8.0 * np.finfo(float).eps * scale
