@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -21,7 +20,7 @@ from .estimators import VARIANTS, EstimationInput, linear_test
 from .loading import LoadingSpec, LoadingVector, drop_zero_loadings, make_loading
 from .lowerbound import build_prior, chi2_mixture_bound, prior_moments, sample_prior
 from .rates import RateCalculator, closed_form_for_spec
-from .sim import SimulationError, SimulationReport, config_hash, risk_grid, run_risk
+from .sim import SimulationError, SimulationReport, config_hash, risk_grid
 from .threshold import BracketError, solve_adaptive_beta, solve_beta, solve_lambda_H
 
 __all__ = ["main", "console_main"]
@@ -130,7 +129,7 @@ def _cmd_solve(args) -> int:
 def _rate_row(calc: RateCalculator, spec: LoadingSpec | None, alpha: float, s: int) -> dict:
     prof = calc.oracle(s)
     adp = calc.adaptive(s)
-    closed = closed_form_for_spec(spec, alpha, s) if spec is not None else None
+    closed = closed_form_for_spec(spec, calc.loading, alpha, s) if spec is not None else None
     return {
         "s": s,
         "beta": prof.beta,
@@ -261,11 +260,7 @@ def _cmd_simulate(args) -> int:
     except OSError as exc:
         raise CliError(f"cannot read config: {exc}") from exc
     cfg = parse_config(text)
-    workers = args.workers or cfg.workers or int(os.environ.get("SPARSEFN_WORKERS", "1"))
-    if cfg.grid:
-        report = risk_grid(cfg.sim, cfg.grid, workers=workers)
-    else:
-        report = run_risk(cfg.sim)
+    report = risk_grid(cfg.sim, cfg.grid or {})
     _write(report.to_csv() if args.format == "csv" else report.to_json() + "\n", args.out)
     if args.out:
         print(f"wrote {len(report.rows)} rows to {args.out}", file=sys.stderr)
@@ -352,7 +347,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", required=True, help="JSON experiment config")
     p.add_argument("--out", help="output file (default stdout)")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker count (default SPARSEFN_WORKERS or 1)")
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--format", choices=["csv", "json"], default="csv",
                    help="output format (default csv)")
     p.set_defaults(func=_cmd_simulate)

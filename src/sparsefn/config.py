@@ -30,7 +30,6 @@ class ExperimentConfig:
     schema_version: int
     sim: SimConfig
     grid: dict | None = None
-    workers: int | None = None
 
     def to_dict(self) -> dict:
         out = {"schema_version": self.schema_version, "seed": self.sim.seed,
@@ -42,8 +41,6 @@ class ExperimentConfig:
                               "s_assumed": self.sim.s_assumed}}
         if self.grid is not None:
             out["simulation"]["grid"] = self.grid
-        if self.workers is not None:
-            out["simulation"]["workers"] = self.workers
         return out
 
 
@@ -191,15 +188,12 @@ def parse_config(text: str) -> ExperimentConfig:
     estimator = _parse_estimator(obj.get("estimator", {}), "estimator", noise.alpha)
 
     sim_obj = obj.get("simulation", {})
-    _check_keys(sim_obj, {"replicates", "s_assumed", "grid", "workers"}, "simulation")
+    _check_keys(sim_obj, {"replicates", "s_assumed", "grid"}, "simulation")
     replicates = _integer(sim_obj.get("replicates", 1), "simulation.replicates")
     s_assumed = _integer(sim_obj.get("s_assumed", estimator.s if estimator.s else 1),
                          "simulation.s_assumed")
     theta = _parse_theta(obj.get("theta", {"kind": "zero"}), "theta")
     grid = sim_obj.get("grid")
-    workers = sim_obj.get("workers")
-    if workers is not None:
-        workers = _integer(workers, "simulation.workers")
 
     sim = _build(SimConfig, "simulation", loading=loading, noise=noise, sigma=sigma,
                  theta=theta, estimator=estimator, replicates=replicates, seed=seed,
@@ -210,7 +204,7 @@ def parse_config(text: str) -> ExperimentConfig:
         check_grid(sim, grid or {})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return ExperimentConfig(version, sim, grid, workers)
+    return ExperimentConfig(version, sim, grid)
 
 
 _GRID_VALUES = {"d": _integer, "estimator": _string, "s": _integer}  # the rest: numbers

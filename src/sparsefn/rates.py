@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .loading import LoadingVector, make_loading, LoadingSpec, effective_dimension
+from .loading import LoadingVector, LoadingSpec, effective_dimension
 from .threshold import (
     PhiKernel,
     Tolerances,
@@ -400,19 +400,18 @@ def check_assumption(loading: LoadingVector, alpha: float, s_cut: int, gamma0: f
     )
 
 
-def closed_form_for_spec(spec: LoadingSpec, alpha: float, s: int,
-                         adaptive: bool = False) -> float | None:
-    """Closed-form benchmark matching a generated loading spec, if one exists."""
-    suffix = "adaptive" if adaptive else "oracle"
+def closed_form_for_spec(spec: LoadingSpec, loading: LoadingVector, alpha: float,
+                         s: int) -> float | None:
+    """Closed-form oracle benchmark for ``spec`` (built as ``loading``), if any."""
     if spec.kind == "homogeneous":
-        return closed_form_rate(f"homogeneous_{suffix}", {"d": spec.d, "alpha": alpha}, s)
+        return closed_form_rate("homogeneous_oracle", {"d": spec.d, "alpha": alpha}, s)
     if spec.kind == "two_phase":
         return closed_form_rate(
-            f"two_phase_{suffix}",
+            "two_phase_oracle",
             {"d": spec.d, "alpha": alpha, "gamma_d": spec.gamma_d, "gamma_lambda": spec.gamma_lambda},
             s,
         )
     if spec.kind == "exp_decay":
-        j0 = effective_dimension(make_loading(spec))
-        return closed_form_rate(f"exp_decay_{suffix}", {"j0": j0, "alpha": alpha}, s)
+        j0 = effective_dimension(loading)
+        return closed_form_rate("exp_decay_oracle", {"j0": j0, "alpha": alpha}, s)
     return None

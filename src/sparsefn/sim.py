@@ -4,9 +4,9 @@ Determinism contract: every random draw comes from a stream keyed by
 (master seed, data-generating cell coordinates, replicate index, role).  The
 estimator identity is deliberately excluded from the stream key, so sweeping
 the ``estimator`` axis compares variants on identical noise (paired design)
-while distinct data cells get provably distinct streams.  Reports are
-assembled in fixed cell/replicate order regardless of worker count, so
-repeated runs are byte-identical.
+while distinct data cells get provably distinct streams; each replicate of a
+data cell is drawn once and every estimator runs on it.  Reports are assembled
+in fixed cell/replicate order, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import hashlib
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +50,7 @@ RESULT_COLUMNS = ["estimator", "n_rep", "mse", "mse_se", "rate_kind", "rate_valu
 
 
 class SimulationError(RuntimeError):
-    """Estimator failure inside a replicate, annotated for reproduction."""
+    """A data cell's set-up or a replicate failed, annotated for reproduction."""
 
 
 def config_hash(params: dict) -> str:
@@ -285,71 +284,71 @@ def _data_tags(cell: dict) -> list:
     return [[k, cell[k]] for k in sorted(cell) if k != "estimator"]
 
 
-def _run_cell(config: SimConfig, cell: dict) -> dict:
-    loading = make_loading(config.loading)
-    alpha, tau = config.noise.alpha, config.noise.tau
-    calc = RateCalculator(loading, alpha)
-    theta_fixed = _fixed_theta(config, loading, calc)
-    prior = None
-    if config.theta.kind == "prior":
-        prior = build_prior(loading, alpha, config.theta.s, config.theta.c1,
-                            config.theta.c_alpha2)
-    tags = _data_tags(cell)
+def _run_cell(configs: list[SimConfig], cells: list[dict],
+              calc: RateCalculator | None) -> tuple[list[dict], RateCalculator]:
+    """One data cell: ``cells`` and their ``configs`` differ only in the
+    estimator.  Each replicate's theta and noise are drawn once and every
+    estimator runs on them.  ``calc`` is the calculator of this cell's
+    (loading, alpha), or None to build one.  Returns one row per cell and the
+    calculator used."""
+    first = configs[0]
+    tags = _data_tags(cells[0])
+    alpha, tau = first.noise.alpha, first.noise.tau
+    try:
+        if calc is None:
+            calc = RateCalculator(make_loading(first.loading), alpha)
+        loading = calc.loading
+        theta_fixed = _fixed_theta(first, loading, calc)
+        prior = build_prior(loading, alpha, first.theta.s, first.theta.c1, first.theta.c_alpha2,
+                            calculator=calc) if first.theta.kind == "prior" else None
+    except (ValueError, RuntimeError) as exc:
+        raise SimulationError(
+            f"cell set-up failed (seed={first.seed}, cell={tags}): {exc}") from exc
     eta_orig = loading.original_values
-    spec = config.estimator
-    variant = VARIANTS[spec.variant]
-    s = spec.s if spec.s is not None else config.s_assumed
 
-    errors = []
-    for r in range(config.replicates):
+    errors: list[list[float]] = [[] for _ in configs]
+    for r in range(first.replicates):
         try:
             if prior is not None:
-                theta = draw_prior(prior, generator(config.seed, "cell", tags, "theta", r))
+                theta = draw_prior(prior, generator(first.seed, "cell", tags, "theta", r))
             else:
                 theta = theta_fixed
-            xi = sample_with(config.noise, loading.d,
-                              generator(config.seed, "cell", tags, "xi", r))
-            y = theta + config.sigma * xi
-            inp = EstimationInput(y, loading, alpha, tau, sigma=config.sigma,
-                                  kappa=spec.kappa)
-            est = variant.run(inp, s, calc, zeta=spec.zeta, c_h=spec.c_h,
-                              gamma_split=spec.gamma_split, shuffle_seed=None)
+            xi = sample_with(first.noise, loading.d,
+                             generator(first.seed, "cell", tags, "xi", r))
+            y = theta + first.sigma * xi
+            inp = EstimationInput(y, loading, alpha, tau, sigma=first.sigma,
+                                  kappa=first.estimator.kappa)
             target = float(np.dot(eta_orig, theta))
-            errors.append((est.value - target) ** 2)
+            for config, errs in zip(configs, errors):
+                spec = config.estimator
+                s = spec.s if spec.s is not None else config.s_assumed
+                est = VARIANTS[spec.variant].run(inp, s, calc, zeta=spec.zeta, c_h=spec.c_h,
+                                                 gamma_split=spec.gamma_split, shuffle_seed=None)
+                errs.append((est.value - target) ** 2)
         except (ValueError, RuntimeError) as exc:
             raise SimulationError(
-                f"replicate {r} failed (seed={config.seed}, cell={tags}): {exc}"
+                f"replicate {r} failed (seed={first.seed}, cell={tags}): {exc}"
             ) from exc
 
-    n = len(errors)
-    mse = math.fsum(errors) / n
-    if n > 1:
-        var = math.fsum((e - mse) ** 2 for e in errors) / (n - 1)
-        mse_se = math.sqrt(var / n)
-    else:
-        mse_se = float("nan")
-    rate_kind = variant.rate_kind
-    rate_value = getattr(calc, rate_kind)(config.s_assumed)
-    denom = config.sigma**2 * rate_value
-    ratio = mse / denom if denom > 0 else float("inf") if mse > 0 else 0.0
-    row = dict(cell)
-    row.update(
-        estimator=spec.variant,
-        n_rep=n,
-        mse=mse,
-        mse_se=mse_se,
-        rate_kind=rate_kind,
-        rate_value=rate_value,
-        ratio=ratio,
-    )
-    return row
+    rows = []
+    for config, cell, errs in zip(configs, cells, errors):
+        n = len(errs)
+        mse = math.fsum(errs) / n
+        mse_se = (math.sqrt(math.fsum((e - mse) ** 2 for e in errs) / (n - 1) / n)
+                  if n > 1 else float("nan"))
+        rate_kind = VARIANTS[config.estimator.variant].rate_kind
+        rate_value = getattr(calc, rate_kind)(config.s_assumed)
+        denom = config.sigma**2 * rate_value
+        ratio = mse / denom if denom > 0 else float("inf") if mse > 0 else 0.0
+        rows.append(dict(cell, estimator=config.estimator.variant, n_rep=n, mse=mse,
+                         mse_se=mse_se, rate_kind=rate_kind, rate_value=rate_value,
+                         ratio=ratio))
+    return rows, calc
 
 
 def run_risk(config: SimConfig) -> SimulationReport:
     """Replicated risk experiment for a single configuration."""
-    check_grid(config, {})
-    row = _run_cell(config, {})
-    return SimulationReport("risk", list(RESULT_COLUMNS), [row], config.hash(), config.seed)
+    return risk_grid(config, {})
 
 
 def _apply_cell(base: SimConfig, cell: dict) -> SimConfig:
@@ -417,17 +416,27 @@ def check_grid(base: SimConfig, grid: dict) -> tuple[list[dict], list[SimConfig]
     return cells, configs
 
 
-def risk_grid(base: SimConfig, grid: dict, workers: int = 1) -> SimulationReport:
-    """Cartesian sweep; cell streams are keyed by the (sorted) data coordinates
-    so axis declaration order and worker count never change the result."""
+def risk_grid(base: SimConfig, grid: dict) -> SimulationReport:
+    """Cartesian sweep, run cell-major: cells that differ only in their
+    estimator form one data cell, whose streams are keyed by its (sorted)
+    coordinates, so axis declaration order never changes the result.  Rows
+    come back in sorted-axis product order."""
     axes = sorted(grid)
     cells, configs = check_grid(base, grid)
+    data_cells: dict[str, list[int]] = {}
+    for i, cell in enumerate(cells):
+        data_cells.setdefault(repr(_data_tags(cell)), []).append(i)
 
-    if workers > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_cell, configs, cells))
-    else:
-        rows = [_run_cell(config, cell) for config, cell in zip(configs, cells)]
+    rows: list = [None] * len(cells)
+    key = calc = None  # consecutive data cells on one (loading, alpha) share a calculator
+    for members in data_cells.values():
+        config = configs[members[0]]
+        if (config.loading, config.noise.alpha) != key:
+            key, calc = (config.loading, config.noise.alpha), None
+        cell_rows, calc = _run_cell([configs[i] for i in members],
+                                    [cells[i] for i in members], calc)
+        for i, row in zip(members, cell_rows):
+            rows[i] = row
     cell_cols = [a for a in axes if a not in RESULT_COLUMNS]
     return SimulationReport("risk", cell_cols + list(RESULT_COLUMNS), rows,
                             base.hash(), base.seed)

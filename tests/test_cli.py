@@ -79,6 +79,7 @@ def test_typo_rejection_names_path():
      "theta.support[1]"),
     ({"theta": {"kind": "fixed", "support": [0], "values": [float("inf")]}},
      "theta.values[0]"),
+    ({"simulation": {"replicates": 3, "workers": 2}}, "simulation.workers"),  # removed key
 ])
 def test_bad_numbers_rejected_with_path(patch, path):
     with pytest.raises(ConfigError, match="^" + re.escape(path) + ":"):
@@ -327,6 +328,54 @@ def test_solve_root_below_float_resolution_exits_2(tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert "below float resolution" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cell_set_up_failure_names_the_cell_and_exits_1(tmp_path, capsys):
+    cfg = dict(BASE_CONFIG, loading={"kind": "explicit", "values": [50.0] + [1.0] * 30},
+               noise={"family": "gaussian", "alpha": 2.0, "tau": 1.0},
+               theta={"kind": "prior", "s": 2, "c1": 1.9})
+    cfg["simulation"] = {"replicates": 3, "s_assumed": 2, "grid": {"s": [1, 2, 3]}}
+    cpath = tmp_path / "c.json"
+    cpath.write_text(json.dumps(cfg))
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--config", str(cpath), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.match(r"error: cell set-up failed \(seed=11, cell=\[\['s', \d\]\]\): "
+                    r"c1 too large", err), err
+    assert not out.exists()
+
+
+def test_bracket_failure_in_cell_set_up_exits_2(tmp_path, capsys, monkeypatch):
+    def no_bracket(self, s):
+        raise BracketError("no sign change")
+
+    monkeypatch.setattr(RateCalculator, "oracle", no_bracket)
+    cpath = tmp_path / "c.json"
+    cpath.write_text(json.dumps(BASE_CONFIG))  # spike_grid theta: set-up solves lambda_o
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--config", str(cpath), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: cell set-up failed (seed=11, cell=[['rho', 0.5]]): no sign change")
+    assert not out.exists()
+
+
+def test_rate_csv_builds_the_loading_once(tmp_path, monkeypatch):
+    from sparsefn.loading import LoadingVector
+
+    built = []
+    real = LoadingVector.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(LoadingVector, "__post_init__", counting)
+    out = tmp_path / "rate.csv"
+    assert main(["rate", "--loading-spec", "exp_decay", "--d", "300", "--c", "0.05",
+                 "--gamma", "1", "--alpha", "1", "--csv", "--s-grid", "1,2,3",
+                 "--out", str(out)]) == 0
+    assert len(built) == 1
+    assert out.read_text().count("\n") == 5  # meta, header, three rows
 
 
 def test_input_failure_inside_simulation_exits_1(tmp_path, capsys):

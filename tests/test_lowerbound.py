@@ -162,3 +162,20 @@ def test_separation_event_large_s_fixture():
     l_ok = theta @ lv.original_values >= (0.5 / 8.0) * 1.0 * scale
     freq = float(np.mean(support_ok & l_ok))
     assert freq >= 0.7, freq
+
+
+def test_build_prior_reuses_a_calculator(monkeypatch):
+    import sparsefn.rates as rates
+    from sparsefn.rates import RateCalculator
+
+    lv = make_loading(LoadingSpec("two_phase", d=300, gamma_d=0.4, gamma_lambda=0.2))
+    fresh = build_prior(lv, 1.0, 4, c1=1.0)
+    calc = RateCalculator(lv, 1.0)
+    calc.oracle(4)
+    solves = []
+    monkeypatch.setattr(rates, "_solve_phi", lambda *a: solves.append(a))
+    shared = build_prior(lv, 1.0, 4, c1=1.0, calculator=calc)
+    assert solves == []
+    assert np.array_equal(shared.pi, fresh.pi)
+    assert np.array_equal(shared.gamma, fresh.gamma)
+    assert (shared.lambda_o, shared.nu, shared.j1) == (fresh.lambda_o, fresh.nu, fresh.j1)

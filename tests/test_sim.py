@@ -65,8 +65,8 @@ def test_different_seeds_differ():
 
 def test_grid_axis_order_and_worker_invariance():
     c = config(replicates=25)
-    g1 = risk_grid(c, {"rho": [0.5, 1.0], "estimator": ["oracle", "plugin"]}, workers=1)
-    g2 = risk_grid(c, {"estimator": ["oracle", "plugin"], "rho": [0.5, 1.0]}, workers=4)
+    g1 = risk_grid(c, {"rho": [0.5, 1.0], "estimator": ["oracle", "plugin"]})
+    g2 = risk_grid(c, {"estimator": ["oracle", "plugin"], "rho": [0.5, 1.0]})
     assert g1.to_csv() == g2.to_csv()
     assert len(g1.rows) == 4
 
@@ -75,7 +75,7 @@ def test_single_cell_grid_matches_run_risk():
     c = config(replicates=30)
     # run_risk uses the empty cell key; a 1-cell grid keyed by rho shares the
     # theta but derives streams from its own coordinates, so compare contents
-    g = risk_grid(c, {"rho": [1.0]}, workers=1)
+    g = risk_grid(c, {"rho": [1.0]})
     assert len(g.rows) == 1
     assert g.rows[0]["estimator"] == "oracle"
     assert g.rows[0]["n_rep"] == 30
@@ -86,8 +86,8 @@ def test_estimator_axis_is_paired_on_shared_noise():
     # the same draws, so identical streams make the comparison paired:
     # repeating the grid flips nothing
     c = config(replicates=15)
-    g = risk_grid(c, {"estimator": ["oracle", "plugin"], "s": [3]}, workers=1)
-    again = risk_grid(c, {"estimator": ["oracle", "plugin"], "s": [3]}, workers=2)
+    g = risk_grid(c, {"estimator": ["oracle", "plugin"], "s": [3]})
+    again = risk_grid(c, {"estimator": ["oracle", "plugin"], "s": [3]})
     assert g.to_csv() == again.to_csv()
     mse = {row["estimator"]: row["mse"] for row in g.rows}
     assert mse["oracle"] != mse["plugin"]
@@ -266,3 +266,51 @@ def test_risk_grid_checks_every_cell_before_any_replicate(monkeypatch):
         risk_grid(config(), {"d": [30, 40], "s": [1, 35]})
     with pytest.raises(ValueError, match=r"^theta\.support\[0\]: 40 must be in \[0, 39\]"):
         run_risk(config(theta=ThetaSpec("fixed", support=(40,), values=(1.0,))))
+
+
+def test_estimator_axis_draws_noise_once_per_data_cell_replicate(monkeypatch):
+    import sparsefn.sim as sim
+
+    calls = []
+    real = sim.sample_with
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "sample_with", counting)
+    reps = 7
+    rep = risk_grid(config(replicates=reps),
+                    {"estimator": ["oracle", "plugin", "nonsym", "unknown-sigma"],
+                     "rho": [0.5, 1.0, 2.0]})
+    assert len(rep.rows) == 12
+    assert len(calls) == 3 * reps
+
+
+def test_oracle_equation_solved_once_per_loading_alpha_and_s(monkeypatch):
+    import sparsefn.rates as rates
+
+    solved = []
+    real = rates._solve_phi
+
+    def counting(kernel, targets, tol):
+        solved.append((kernel.alpha, tuple(targets)))
+        return real(kernel, targets, tol)
+
+    monkeypatch.setattr(rates, "_solve_phi", counting)
+    rep = risk_grid(config(replicates=2),
+                    {"estimator": ["oracle", "plugin", "unknown-sigma"],
+                     "rho": [0.5, 2.0], "s": [2, 3], "d": [40, 50]})
+    assert len(rep.rows) == 24
+    # one oracle solve (target s/2) per distinct (d, alpha, s): two d, two s
+    assert sorted(solved) == [(2.0, (1.0,))] * 2 + [(2.0, (1.5,))] * 2
+
+
+def test_multi_estimator_rows_equal_single_estimator_rows():
+    c = config(replicates=12)
+    estimators = ["oracle", "adaptive", "family", "plugin", "nonsym"]
+    axes = {"rho": [0.5, 2.0], "s": [2, 3]}
+    joint = risk_grid(c, dict(axes, estimator=estimators)).rows
+    for name in estimators:
+        alone = risk_grid(c, dict(axes, estimator=[name])).rows
+        assert alone == [row for row in joint if row["estimator"] == name]
