@@ -152,7 +152,10 @@ def chi2_mixture_bound(prior: LeastFavorablePrior, alpha: float,
     """
     if c_alpha1 < 1.0:
         raise ValueError("c_alpha1 must be >= 1")
-    z = np.abs(prior.gamma / prior.c_alpha2) ** alpha
-    expo = float((prior.pi**2 * c_alpha1 * np.exp(z)).sum())
+    # each term as one exponential: pi_j can underflow to 0 where exp(z_j)
+    # overflows, and 0 * inf is NaN; a zero pi_j contributes exp(-inf) = 0
+    live = prior.pi > 0.0
+    z = np.abs(prior.gamma[live] / prior.c_alpha2) ** alpha
+    expo = float(np.exp(2.0 * np.log(prior.pi[live]) + math.log(c_alpha1) + z).sum())
     bound = math.exp(expo)
     return Chi2Bound(bound, math.sqrt(max(bound - 1.0, 0.0)) / 2.0)

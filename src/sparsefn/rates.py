@@ -8,7 +8,7 @@ s / (2 sqrt(log(es))) and carry the extra log(es) factor in nu_star.
 
 A RateCalculator serves one (loading, alpha): it holds one PhiKernel, solves
 every equation through it and memoizes solves per s.  Its ``table()`` solves
-the adaptive equation for every s = 1..min(s0, d) in one batched bisection
+the adaptive equation for every s = 1..min(s0, d) in one batched solve
 and tabulates what the Lepski selection reads, so a simulation cell, which
 owns one calculator, does that work once rather than once per replicate.
 """
@@ -188,7 +188,7 @@ class RateCalculator:
 
     def table(self) -> RateTable:
         """The adaptive ladder for s = 1..min(s0, d), solved in one batched
-        bisection on the first call.  ``lambda_star`` and ``j2`` equal the
+        solve on the first call.  ``lambda_star`` and ``j2`` equal the
         per-s methods exactly; ``nu_star`` and ``phi_adp`` up to the rounding
         of the batched energy evaluation."""
         if self._table is None:

@@ -1,4 +1,4 @@
-"""Implicit threshold equations and their monotone bisection solvers.
+"""Implicit threshold equations and their bracketed monotone solver.
 
 The central objective is
 
@@ -13,10 +13,15 @@ representable range.  A ``PhiKernel`` evaluates on the loading's distinct
 |eta| levels, so a loading with few distinct values (homogeneous, two_phase)
 costs O(#levels) per evaluation, not O(d).
 
-Bisection (after geometric bracket expansion from beta = 0) is used instead of
-Newton: unconditional convergence matters more than speed.  One bisection
-serves a whole vector of targets -- the adaptive ladder s = 1..s0 is one
-call -- and steps each target's bracket exactly as a one-target solve would.
+Every equation (oracle, adaptive and the asym tail sum) is solved by one
+routine: geometric bracket expansion from beta = 0, then Chandrupatla's
+method (Adv. Eng. Software 28(3), 1997) inside the bracket.  Each step is an
+inverse quadratic interpolation when the last three points show it to be
+safe and a bisection step otherwise, so the root stays bracketed and
+converges superlinearly, in about a third of bisection's evaluations; no
+derivative is needed.  One solve serves a whole vector of targets -- the
+adaptive ladder s = 1..s0 is one call -- and steps each target's bracket
+exactly as a one-target solve would.
 """
 
 from __future__ import annotations
@@ -53,10 +58,13 @@ class Tolerances:
 
     ``rel``/``abs`` bound the achieved objective residual, which is the
     meaningful contract (beta enters rates only through the objective).
-    ``width`` stops bisection once the bracket is this small relative to the
-    root scale; together with the iteration cap it is a backstop for
-    ill-conditioned loadings where the residual target sits below float
-    resolution.
+    ``width`` is a purely relative x tolerance: every new point keeps at
+    least ``width * |x|`` from both bracket ends (x the end with the smaller
+    residual), and a solve stops once the bracket is narrower than twice
+    that.  With the iteration cap and the end of the floats strictly inside
+    the bracket it is a backstop for ill-conditioned loadings where the
+    residual target sits below float resolution; having no absolute floor,
+    it never stops a root near 0 before the residual is met.
     """
 
     rel: float = 1e-10
@@ -117,6 +125,11 @@ class PhiKernel:
     so the log-sum-exps stay finite and a log phi beyond the float range comes
     out as +-inf, never NaN.  Every method takes a vector of betas (rows) and
     evaluates them in blocks of about ``_BLOCK`` elements.
+
+    One pass over the levels gives both log phi and log nu^2, and the kernel
+    remembers both for every beta it has evaluated: the solves on one kernel
+    share their expansion probes, a repeated target costs no evaluation, and
+    nu^2 at a root the solver probed is already known.
     """
 
     def __init__(self, loading: LoadingVector, alpha: float):
@@ -131,6 +144,7 @@ class PhiKernel:
         # u^-alpha is largest at the last level
         self._r_inf = bool(np.isinf(self.neg_r[-1]))
         self._bounded = bool(self.neg_r[-1] >= -1.0)
+        self._memo: dict[float, list[float]] = {}  # beta -> [log phi, log nu^2]
 
     def _lse_pair(self, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(w_top, [LSE(a1 + delta), LSE(a1 + log u + delta)]) for a block of rows."""
@@ -155,13 +169,10 @@ class PhiKernel:
         np.exp(x, out=x)
         return top, m + np.log(x.sum(axis=2))
 
-    def _log_phi_block(self, betas: np.ndarray) -> np.ndarray:
+    def _probe_block(self, betas: np.ndarray) -> np.ndarray:
+        """Rows of (log phi, log nu^2) for a block of betas."""
         top, (lse1, lse2) = self._lse_pair(betas)
-        return lse1 - 0.5 * (lse2 - top)
-
-    def _log_energy_block(self, betas: np.ndarray) -> np.ndarray:
-        top, (_lse1, lse2) = self._lse_pair(betas)
-        return top + lse2
+        return np.stack([lse1 - 0.5 * (lse2 - top), top + lse2], axis=1)
 
     def _rows(self, block, betas) -> np.ndarray:
         betas = np.asarray(betas, dtype=float)
@@ -173,13 +184,22 @@ class PhiKernel:
             return np.concatenate([block(betas[i:i + step])
                                    for i in range(0, betas.size, step)])
 
+    def _probe(self, betas) -> list[list[float]]:
+        """[log phi, log nu^2] for each beta; only betas not seen before are evaluated."""
+        keys = np.asarray(betas, dtype=float).tolist()
+        memo = self._memo
+        new = [b for b in dict.fromkeys(keys) if b not in memo]
+        if new:
+            memo.update(zip(new, self._rows(self._probe_block, new).tolist()))
+        return [memo[b] for b in keys]
+
     def log_phi(self, betas) -> np.ndarray:
         """log phi(beta) for each beta."""
-        return self._rows(self._log_phi_block, betas)
+        return np.array([p[0] for p in self._probe(betas)])
 
     def log_energy(self, betas) -> np.ndarray:
         """log(sum_j eta_j^2 exp(-beta/|eta_j|^alpha)) for each beta: log(nu^2) at beta >= 0."""
-        return self._rows(self._log_energy_block, betas)
+        return np.array([p[1] for p in self._probe(betas)])
 
     def tail_sum(self, lams, start: int) -> np.ndarray:
         """sum_{j >= start} exp(-(lam/|eta_j|)^alpha) over 0-based sorted
@@ -229,19 +249,63 @@ def _safe_expm1(g: float) -> float:
     return math.expm1(g) if abs(g) < 700.0 else math.copysign(math.inf, g)
 
 
+def _chandrupatla_x(x1: float, f1: float, x2: float, f2: float, x3: float | None,
+                    f3: float, width: float) -> float | None:
+    """Next probe strictly inside the bracket between x1 (the newest point)
+    and x2, across which g changes sign; x3 is the point the bracket dropped
+    last (None before the first step).
+
+    Chandrupatla's step: inverse quadratic interpolation through the three
+    points where it is monotone on the bracket, kept at least
+    ``width * |x_best|`` from both ends, x_best being the end with the smaller
+    |g|; a bisection step otherwise.  The step is an offset from x_best, where
+    the root lies nearest, so a root next to an end at 0 keeps its relative
+    precision.  A bisection step between same-sign ends more than a factor 4
+    apart takes their geometric mean: a root 170 decades below the larger end
+    is then some 10 steps away, not 570.  None once the bracket is narrower
+    than twice ``width * |x_best|``, or no float lies strictly inside it.
+    """
+    (xb, fb), (xo, fo) = ((x1, f1), (x2, f2)) if abs(f1) < abs(f2) else ((x2, f2), (x1, f1))
+    span = xo - xb
+    tl = width * abs(xb) / abs(span)
+    if tl > 0.5:
+        return None
+    t = None
+    if x3 is not None:
+        xi = (x1 - x2) / (x3 - x2)
+        ph = (f1 - f2) / (f3 - f2)
+        if ph * ph < xi and (1.0 - ph) * (1.0 - ph) < 1.0 - xi:
+            t = (fb / (fo - fb) * f3 / (fo - f3)
+                 + (x3 - xb) / span * fb / (f3 - fb) * fo / (f3 - fo))
+            t = min(1.0 - tl, max(tl, t))
+    if t is None:
+        t = 0.5
+        if (min(xb, xo) > 0.0 or max(xb, xo) < 0.0) and not 0.25 < xb / xo < 4.0:
+            x = math.copysign(math.sqrt(abs(xb)) * math.sqrt(abs(xo)), xb)
+            if x != xb and x != xo:
+                return x
+    for step in (t, 0.5):  # a step that rounds onto an end falls back to the midpoint
+        x = xb + step * span
+        if x != xb and x != xo:
+            return x
+    return None
+
+
 def _solve_decreasing(f, targets, tol: Tolerances, resid_rel_of,
                       rel_caps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Roots of F(x) = t for a strictly decreasing F and a vector of targets t.
 
     ``f`` maps a vector of x to F(x).  Each target gets a geometric bracket
     expansion from 0, probing x = +-1, +-2, +-4, ... on its root's side, then
-    bisection, exactly as if it were solved alone; every step evaluates the
-    targets still active in one call to ``f`` (F(0) once for all, and at most
-    two distinct x per expansion step).  ``resid_rel_of`` maps g = F(x) - t to
-    the relative residual and ``rel_caps[i]`` is target i's stopping level.
-    Returns (root, g(root), evaluations of g) per target.  A target that ends
-    above its level costs one more, uncounted, evaluation at the smallest
-    float on its root's side; a sign change there raises BracketError.
+    Chandrupatla steps (``_chandrupatla_x``) inside the bracket, exactly as if
+    it were solved alone; every step evaluates the targets still active in one
+    call to ``f`` (F(0) once for all, and at most two distinct x per expansion
+    step).  ``resid_rel_of`` maps g = F(x) - t to the relative residual and
+    ``rel_caps[i]`` is target i's stopping level.  Returns (root, g(root),
+    evaluations of g) per target, the root being the probe with the smallest
+    |g|.  A target that ends above its level costs one more, uncounted,
+    evaluation at the smallest float on its root's side; a sign change there
+    raises BracketError.
     """
     t = [float(x) for x in targets]
     n = len(t)
@@ -250,8 +314,10 @@ def _solve_decreasing(f, targets, tol: Tolerances, resid_rel_of,
     root = [0.0] * n
     iters = [1] * n
     sign = [1.0 if gi > 0.0 else -1.0 for gi in g]
-    g_near = g[:]  # g at the last probe without a sign change
-    lo, hi, g_lo, g_hi = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
+    # the bracket: x1 the newest probe, x2 the other end, x3 the end dropped last
+    x1, f1, x2, f2 = [0.0] * n, [0.0] * n, [0.0] * n, g[:]
+    x3: list[float | None] = [None] * n
+    f3 = [0.0] * n
 
     rows = [i for i in range(n) if g[i] != 0.0]
     step = 1.0
@@ -262,58 +328,48 @@ def _solve_decreasing(f, targets, tol: Tolerances, resid_rel_of,
         f_far = dict(zip(dirs, f(np.array(dirs) * step).tolist()))
         open_rows = []
         for i in rows:
-            far = sign[i] * step
-            g_far = f_far[sign[i]] - t[i]
+            x1[i], f1[i] = sign[i] * step, f_far[sign[i]] - t[i]
             iters[i] += 1
-            if sign[i] * g_far > 0.0:
-                g_near[i] = g_far
+            if sign[i] * f1[i] > 0.0:  # no sign change yet: the probe is the near end
+                x2[i], f2[i] = x1[i], f1[i]
                 open_rows.append(i)
-                continue
-            near = sign[i] * 0.5 * step if step > 1.0 else 0.0
-            if sign[i] > 0.0:
-                lo[i], hi[i], g_lo[i], g_hi[i] = near, far, g_near[i], g_far
-            else:
-                lo[i], hi[i], g_lo[i], g_hi[i] = far, near, g_far, g_near[i]
         rows = open_rows
         step *= 2.0
     if rows:
         span = f"[0, {step}]" if sign[rows[0]] > 0.0 else f"[-{step}, 0]"
         raise BracketError(f"no sign change in {span} after {tol.max_doublings} doublings")
 
-    # bisection; the expansion evaluated both bracket ends, start from the better
-    active, mids = [], []
+    # the expansion evaluated both bracket ends; start from the better
+    active, xs = [], []
     for i in range(n):
         if g[i] == 0.0:
             continue
-        root[i], g[i] = (hi[i], g_hi[i]) if abs(g_hi[i]) < abs(g_lo[i]) else (lo[i], g_lo[i])
-        mid = 0.5 * (lo[i] + hi[i])
-        if iters[i] < tol.max_iter and mid != lo[i] and mid != hi[i]:
+        root[i], g[i] = (x1[i], f1[i]) if abs(f1[i]) < abs(f2[i]) else (x2[i], f2[i])
+        x = _chandrupatla_x(x1[i], f1[i], x2[i], f2[i], None, 0.0, tol.width)
+        if iters[i] < tol.max_iter and x is not None:
             active.append(i)
-            mids.append(mid)
-    width = tol.width
+            xs.append(x)
     while active:
-        f_mid = f(np.array(mids)).tolist()
-        next_active, next_mids = [], []
-        for i, mid, fm in zip(active, mids, f_mid):
-            gm = fm - t[i]
+        f_x = f(np.array(xs)).tolist()
+        next_active, next_xs = [], []
+        for i, x, fx in zip(active, xs, f_x):
+            gx = fx - t[i]
             iters[i] += 1
-            if abs(gm) < abs(g[i]):
-                root[i], g[i] = mid, gm
-            if abs(resid_rel_of(gm)) <= rel_caps[i]:
+            if abs(gx) < abs(g[i]):
+                root[i], g[i] = x, gx
+            if abs(resid_rel_of(gx)) <= rel_caps[i]:
                 continue
-            if gm > 0.0:
-                lo[i] = mid
-            else:
-                hi[i] = mid
-            # width relative to the root scale, so tiny ill-conditioned roots
-            # keep refining until the residual contract is met
-            if hi[i] - lo[i] < width * max(abs(mid), width):
-                continue
-            mid = 0.5 * (lo[i] + hi[i])
-            if iters[i] < tol.max_iter and mid != lo[i] and mid != hi[i]:
+            if (gx > 0.0) == (f1[i] > 0.0):  # x replaces the newest end
+                x3[i], f3[i] = x1[i], f1[i]
+            else:                            # x replaces the other end
+                x3[i], f3[i] = x2[i], f2[i]
+                x2[i], f2[i] = x1[i], f1[i]
+            x1[i], f1[i] = x, gx
+            x = _chandrupatla_x(x1[i], f1[i], x2[i], f2[i], x3[i], f3[i], tol.width)
+            if iters[i] < tol.max_iter and x is not None:
                 next_active.append(i)
-                next_mids.append(mid)
-        active, mids = next_active, next_mids
+                next_xs.append(x)
+        active, xs = next_active, next_xs
     # A root strictly between 0 and the smallest float of its sign has no float
     # to stand for it: fail rather than return 0 with the residual unmet.
     unmet = [i for i in range(n) if abs(resid_rel_of(g[i])) > rel_caps[i]]
@@ -332,7 +388,7 @@ def _solve_decreasing(f, targets, tol: Tolerances, resid_rel_of,
 def _solve_phi(kernel: PhiKernel, targets, tol: Tolerances | None
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(beta, g(beta), iterations) solving phi(beta) = target for every
-    positive target in one batched bisection, with g = log phi - log target."""
+    positive target in one batched solve, with g = log phi - log target."""
     tol = tol or Tolerances()
     return _solve_decreasing(kernel.log_phi, [math.log(x) for x in targets], tol,
                              _safe_expm1, [tol.rel + tol.abs / x for x in targets])
@@ -347,7 +403,7 @@ def _threshold_solution(equation: str, alpha: float, target: float, beta: float,
 
 def solve_beta(loading: LoadingVector, alpha: float, target: float,
                tol: Tolerances | None = None, equation: str = "oracle") -> ThresholdSolution:
-    """Solve phi(beta) = target by bracket expansion from 0 plus bisection."""
+    """Solve phi(beta) = target by bracket expansion from 0 plus Chandrupatla steps."""
     if target <= 0 or not math.isfinite(target):
         raise ValueError("target must be positive and finite")
     beta, g, iters = _solve_phi(PhiKernel(loading, alpha), [target], tol)

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -206,6 +207,20 @@ def test_prior_subcommand(tmp_path, capsys):
     assert p["chi2_bound"] == pytest.approx(math.e, rel=1e-6)
     rows = samples.read_text().splitlines()
     assert len(rows) == 8 and len(rows[0].split()) == 100
+
+
+def test_prior_bound_is_finite_when_pi_underflows(capsys):
+    # the tail pi_j underflow to 0 where exp(|gamma_j / C2|^alpha) overflows
+    def no_nan(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["prior", "--loading-spec", "exp_decay", "--d", "3000", "--c", "0.01",
+                   "--gamma", "1", "--alpha", "2", "--s", "3", "--c1", "0.5"])
+    p = json.loads(capsys.readouterr().out, parse_constant=no_nan)
+    assert rc == 0
+    assert 1.0 <= p["chi2_bound"] < math.inf and p["tv_bound"] >= 0.0
 
 
 def test_simulate_worker_invariance(tmp_path):

@@ -13,7 +13,7 @@ from sparsefn.rates import (
     oracle_rate,
     oracle_rate_decomposed,
 )
-from sparsefn.threshold import log_phi_objective
+from sparsefn.threshold import PhiKernel, log_phi_objective
 
 HOM100 = make_loading(LoadingSpec("homogeneous", d=100))
 
@@ -285,3 +285,19 @@ def test_every_ladder_and_oracle_root_solves_its_equation(spec, alpha):
         rel = math.expm1(log_phi_objective(lv, alpha, beta) - math.log(target))
         # a root at or below 0 only has to be there: every rate reads max(beta, 0)
         assert abs(rel) <= calc.tol.rel or (lam == 0.0 and log_phi0 <= math.log(target))
+
+
+def test_oracle_and_adaptive_at_s1_share_one_solve(monkeypatch):
+    # both equations read phi(beta) = 1/2 at s = 1: the second solve finds
+    # every probe in the kernel's memo, and nu^2 at a probed root is known
+    calc = RateCalculator(make_loading(LoadingSpec("exp_decay", d=500, c=0.004, gamma=1.0)), 2.0)
+    rows = []
+    block = PhiKernel._probe_block
+    monkeypatch.setattr(PhiKernel, "_probe_block",
+                        lambda self, betas: rows.append(betas.size) or block(self, betas))
+    beta = calc.oracle(1).beta
+    evaluated = len(rows)
+    assert evaluated > 0
+    assert calc.star_solution(1).beta == beta
+    calc.adaptive(1)
+    assert len(rows) == evaluated

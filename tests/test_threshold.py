@@ -292,12 +292,103 @@ def test_each_iteration_is_one_kernel_evaluation(monkeypatch):
     lv = make_loading(LoadingSpec("homogeneous", d=1000))
     rows = _counting(monkeypatch, "log_phi")
     sol = solve_beta(lv, 2.0, 5.0)
-    assert rows == [1] * sol.iterations and sol.iterations == 36
-    assert sol.beta == 3.6888794540427625 and sol.residual == 1.7793433393681527e-10
+    assert rows == [1] * sol.iterations and sol.iterations == 6
+    assert sol.beta == 3.6888794541139363 and sol.residual == 1.1102230246251565e-15
     tails = _counting(monkeypatch, "tail_sum")
     sol = solve_lambda_H(lv, 2.0, 5)
-    assert tails == [1] * sol.iterations and sol.iterations == 39
-    assert sol.lambda_ == 2.2965244771330617
+    assert tails == [1] * sol.iterations and sol.iterations == 12
+    assert sol.lambda_ == 2.2965244771153515
+
+
+def _random_loading(rng, dmax=1000, lo=1e-2, hi=1e2):
+    """The random loadings of acceptance criterion 1."""
+    d = int(rng.integers(1, dmax + 1))
+    mags = np.exp(rng.uniform(math.log(lo), math.log(hi), size=d))
+    return make_loading(LoadingSpec("explicit", values=tuple(sorted(mags, reverse=True))))
+
+
+def _bisection_evaluations(kernel, target, tol=Tolerances()):
+    """Evaluations of g = log phi - log target that plain one-target bisection
+    takes: the same expansion from 0, then midpoints until the residual is
+    met, the bracket is narrower than width * max(|mid|, width), the midpoint
+    rounds onto an end, or max_iter evaluations are spent."""
+    log_t, cap = math.log(target), tol.rel + tol.abs / target
+
+    def g(x):
+        return float(kernel.log_phi([x])[0]) - log_t
+
+    near, evals = 0.0, 1
+    g_near = g(near)
+    if g_near == 0.0:
+        return evals
+    sign, step = (1.0 if g_near > 0.0 else -1.0), 1.0
+    while True:
+        far, evals = sign * step, evals + 1
+        if sign * g(far) <= 0.0:
+            break
+        near, step = far, 2.0 * step
+    lo, hi = sorted((near, far))
+    mid = 0.5 * (lo + hi)
+    while evals < tol.max_iter and mid != lo and mid != hi:
+        gm, evals = g(mid), evals + 1
+        if abs(_safe_expm1(gm)) <= cap:
+            break
+        lo, hi = (mid, hi) if gm > 0.0 else (lo, mid)
+        if hi - lo < tol.width * max(abs(mid), tol.width):
+            break
+        mid = 0.5 * (lo + hi)
+    return evals
+
+
+def test_solver_costs_no_more_than_bisection():
+    # criterion 1's loadings and targets, drawn in the same order
+    rng = np.random.default_rng(101)
+    ours = bisection = 0
+    for _ in range(1000):
+        lv = _random_loading(rng)
+        alpha = float(rng.choice([0.5, 1.0, 2.0, 4.0]))
+        kernel = PhiKernel(lv, alpha)
+        target = math.exp(float(kernel.log_phi([0.0])[0])) * 10.0 ** rng.uniform(-3.0, 3.0)
+        _beta, _g, iters = _solve_phi(kernel, [target], None)
+        reference = _bisection_evaluations(kernel, target)
+        assert iters[0] <= reference, (lv.d, alpha, target)
+        ours += int(iters[0])
+        bisection += reference
+    assert bisection >= 2.5 * ours, (bisection, ours)
+
+
+def test_log_phi_memo_changes_no_bits(monkeypatch):
+    lv = make_loading(LoadingSpec("exp_decay", d=2000, c=0.01, gamma=1.0))
+    shared = PhiKernel(lv, 2.0)
+    _solve_phi(shared, [0.5, 3.0], None)
+    for targets in ([0.5], [3.0, 0.5], [0.7], [1e-3, 40.0]):
+        hit = _solve_phi(shared, targets, None)
+        fresh = _solve_phi(PhiKernel(lv, 2.0), targets, None)
+        for a, b in zip(hit, fresh):  # beta, g and iterations
+            assert a.tolist() == b.tolist()
+    rows = _counting(monkeypatch, "_probe_block")
+    _solve_phi(shared, [3.0], None)
+    assert rows == []  # every probe of a repeated target is remembered
+
+
+@pytest.mark.parametrize("d, c, target", [(2000, 0.01, 20.0), (100, 2.0, 25.0),
+                                           (100, 2.0, 1.5)])
+def test_tiny_negative_root_meets_the_residual(d, c, target):
+    # roots near -1e-16 and -2e-170: a width stop with an absolute floor of
+    # width^2 ended these solves with the residual unmet, and midpoint steps
+    # from a bracket end near -1 take more than max_iter steps to reach -2e-170
+    lv = make_loading(LoadingSpec("exp_decay", d=d, c=c, gamma=1.0))
+    sol = solve_beta(lv, 2.0, target)
+    assert sol.beta < 0.0 and sol.lambda_ == 0.0
+    assert sol.meets(Tolerances()), sol
+
+
+def test_tiny_tail_root_meets_the_residual():
+    # every tail term is 0 from lambda = 1 down to about 1e-48, so the
+    # interpolation is refused there and the steps must still reach the root
+    lv = make_loading(LoadingSpec("exp_decay", d=100, c=2.0, gamma=1.0))
+    sol = solve_lambda_H(lv, 2.0, 7)
+    assert 0.0 < sol.lambda_ < 1e-40 and sol.meets(Tolerances()), sol
 
 
 @pytest.mark.parametrize("spec", [
