@@ -9,6 +9,7 @@ reproduced from its own metadata.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -271,6 +272,7 @@ def _cmd_simulate(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built on the first main() call, not at import
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sparsefn",
                      description="Minimax and adaptive estimation of sparse linear functionals")

@@ -18,7 +18,6 @@ import numpy as np
 from .loading import LoadingVector
 from .rates import RateCalculator
 from .streams import generator
-from .threshold import Tolerances
 
 __all__ = [
     "LeastFavorablePrior",
@@ -58,15 +57,15 @@ class LeastFavorablePrior:
 
 
 def build_prior(loading: LoadingVector, alpha: float, s: int, c1: float,
-                c_alpha2: float = 1.0, tol: Tolerances | None = None,
+                c_alpha2: float = 1.0,
                 calculator: RateCalculator | None = None) -> LeastFavorablePrior:
     """Construct the prior; rejects configurations where any pi_j >= 1.  A
-    ``calculator`` for (loading, alpha) replaces a new one (and its ``tol``)."""
+    ``calculator`` for (loading, alpha) replaces a new one."""
     if not 0.0 < c1 < 2.0:
         raise ValueError("c1 must be in (0, 2)")
     if c_alpha2 <= 0:
         raise ValueError("c_alpha2 must be positive")
-    prof = (calculator or RateCalculator(loading, alpha, tol)).oracle(s)
+    prof = (calculator or RateCalculator(loading, alpha)).oracle(s)
     beta_plus = max(prof.beta, 0.0)
     abs_eta = loading.abs_values
     weights = abs_eta * np.exp(-beta_plus / abs_eta**alpha)

@@ -24,7 +24,6 @@ import numpy as np
 from .loading import LoadingVector, LoadingSpec, effective_dimension
 from .threshold import (
     PhiKernel,
-    Tolerances,
     ThresholdSolution,
     _solve_phi,
     _threshold_solution,
@@ -100,12 +99,11 @@ def _cutoff(loading: LoadingVector, lam):
 class RateCalculator:
     """Rate computations for a fixed loading and tail parameter."""
 
-    def __init__(self, loading: LoadingVector, alpha: float, tol: Tolerances | None = None):
+    def __init__(self, loading: LoadingVector, alpha: float):
         if not (math.isfinite(alpha) and alpha > 0):
             raise ValueError("alpha must be positive and finite")
         self.loading = loading
         self.alpha = float(alpha)
-        self.tol = tol or Tolerances()
         self._oracle: dict[int, RateProfile] = {}
         self._star: dict[int, ThresholdSolution] = {}
         self._ladder: tuple | None = None  # (targets, beta, g, iterations) for s = 1..n
@@ -118,7 +116,7 @@ class RateCalculator:
         return float(self._kernel.log_energy(np.array([max(beta, 0.0)]))[0])
 
     def _solve(self, equation: str, target: float) -> ThresholdSolution:
-        beta, g, iters = _solve_phi(self._kernel, [target], self.tol)
+        beta, g, iters = _solve_phi(self._kernel, [target])
         return _threshold_solution(equation, self.alpha, target, float(beta[0]), float(g[0]),
                                    int(iters[0]))
 
@@ -194,7 +192,7 @@ class RateCalculator:
         if self._table is None:
             n = min(self.s0(), self.loading.d)
             targets = np.array([adaptive_target(s) for s in range(1, n + 1)])
-            self._ladder = (targets, *_solve_phi(self._kernel, targets, self.tol))
+            self._ladder = (targets, *_solve_phi(self._kernel, targets))
             beta = self._ladder[1]
             inv = 1.0 / self.alpha
             lam = np.array([max(b, 0.0) ** inv for b in beta.tolist()])
@@ -265,23 +263,20 @@ class RateCalculator:
         )
 
 
-def oracle_rate(loading: LoadingVector, alpha: float, s: int,
-                tol: Tolerances | None = None) -> RateProfile:
-    return RateCalculator(loading, alpha, tol).oracle(s)
+def oracle_rate(loading: LoadingVector, alpha: float, s: int) -> RateProfile:
+    return RateCalculator(loading, alpha).oracle(s)
 
 
-def oracle_rate_decomposed(loading: LoadingVector, alpha: float, s: int,
-                           tol: Tolerances | None = None) -> tuple[float, float]:
+def oracle_rate_decomposed(loading: LoadingVector, alpha: float, s: int) -> tuple[float, float]:
     """(lambda_o^2 s^2, head energy sum_{j <= j1} eta_j^2); phi_o matches their
     sum only up to constants, so callers compare within a band."""
-    prof = oracle_rate(loading, alpha, s, tol)
+    prof = oracle_rate(loading, alpha, s)
     head = float((loading.values[: prof.j1] ** 2).sum())
     return (prof.lambda_o * prof.s) ** 2, head
 
 
-def adaptive_rate(loading: LoadingVector, alpha: float, s: int,
-                  tol: Tolerances | None = None) -> AdaptiveRateProfile:
-    return RateCalculator(loading, alpha, tol).adaptive(s)
+def adaptive_rate(loading: LoadingVector, alpha: float, s: int) -> AdaptiveRateProfile:
+    return RateCalculator(loading, alpha).adaptive(s)
 
 
 def j3_index(d: int, s: int, alpha: float) -> int:
@@ -368,14 +363,14 @@ def _log_grid(lo: int, hi: int, n: int) -> list[int]:
 
 
 def check_assumption(loading: LoadingVector, alpha: float, s_cut: int, gamma0: float,
-                     grid_size: int = 40, tol: Tolerances | None = None) -> AssumptionReport:
+                     grid_size: int = 40) -> AssumptionReport:
     d = loading.d
     s_cut = int(s_cut)
     if not 1 <= s_cut <= d:
         raise ValueError(f"s_cut must be in [1, {d}]")
     if not 0.0 < gamma0 < 2.0:
         raise ValueError("gamma0 must be in (0, 2)")
-    calc = RateCalculator(loading, alpha, tol)
+    calc = RateCalculator(loading, alpha)
     s0 = calc.s0()
 
     low = list(range(1, s_cut + 1)) if s_cut <= grid_size else _log_grid(1, s_cut, grid_size)

@@ -284,6 +284,30 @@ def _data_tags(cell: dict) -> list:
     return [[k, cell[k]] for k in sorted(cell) if k != "estimator"]
 
 
+def _replicates(config: SimConfig, loading: LoadingVector, xi_tags, statistic, where: str,
+                theta: np.ndarray | None = None, prior=None, theta_tags=()) -> list:
+    """``statistic(inp, theta)`` for every replicate r, the one replicate loop
+    of every experiment.  Replicate r draws theta from the stream
+    ``(seed, *theta_tags, r)`` when ``prior`` is given (else uses ``theta``),
+    xi from ``(seed, *xi_tags, r)``, and observes ``y = theta + sigma * xi``.
+    A ValueError or RuntimeError becomes a SimulationError (its cause) naming
+    the seed, the replicate and ``where``."""
+    out = []
+    for r in range(config.replicates):
+        try:
+            if prior is not None:
+                theta = draw_prior(prior, generator(config.seed, *theta_tags, r))
+            xi = sample_with(config.noise, loading.d, generator(config.seed, *xi_tags, r))
+            inp = EstimationInput(theta + config.sigma * xi, loading, config.noise.alpha,
+                                  config.noise.tau, sigma=config.sigma,
+                                  kappa=config.estimator.kappa)
+            out.append(statistic(inp, theta))
+        except (ValueError, RuntimeError) as exc:
+            raise SimulationError(
+                f"replicate {r} failed (seed={config.seed}, {where}): {exc}") from exc
+    return out
+
+
 def _run_cell(configs: list[SimConfig], cells: list[dict],
               calc: RateCalculator | None) -> tuple[list[dict], RateCalculator]:
     """One data cell: ``cells`` and their ``configs`` differ only in the
@@ -293,43 +317,31 @@ def _run_cell(configs: list[SimConfig], cells: list[dict],
     calculator used."""
     first = configs[0]
     tags = _data_tags(cells[0])
-    alpha, tau = first.noise.alpha, first.noise.tau
     try:
         if calc is None:
-            calc = RateCalculator(make_loading(first.loading), alpha)
+            calc = RateCalculator(make_loading(first.loading), first.noise.alpha)
         loading = calc.loading
         theta_fixed = _fixed_theta(first, loading, calc)
-        prior = build_prior(loading, alpha, first.theta.s, first.theta.c1, first.theta.c_alpha2,
+        prior = build_prior(loading, first.noise.alpha, first.theta.s, first.theta.c1,
+                            first.theta.c_alpha2,
                             calculator=calc) if first.theta.kind == "prior" else None
     except (ValueError, RuntimeError) as exc:
         raise SimulationError(
             f"cell set-up failed (seed={first.seed}, cell={tags}): {exc}") from exc
     eta_orig = loading.original_values
+    runs = [(VARIANTS[c.estimator.variant].run,
+             c.estimator.s if c.estimator.s is not None else c.s_assumed, c.estimator)
+            for c in configs]
 
-    errors: list[list[float]] = [[] for _ in configs]
-    for r in range(first.replicates):
-        try:
-            if prior is not None:
-                theta = draw_prior(prior, generator(first.seed, "cell", tags, "theta", r))
-            else:
-                theta = theta_fixed
-            xi = sample_with(first.noise, loading.d,
-                             generator(first.seed, "cell", tags, "xi", r))
-            y = theta + first.sigma * xi
-            inp = EstimationInput(y, loading, alpha, tau, sigma=first.sigma,
-                                  kappa=first.estimator.kappa)
-            target = float(np.dot(eta_orig, theta))
-            for config, errs in zip(configs, errors):
-                spec = config.estimator
-                s = spec.s if spec.s is not None else config.s_assumed
-                est = VARIANTS[spec.variant].run(inp, s, calc, zeta=spec.zeta, c_h=spec.c_h,
-                                                 gamma_split=spec.gamma_split, shuffle_seed=None)
-                errs.append((est.value - target) ** 2)
-        except (ValueError, RuntimeError) as exc:
-            raise SimulationError(
-                f"replicate {r} failed (seed={first.seed}, cell={tags}): {exc}"
-            ) from exc
+    def squared_errors(inp: EstimationInput, theta: np.ndarray) -> list[float]:
+        target = float(np.dot(eta_orig, theta))
+        return [(run(inp, s, calc, zeta=spec.zeta, c_h=spec.c_h, gamma_split=spec.gamma_split,
+                     shuffle_seed=None).value - target) ** 2
+                for run, s, spec in runs]
 
+    errors = zip(*_replicates(first, loading, ("cell", tags, "xi"), squared_errors,
+                              f"cell={tags}", theta=theta_fixed, prior=prior,
+                              theta_tags=("cell", tags, "theta")))
     rows = []
     for config, cell, errs in zip(configs, cells, errors):
         n = len(errs)
@@ -456,23 +468,16 @@ class MomCoverageReport:
 def run_mom_coverage(config: SimConfig) -> MomCoverageReport:
     """Fraction of replicates with sigma_hat^2 / sigma^2 in [1/2, 3/2]."""
     loading = make_loading(config.loading)
-    calc = RateCalculator(loading, config.noise.alpha)
-    theta = _fixed_theta(config, loading, calc)
+    theta = _fixed_theta(config, loading, RateCalculator(loading, config.noise.alpha))
     if theta is None:
         raise ValueError("run_mom_coverage needs a replicate-invariant theta")
-    hits = 0
-    rel_errs = []
     s2 = config.sigma**2
-    for r in range(config.replicates):
-        xi = sample_with(config.noise, loading.d,
-                          generator(config.seed, "cell", [], "xi", r))
-        y = theta + config.sigma * xi
-        est = mom_sigma(y, config.estimator.gamma_split)
-        if 0.5 * s2 <= est <= 1.5 * s2:
-            hits += 1
-        rel_errs.append(abs(est - s2) / s2)
+    ests = _replicates(config, loading, ("cell", [], "xi"),
+                       lambda inp, _: mom_sigma(inp.y, config.estimator.gamma_split),
+                       "mom coverage", theta=theta)
     n = config.replicates
-    return MomCoverageReport(hits / n, math.fsum(rel_errs) / n, n)
+    hits = sum(1 for est in ests if 0.5 * s2 <= est <= 1.5 * s2)
+    return MomCoverageReport(hits / n, math.fsum(abs(est - s2) / s2 for est in ests) / n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -518,45 +523,36 @@ def _alt_fixtures(loading: LoadingVector, s: int, t0: float, rho: float,
     return out
 
 
-def _error_rate(config: SimConfig, loading: LoadingVector, calc: RateCalculator,
-                theta_sorted: np.ndarray, t0: float, B: float, reject: bool,
-                tags: list) -> float:
-    theta = loading.to_original(theta_sorted)
-    s = config.s_assumed
-    bad = 0
-    for r in range(config.replicates):
-        xi = sample_with(config.noise, loading.d,
-                          generator(config.seed, *tags, r))
-        y = theta + config.sigma * xi
-        inp = EstimationInput(y, loading, config.noise.alpha, config.noise.tau,
-                              sigma=config.sigma, kappa=config.estimator.kappa)
-        dec = linear_test(inp, s, t0, B, calculator=calc).decision
-        if (dec == 1) != reject:
-            bad += 1
-    return bad / config.replicates
+def _test_setup(config: SimConfig, t0: float):
+    """The loading, calculator and null fixtures that the test experiments share."""
+    loading = make_loading(config.loading)
+    calc = RateCalculator(loading, config.noise.alpha)
+    nulls = _null_fixtures(loading, calc, config.s_assumed, t0, config.sigma, config.noise.tau)
+    return loading, calc, nulls
 
 
 def run_test_power(config: SimConfig, t0: float, B: float, rho_grid) -> SimulationReport:
     """Type I frequency on null fixtures with L(theta) = t0, and type II
     frequency at each rho on alternatives with |L(theta) - t0| = rho."""
-    loading = make_loading(config.loading)
-    calc = RateCalculator(loading, config.noise.alpha)
+    loading, calc, nulls = _test_setup(config, t0)
     s = config.s_assumed
-    rows = []
-    nulls = _null_fixtures(loading, calc, s, t0, config.sigma, config.noise.tau)
-    for label, theta_sorted, _support in nulls:
-        rate = _error_rate(config, loading, calc, theta_sorted, t0, B, reject=False,
-                           tags=["test", "null", label])
-        rows.append({"kind": "type1", "fixture": label, "rho": 0.0,
-                     "error_rate": rate, "n_rep": config.replicates})
     base, base_support = nulls[0][1], nulls[0][2]
-    for rho in rho_grid:
-        rho = float(rho)
-        for label, theta_sorted in _alt_fixtures(loading, s, t0, rho, base, base_support):
-            rate = _error_rate(config, loading, calc, theta_sorted, t0, B, reject=True,
-                               tags=["test", "alt", label, rho])
-            rows.append({"kind": "type2", "fixture": label, "rho": rho,
-                         "error_rate": rate, "n_rep": config.replicates})
+    runs = [("type1", label, 0.0, theta, ("test", "null", label)) for label, theta, _ in nulls]
+    for rho in map(float, rho_grid):
+        runs += [("type2", label, rho, theta, ("test", "alt", label, rho))
+                 for label, theta in _alt_fixtures(loading, s, t0, rho, base, base_support)]
+
+    def decision(inp: EstimationInput, _theta) -> int:
+        return linear_test(inp, s, t0, B, calculator=calc).decision
+
+    rows = []
+    for kind, fixture, rho, theta_sorted, tags in runs:
+        decisions = _replicates(config, loading, tags, decision,
+                                f"{kind} fixture={fixture} rho={rho!r}",
+                                theta=loading.to_original(theta_sorted))
+        bad = sum(1 for dec in decisions if (dec == 1) != (kind == "type2"))
+        rows.append({"kind": kind, "fixture": fixture, "rho": rho,
+                     "error_rate": bad / config.replicates, "n_rep": config.replicates})
     return SimulationReport("test_power",
                             ["kind", "fixture", "rho", "error_rate", "n_rep"],
                             rows, config.hash(), config.seed)
@@ -568,22 +564,14 @@ def calibrate_test_threshold(config: SimConfig, t0: float, epsilon: float) -> fl
     disjoint from the evaluation streams."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
-    loading = make_loading(config.loading)
-    calc = RateCalculator(loading, config.noise.alpha)
+    loading, calc, nulls = _test_setup(config, t0)
     s = config.s_assumed
     scale = config.sigma * math.sqrt(calc.phi_o(s))
     worst = 0.0
-    for label, theta_sorted, _support in _null_fixtures(loading, calc, s, t0,
-                                                        config.sigma, config.noise.tau):
-        theta = loading.to_original(theta_sorted)
-        stats = np.empty(config.replicates)
-        for r in range(config.replicates):
-            xi = sample_with(config.noise, loading.d,
-                              generator(config.seed, "test", "calib", label, r))
-            y = theta + config.sigma * xi
-            inp = EstimationInput(y, loading, config.noise.alpha, config.noise.tau,
-                                  sigma=config.sigma, kappa=config.estimator.kappa)
-            est = oracle_estimate(inp, s, calculator=calc)
-            stats[r] = abs(est.value - t0) / scale
+    for label, theta_sorted, _support in nulls:
+        stats = _replicates(
+            config, loading, ("test", "calib", label),
+            lambda inp, _: abs(oracle_estimate(inp, s, calculator=calc).value - t0) / scale,
+            f"calibration fixture={label}", theta=loading.to_original(theta_sorted))
         worst = max(worst, float(np.quantile(stats, 1.0 - epsilon / 2.0, method="higher")))
     return worst

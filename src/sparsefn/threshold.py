@@ -22,12 +22,21 @@ converges superlinearly, in about a third of bisection's evaluations; no
 derivative is needed.  One solve serves a whole vector of targets -- the
 adaptive ladder s = 1..s0 is one call -- and steps each target's bracket
 exactly as a one-target solve would.
+
+A root far below a bracket end at 0 (a steep tail, where the objective is
+flat between the probes and interpolation is refused) would cost one halving
+per factor 2.  So when a halving toward 0 stays on the same side of the root,
+the next bisection step is the exponent step: the geometric mean of the
+nonzero end and the smallest normal float, which bisects the exponent, so
+that any representable root is some 10 steps away.  A solve whose residual is
+still above its level when the steps run out raises BracketError.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +45,7 @@ from .loading import LoadingVector
 
 __all__ = [
     "Tolerances",
+    "TOLERANCES",
     "ThresholdSolution",
     "BracketError",
     "phi_objective",
@@ -72,6 +82,9 @@ class Tolerances:
     width: float = 1e-12
     max_iter: int = 200
     max_doublings: int = 120
+
+
+TOLERANCES = Tolerances()  # the stopping rules of every solve
 
 
 @dataclass(frozen=True)
@@ -262,8 +275,10 @@ def _chandrupatla_x(x1: float, f1: float, x2: float, f2: float, x3: float | None
     the root lies nearest, so a root next to an end at 0 keeps its relative
     precision.  A bisection step between same-sign ends more than a factor 4
     apart takes their geometric mean: a root 170 decades below the larger end
-    is then some 10 steps away, not 570.  None once the bracket is narrower
-    than twice ``width * |x_best|``, or no float lies strictly inside it.
+    is then some 10 steps away, not 570.  Against an end at exactly 0, a
+    bisection step after a halving that did not cross the root is the exponent
+    step (see the module docstring).  None once the bracket is narrower than
+    twice ``width * |x_best|``, or no float lies strictly inside it.
     """
     (xb, fb), (xo, fo) = ((x1, f1), (x2, f2)) if abs(f1) < abs(f2) else ((x2, f2), (x1, f1))
     span = xo - xb
@@ -280,9 +295,11 @@ def _chandrupatla_x(x1: float, f1: float, x2: float, f2: float, x3: float | None
             t = min(1.0 - tl, max(tl, t))
     if t is None:
         t = 0.5
-        if (min(xb, xo) > 0.0 or max(xb, xo) < 0.0) and not 0.25 < xb / xo < 4.0:
-            x = math.copysign(math.sqrt(abs(xb)) * math.sqrt(abs(xo)), xb)
-            if x != xb and x != xo:
+        stalled = x2 == 0.0 and x3 is not None and x1 == 0.5 * x3  # the exponent step
+        if stalled or (min(xb, xo) > 0.0 or max(xb, xo) < 0.0) and not 0.25 < xb / xo < 4.0:
+            a, b = (x1, sys.float_info.min) if stalled else (xb, xo)
+            x = math.copysign(math.sqrt(abs(a)) * math.sqrt(abs(b)), a)
+            if min(xb, xo) < x < max(xb, xo):
                 return x
     for step in (t, 0.5):  # a step that rounds onto an end falls back to the midpoint
         x = xb + step * span
@@ -291,8 +308,8 @@ def _chandrupatla_x(x1: float, f1: float, x2: float, f2: float, x3: float | None
     return None
 
 
-def _solve_decreasing(f, targets, tol: Tolerances, resid_rel_of,
-                      rel_caps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _solve_decreasing(f, targets, resid_rel_of,
+                      scales) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Roots of F(x) = t for a strictly decreasing F and a vector of targets t.
 
     ``f`` maps a vector of x to F(x).  Each target gets a geometric bracket
@@ -300,13 +317,15 @@ def _solve_decreasing(f, targets, tol: Tolerances, resid_rel_of,
     Chandrupatla steps (``_chandrupatla_x``) inside the bracket, exactly as if
     it were solved alone; every step evaluates the targets still active in one
     call to ``f`` (F(0) once for all, and at most two distinct x per expansion
-    step).  ``resid_rel_of`` maps g = F(x) - t to the relative residual and
-    ``rel_caps[i]`` is target i's stopping level.  Returns (root, g(root),
+    step).  ``resid_rel_of`` maps g = F(x) - t to the relative residual, and
+    target i stops at ``TOLERANCES.rel + TOLERANCES.abs / scales[i]``.  Returns (root, g(root),
     evaluations of g) per target, the root being the probe with the smallest
-    |g|.  A target that ends above its level costs one more, uncounted,
-    evaluation at the smallest float on its root's side; a sign change there
-    raises BracketError.
+    |g|.  A target that ends above its level raises BracketError, after one
+    more, uncounted, evaluation at the smallest float on its root's side
+    tells a root below float resolution from a solve that ran out of steps.
     """
+    tol = TOLERANCES
+    rel_caps = [tol.rel + tol.abs / x for x in scales]
     t = [float(x) for x in targets]
     n = len(t)
     f0 = float(f(np.zeros(1))[0])
@@ -370,28 +389,25 @@ def _solve_decreasing(f, targets, tol: Tolerances, resid_rel_of,
                 next_active.append(i)
                 next_xs.append(x)
         active, xs = next_active, next_xs
-    # A root strictly between 0 and the smallest float of its sign has no float
-    # to stand for it: fail rather than return 0 with the residual unmet.
-    unmet = [i for i in range(n) if abs(resid_rel_of(g[i])) > rel_caps[i]]
-    if unmet:
-        dirs = sorted({sign[i] for i in unmet})
-        f_tiny = dict(zip(dirs, f(np.array(dirs) * math.ulp(0.0)).tolist()))
-        for i in unmet:
-            if sign[i] * (f_tiny[sign[i]] - t[i]) < 0.0:  # sign change inside
-                span = "(0, 5e-324)" if sign[i] > 0.0 else "(-5e-324, 0)"
-                raise BracketError(f"root in {span}, below float resolution; best x = "
-                                   f"{root[i]!r} leaves relative residual "
-                                   f"{resid_rel_of(g[i]):.3g}")
+    # every target meets its level or fails; a root strictly between 0 and the
+    # smallest float of its sign has no float to stand for it
+    for i in range(n):
+        if abs(resid_rel_of(g[i])) > rel_caps[i]:
+            if sign[i] * (float(f(np.array([sign[i] * math.ulp(0.0)]))[0]) - t[i]) < 0.0:
+                why = f"root in {'(0, 5e-324)' if sign[i] > 0.0 else '(-5e-324, 0)'}, " \
+                      "below float resolution"
+            else:
+                why = f"residual unmet after {iters[i]} evaluations"
+            raise BracketError(f"{why}; best x = {root[i]!r} leaves relative residual "
+                               f"{resid_rel_of(g[i]):.3g}")
     return np.array(root), np.array(g), np.array(iters)
 
 
-def _solve_phi(kernel: PhiKernel, targets, tol: Tolerances | None
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _solve_phi(kernel: PhiKernel, targets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(beta, g(beta), iterations) solving phi(beta) = target for every
     positive target in one batched solve, with g = log phi - log target."""
-    tol = tol or Tolerances()
-    return _solve_decreasing(kernel.log_phi, [math.log(x) for x in targets], tol,
-                             _safe_expm1, [tol.rel + tol.abs / x for x in targets])
+    return _solve_decreasing(kernel.log_phi, [math.log(x) for x in targets], _safe_expm1,
+                             targets)
 
 
 def _threshold_solution(equation: str, alpha: float, target: float, beta: float, g: float,
@@ -402,11 +418,11 @@ def _threshold_solution(equation: str, alpha: float, target: float, beta: float,
 
 
 def solve_beta(loading: LoadingVector, alpha: float, target: float,
-               tol: Tolerances | None = None, equation: str = "oracle") -> ThresholdSolution:
+               equation: str = "oracle") -> ThresholdSolution:
     """Solve phi(beta) = target by bracket expansion from 0 plus Chandrupatla steps."""
     if target <= 0 or not math.isfinite(target):
         raise ValueError("target must be positive and finite")
-    beta, g, iters = _solve_phi(PhiKernel(loading, alpha), [target], tol)
+    beta, g, iters = _solve_phi(PhiKernel(loading, alpha), [target])
     return _threshold_solution(equation, alpha, float(target), float(beta[0]), float(g[0]),
                                int(iters[0]))
 
@@ -416,18 +432,15 @@ def adaptive_target(s: int) -> float:
     return s / (2.0 * math.sqrt(1.0 + math.log(s)))
 
 
-def solve_adaptive_beta(loading: LoadingVector, alpha: float, s: int,
-                        tol: Tolerances | None = None) -> ThresholdSolution:
+def solve_adaptive_beta(loading: LoadingVector, alpha: float, s: int) -> ThresholdSolution:
     """Adaptive-family threshold: the oracle equation at target s/(2 sqrt(log(es)))."""
     s = int(s)
     if not 1 <= s <= loading.d:
         raise ValueError(f"s must be in [1, {loading.d}]")
-    sol = solve_beta(loading, alpha, adaptive_target(s), tol, equation="adaptive")
-    return sol
+    return solve_beta(loading, alpha, adaptive_target(s), equation="adaptive")
 
 
-def solve_lambda_H(loading: LoadingVector, alpha: float, s: int,
-                   tol: Tolerances | None = None) -> ThresholdSolution:
+def solve_lambda_H(loading: LoadingVector, alpha: float, s: int) -> ThresholdSolution:
     """Solve sum_{j >= s^2} exp(-(lambda/|eta_j|)^alpha) = s for lambda >= 0.
 
     The sum runs literally over j = s^2, ..., d (d - s^2 + 1 terms), which
@@ -441,11 +454,10 @@ def solve_lambda_H(loading: LoadingVector, alpha: float, s: int,
         raise ValueError(f"existence requires s^2 + s <= d + 1 (s={s}, d={d})")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    tol = tol or Tolerances()
     kernel = PhiKernel(loading, alpha)
 
     # g(0) = d - s^2 + 1 - s >= 0, so the expansion always runs upward
-    lam, g, iters = _solve_decreasing(lambda x: kernel.tail_sum(x, s * s - 1), [s], tol,
-                                      lambda v: v / s, [tol.rel + tol.abs / s])
+    lam, g, iters = _solve_decreasing(lambda x: kernel.tail_sum(x, s * s - 1), [s],
+                                      lambda v: v / s, [s])
     lam_ = float(lam[0])
     return ThresholdSolution("asym", float(s), lam_, lam_, float(g[0]), int(iters[0]))

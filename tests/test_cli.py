@@ -1,4 +1,5 @@
 import argparse
+import functools
 import json
 import math
 import re
@@ -7,6 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
+import sparsefn.cli as cli
+import sparsefn.threshold as threshold
 from sparsefn.cli import _build_parser, main
 from sparsefn.config import ConfigError, parse_config, serialize_config
 from sparsefn.estimators import VARIANTS
@@ -14,7 +17,7 @@ from sparsefn.loading import LoadingSpec
 from sparsefn.noise import NoiseModel
 from sparsefn.rates import RateCalculator
 from sparsefn.sim import EstimatorSpec, SimConfig, ThetaSpec, run_risk
-from sparsefn.threshold import BracketError
+from sparsefn.threshold import BracketError, Tolerances
 
 
 BASE_CONFIG = {
@@ -343,6 +346,32 @@ def test_solve_root_below_float_resolution_exits_2(tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert "below float resolution" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_solve_with_unmet_residual_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(threshold, "TOLERANCES", Tolerances(max_iter=4))
+    out = tmp_path / "sol.json"
+    assert main(["solve", "--loading-spec", "exp_decay", "--d", "100", "--c", "3",
+                 "--gamma", "1", "--alpha", "2", "--equation", "asym", "--s", "7",
+                 "--out", str(out)]) == 2
+    assert "residual unmet" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_parser_is_built_once_and_keeps_no_arguments(capsys, monkeypatch):
+    built = []
+    build = _build_parser.__wrapped__
+    monkeypatch.setattr(cli, "_build_parser", functools.cache(
+        lambda: built.append(1) or build()))
+    spec = ["--loading-spec", "homogeneous", "--d", "20", "--alpha", "2"]
+    rc, first = run_json(capsys, ["solve", *spec, "--equation", "adaptive", "--s", "3"])
+    assert rc == 0 and first["equation"] == "adaptive"
+    # --s and --equation of the first call do not carry over
+    assert main(["solve", *spec, "--equation", "adaptive"]) == 1
+    assert "adaptive equation needs --s" in capsys.readouterr().err
+    rc, third = run_json(capsys, ["solve", *spec, "--target", "2.0"])
+    assert rc == 0 and third["equation"] == "oracle" and third["target"] == 2.0
+    assert built == [1]
 
 
 def test_cell_set_up_failure_names_the_cell_and_exits_1(tmp_path, capsys):

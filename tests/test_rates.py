@@ -13,7 +13,7 @@ from sparsefn.rates import (
     oracle_rate,
     oracle_rate_decomposed,
 )
-from sparsefn.threshold import PhiKernel, log_phi_objective
+from sparsefn.threshold import TOLERANCES, PhiKernel, log_phi_objective
 
 HOM100 = make_loading(LoadingSpec("homogeneous", d=100))
 
@@ -284,7 +284,7 @@ def test_every_ladder_and_oracle_root_solves_its_equation(spec, alpha):
     for beta, lam, target in roots:
         rel = math.expm1(log_phi_objective(lv, alpha, beta) - math.log(target))
         # a root at or below 0 only has to be there: every rate reads max(beta, 0)
-        assert abs(rel) <= calc.tol.rel or (lam == 0.0 and log_phi0 <= math.log(target))
+        assert abs(rel) <= TOLERANCES.rel or (lam == 0.0 and log_phi0 <= math.log(target))
 
 
 def test_oracle_and_adaptive_at_s1_share_one_solve(monkeypatch):

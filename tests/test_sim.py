@@ -9,6 +9,7 @@ from sparsefn.noise import NoiseModel
 from sparsefn.sim import (
     EstimatorSpec,
     SimConfig,
+    SimulationError,
     ThetaSpec,
     calibrate_test_threshold,
     risk_grid,
@@ -293,9 +294,9 @@ def test_oracle_equation_solved_once_per_loading_alpha_and_s(monkeypatch):
     solved = []
     real = rates._solve_phi
 
-    def counting(kernel, targets, tol):
+    def counting(kernel, targets):
         solved.append((kernel.alpha, tuple(targets)))
-        return real(kernel, targets, tol)
+        return real(kernel, targets)
 
     monkeypatch.setattr(rates, "_solve_phi", counting)
     rep = risk_grid(config(replicates=2),
@@ -314,3 +315,57 @@ def test_multi_estimator_rows_equal_single_estimator_rows():
     for name in estimators:
         alone = risk_grid(c, dict(axes, estimator=[name])).rows
         assert alone == [row for row in joint if row["estimator"] == name]
+
+
+def _pinned_config():
+    return SimConfig(loading=LoadingSpec("homogeneous", d=100),
+                     noise=NoiseModel("gaussian", 2.0, 1.0, "G"), sigma=1.0,
+                     theta=ThetaSpec("zero"), estimator=EstimatorSpec("oracle", s=5),
+                     replicates=50, seed=7, s_assumed=5)
+
+
+def test_experiments_reproduce_their_pinned_outputs():
+    # every experiment draws its replicates on the streams it always used:
+    # coverage ("cell", [], "xi"), calibration ("test", "calib", fixture),
+    # test power ("test", "null", fixture) and ("test", "alt", fixture, rho)
+    c = _pinned_config()
+    rep = run_mom_coverage(c)
+    assert (rep.coverage.hex(), rep.mean_abs_rel_err.hex(), rep.n_rep) == (
+        "0x1.c28f5c28f5c29p-1", "0x1.436fd725c9cc5p-2", 50)
+    B = calibrate_test_threshold(c, t0=0.0, epsilon=0.1)
+    assert B.hex() == "0x1.3d27ffbd03fcap+0"
+    csv = run_test_power(c, t0=0.0, B=B, rho_grid=[2.0, 40.0]).to_csv()
+    assert csv.splitlines()[1:] == [
+        "kind,fixture,rho,error_rate,n_rep",
+        "type1,point,0.0,0.04,50",
+        "type1,cancelling_pair,0.0,0.04,50",
+        "type2,single+,2.0,0.96,50",
+        "type2,single-,2.0,0.98,50",
+        "type2,spread5,2.0,0.96,50",
+        "type2,single+,40.0,0.0,50",
+        "type2,single-,40.0,0.0,50",
+        "type2,spread5,40.0,0.0,50",
+    ]
+
+
+@pytest.mark.parametrize("experiment", [
+    run_mom_coverage,
+    lambda c: calibrate_test_threshold(c, t0=0.0, epsilon=0.1),
+    lambda c: run_test_power(c, t0=0.0, B=1.0, rho_grid=[2.0]),
+    run_risk,
+], ids=["coverage", "calibration", "test_power", "risk"])
+def test_failed_replicate_names_seed_and_replicate(experiment, monkeypatch):
+    import sparsefn.sim as sim
+
+    calls = []
+    real = sim.sample_with
+
+    def nan_at_replicate_3(noise, d, rng):
+        calls.append(d)
+        xi = real(noise, d, rng)
+        return np.full(d, np.nan) if len(calls) == 4 else xi
+
+    monkeypatch.setattr(sim, "sample_with", nan_at_replicate_3)
+    with pytest.raises(SimulationError, match=r"^replicate 3 failed \(seed=7, ") as err:
+        experiment(_pinned_config())
+    assert isinstance(err.value.__cause__, ValueError)

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import sparsefn.threshold as threshold
 from sparsefn.loading import LoadingSpec, make_loading
 from sparsefn.threshold import (
+    TOLERANCES,
     BracketError,
     PhiKernel,
     Tolerances,
@@ -349,7 +351,7 @@ def test_solver_costs_no_more_than_bisection():
         alpha = float(rng.choice([0.5, 1.0, 2.0, 4.0]))
         kernel = PhiKernel(lv, alpha)
         target = math.exp(float(kernel.log_phi([0.0])[0])) * 10.0 ** rng.uniform(-3.0, 3.0)
-        _beta, _g, iters = _solve_phi(kernel, [target], None)
+        _beta, _g, iters = _solve_phi(kernel, [target])
         reference = _bisection_evaluations(kernel, target)
         assert iters[0] <= reference, (lv.d, alpha, target)
         ours += int(iters[0])
@@ -360,14 +362,14 @@ def test_solver_costs_no_more_than_bisection():
 def test_log_phi_memo_changes_no_bits(monkeypatch):
     lv = make_loading(LoadingSpec("exp_decay", d=2000, c=0.01, gamma=1.0))
     shared = PhiKernel(lv, 2.0)
-    _solve_phi(shared, [0.5, 3.0], None)
+    _solve_phi(shared, [0.5, 3.0])
     for targets in ([0.5], [3.0, 0.5], [0.7], [1e-3, 40.0]):
-        hit = _solve_phi(shared, targets, None)
-        fresh = _solve_phi(PhiKernel(lv, 2.0), targets, None)
+        hit = _solve_phi(shared, targets)
+        fresh = _solve_phi(PhiKernel(lv, 2.0), targets)
         for a, b in zip(hit, fresh):  # beta, g and iterations
             assert a.tolist() == b.tolist()
     rows = _counting(monkeypatch, "_probe_block")
-    _solve_phi(shared, [3.0], None)
+    _solve_phi(shared, [3.0])
     assert rows == []  # every probe of a repeated target is remembered
 
 
@@ -391,6 +393,55 @@ def test_tiny_tail_root_meets_the_residual():
     assert 0.0 < sol.lambda_ < 1e-40 and sol.meets(Tolerances()), sol
 
 
+@pytest.mark.parametrize("s", [7, 8, 9])
+def test_steep_tail_root_meets_the_residual(s):
+    # every tail term is 0 from lambda = 1 down to about 1e-70: halving toward
+    # 0 alone ran out of steps and returned lambda = 1 with residual -s
+    lv = make_loading(LoadingSpec("exp_decay", d=100, c=3.0, gamma=1.0))
+    sol = solve_lambda_H(lv, 2.0, s)
+    assert sol.meets(TOLERANCES) and sol.iterations <= 20, sol
+
+
+def test_unmet_residual_raises(monkeypatch):
+    monkeypatch.setattr(threshold, "TOLERANCES", Tolerances(max_iter=4))
+    lv = make_loading(LoadingSpec("exp_decay", d=2000, c=0.01, gamma=1.0))
+    with pytest.raises(BracketError, match="residual unmet after 4 evaluations"):
+        solve_beta(lv, 2.0, 3.0)
+    with pytest.raises(BracketError, match="residual unmet"):
+        solve_lambda_H(lv, 2.0, 7)
+
+
+def _tail_residual(lv, alpha, lam, s):
+    """Relative residual of the asym equation, summed over sorted positions."""
+    with np.errstate(over="ignore", divide="ignore"):
+        z = np.exp(alpha * (np.log(lam) - np.log(lv.abs_values[s * s - 1:])))
+    return (float(np.exp(-z).sum()) - s) / s
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=0.05, max_value=5.0), st.integers(min_value=2, max_value=150),
+       st.sampled_from([1.0, 1.5]), st.floats(min_value=0.5, max_value=4.0),
+       st.integers(min_value=1, max_value=12))
+def test_steep_exp_decay_solves_meet_the_residual_or_raise(c, d, gamma, alpha, s):
+    assume(c * (d - 1) ** gamma < 700.0)  # no loading underflows to 0
+    lv = make_loading(LoadingSpec("exp_decay", d=d, c=c, gamma=gamma))
+    s = min(s, d)
+    solves = [(lambda: solve_beta(lv, alpha, s / 2.0), "phi"),
+              (lambda: solve_adaptive_beta(lv, alpha, s), "phi")]
+    if s * s + s <= d + 1:
+        solves.append((lambda: solve_lambda_H(lv, alpha, s), "tail"))
+    for solve, kind in solves:
+        try:
+            sol = solve()
+        except BracketError:
+            continue
+        if kind == "phi":
+            rel = _safe_expm1(log_phi_objective(lv, alpha, sol.beta) - math.log(sol.target))
+        else:
+            rel = _tail_residual(lv, alpha, sol.lambda_, s)
+        assert abs(rel) <= TOLERANCES.rel, (sol, rel)
+
+
 @pytest.mark.parametrize("spec", [
     LoadingSpec("homogeneous", d=500),
     LoadingSpec("two_phase", d=10_000, gamma_d=0.4, gamma_lambda=0.2),
@@ -401,7 +452,7 @@ def test_tiny_tail_root_meets_the_residual():
 def test_batched_ladder_equals_one_target_solves(spec, alpha):
     lv = make_loading(spec)
     targets = [adaptive_target(s) for s in range(1, 121)] + [0.01, 1e3]
-    beta, g, iters = _solve_phi(PhiKernel(lv, alpha), targets, None)
+    beta, g, iters = _solve_phi(PhiKernel(lv, alpha), targets)
     for i, target in enumerate(targets):
         one = solve_beta(lv, alpha, target)
         assert (beta[i], iters[i]) == (one.beta, one.iterations)
