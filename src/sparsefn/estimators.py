@@ -6,13 +6,15 @@ is exposed because the displayed thresholds carry an unresolved constant;
 risk-bound constants absorb it and the default is 1.  Comparisons at the
 threshold use strict ``>``.
 
-Coordinates are processed internally in sorted-|loading| order; kept indices
+``EstimationInput`` sorts ``y`` into decreasing-|loading| order once and
+keeps that view with ``eta * y``; every thresholding estimator is one call
+of ``_estimate`` on it with its own threshold and cutoff (the adaptive one
+reads both from the rate table its Lepski scan already used).  Kept indices
 are reported in the caller's original order.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import warnings
 from collections.abc import Callable
@@ -57,7 +59,8 @@ class EstimationInput:
     ``y`` is in the loading's original coordinate order.  ``sigma`` is the
     known noise level, or ``None`` when unknown (median-of-means route).
     ``sigma = 0`` is admitted for degenerate-noise experiments, where every
-    threshold vanishes and recovery is exact.
+    threshold vanishes and recovery is exact.  ``ys`` (``y`` in sorted-loading
+    order) and ``etay`` (``loading.values * ys``) are built once, read-only.
     """
 
     y: np.ndarray
@@ -66,6 +69,8 @@ class EstimationInput:
     tau: float
     sigma: float | None = 1.0
     kappa: float = 1.0
+    ys: np.ndarray = field(init=False, repr=False, compare=False)
+    etay: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         y = np.asarray(self.y, dtype=float)
@@ -80,8 +85,11 @@ class EstimationInput:
             raise ValueError("sigma must be nonnegative and finite, or None (unknown)")
         if not (math.isfinite(self.kappa) and self.kappa > 0):
             raise ValueError("kappa must be positive and finite")
-        y.flags.writeable = False
-        object.__setattr__(self, "y", y)
+        ys = self.loading.to_sorted(y)
+        etay = self.loading.values * ys
+        for name, arr in (("y", y), ("ys", ys), ("etay", etay)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def require_sigma(self) -> float:
         if self.sigma is None:
@@ -148,19 +156,14 @@ def _calc(inp: EstimationInput, calculator: RateCalculator | None) -> RateCalcul
     return RateCalculator(inp.loading, inp.alpha)
 
 
-def _threshold_sum(eta: np.ndarray, ys: np.ndarray, cutoff: int, threshold: float):
-    """Plug-in below cutoff, strict hard threshold on |eta*y| above it."""
-    etay = eta * ys
-    keep = np.abs(etay) > threshold
+def _estimate(inp: EstimationInput, s: int, threshold: float, cutoff: int, variant: str,
+              stat: np.ndarray | None = None) -> EstimateResult:
+    """Plug-in on the sorted head ``[:cutoff]``, strict hard threshold on
+    ``stat`` (default |eta*y|, in sorted order) beyond."""
+    keep = (np.abs(inp.etay) if stat is None else stat) > threshold
     keep[:cutoff] = True
-    return float(etay[keep].sum()), keep
-
-
-def _result(inp: EstimationInput, keep: np.ndarray, value: float, s: int,
-            threshold: float, variant: str) -> EstimateResult:
-    """``keep`` is in sorted-loading order."""
-    return EstimateResult(value, int(s), float(threshold), inp.loading.to_original(keep),
-                          variant)
+    return EstimateResult(float(inp.etay[keep].sum()), int(s), float(threshold),
+                          inp.loading.to_original(keep), variant)
 
 
 def oracle_estimate(inp: EstimationInput, s: int, *,
@@ -170,16 +173,14 @@ def oracle_estimate(inp: EstimationInput, s: int, *,
     sigma = inp.require_sigma()
     prof = _calc(inp, calculator).oracle(s)
     thr = inp.kappa * sigma * inp.tau * prof.lambda_o
-    ys = inp.loading.to_sorted(inp.y)
-    value, keep = _threshold_sum(inp.loading.values, ys, prof.j1, thr)
-    return _result(inp, keep, value, s, thr, "oracle")
+    return _estimate(inp, s, thr, prof.j1, "oracle")
 
 
 def plugin_estimate(inp: EstimationInput) -> EstimateResult:
     """Pure plug-in sum over all coordinates; the no-thresholding baseline."""
-    value = float(np.dot(inp.loading.original_values, inp.y))
-    keep = np.ones(inp.loading.d, dtype=bool)
-    return _result(inp, keep, value, inp.loading.d, 0.0, "plugin")
+    d = inp.loading.d
+    return EstimateResult(float(np.dot(inp.loading.original_values, inp.y)), d, 0.0,
+                          np.ones(d, dtype=bool), "plugin")
 
 
 def collier_estimate(inp: EstimationInput, s: int) -> EstimateResult:
@@ -193,13 +194,8 @@ def collier_estimate(inp: EstimationInput, s: int) -> EstimateResult:
     if not 1 <= s <= d:
         raise ValueError(f"s must be in [1, {d}]")
     if s >= math.sqrt(d):
-        value = float(inp.y.sum())
-        keep = np.ones(d, dtype=bool)
-        return _result(inp, keep, value, s, 0.0, "collier")
-    thr = sigma * math.sqrt(2.0 * math.log1p(d / s**2))
-    keep = np.abs(inp.y) > thr  # already original order
-    value = float(inp.y[keep].sum())
-    return EstimateResult(value, s, thr, keep, "collier")
+        return _estimate(inp, s, 0.0, d, "collier")
+    return _estimate(inp, s, sigma * math.sqrt(2.0 * math.log1p(d / s**2)), 0, "collier")
 
 
 def family_estimate(inp: EstimationInput, s: int, *,
@@ -210,9 +206,7 @@ def family_estimate(inp: EstimationInput, s: int, *,
     calc = _calc(inp, calculator)
     lam = calc.lambda_star(s)
     thr = inp.kappa * sigma * inp.tau * lam
-    ys = inp.loading.to_sorted(inp.y)
-    value, keep = _threshold_sum(inp.loading.values, ys, calc.j2(s), thr)
-    return _result(inp, keep, value, s, thr, "family")
+    return _estimate(inp, s, thr, calc.j2(s), "family")
 
 
 def _family_values(inp: EstimationInput, table: RateTable) -> np.ndarray:
@@ -224,12 +218,11 @@ def _family_values(inp: EstimationInput, table: RateTable) -> np.ndarray:
     the first member keeping it, and a prefix sum over s gives every member.
     """
     sigma = inp.require_sigma()
-    etay = inp.loading.values * inp.loading.to_sorted(inp.y)
     thr = inp.kappa * sigma * inp.tau * table.lambda_star
-    above_from = np.searchsorted(-thr, -np.abs(etay), side="right")  # thr(s) < |etay|
+    above_from = np.searchsorted(-thr, -np.abs(inp.etay), side="right")  # thr(s) < |etay|
     first = np.minimum(above_from, table.head_from)
     n = thr.size
-    return np.cumsum(np.bincount(first, weights=etay, minlength=n + 1)[:n])
+    return np.cumsum(np.bincount(first, weights=inp.etay, minlength=n + 1)[:n])
 
 
 def _lepski_core(inp: EstimationInput, zeta: float,
@@ -271,13 +264,17 @@ def lepski_select(inp: EstimationInput, zeta: float, *,
 
 def adaptive_estimate(inp: EstimationInput, zeta: float | None = None, *,
                       calculator: RateCalculator | None = None) -> EstimateResult:
-    """Lepski-selected member of the adaptive family."""
+    """Lepski-selected member of the adaptive family: member min(s_hat, s0)
+    with ``s_used = s_hat``, its threshold and cutoff read from the rate
+    table."""
     if zeta is None:
         zeta = default_zeta(inp.alpha)
     calc = _calc(inp, calculator)
     s_hat, _s_star, cap, _values, _omega = _lepski_core(inp, zeta, calc)
-    res = family_estimate(inp, min(s_hat, cap), calculator=calc)
-    return dataclasses.replace(res, s_used=s_hat, variant="adaptive")
+    table = calc.table()
+    m = min(s_hat, cap)
+    thr = inp.kappa * inp.sigma * inp.tau * table.lambda_star[m - 1]
+    return _estimate(inp, s_hat, thr, table.j2[m - 1], "adaptive")
 
 
 def nonsymmetric_estimate(inp: EstimationInput, s: int, c_h: float | None = None, *,
@@ -296,11 +293,7 @@ def nonsymmetric_estimate(inp: EstimationInput, s: int, c_h: float | None = None
         c_h = inp.tau * 4.0 ** (1.0 / inp.alpha)
     j3 = j3_index(d, s, inp.alpha)
     thr = c_h * sigma * (1.0 + math.log(d / s)) ** (1.0 / inp.alpha)
-    ys = inp.loading.to_sorted(inp.y)
-    keep = np.abs(ys) > thr
-    keep[:j3] = True
-    value = float((inp.loading.values[keep] * ys[keep]).sum())
-    return _result(inp, keep, value, s, thr, "nonsym")
+    return _estimate(inp, s, thr, j3, "nonsym", stat=np.abs(inp.ys))
 
 
 def mom_sigma(y, gamma_split: float = 0.5, shuffle_seed: int | None = None) -> float:
@@ -348,9 +341,7 @@ def unknown_sigma_estimate(inp: EstimationInput, s: int, gamma_split: float = 0.
     sigma_hat = math.sqrt(mom_sigma(inp.y, gamma_split, shuffle_seed))
     prof = _calc(inp, calculator).oracle(s)
     thr = inp.kappa * math.sqrt(2.0) * sigma_hat * inp.tau * prof.lambda_o
-    ys = inp.loading.to_sorted(inp.y)
-    value, keep = _threshold_sum(inp.loading.values, ys, prof.j1, thr)
-    return _result(inp, keep, value, s, thr, "unknown-sigma")
+    return _estimate(inp, s, thr, prof.j1, "unknown-sigma")
 
 
 def linear_test(inp: EstimationInput, s: int, t0: float, B: float, *,

@@ -134,9 +134,12 @@ class LoadingVector:
         out[self.order] = x_sorted
         return out
 
-    @property
+    @cached_property
     def original_values(self) -> np.ndarray:
-        return self.to_original(self.values)
+        """``values`` in the caller's original order, built once; read-only."""
+        out = self.to_original(self.values)
+        out.flags.writeable = False
+        return out
 
 
 @dataclass(frozen=True)

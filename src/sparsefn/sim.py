@@ -97,16 +97,6 @@ class ThetaSpec:
         if self.kind == "prior" and (self.s is None or self.c1 is None):
             raise ValueError("prior theta needs s and c1")
 
-    @property
-    def s_true(self) -> int:
-        if self.kind == "zero":
-            return 0
-        if self.kind == "fixed":
-            return sum(1 for v in self.values if v != 0.0)
-        if self.kind == "spike_grid":
-            return int(self.n_spikes)
-        return int(self.s)
-
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}
         for name in ("support", "values", "rho", "n_spikes", "s", "c1"):
@@ -467,6 +457,9 @@ class MomCoverageReport:
 
 def run_mom_coverage(config: SimConfig) -> MomCoverageReport:
     """Fraction of replicates with sigma_hat^2 / sigma^2 in [1/2, 3/2]."""
+    if config.sigma == 0.0:
+        raise ValueError("sigma=0.0 must be positive: mom coverage reports "
+                         "sigma_hat^2 / sigma^2")
     loading = make_loading(config.loading)
     theta = _fixed_theta(config, loading, RateCalculator(loading, config.noise.alpha))
     if theta is None:

@@ -66,7 +66,7 @@ class BracketError(RuntimeError):
 class Tolerances:
     """Stopping rules for the threshold solvers.
 
-    ``rel``/``abs`` bound the achieved objective residual, which is the
+    ``rel`` bounds the achieved relative objective residual, which is the
     meaningful contract (beta enters rates only through the objective).
     ``width`` is a purely relative x tolerance: every new point keeps at
     least ``width * |x|`` from both bracket ends (x the end with the smaller
@@ -78,7 +78,6 @@ class Tolerances:
     """
 
     rel: float = 1e-10
-    abs: float = 0.0
     width: float = 1e-12
     max_iter: int = 200
     max_doublings: int = 120
@@ -105,7 +104,7 @@ class ThresholdSolution:
     iterations: int
 
     def meets(self, tol: Tolerances) -> bool:
-        return abs(self.residual) <= tol.rel * self.target + tol.abs
+        return abs(self.residual) <= tol.rel * self.target
 
     def to_dict(self) -> dict:
         return {
@@ -308,8 +307,7 @@ def _chandrupatla_x(x1: float, f1: float, x2: float, f2: float, x3: float | None
     return None
 
 
-def _solve_decreasing(f, targets, resid_rel_of,
-                      scales) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _solve_decreasing(f, targets, resid_rel_of) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Roots of F(x) = t for a strictly decreasing F and a vector of targets t.
 
     ``f`` maps a vector of x to F(x).  Each target gets a geometric bracket
@@ -318,14 +316,13 @@ def _solve_decreasing(f, targets, resid_rel_of,
     it were solved alone; every step evaluates the targets still active in one
     call to ``f`` (F(0) once for all, and at most two distinct x per expansion
     step).  ``resid_rel_of`` maps g = F(x) - t to the relative residual, and
-    target i stops at ``TOLERANCES.rel + TOLERANCES.abs / scales[i]``.  Returns (root, g(root),
+    a target stops once that is within ``TOLERANCES.rel``.  Returns (root, g(root),
     evaluations of g) per target, the root being the probe with the smallest
     |g|.  A target that ends above its level raises BracketError, after one
     more, uncounted, evaluation at the smallest float on its root's side
     tells a root below float resolution from a solve that ran out of steps.
     """
     tol = TOLERANCES
-    rel_caps = [tol.rel + tol.abs / x for x in scales]
     t = [float(x) for x in targets]
     n = len(t)
     f0 = float(f(np.zeros(1))[0])
@@ -376,7 +373,7 @@ def _solve_decreasing(f, targets, resid_rel_of,
             iters[i] += 1
             if abs(gx) < abs(g[i]):
                 root[i], g[i] = x, gx
-            if abs(resid_rel_of(gx)) <= rel_caps[i]:
+            if abs(resid_rel_of(gx)) <= tol.rel:
                 continue
             if (gx > 0.0) == (f1[i] > 0.0):  # x replaces the newest end
                 x3[i], f3[i] = x1[i], f1[i]
@@ -392,7 +389,7 @@ def _solve_decreasing(f, targets, resid_rel_of,
     # every target meets its level or fails; a root strictly between 0 and the
     # smallest float of its sign has no float to stand for it
     for i in range(n):
-        if abs(resid_rel_of(g[i])) > rel_caps[i]:
+        if abs(resid_rel_of(g[i])) > tol.rel:
             if sign[i] * (float(f(np.array([sign[i] * math.ulp(0.0)]))[0]) - t[i]) < 0.0:
                 why = f"root in {'(0, 5e-324)' if sign[i] > 0.0 else '(-5e-324, 0)'}, " \
                       "below float resolution"
@@ -406,8 +403,7 @@ def _solve_decreasing(f, targets, resid_rel_of,
 def _solve_phi(kernel: PhiKernel, targets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(beta, g(beta), iterations) solving phi(beta) = target for every
     positive target in one batched solve, with g = log phi - log target."""
-    return _solve_decreasing(kernel.log_phi, [math.log(x) for x in targets], _safe_expm1,
-                             targets)
+    return _solve_decreasing(kernel.log_phi, [math.log(x) for x in targets], _safe_expm1)
 
 
 def _threshold_solution(equation: str, alpha: float, target: float, beta: float, g: float,
@@ -458,6 +454,6 @@ def solve_lambda_H(loading: LoadingVector, alpha: float, s: int) -> ThresholdSol
 
     # g(0) = d - s^2 + 1 - s >= 0, so the expansion always runs upward
     lam, g, iters = _solve_decreasing(lambda x: kernel.tail_sum(x, s * s - 1), [s],
-                                      lambda v: v / s, [s])
+                                      lambda v: v / s)
     lam_ = float(lam[0])
     return ThresholdSolution("asym", float(s), lam_, lam_, float(g[0]), int(iters[0]))

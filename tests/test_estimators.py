@@ -434,6 +434,10 @@ def test_vectorized_family_sums_match_per_s_loop(spec, alpha):
         scale = float(np.abs(lv.values * y).sum())
         np.testing.assert_allclose(sel.estimates, ref, rtol=1e-12, atol=1e-12 * scale)
         assert sel.s_hat == _lepski_loop(ref, calc, 10.0 ** rep, 1.0, sel.s_star)
+        res = adaptive_estimate(inp, 10.0 ** rep, calculator=calc)
+        member = family_estimate(inp, min(sel.s_hat, len(ref)), calculator=calc)
+        assert (res.value.hex(), res.threshold.hex(), res.kept_indices, res.s_used) == (
+            member.value.hex(), member.threshold.hex(), member.kept_indices, sel.s_hat)
 
 
 def test_rate_table_matches_per_s_methods():

@@ -108,6 +108,13 @@ def test_values_are_immutable():
         lv.values[0] = 7.0
 
 
+def test_original_values_built_once_and_read_only():
+    lv = make_loading(LoadingSpec("explicit", values=(0.5, -3.0, 1.0)))
+    assert lv.original_values is lv.original_values
+    with pytest.raises(ValueError):
+        lv.original_values[0] = 7.0
+
+
 def test_level_view_run_length():
     hom = make_loading(LoadingSpec("homogeneous", d=7)).levels
     assert hom.tied and list(hom.values) == [1.0] and list(hom.counts) == [7]

@@ -177,6 +177,11 @@ def test_mom_coverage_trend_toward_boundary():
     assert min(coverages) >= 0.95
 
 
+def test_mom_coverage_rejects_zero_sigma():
+    with pytest.raises(ValueError, match=r"^sigma=0\.0 must be positive"):
+        run_mom_coverage(config(sigma=0.0))
+
+
 def test_mom_coverage_requires_fixed_theta():
     c = config(theta=ThetaSpec("prior", s=3, c1=0.5))
     with pytest.raises(ValueError):
@@ -286,6 +291,29 @@ def test_estimator_axis_draws_noise_once_per_data_cell_replicate(monkeypatch):
                      "rho": [0.5, 1.0, 2.0]})
     assert len(rep.rows) == 12
     assert len(calls) == 3 * reps
+
+
+def test_each_replicate_sorted_once_across_the_estimator_axis(monkeypatch):
+    import sparsefn.estimators as estimators
+    from sparsefn.loading import LoadingVector
+
+    calls = []
+    real = LoadingVector.to_sorted
+
+    def counting(self, x):
+        calls.append(x.shape)
+        return real(self, x)
+
+    def no_family(*args, **kwargs):
+        raise AssertionError("adaptive recomputed its member through family_estimate")
+
+    monkeypatch.setattr(LoadingVector, "to_sorted", counting)
+    monkeypatch.setattr(estimators, "family_estimate", no_family)
+    reps = 7
+    rep = risk_grid(config(replicates=reps),
+                    {"estimator": ["oracle", "nonsym", "unknown-sigma", "adaptive"]})
+    assert len(rep.rows) == 4
+    assert len(calls) == reps
 
 
 def test_oracle_equation_solved_once_per_loading_alpha_and_s(monkeypatch):

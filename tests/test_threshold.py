@@ -314,7 +314,7 @@ def _bisection_evaluations(kernel, target, tol=Tolerances()):
     takes: the same expansion from 0, then midpoints until the residual is
     met, the bracket is narrower than width * max(|mid|, width), the midpoint
     rounds onto an end, or max_iter evaluations are spent."""
-    log_t, cap = math.log(target), tol.rel + tol.abs / target
+    log_t, cap = math.log(target), tol.rel
 
     def g(x):
         return float(kernel.log_phi([x])[0]) - log_t
