@@ -22,6 +22,7 @@ from .loading import LoadingSpec, LoadingVector, drop_zero_loadings, make_loadin
 from .lowerbound import build_prior, chi2_mixture_bound, prior_moments, sample_prior
 from .rates import RateCalculator, closed_form_for_spec
 from .sim import SimulationError, SimulationReport, config_hash, risk_grid
+from .streams import STREAM_SCHEME
 from .threshold import BracketError, solve_adaptive_beta, solve_beta, solve_lambda_H
 
 __all__ = ["main", "console_main"]
@@ -37,7 +38,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _meta(params: dict, seed: int | None = None) -> dict:
-    return {"tool_version": __version__, "config_hash": config_hash(params), "seed": seed}
+    """Output metadata; a seeded output also records, and hashes, the stream
+    scheme its draws come from."""
+    scheme = {} if seed is None else {"stream_scheme": STREAM_SCHEME}
+    return {"tool_version": __version__, "config_hash": config_hash({**params, **scheme}),
+            "seed": seed, **scheme}
 
 
 def _write(text: str, out: str | None) -> None:

@@ -6,11 +6,14 @@ is exposed because the displayed thresholds carry an unresolved constant;
 risk-bound constants absorb it and the default is 1.  Comparisons at the
 threshold use strict ``>``.
 
-``EstimationInput`` sorts ``y`` into decreasing-|loading| order once and
+``EstimationInput`` holds one observation vector or an (R, d) block of R
+replicate rows.  It sorts the rows into decreasing-|loading| order once and
 keeps that view with ``eta * y``; every thresholding estimator is one call
 of ``_estimate`` on it with its own threshold and cutoff (the adaptive one
-reads both from the rate table its Lepski scan already used).  Kept indices
-are reported in the caller's original order.
+reads both from the rate table its Lepski scan already used), and maps the
+block to R values.  A single vector is the R = 1 case of the same code, so
+row r of a block's result equals the result on row r alone, bit for bit.
+Kept indices are reported in the caller's original order.
 """
 
 from __future__ import annotations
@@ -56,11 +59,13 @@ def default_zeta(alpha: float) -> float:
 class EstimationInput:
     """Observations plus everything the estimators need to threshold them.
 
-    ``y`` is in the loading's original coordinate order.  ``sigma`` is the
-    known noise level, or ``None`` when unknown (median-of-means route).
-    ``sigma = 0`` is admitted for degenerate-noise experiments, where every
-    threshold vanishes and recovery is exact.  ``ys`` (``y`` in sorted-loading
-    order) and ``etay`` (``loading.values * ys``) are built once, read-only.
+    ``y`` is one vector of length d or an (R, d) block of replicate rows, in
+    the loading's original coordinate order; it is validated once.  ``sigma``
+    is the known noise level, or ``None`` when unknown (median-of-means
+    route).  ``sigma = 0`` is admitted for degenerate-noise experiments, where
+    every threshold vanishes and recovery is exact.  ``ys`` (the rows of ``y``
+    in sorted-loading order) and ``etay`` (``loading.values * ys``) are (R, d)
+    arrays, R = 1 for a single vector, built once, read-only.
     """
 
     y: np.ndarray
@@ -74,8 +79,8 @@ class EstimationInput:
 
     def __post_init__(self) -> None:
         y = np.asarray(self.y, dtype=float)
-        if y.shape != (self.loading.d,):
-            raise ValueError(f"y must have length d={self.loading.d}")
+        if y.ndim not in (1, 2) or y.shape[-1] != self.loading.d or not y.size:
+            raise ValueError(f"y must have length d={self.loading.d}, or be an (R, d) block")
         if not np.all(np.isfinite(y)):
             raise ValueError("y entries must be finite")
         if not (math.isfinite(self.alpha) and math.isfinite(self.tau)
@@ -85,11 +90,16 @@ class EstimationInput:
             raise ValueError("sigma must be nonnegative and finite, or None (unknown)")
         if not (math.isfinite(self.kappa) and self.kappa > 0):
             raise ValueError("kappa must be positive and finite")
-        ys = self.loading.to_sorted(y)
+        ys = self.loading.to_sorted(np.atleast_2d(y))
         etay = self.loading.values * ys
         for name, arr in (("y", y), ("ys", ys), ("etay", etay)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    @property
+    def block(self) -> bool:
+        """True for an (R, d) block, False for a single vector."""
+        return self.y.ndim == 2
 
     def require_sigma(self) -> float:
         if self.sigma is None:
@@ -102,7 +112,12 @@ class EstimateResult:
     """An estimate; ``keep`` is a read-only boolean mask of the kept
     coordinates in the caller's original order, and ``kept_indices`` lists
     them, built on first read.  Equality and hashing go by
-    (value, s_used, threshold, kept_indices, variant)."""
+    (value, s_used, threshold, kept_indices, variant).
+
+    The estimate of an (R, d) block holds (R,) arrays of values, sizes and
+    thresholds, an (R, d) mask, and one ``kept_indices`` tuple per row;
+    ``row(r)`` is row r's estimate.
+    """
 
     value: float
     s_used: int
@@ -112,16 +127,26 @@ class EstimateResult:
 
     def __post_init__(self) -> None:
         keep = np.asarray(self.keep)
-        if keep.dtype != bool or keep.ndim != 1:
-            raise TypeError("keep must be a 1-d boolean mask")
+        if keep.dtype != bool or keep.ndim not in (1, 2):
+            raise TypeError("keep must be a boolean mask, one row per estimate")
         keep.flags.writeable = False
         object.__setattr__(self, "keep", keep)
 
+    def row(self, r: int) -> EstimateResult:
+        if self.keep.ndim == 1:
+            raise ValueError("row() needs the estimate of a block")
+        return EstimateResult(float(self.value[r]), int(self.s_used[r]),
+                              float(self.threshold[r]), self.keep[r], self.variant)
+
     @cached_property
-    def kept_indices(self) -> tuple[int, ...]:
+    def kept_indices(self) -> tuple:
+        if self.keep.ndim == 2:
+            return tuple(tuple(np.flatnonzero(k).tolist()) for k in self.keep)
         return tuple(np.flatnonzero(self.keep).tolist())
 
     def _key(self) -> tuple:
+        if self.keep.ndim == 2:
+            return tuple(self.row(r)._key() for r in range(len(self.keep)))
         return (self.value, self.s_used, self.threshold, self.kept_indices, self.variant)
 
     def __eq__(self, other):
@@ -135,6 +160,8 @@ class EstimateResult:
 
 @dataclass(frozen=True)
 class TestResult:
+    """One test, or (R,) arrays of decisions and statistics for a block."""
+
     decision: int
     statistic: float
     threshold: float
@@ -156,14 +183,29 @@ def _calc(inp: EstimationInput, calculator: RateCalculator | None) -> RateCalcul
     return RateCalculator(inp.loading, inp.alpha)
 
 
-def _estimate(inp: EstimationInput, s: int, threshold: float, cutoff: int, variant: str,
+def _result(inp: EstimationInput, value: np.ndarray, s_used, threshold, keep: np.ndarray,
+            variant: str) -> EstimateResult:
+    """Per-row ``value`` (R,), ``s_used`` and ``threshold`` (scalars or (R,))
+    and ``keep`` (R, d, original order) as the result for ``inp``: arrays for
+    a block, scalars for a single vector."""
+    rows = keep.shape[0]
+    s_used = np.broadcast_to(np.asarray(s_used, dtype=int), rows)
+    threshold = np.broadcast_to(np.asarray(threshold, dtype=float), rows)
+    if inp.block:
+        return EstimateResult(value, s_used, threshold, keep, variant)
+    return EstimateResult(float(value[0]), int(s_used[0]), float(threshold[0]), keep[0],
+                          variant)
+
+
+def _estimate(inp: EstimationInput, s, threshold, cutoff, variant: str,
               stat: np.ndarray | None = None) -> EstimateResult:
     """Plug-in on the sorted head ``[:cutoff]``, strict hard threshold on
-    ``stat`` (default |eta*y|, in sorted order) beyond."""
-    keep = (np.abs(inp.etay) if stat is None else stat) > threshold
-    keep[:cutoff] = True
-    return EstimateResult(float(inp.etay[keep].sum()), int(s), float(threshold),
-                          inp.loading.to_original(keep), variant)
+    ``stat`` (default |eta*y|, in sorted order) beyond, on every row;
+    ``s``, ``threshold`` and ``cutoff`` are scalars or one per row."""
+    keep = (np.abs(inp.etay) if stat is None else stat) > np.reshape(threshold, (-1, 1))
+    keep |= np.arange(inp.loading.d) < np.reshape(cutoff, (-1, 1))
+    value = np.where(keep, inp.etay, 0.0).sum(axis=1)
+    return _result(inp, value, s, threshold, inp.loading.to_original(keep), variant)
 
 
 def oracle_estimate(inp: EstimationInput, s: int, *,
@@ -178,9 +220,9 @@ def oracle_estimate(inp: EstimationInput, s: int, *,
 
 def plugin_estimate(inp: EstimationInput) -> EstimateResult:
     """Pure plug-in sum over all coordinates; the no-thresholding baseline."""
-    d = inp.loading.d
-    return EstimateResult(float(np.dot(inp.loading.original_values, inp.y)), d, 0.0,
-                          np.ones(d, dtype=bool), "plugin")
+    rows = np.atleast_2d(inp.y)
+    value = (rows * inp.loading.original_values).sum(axis=1)
+    return _result(inp, value, inp.loading.d, 0.0, np.ones(rows.shape, dtype=bool), "plugin")
 
 
 def collier_estimate(inp: EstimationInput, s: int) -> EstimateResult:
@@ -210,24 +252,31 @@ def family_estimate(inp: EstimationInput, s: int, *,
 
 
 def _family_values(inp: EstimationInput, table: RateTable) -> np.ndarray:
-    """Family estimates for s = 1..len(table.j2) in O(d log s0).
+    """(R, n) family estimates for s = 1..n = len(table.j2), in O(d log s0)
+    per row.
 
     j2(s) is nondecreasing and the threshold nonincreasing in s, so once a
     coordinate is kept -- in the plug-in head or above the threshold -- every
     later member keeps it too.  Each coordinate's etay is therefore added at
     the first member keeping it, and a prefix sum over s gives every member.
+    Row r's coordinates go to bins r * (n + 1) + s - 1, so one bincount sums
+    every row in its own order.
     """
     sigma = inp.require_sigma()
     thr = inp.kappa * sigma * inp.tau * table.lambda_star
     above_from = np.searchsorted(-thr, -np.abs(inp.etay), side="right")  # thr(s) < |etay|
     first = np.minimum(above_from, table.head_from)
-    n = thr.size
-    return np.cumsum(np.bincount(first, weights=inp.etay, minlength=n + 1)[:n])
+    rows, n = first.shape[0], thr.size
+    first += (n + 1) * np.arange(rows)[:, None]
+    sums = np.bincount(first.ravel(), weights=inp.etay.ravel(), minlength=rows * (n + 1))
+    return np.cumsum(sums.reshape(rows, n + 1)[:, :n], axis=1)
 
 
 def _lepski_core(inp: EstimationInput, zeta: float,
-                 calc: RateCalculator) -> tuple[int, int, int, np.ndarray, np.ndarray]:
-    """Shared selection machinery: (s_hat, s_star, comparison cap, values, omega)."""
+                 calc: RateCalculator) -> tuple[np.ndarray, int, int, np.ndarray, np.ndarray]:
+    """Shared selection machinery: (s_hat per row, s_star, comparison cap,
+    (R, cap) values, omega).  The scan runs over s, on the rows still
+    without a selection."""
     if zeta <= 0:
         raise ValueError("zeta must be positive")
     sigma = inp.require_sigma()
@@ -236,12 +285,15 @@ def _lepski_core(inp: EstimationInput, zeta: float,
     cap = table.j2.size  # min(s0, d)
     values = _family_values(inp, table)
     omega = np.sqrt(zeta * sigma**2 * table.phi_adp)
-    s_hat = s_star + 1
+    s_hat = np.full(values.shape[0], s_star + 1)
+    pending = np.arange(values.shape[0])
     for s in range(1, s_star + 1):
-        tail = slice(s, cap)
-        if np.all(np.abs(values[s - 1] - values[tail]) <= omega[tail]):
-            s_hat = s
+        if not pending.size:
             break
+        tail = values[pending, s:cap]
+        ok = np.all(np.abs(values[pending, s - 1:s] - tail) <= omega[s:cap], axis=1)
+        s_hat[pending[ok]] = s
+        pending = pending[~ok]
     return s_hat, s_star, cap, values, omega
 
 
@@ -251,10 +303,14 @@ def lepski_select(inp: EstimationInput, zeta: float, *,
     within omega_{s'} = sqrt(zeta sigma^2 phi_adp(s')); s0 if none qualifies.
 
     Estimators and bands are constant for s > s0, so the comparison range
-    (s, d] collapses to (s, s0] without changing the selection.
+    (s, d] collapses to (s, s0] without changing the selection.  Takes a
+    single observation vector.
     """
+    if inp.block:
+        raise ValueError("lepski_select takes a single observation vector, not a block")
     calc = _calc(inp, calculator)
     s_hat, s_star, cap, values, omega = _lepski_core(inp, zeta, calc)
+    s_hat, values = int(s_hat[0]), values[0]
     rows = [(s, sp, float(abs(values[s - 1] - values[sp - 1])), float(omega[sp - 1]),
              bool(abs(values[s - 1] - values[sp - 1]) <= omega[sp - 1]))
             for s in range(1, s_star + 1) for sp in range(s + 1, cap + 1)]
@@ -272,7 +328,7 @@ def adaptive_estimate(inp: EstimationInput, zeta: float | None = None, *,
     calc = _calc(inp, calculator)
     s_hat, _s_star, cap, _values, _omega = _lepski_core(inp, zeta, calc)
     table = calc.table()
-    m = min(s_hat, cap)
+    m = np.minimum(s_hat, cap)
     thr = inp.kappa * inp.sigma * inp.tau * table.lambda_star[m - 1]
     return _estimate(inp, s_hat, thr, table.j2[m - 1], "adaptive")
 
@@ -296,17 +352,21 @@ def nonsymmetric_estimate(inp: EstimationInput, s: int, c_h: float | None = None
     return _estimate(inp, s, thr, j3, "nonsym", stat=np.abs(inp.ys))
 
 
-def mom_sigma(y, gamma_split: float = 0.5, shuffle_seed: int | None = None) -> float:
+def mom_sigma(y, gamma_split: float = 0.5, shuffle_seed: int | None = None):
     """Median-of-means estimate of sigma^2 from contiguous blocks of y_j^2.
 
     ``m = floor(gamma_split * d)`` blocks; the first ``d mod m`` blocks get one
     extra element.  Even m takes the lower middle order statistic, so the
     result is deterministic in the input order.  Blocking in input order is
     permutation sensitive; ``shuffle_seed`` applies a seeded permutation first
-    for robustness experiments.
+    for robustness experiments.  A vector gives a float, an (R, d) block one
+    estimate per row.
     """
     y = np.asarray(y, dtype=float)
-    d = y.size
+    if y.ndim not in (1, 2):
+        raise ValueError("y must be a vector or an (R, d) block")
+    rows = np.atleast_2d(y)
+    d = rows.shape[1]
     if d < 2:
         raise ValueError("median-of-means needs d >= 2")
     if not 0.0 < gamma_split <= 0.5:
@@ -314,15 +374,19 @@ def mom_sigma(y, gamma_split: float = 0.5, shuffle_seed: int | None = None) -> f
     m = math.floor(gamma_split * d)
     if m < 1:
         raise ValueError("floor(gamma_split * d) must be >= 1")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("y entries must be finite")
     if shuffle_seed is not None:
-        y = y[generator(shuffle_seed, "mom-shuffle").permutation(d)]
+        rows = rows[:, generator(shuffle_seed, "mom-shuffle").permutation(d)]
     base, extra = divmod(d, m)
-    sizes = np.full(m, base)
-    sizes[:extra] += 1
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
-    sq = y * y
-    means = np.add.reduceat(sq, bounds[:-1]) / sizes
-    return float(np.sort(means)[(m - 1) // 2])
+    head = extra * (base + 1)
+    sq = rows * rows
+    r = rows.shape[0]
+    means = np.concatenate([sq[:, :head].reshape(r, extra, base + 1).sum(axis=2) / (base + 1),
+                            sq[:, head:].reshape(r, m - extra, base).sum(axis=2) / base], axis=1)
+    k = (m - 1) // 2
+    out = np.partition(means, k, axis=1)[:, k]
+    return float(out[0]) if y.ndim == 1 else out
 
 
 def unknown_sigma_estimate(inp: EstimationInput, s: int, gamma_split: float = 0.5,
@@ -338,7 +402,7 @@ def unknown_sigma_estimate(inp: EstimationInput, s: int, gamma_split: float = 0.
     if not s < m / 4:
         warnings.warn(f"s={s} is not below floor(gamma_split*d)/4={m / 4:g}; "
                       "the variance-estimate guarantee degrades", stacklevel=2)
-    sigma_hat = math.sqrt(mom_sigma(inp.y, gamma_split, shuffle_seed))
+    sigma_hat = np.sqrt(mom_sigma(inp.y, gamma_split, shuffle_seed))
     prof = _calc(inp, calculator).oracle(s)
     thr = inp.kappa * math.sqrt(2.0) * sigma_hat * inp.tau * prof.lambda_o
     return _estimate(inp, s, thr, prof.j1, "unknown-sigma")
@@ -346,7 +410,8 @@ def unknown_sigma_estimate(inp: EstimationInput, s: int, gamma_split: float = 0.
 
 def linear_test(inp: EstimationInput, s: int, t0: float, B: float, *,
                 calculator: RateCalculator | None = None) -> TestResult:
-    """Reject when |L_hat_s - t0| exceeds B sigma sqrt(phi_o(s))."""
+    """Reject when |L_hat_s - t0| exceeds B sigma sqrt(phi_o(s)); one
+    decision per row of a block."""
     if B <= 0:
         raise ValueError("B must be positive")
     s = int(s)
@@ -356,7 +421,10 @@ def linear_test(inp: EstimationInput, s: int, t0: float, B: float, *,
     calc = _calc(inp, calculator)
     stat = oracle_estimate(inp, s, calculator=calc).value
     thr = B * sigma * math.sqrt(calc.phi_o(s))
-    return TestResult(int(abs(stat - t0) > thr), float(stat), float(thr))
+    decision = np.abs(stat - t0) > thr
+    if inp.block:
+        return TestResult(decision.astype(int), stat, float(thr))
+    return TestResult(int(decision), float(stat), float(thr))
 
 
 @dataclass(frozen=True)

@@ -118,21 +118,29 @@ class LoadingVector:
             arr.flags.writeable = False
         return LoadingLevels(values, counts, ends)
 
-    def to_sorted(self, x: np.ndarray) -> np.ndarray:
-        """Reorder a vector from the original coordinate order to sorted order."""
+    def _check_rows(self, x) -> np.ndarray:
         x = np.asarray(x)
-        if x.shape != (self.d,):
-            raise ValueError(f"expected a vector of length {self.d}, got shape {x.shape}")
-        return x[self.order]
+        if x.ndim not in (1, 2) or x.shape[-1] != self.d:
+            raise ValueError(f"expected a vector of length {self.d} or rows of it, "
+                             f"got shape {x.shape}")
+        return x
+
+    def to_sorted(self, x: np.ndarray) -> np.ndarray:
+        """Reorder a vector, or each row of a block, from the original
+        coordinate order to sorted order."""
+        return np.take(self._check_rows(x), self.order, axis=-1)
 
     def to_original(self, x_sorted: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`to_sorted`."""
-        x_sorted = np.asarray(x_sorted)
-        if x_sorted.shape != (self.d,):
-            raise ValueError(f"expected a vector of length {self.d}, got shape {x_sorted.shape}")
-        out = np.empty_like(x_sorted)
-        out[self.order] = x_sorted
-        return out
+        return np.take(self._check_rows(x_sorted), self._inverse_order, axis=-1)
+
+    @cached_property
+    def _inverse_order(self) -> np.ndarray:
+        """The permutation with ``_inverse_order[order[k]] == k``: a gather
+        along it undoes ``to_sorted`` (faster than a scatter)."""
+        inverse = np.empty_like(self.order)
+        inverse[self.order] = np.arange(self.d)
+        return inverse
 
     @cached_property
     def original_values(self) -> np.ndarray:

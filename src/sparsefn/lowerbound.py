@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .loading import LoadingVector
 from .rates import RateCalculator
-from .streams import generator
+from .streams import Stream
 
 __all__ = [
     "LeastFavorablePrior",
@@ -54,6 +55,26 @@ class LeastFavorablePrior:
         gam.flags.writeable = False
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "gamma", gam)
+
+    @cached_property
+    def _level_tables(self) -> tuple[np.ndarray, ...] | None:
+        """For a tied loading, per level: (first sorted position, size,
+        offset of its CDF table in ``cdf``, table length, offset of its
+        position uniforms in a replicate's segment) and the concatenated
+        tables ``cdf``.  None for a loading with more than d/2 levels
+        (untied, or nearly so), where one uniform per coordinate costs no
+        more."""
+        levels = self.loading.levels
+        if 2 * levels.values.size > self.loading.d:
+            return None
+        starts = levels.ends - levels.counts
+        tables = [_binomial_cdf(int(n), float(self.pi[j]))
+                  for n, j in zip(levels.counts, starts)]
+        lengths = np.array([t.size for t in tables])
+        cdf_from = np.cumsum(lengths) - lengths
+        # a level's count is at most its table length - 1: one uniform per position
+        pos_from = starts.size + np.cumsum(lengths - 1) - (lengths - 1)
+        return starts, levels.counts, cdf_from, lengths, pos_from, np.concatenate(tables)
 
 
 def build_prior(loading: LoadingVector, alpha: float, s: int, c1: float,
@@ -101,21 +122,73 @@ def prior_moments(prior: LeastFavorablePrior) -> PriorMoments:
     )
 
 
-def draw_prior(prior: LeastFavorablePrior, rng: np.random.Generator,
+def _binomial_cdf(n: int, p: float) -> np.ndarray:
+    """The CDF of Binomial(n, p) at 0..K, K the first count at which it
+    rounds to 1 (set to 1 exactly), so an inverse-CDF count from a uniform
+    in [0, 1) is at most K.  The mass cut off lies below float resolution."""
+    if p <= 0.0:
+        return np.ones(1)
+    top = min(n, int(n * p + 12.0 * math.sqrt(n * p * (1.0 - p)) + 30.0))
+    k = np.arange(top)
+    step = np.log((n - k) / (k + 1.0)) + (math.log(p) - math.log1p(-p))
+    log_pmf = np.concatenate([[0.0], np.cumsum(step)])  # relative to pmf(0)
+    cdf = np.cumsum(np.exp(log_pmf - log_pmf.max()))
+    cdf /= cdf[-1]
+    cdf[-1] = 1.0
+    return cdf[:int(np.searchsorted(cdf, 1.0)) + 1]
+
+
+def draw_prior(prior: LeastFavorablePrior, stream: Stream,
                size: int | None = None) -> np.ndarray:
-    """Draw theta (original coordinate order) from an explicit generator."""
+    """Draw theta (original coordinate order), shape (d,), or (size, d) with
+    row r from counter segment r of ``stream``.
+
+    An untied loading (more than d/2 levels) compares one uniform per
+    coordinate with pi_j.  A tied loading draws a binomial count per level (``LoadingVector.levels``) by
+    inverse CDF, one uniform per level, then that many distinct positions in
+    the level by Floyd's algorithm, one uniform per position (Devroye,
+    *Non-Uniform Random Variate Generation*, 1986), so a draw reads O(levels
+    + support) uniforms instead of d.
+    """
     n = 1 if size is None else int(size)
-    active = rng.random((n, prior.loading.d)) < prior.pi
-    theta_sorted = active * prior.gamma
-    theta = np.empty_like(theta_sorted)
-    theta[:, prior.loading.order] = theta_sorted
+    loading, tables = prior.loading, prior._level_tables
+    if tables is None:
+        active = stream.uniforms(n, loading.d) < prior.pi
+        theta = loading.to_original(np.where(active, prior.gamma, 0.0))
+        return theta[0] if size is None else theta
+    starts, sizes, cdf_from, lengths, pos_from, cdf = tables
+    u = stream.uniforms(n, starts.size + int((lengths - 1).sum()))
+    # inverse CDF: count = #{table entries <= u}, by binary lifting within each table
+    counts = np.zeros((n, starts.size), dtype=np.intp)
+    step = 1 << (int(lengths.max()).bit_length() - 1)
+    while step:
+        up = counts + step
+        below = cdf[cdf_from + np.minimum(up, lengths) - 1] <= u[:, :starts.size]
+        counts = np.where(below & (up < lengths), up, counts)
+        step >>= 1
+    rows, levels = np.nonzero(counts)
+    c = counts[rows, levels]
+    theta = np.zeros((n, loading.d))
+    if c.size:
+        # Floyd: for j = m - c .. m - 1 take t uniform in [0, j], or j when t is taken
+        m, col = sizes[levels], pos_from[levels]
+        chosen = np.empty((c.size, int(c.max())), dtype=np.intp)
+        for t in range(chosen.shape[1]):
+            act = np.flatnonzero(c > t)
+            j = m[act] - c[act] + t
+            pick = np.minimum((u[rows[act], col[act] + t] * (j + 1)).astype(np.intp), j)
+            taken = np.any(chosen[act, :t] == pick[:, None], axis=1)
+            chosen[act, t] = np.where(taken, j, pick)
+        mask = np.arange(chosen.shape[1]) < c[:, None]
+        pos = (starts[levels][:, None] + chosen)[mask]
+        theta[np.repeat(rows, c), loading.order[pos]] = prior.gamma[pos]
     return theta[0] if size is None else theta
 
 
 def sample_prior(prior: LeastFavorablePrior, seed: int,
                  size: int | None = None) -> np.ndarray:
     """Draw theta (original coordinate order); shape (d,) or (size, d)."""
-    return draw_prior(prior, generator(seed, "prior", prior.s, prior.c1), size)
+    return draw_prior(prior, Stream(seed, "prior", prior.s, prior.c1), size)
 
 
 def chi2_shifted_extremal(alpha: float, gamma: float, half_width: float = 40.0,

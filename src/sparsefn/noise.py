@@ -9,6 +9,13 @@ All variates are derived from raw Philox uniforms inside this module
 (Box-Muller normals, Marsaglia-Tsang gammas, inverse-CDF exponentials), so a
 stream depends only on the frozen bit generator, not on numpy's distribution
 implementations.
+
+``sample_with`` draws R replicates as one block: each family reads a fixed
+number of uniforms per variate, so replicate r's variates are a transform of
+its own counter segment of the stream (see ``streams``).  symm_weibull's
+rejection step gets a fixed candidate budget per replicate
+(``GAMMA_BUDGET``); a replicate that runs past it takes the rest of its
+variates from its fallback stream, keyed by (seed, tags, r).
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import generator
+from .streams import Stream
 
 __all__ = [
     "NoiseModel",
@@ -75,70 +82,123 @@ def minimal_tau(alpha: float) -> float:
     return sigma_alpha(alpha) * (1.0 - 2.0 ** (-alpha)) ** (-1.0 / alpha)
 
 
-def _standard_normal(rng: np.random.Generator, n: int) -> np.ndarray:
-    # Box-Muller on raw uniforms; 1 - u keeps the log argument in (0, 1].
-    m = (n + 1) // 2
-    u1 = 1.0 - rng.random(m)
-    u2 = rng.random(m)
-    r = np.sqrt(-2.0 * np.log(u1))
-    z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])
-    return z[:n]
-
-
-def _standard_gamma(rng: np.random.Generator, shape: float, n: int) -> np.ndarray:
-    """Marsaglia-Tsang rejection sampler, valid for every shape > 0.
-
-    Shapes below one (alpha > 1 in the sub-Weibull construction) use the
-    boost Gamma(k) = Gamma(k+1) * U^(1/k).
-    """
-    if shape <= 0:
-        raise ValueError("shape must be positive")
-    boost = None
-    k = shape
-    if k < 1.0:
-        boost = rng.random(n) ** (1.0 / k)
-        k = k + 1.0
-    d = k - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    out = np.empty(n)
-    pending = np.arange(n)
-    while pending.size:
-        m = pending.size
-        z = _standard_normal(rng, m)
-        v = (1.0 + c * z) ** 3
-        u = rng.random(m)
-        pos = v > 0.0
-        logv = np.log(np.where(pos, v, 1.0))
-        ok = pos & (np.log(u) < 0.5 * z * z + d * (1.0 - v + logv))
-        out[pending[ok]] = d * v[ok]
-        pending = pending[~ok]
-    if boost is not None:
-        out *= boost
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """Normals from an (R, 2m) uniform block: the first m columns give the
+    radius, the last m the angle.  Works in place where it can: a block's
+    temporaries are large, and fresh ones cost page faults."""
+    m = u.shape[1] // 2
+    r = np.log1p(-u[:, :m])
+    r *= -2.0
+    np.sqrt(r, out=r)
+    angle = u[:, m:] * (2.0 * np.pi)
+    out = np.empty((u.shape[0], 2 * m))
+    np.cos(angle, out=out[:, :m])
+    out[:, :m] *= r
+    np.sin(angle, out=angle)
+    np.multiply(angle, r, out=out[:, m:])
     return out
 
 
-def sample_with(model: NoiseModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n variates from an explicit generator (sim harness entry point)."""
+def _marsaglia_tsang(k: float, z: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma(k) candidates for shape k >= 1 from normals z and uniforms u:
+    (values, accepted), accepted when log u < z^2/2 + d (1 - v + log v)."""
+    d = k - 1.0 / 3.0
+    v = z / math.sqrt(9.0 * d)
+    v += 1.0
+    square = v * v
+    v *= square  # v = (1 + z / sqrt(9 d))^3
+    pos = v > 0.0
+    bound = np.log(np.where(pos, v, 1.0))
+    bound -= v
+    bound += 1.0
+    bound *= d
+    np.square(z, out=square)
+    square *= 0.5
+    bound += square
+    ok = np.log(u, out=square) < bound
+    ok &= pos
+    v *= d
+    return v, ok
+
+
+def _gamma_rejection(rng: np.random.Generator, k: float, n: int) -> np.ndarray:
+    """n Gamma(k) variates, k >= 1, by rejection rounds on a free-running generator."""
+    out = []
+    while n:
+        u = rng.random((1, 2 * (-(-n // 2)) + n))
+        values, ok = _marsaglia_tsang(k, _box_muller(u[:, :-n])[:, :n], u[:, -n:])
+        out.append(values[ok])
+        n -= int(ok.sum())
+    return np.concatenate(out)
+
+
+# Marsaglia-Tsang candidates per replicate: ceil(GAMMA_BUDGET * n) + 8, rounded
+# up to even, for n variates.  Acceptance is at least 0.95 for every shape >= 1,
+# so a replicate runs past its budget with negligible probability (more than 5
+# standard deviations out at n = 100, more at larger n); if it does, the rest of
+# its variates come from its own fallback stream.
+GAMMA_BUDGET = 1.1
+
+
+def _layout(model: NoiseModel, n: int) -> tuple[int, ...]:
+    """The column widths of one replicate's segment, in segment order."""
     if model.family == "gaussian":
-        return _standard_normal(rng, n)
+        return (2 * (-(-n // 2)),)
+    if model.family != "symm_weibull":
+        return (n,)
+    k = -(-math.ceil(GAMMA_BUDGET * n) // 2) * 2 + 8   # candidates, an even count
+    boost = n if 1.0 / model.alpha < 1.0 else 0
+    return (n, boost, k, k)  # sign, boost, Box-Muller normals, acceptance uniforms
+
+
+def _standard_gamma(shape: float, n: int, parts: list, stream: Stream) -> np.ndarray:
+    """(R, n) Gamma(shape) variates: Marsaglia-Tsang on each replicate's
+    candidate budget, in candidate order.  Shapes below one (alpha > 1) use
+    the boost Gamma(k) = Gamma(k+1) * U^(1/k)."""
+    boost, normals, accept = parts
+    k = shape + 1.0 if shape < 1.0 else shape
+    values, ok = _marsaglia_tsang(k, _box_muller(normals), accept)
+    accepted = values[ok]  # row by row, in candidate order
+    got = ok.sum(axis=1)
+    first = np.cumsum(got) - got
+    full = got >= n
+    out = np.empty((ok.shape[0], n))
+    out[full] = accepted[first[full, None] + np.arange(n)]
+    for r in np.flatnonzero(~full):  # past the budget: the rest from r's fallback
+        rest = _gamma_rejection(stream.fallback(r), k, n - got[r])
+        out[r] = np.concatenate([accepted[first[r]:first[r] + got[r]], rest])
+    if shape < 1.0:
+        out *= boost ** (1.0 / shape)
+    return out
+
+
+def sample_with(model: NoiseModel, n: int, stream: Stream, replicates: int = 1) -> np.ndarray:
+    """(replicates, n) variates; row r is drawn from counter segment r of
+    ``stream`` (its fallback stream for a symm_weibull replicate that runs
+    past its candidate budget)."""
+    widths = _layout(model, n)
+    u = stream.uniforms(replicates, sum(widths))
+    parts = np.split(u, np.cumsum(widths)[:-1], axis=1)
+    if model.family == "gaussian":
+        return _box_muller(parts[0])[:, :n]
     if model.family == "symm_weibull":
-        sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-        g = _standard_gamma(rng, 1.0 / model.alpha, n)
-        return sign * sigma_alpha(model.alpha) * g ** (1.0 / model.alpha)
+        g = _standard_gamma(1.0 / model.alpha, n, parts[1:], stream)
+        g **= 1.0 / model.alpha
+        g *= sigma_alpha(model.alpha)
+        return np.negative(g, out=g, where=parts[0] < 0.5)  # the sign
     if model.family == "rademacher":
-        return np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        return np.where(parts[0] < 0.5, -1.0, 1.0)
     if model.family == "uniform_sym":
-        return (2.0 * rng.random(n) - 1.0) * math.sqrt(3.0)
+        return (2.0 * parts[0] - 1.0) * math.sqrt(3.0)
     # shifted_exponential: unit-rate exponential minus its mean
-    return -np.log(1.0 - rng.random(n)) - 1.0
+    return -np.log(1.0 - parts[0]) - 1.0
 
 
 def sample(model: NoiseModel, n: int, seed: int) -> np.ndarray:
     """Draw n variates; deterministic in (model, seed)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = generator(seed, "noise", model.family, model.alpha)
-    return sample_with(model, n, rng)
+    return sample_with(model, n, Stream(seed, "noise", model.family, model.alpha))[0]
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,18 @@
 """Seeded, replicated Monte Carlo experiments over estimator risk and tests.
 
-Determinism contract: every random draw comes from a stream keyed by
-(master seed, data-generating cell coordinates, replicate index, role).  The
-estimator identity is deliberately excluded from the stream key, so sweeping
-the ``estimator`` axis compares variants on identical noise (paired design)
-while distinct data cells get provably distinct streams; each replicate of a
-data cell is drawn once and every estimator runs on it.  Reports are assembled
-in fixed cell/replicate order, so repeated runs are byte-identical.
+Determinism contract: every random draw comes from a scheme-2 stream keyed by
+(master seed, data-generating cell coordinates, role), in which replicate r
+reads counter segment r (see ``streams``).  The estimator identity is
+deliberately excluded from the stream key, so sweeping the ``estimator`` axis
+compares variants on identical noise (paired design) while distinct data
+cells get provably distinct streams.
+
+The replicate loop is a block computation: ``_replicates`` draws the R
+replicates of a data cell as one (R, d) block of theta and noise, validates
+it once, and every statistic maps the block to R values.  Risk, coverage,
+test power and calibration reduce over those values in replicate order, so
+repeated runs are byte-identical, and a run with more replicates repeats the
+draws of a shorter one.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .loading import LoadingSpec, LoadingVector, make_loading
 from .lowerbound import build_prior, draw_prior
 from .noise import NoiseModel, sample_with
 from .rates import RateCalculator
-from .streams import generator
+from .streams import STREAM_SCHEME, Stream
 
 __all__ = [
     "ThetaSpec",
@@ -167,20 +173,26 @@ class SimConfig:
         }
 
     def hash(self) -> str:
-        return config_hash(self.to_dict())
+        """The config hash, with the stream scheme the replicates are drawn on."""
+        return config_hash({**self.to_dict(), "stream_scheme": STREAM_SCHEME})
 
 
 @dataclass
 class SimulationReport:
+    """Rows plus the metadata that reproduces them; ``stream_scheme`` is set
+    for reports drawn from random streams."""
+
     kind: str
     columns: list[str]
     rows: list[dict]
     config_hash: str
     seed: int
     tool_version: str = __version__
+    stream_scheme: int | None = None
 
     def _meta_line(self) -> str:
-        return f"# sparsefn {self.tool_version} config_hash={self.config_hash} seed={self.seed}"
+        line = f"# sparsefn {self.tool_version} config_hash={self.config_hash} seed={self.seed}"
+        return line if self.stream_scheme is None else f"{line} stream_scheme={self.stream_scheme}"
 
     def to_csv(self) -> str:
         def fmt(v) -> str:
@@ -194,17 +206,17 @@ class SimulationReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "tool_version": self.tool_version,
-                "config_hash": self.config_hash,
-                "seed": self.seed,
-                "kind": self.kind,
-                "columns": self.columns,
-                "rows": self.rows,
-            },
-            sort_keys=True,
-        )
+        body = {
+            "tool_version": self.tool_version,
+            "config_hash": self.config_hash,
+            "seed": self.seed,
+            "kind": self.kind,
+            "columns": self.columns,
+            "rows": self.rows,
+        }
+        if self.stream_scheme is not None:
+            body["stream_scheme"] = self.stream_scheme
+        return json.dumps(body, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -274,28 +286,34 @@ def _data_tags(cell: dict) -> list:
     return [[k, cell[k]] for k in sorted(cell) if k != "estimator"]
 
 
+def _estimation_input(config: SimConfig, loading: LoadingVector, y: np.ndarray):
+    return EstimationInput(y, loading, config.noise.alpha, config.noise.tau,
+                           sigma=config.sigma, kappa=config.estimator.kappa)
+
+
 def _replicates(config: SimConfig, loading: LoadingVector, xi_tags, statistic, where: str,
-                theta: np.ndarray | None = None, prior=None, theta_tags=()) -> list:
-    """``statistic(inp, theta)`` for every replicate r, the one replicate loop
-    of every experiment.  Replicate r draws theta from the stream
-    ``(seed, *theta_tags, r)`` when ``prior`` is given (else uses ``theta``),
-    xi from ``(seed, *xi_tags, r)``, and observes ``y = theta + sigma * xi``.
-    A ValueError or RuntimeError becomes a SimulationError (its cause) naming
-    the seed, the replicate and ``where``."""
-    out = []
-    for r in range(config.replicates):
-        try:
-            if prior is not None:
-                theta = draw_prior(prior, generator(config.seed, *theta_tags, r))
-            xi = sample_with(config.noise, loading.d, generator(config.seed, *xi_tags, r))
-            inp = EstimationInput(theta + config.sigma * xi, loading, config.noise.alpha,
-                                  config.noise.tau, sigma=config.sigma,
-                                  kappa=config.estimator.kappa)
-            out.append(statistic(inp, theta))
-        except (ValueError, RuntimeError) as exc:
-            raise SimulationError(
-                f"replicate {r} failed (seed={config.seed}, {where}): {exc}") from exc
-    return out
+                theta: np.ndarray | None = None, prior=None, theta_tags=()):
+    """``statistic(y, theta)`` on the (R, d) block of every replicate, the one
+    replicate computation of every experiment.  Row r of theta is drawn from
+    segment r of the stream ``(seed, *theta_tags)`` when ``prior`` is given
+    (else every row is ``theta``), row r of xi from segment r of
+    ``(seed, *xi_tags)``, and ``y = theta + sigma * xi``.  A ValueError or
+    RuntimeError becomes a SimulationError (its cause) naming the seed, the
+    first replicate whose row of y is not finite (replicate 0 when every row
+    is), and ``where``."""
+    y = None
+    try:
+        if prior is not None:
+            theta = draw_prior(prior, Stream(config.seed, *theta_tags), config.replicates)
+        xi = sample_with(config.noise, loading.d, Stream(config.seed, *xi_tags),
+                         config.replicates)
+        y = theta + config.sigma * xi
+        return statistic(y, theta)
+    except (ValueError, RuntimeError) as exc:
+        bad = [] if y is None else np.flatnonzero(~np.isfinite(y).all(axis=1))
+        r = int(bad[0]) if len(bad) else 0
+        raise SimulationError(
+            f"replicate {r} failed (seed={config.seed}, {where}): {exc}") from exc
 
 
 def _run_cell(configs: list[SimConfig], cells: list[dict],
@@ -323,20 +341,21 @@ def _run_cell(configs: list[SimConfig], cells: list[dict],
              c.estimator.s if c.estimator.s is not None else c.s_assumed, c.estimator)
             for c in configs]
 
-    def squared_errors(inp: EstimationInput, theta: np.ndarray) -> list[float]:
-        target = float(np.dot(eta_orig, theta))
+    def squared_errors(y: np.ndarray, theta: np.ndarray) -> list[np.ndarray]:
+        inp = _estimation_input(first, loading, y)
+        target = (np.atleast_2d(theta) * eta_orig).sum(axis=1)
         return [(run(inp, s, calc, zeta=spec.zeta, c_h=spec.c_h, gamma_split=spec.gamma_split,
                      shuffle_seed=None).value - target) ** 2
                 for run, s, spec in runs]
 
-    errors = zip(*_replicates(first, loading, ("cell", tags, "xi"), squared_errors,
-                              f"cell={tags}", theta=theta_fixed, prior=prior,
-                              theta_tags=("cell", tags, "theta")))
+    errors = _replicates(first, loading, ("cell", tags, "xi"), squared_errors,
+                         f"cell={tags}", theta=theta_fixed, prior=prior,
+                         theta_tags=("cell", tags, "theta"))
     rows = []
     for config, cell, errs in zip(configs, cells, errors):
-        n = len(errs)
-        mse = math.fsum(errs) / n
-        mse_se = (math.sqrt(math.fsum((e - mse) ** 2 for e in errs) / (n - 1) / n)
+        n = errs.size
+        mse = math.fsum(errs.tolist()) / n
+        mse_se = (math.sqrt(math.fsum(((errs - mse) ** 2).tolist()) / (n - 1) / n)
                   if n > 1 else float("nan"))
         rate_kind = VARIANTS[config.estimator.variant].rate_kind
         rate_value = getattr(calc, rate_kind)(config.s_assumed)
@@ -441,7 +460,7 @@ def risk_grid(base: SimConfig, grid: dict) -> SimulationReport:
             rows[i] = row
     cell_cols = [a for a in axes if a not in RESULT_COLUMNS]
     return SimulationReport("risk", cell_cols + list(RESULT_COLUMNS), rows,
-                            base.hash(), base.seed)
+                            base.hash(), base.seed, stream_scheme=STREAM_SCHEME)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +475,8 @@ class MomCoverageReport:
 
 
 def run_mom_coverage(config: SimConfig) -> MomCoverageReport:
-    """Fraction of replicates with sigma_hat^2 / sigma^2 in [1/2, 3/2]."""
+    """Fraction of replicates with sigma_hat^2 / sigma^2 in [1/2, 3/2].
+    Reads the y block only: median-of-means needs no sorted view."""
     if config.sigma == 0.0:
         raise ValueError("sigma=0.0 must be positive: mom coverage reports "
                          "sigma_hat^2 / sigma^2")
@@ -466,11 +486,11 @@ def run_mom_coverage(config: SimConfig) -> MomCoverageReport:
         raise ValueError("run_mom_coverage needs a replicate-invariant theta")
     s2 = config.sigma**2
     ests = _replicates(config, loading, ("cell", [], "xi"),
-                       lambda inp, _: mom_sigma(inp.y, config.estimator.gamma_split),
+                       lambda y, _: mom_sigma(y, config.estimator.gamma_split),
                        "mom coverage", theta=theta)
     n = config.replicates
-    hits = sum(1 for est in ests if 0.5 * s2 <= est <= 1.5 * s2)
-    return MomCoverageReport(hits / n, math.fsum(abs(est - s2) / s2 for est in ests) / n, n)
+    hits = int(np.count_nonzero((0.5 * s2 <= ests) & (ests <= 1.5 * s2)))
+    return MomCoverageReport(hits / n, math.fsum((np.abs(ests - s2) / s2).tolist()) / n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -535,20 +555,21 @@ def run_test_power(config: SimConfig, t0: float, B: float, rho_grid) -> Simulati
         runs += [("type2", label, rho, theta, ("test", "alt", label, rho))
                  for label, theta in _alt_fixtures(loading, s, t0, rho, base, base_support)]
 
-    def decision(inp: EstimationInput, _theta) -> int:
-        return linear_test(inp, s, t0, B, calculator=calc).decision
+    def decisions(y: np.ndarray, _theta) -> np.ndarray:
+        return linear_test(_estimation_input(config, loading, y), s, t0, B,
+                           calculator=calc).decision
 
     rows = []
     for kind, fixture, rho, theta_sorted, tags in runs:
-        decisions = _replicates(config, loading, tags, decision,
-                                f"{kind} fixture={fixture} rho={rho!r}",
-                                theta=loading.to_original(theta_sorted))
-        bad = sum(1 for dec in decisions if (dec == 1) != (kind == "type2"))
+        rejected = _replicates(config, loading, tags, decisions,
+                               f"{kind} fixture={fixture} rho={rho!r}",
+                               theta=loading.to_original(theta_sorted))
+        bad = int(np.count_nonzero((rejected == 1) != (kind == "type2")))
         rows.append({"kind": kind, "fixture": fixture, "rho": rho,
                      "error_rate": bad / config.replicates, "n_rep": config.replicates})
     return SimulationReport("test_power",
                             ["kind", "fixture", "rho", "error_rate", "n_rep"],
-                            rows, config.hash(), config.seed)
+                            rows, config.hash(), config.seed, stream_scheme=STREAM_SCHEME)
 
 
 def calibrate_test_threshold(config: SimConfig, t0: float, epsilon: float) -> float:
@@ -564,7 +585,8 @@ def calibrate_test_threshold(config: SimConfig, t0: float, epsilon: float) -> fl
     for label, theta_sorted, _support in nulls:
         stats = _replicates(
             config, loading, ("test", "calib", label),
-            lambda inp, _: abs(oracle_estimate(inp, s, calculator=calc).value - t0) / scale,
+            lambda y, _: np.abs(oracle_estimate(_estimation_input(config, loading, y), s,
+                                                calculator=calc).value - t0) / scale,
             f"calibration fixture={label}", theta=loading.to_original(theta_sorted))
         worst = max(worst, float(np.quantile(stats, 1.0 - epsilon / 2.0, method="higher")))
     return worst

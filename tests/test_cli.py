@@ -210,6 +210,7 @@ def test_prior_subcommand(tmp_path, capsys):
     assert p["chi2_bound"] == pytest.approx(math.e, rel=1e-6)
     rows = samples.read_text().splitlines()
     assert len(rows) == 8 and len(rows[0].split()) == 100
+    assert p["meta"]["seed"] == 3 and p["meta"]["stream_scheme"] == 2
 
 
 def test_prior_bound_is_finite_when_pi_underflows(capsys):
@@ -244,6 +245,7 @@ def test_simulate_json_format(tmp_path, capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["tool_version"] and payload["config_hash"] and payload["seed"] == 11
+    assert payload["stream_scheme"] == 2
     assert len(payload["rows"]) == 1
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparsefn.estimators import (
+    VARIANTS,
     EstimateResult,
     EstimationInput,
     adaptive_estimate,
@@ -476,3 +477,70 @@ def test_results_differing_only_in_kept_coordinates_differ():
         a.keep[1] = True
     with pytest.raises(TypeError):
         EstimateResult(1.0, 2, 0.5, (0, 1), "oracle")  # indices, not a mask
+
+
+# -- replicate blocks ------------------------------------------------------------------
+
+BLOCK_LOADINGS = {
+    "homogeneous": LoadingSpec("homogeneous", d=60),
+    "two_phase": LoadingSpec("two_phase", d=400, gamma_d=0.4, gamma_lambda=0.2),
+    "exp_decay": LoadingSpec("exp_decay", d=80, c=0.05, gamma=1.0),
+    "signed_explicit": LoadingSpec("explicit", values=tuple(
+        np.random.default_rng(4).choice([-1.0, 1.0], 70)
+        * np.random.default_rng(5).lognormal(size=70))),
+}
+
+
+def _block(lv, rows, seed):
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=(rows, lv.d)) * 1.5
+    y[:, rng.choice(lv.d, size=4, replace=False)] += rng.uniform(3.0, 20.0, size=4)
+    return y
+
+
+@pytest.mark.parametrize("name", list(BLOCK_LOADINGS))
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_block_estimate_rows_equal_single_vector_estimates(name, variant):
+    lv = make_loading(BLOCK_LOADINGS[name])
+    calc = RateCalculator(lv, 1.0)
+    y = _block(lv, 9, 11)
+    kw = dict(zeta=50.0, c_h=None, gamma_split=0.5, shuffle_seed=None)
+    run = VARIANTS[variant].run
+    if variant == "collier" and name != "homogeneous":
+        with pytest.raises(ValueError, match="homogeneous"):
+            run(EstimationInput(y, lv, 1.0, 2.0), 3, calc, **kw)
+        return
+    block = run(EstimationInput(y, lv, 1.0, 2.0), 3, calc, **kw)
+    assert block.value.shape == block.threshold.shape == (9,)
+    assert block.keep.shape == (9, lv.d)
+    for r in range(9):
+        one = run(EstimationInput(y[r], lv, 1.0, 2.0), 3, calc, **kw)
+        assert (block.value[r].hex(), block.threshold[r].hex(), block.kept_indices[r],
+                int(block.s_used[r])) == (one.value.hex(), one.threshold.hex(),
+                                          one.kept_indices, one.s_used)
+        assert block.row(r) == one
+
+
+def test_block_test_and_mom_rows_equal_single_vector_calls():
+    lv = make_loading(BLOCK_LOADINGS["signed_explicit"])
+    y = _block(lv, 6, 12)
+    test = linear_test(EstimationInput(y, lv, 2.0, 2.0), 3, 1.0, 1.0)
+    sig = mom_sigma(y, 0.25)
+    for r in range(6):
+        one = linear_test(EstimationInput(y[r], lv, 2.0, 2.0), 3, 1.0, 1.0)
+        assert (int(test.decision[r]), test.statistic[r].hex(), test.threshold) == (
+            one.decision, one.statistic.hex(), one.threshold)
+        assert sig[r].hex() == mom_sigma(y[r], 0.25).hex()
+
+
+def test_block_input_validates_rows_once():
+    y = np.zeros((3, 3))
+    y[2, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        EstimationInput(y, HOM3, 2.0, 2.0)
+    with pytest.raises(ValueError, match="d=3"):
+        EstimationInput(np.zeros((2, 4)), HOM3, 2.0, 2.0)
+    with pytest.raises(ValueError, match="d=3"):
+        EstimationInput(np.zeros((0, 3)), HOM3, 2.0, 2.0)
+    with pytest.raises(ValueError, match="single observation vector"):
+        lepski_select(EstimationInput(np.zeros((2, 3)), HOM3, 2.0, 2.0), 10.0)

@@ -5,14 +5,17 @@ import pytest
 
 from sparsefn.loading import LoadingSpec, make_loading
 from sparsefn.lowerbound import (
+    _binomial_cdf,
     build_prior,
     chi2_mixture_bound,
     chi2_shifted_extremal,
+    draw_prior,
     prior_moments,
     sample_prior,
 )
 from sparsefn.noise import sigma_alpha
 from sparsefn.rates import oracle_rate
+from sparsefn.streams import Stream
 
 HOM100 = make_loading(LoadingSpec("homogeneous", d=100))
 
@@ -179,3 +182,63 @@ def test_build_prior_reuses_a_calculator(monkeypatch):
     assert np.array_equal(shared.pi, fresh.pi)
     assert np.array_equal(shared.gamma, fresh.gamma)
     assert (shared.lambda_o, shared.nu, shared.j1) == (fresh.lambda_o, fresh.nu, fresh.j1)
+
+
+# -- per-level draws -------------------------------------------------------------------
+
+TIED_SIGNED = make_loading(LoadingSpec("explicit", values=(
+    3.0, -3.0, 3.0, 2.0, -2.0, 1.0, -1.0, 1.0, 1.0, -1.0, 1.0, 1.0, 0.5, -0.25)))
+
+
+@pytest.mark.parametrize("lv", [HOM100, TIED_SIGNED,
+                                make_loading(LoadingSpec("exp_decay", d=50, c=0.05, gamma=1.0))],
+                         ids=["homogeneous", "tied_signed", "untied"])
+def test_prior_draws_have_the_prefix_property(lv):
+    prior = build_prior(lv, 2.0, 3, c1=1.0)
+    stream = Stream(17, "cell", [], "theta")
+    short, long = draw_prior(prior, stream, 40), draw_prior(prior, stream, 80)
+    np.testing.assert_array_equal(short, long[:40])
+    np.testing.assert_array_equal(draw_prior(prior, stream), short[0])
+
+
+def test_level_draws_match_pi_per_position_and_gamma():
+    prior = build_prior(TIED_SIGNED, 2.0, 4, c1=1.5)
+    assert prior._level_tables is not None  # the tied path
+    n = 200_000
+    theta = TIED_SIGNED.to_sorted(draw_prior(prior, Stream(2, "levels"), n))
+    active = theta != 0
+    band = 4.0 * np.sqrt(prior.pi * (1.0 - prior.pi) / n)
+    assert np.all(np.abs(active.mean(axis=0) - prior.pi) <= band + 1e-12)
+    rows, cols = np.nonzero(active)
+    np.testing.assert_array_equal(theta[rows, cols], prior.gamma[cols])
+    # counts in one level are binomial: the variance of the support matches
+    support = active.sum(axis=1)
+    var = float((prior.pi * (1.0 - prior.pi)).sum())
+    assert abs(support.var() - var) <= 0.05 * var
+
+
+@pytest.mark.parametrize("n, p", [(1, 0.3), (15, 0.17), (985, 1e-7), (10_000, 2.5e-4),
+                                  (4000, 0.45)])
+def test_binomial_cdf_table_matches_scipy(n, p):
+    from scipy.stats import binom
+
+    cdf = _binomial_cdf(n, p)
+    assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0)
+    k = np.arange(cdf.size)
+    np.testing.assert_allclose(cdf[:-1], binom.cdf(k[:-1], n, p), rtol=1e-11, atol=1e-15)
+    assert binom.sf(cdf.size - 1, n, p) < 1e-15  # the mass past the table
+
+
+def test_tied_draw_reads_levels_plus_support_uniforms(monkeypatch):
+    lv = make_loading(LoadingSpec("homogeneous", d=10_000))
+    prior = build_prior(lv, 2.0, 30, c1=0.5)
+    widths = []
+    real = Stream.uniforms
+
+    def recording(self, replicates, width):
+        widths.append(width)
+        return real(self, replicates, width)
+
+    monkeypatch.setattr(Stream, "uniforms", recording)
+    sample_prior(prior, 1, size=3)
+    assert len(widths) == 1 and widths[0] < 100  # one level plus the count budget, not d

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+import sparsefn.noise as noise_module
 from sparsefn.noise import (
     NoiseModel,
     class_tail_bound,
     minimal_tau,
     sample,
+    sample_with,
     sigma_alpha,
     tail_check,
 )
+from sparsefn.streams import Stream
 
 GAUSS = NoiseModel("gaussian", 2.0, 2.0, "G")
 
@@ -154,3 +157,70 @@ def test_tail_check_flags_false_declaration():
 def test_sample_validates_n():
     with pytest.raises(ValueError):
         sample(GAUSS, 0, 1)
+
+
+# -- replicate blocks ----------------------------------------------------------------
+
+MODELS = [NoiseModel("gaussian", 2.0, 2.0, "G"),
+          NoiseModel("symm_weibull", 0.5, 2.0, "G"),
+          NoiseModel("symm_weibull", 1.0, 2.0, "G"),
+          NoiseModel("symm_weibull", 2.0, 2.0, "G"),
+          NoiseModel("rademacher", 1.0, 2.0, "G"),
+          NoiseModel("uniform_sym", 1.0, 2.0, "G"),
+          NoiseModel("shifted_exponential", 1.0, 2.0, "H")]
+
+
+def _assert_prefix(model, n):
+    # replicate r's row depends neither on R nor on the rows before it:
+    # R rows are the first R of 2R
+    stream = Stream(31, "cell", [["d", n]], "xi")
+    short, long = sample_with(model, n, stream, 5), sample_with(model, n, stream, 10)
+    assert short.shape == (5, n) and np.all(np.isfinite(short))
+    np.testing.assert_array_equal(short, long[:5])
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: f"{m.family}-{m.alpha}")
+@pytest.mark.parametrize("n", [1, 7, 300])
+def test_replicate_draws_have_the_prefix_property(model, n):
+    _assert_prefix(model, n)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_prefix_property_holds_past_the_gamma_budget(alpha, monkeypatch):
+    calls = []
+    real = Stream.fallback
+
+    def counting(self, r):
+        calls.append(r)
+        return real(self, r)
+
+    monkeypatch.setattr(Stream, "fallback", counting)
+    monkeypatch.setattr(noise_module, "GAMMA_BUDGET", 0.0)  # 8 candidates per replicate
+    _assert_prefix(NoiseModel("symm_weibull", alpha, 2.0, "G"), 300)
+    assert sorted(calls) == sorted(list(range(5)) + list(range(10)))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_gamma_fallback_draws_the_same_law(alpha, monkeypatch):
+    model = NoiseModel("symm_weibull", alpha, 2.0, "G")
+    budget = sample_with(model, 2000, Stream(8, "law"), 20).ravel()
+    calls = []
+    real = Stream.fallback
+
+    def counting(self, r):
+        calls.append(r)
+        return real(self, r)
+
+    monkeypatch.setattr(Stream, "fallback", counting)
+    monkeypatch.setattr(noise_module, "GAMMA_BUDGET", 0.5)
+    forced = sample_with(model, 2000, Stream(9, "law"), 20).ravel()
+    assert sorted(calls) == list(range(20))  # every replicate ran past its budget
+    assert ks_2samp(budget, forced).pvalue > 1e-3
+
+
+def test_budget_is_rarely_exceeded(monkeypatch):
+    calls = []
+    monkeypatch.setattr(Stream, "fallback", lambda self, r: calls.append(r))
+    for alpha in (0.5, 1.0, 2.0):
+        sample_with(NoiseModel("symm_weibull", alpha, 2.0, "G"), 200, Stream(3, "b"), 500)
+    assert calls == []

@@ -1,22 +1,27 @@
+import dataclasses
+import json
 import math
 import re
 
 import numpy as np
 import pytest
 
+from sparsefn.estimators import mom_sigma
 from sparsefn.loading import LoadingSpec, make_loading
-from sparsefn.noise import NoiseModel
+from sparsefn.noise import NoiseModel, sample_with
 from sparsefn.sim import (
     EstimatorSpec,
     SimConfig,
     SimulationError,
     ThetaSpec,
     calibrate_test_threshold,
+    config_hash,
     risk_grid,
     run_mom_coverage,
     run_risk,
     run_test_power,
 )
+from sparsefn.streams import Stream
 
 GAUSS = NoiseModel("gaussian", 2.0, 2.0, "G")
 
@@ -255,6 +260,7 @@ def test_csv_columns_and_meta_line():
     rep = risk_grid(config(replicates=5), {"rho": [1.0, 2.0]})
     lines = rep.to_csv().splitlines()
     assert lines[0].startswith("# sparsefn ")
+    assert lines[0].endswith(f"config_hash={rep.config_hash} seed=2024 stream_scheme=2")
     assert lines[1] == "rho,estimator,n_rep,mse,mse_se,rate_kind,rate_value,ratio"
     assert len(lines) == 4
 
@@ -277,12 +283,13 @@ def test_risk_grid_checks_every_cell_before_any_replicate(monkeypatch):
 def test_estimator_axis_draws_noise_once_per_data_cell_replicate(monkeypatch):
     import sparsefn.sim as sim
 
-    calls = []
+    blocks = []
     real = sim.sample_with
 
     def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+        xi = real(*args, **kwargs)
+        blocks.append(xi.shape)
+        return xi
 
     monkeypatch.setattr(sim, "sample_with", counting)
     reps = 7
@@ -290,7 +297,8 @@ def test_estimator_axis_draws_noise_once_per_data_cell_replicate(monkeypatch):
                     {"estimator": ["oracle", "plugin", "nonsym", "unknown-sigma"],
                      "rho": [0.5, 1.0, 2.0]})
     assert len(rep.rows) == 12
-    assert len(calls) == 3 * reps
+    # rows drawn = data cells x R: one (R, d) block per data cell
+    assert blocks == [(reps, 40)] * 3
 
 
 def test_each_replicate_sorted_once_across_the_estimator_axis(monkeypatch):
@@ -313,7 +321,19 @@ def test_each_replicate_sorted_once_across_the_estimator_axis(monkeypatch):
     rep = risk_grid(config(replicates=reps),
                     {"estimator": ["oracle", "nonsym", "unknown-sigma", "adaptive"]})
     assert len(rep.rows) == 4
-    assert len(calls) == reps
+    # rows gathered = data cells x R: one gather of the (R, d) block
+    assert calls == [(reps, 40)]
+
+
+def test_mom_coverage_reads_y_without_a_sorted_gather(monkeypatch):
+    from sparsefn.loading import LoadingVector
+
+    def no_gather(self, x):
+        raise AssertionError("coverage gathered y into sorted order")
+
+    monkeypatch.setattr(LoadingVector, "to_sorted", no_gather)
+    rep = run_mom_coverage(config(theta=ThetaSpec("zero"), replicates=9))
+    assert rep.n_rep == 9
 
 
 def test_oracle_equation_solved_once_per_loading_alpha_and_s(monkeypatch):
@@ -359,17 +379,20 @@ def test_experiments_reproduce_their_pinned_outputs():
     c = _pinned_config()
     rep = run_mom_coverage(c)
     assert (rep.coverage.hex(), rep.mean_abs_rel_err.hex(), rep.n_rep) == (
-        "0x1.c28f5c28f5c29p-1", "0x1.436fd725c9cc5p-2", 50)
+        "0x1.eb851eb851eb8p-1", "0x1.22b39bb7863c3p-2", 50)
+    xi = sample_with(c.noise, 100, Stream(7, "cell", [], "xi"), 50)
+    est = mom_sigma(xi)
+    assert rep.coverage == np.count_nonzero((0.5 <= est) & (est <= 1.5)) / 50
     B = calibrate_test_threshold(c, t0=0.0, epsilon=0.1)
-    assert B.hex() == "0x1.3d27ffbd03fcap+0"
+    assert B.hex() == "0x1.403e8bcd7e02bp+0"
     csv = run_test_power(c, t0=0.0, B=B, rho_grid=[2.0, 40.0]).to_csv()
     assert csv.splitlines()[1:] == [
         "kind,fixture,rho,error_rate,n_rep",
-        "type1,point,0.0,0.04,50",
-        "type1,cancelling_pair,0.0,0.04,50",
-        "type2,single+,2.0,0.96,50",
-        "type2,single-,2.0,0.98,50",
-        "type2,spread5,2.0,0.96,50",
+        "type1,point,0.0,0.06,50",
+        "type1,cancelling_pair,0.0,0.06,50",
+        "type2,single+,2.0,1.0,50",
+        "type2,single-,2.0,1.0,50",
+        "type2,spread5,2.0,0.98,50",
         "type2,single+,40.0,0.0,50",
         "type2,single-,40.0,0.0,50",
         "type2,spread5,40.0,0.0,50",
@@ -388,12 +411,48 @@ def test_failed_replicate_names_seed_and_replicate(experiment, monkeypatch):
     calls = []
     real = sim.sample_with
 
-    def nan_at_replicate_3(noise, d, rng):
+    def nan_at_replicate_3(noise, d, stream, replicates):
         calls.append(d)
-        xi = real(noise, d, rng)
-        return np.full(d, np.nan) if len(calls) == 4 else xi
+        xi = real(noise, d, stream, replicates)
+        if len(calls) == 1:  # row 3 of the first block drawn
+            xi[3] = np.nan
+        return xi
 
     monkeypatch.setattr(sim, "sample_with", nan_at_replicate_3)
     with pytest.raises(SimulationError, match=r"^replicate 3 failed \(seed=7, ") as err:
         experiment(_pinned_config())
     assert isinstance(err.value.__cause__, ValueError)
+
+
+def test_config_hash_records_the_stream_scheme():
+    c = config()
+    assert c.hash() == config_hash({**c.to_dict(), "stream_scheme": 2})
+    assert c.hash() != config_hash(c.to_dict())
+    assert json.loads(run_risk(config(replicates=2)).to_json())["stream_scheme"] == 2
+
+
+def test_replicate_rows_do_not_depend_on_the_replicate_count(monkeypatch):
+    # the prefix property end to end: the theta and noise rows of an R run
+    # are the first R rows of a 2R run
+    import sparsefn.sim as sim
+
+    drawn = []
+    for name in ("sample_with", "draw_prior"):
+        real = getattr(sim, name)
+
+        def recording(*args, _real=real, **kwargs):
+            out = _real(*args, **kwargs)
+            drawn.append(out)
+            return out
+
+        monkeypatch.setattr(sim, name, recording)
+    c = config(loading=LoadingSpec("homogeneous", d=100), theta=ThetaSpec("prior", s=5, c1=0.5),
+               estimator=EstimatorSpec("oracle", s=5), s_assumed=5,
+               noise=NoiseModel("symm_weibull", 1.0, 2.0, "G"))
+    run_risk(dataclasses.replace(c, replicates=6))
+    theta6, xi6 = drawn
+    drawn.clear()
+    run_risk(dataclasses.replace(c, replicates=12))
+    theta12, xi12 = drawn
+    np.testing.assert_array_equal(theta6, theta12[:6])
+    np.testing.assert_array_equal(xi6, xi12[:6])
