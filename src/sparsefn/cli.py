@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 input error, 2 numerical failure (solver bracket
 cap); a failure inside a simulation exits with the code of its cause.  Every
-JSON output embeds {tool_version, config_hash, seed} so any artifact can be
-reproduced from its own metadata.
+output embeds {tool_version, config_hash, seed} from ``sim.meta`` so any
+artifact can be reproduced from its own metadata: a command hashes its parsed
+arguments except the output paths and ``--workers``, each input file by the
+floats read from it; ``simulate`` hashes the parsed config.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from .estimators import VARIANTS, EstimationInput, linear_test
 from .loading import LoadingSpec, LoadingVector, drop_zero_loadings, make_loading
 from .lowerbound import build_prior, chi2_mixture_bound, prior_moments, sample_prior
 from .rates import RateCalculator, closed_form_for_spec
-from .sim import SimulationError, SimulationReport, config_hash, risk_grid
-from .streams import STREAM_SCHEME
+from .sim import SimulationError, SimulationReport, meta, risk_grid
 from .threshold import BracketError, solve_adaptive_beta, solve_beta, solve_lambda_H
 
 __all__ = ["main", "console_main"]
@@ -37,12 +38,12 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _meta(params: dict, seed: int | None = None) -> dict:
-    """Output metadata; a seeded output also records, and hashes, the stream
-    scheme its draws come from."""
-    scheme = {} if seed is None else {"stream_scheme": STREAM_SCHEME}
-    return {"tool_version": __version__, "config_hash": config_hash({**params, **scheme}),
-            "seed": seed, **scheme}
+_UNHASHED = ("func", "out", "samples_out", "workers")
+
+
+def _params(args) -> dict:
+    """The parsed arguments that decide an output: all but where it goes."""
+    return {k: v for k, v in vars(args).items() if k not in _UNHASHED}
 
 
 def _write(text: str, out: str | None) -> None:
@@ -72,7 +73,7 @@ def _add_loading_args(p: argparse.ArgumentParser) -> None:
 
 def _loading_from_args(args) -> tuple[LoadingVector, LoadingSpec | None]:
     if args.loading_file:
-        raw = values = _read_floats(args.loading_file)
+        raw = values = _read_floats(args, "loading_file")
         if args.drop_zeros:
             values, kept = drop_zero_loadings(raw)
             dropped = raw.size - kept.size
@@ -89,18 +90,17 @@ def _loading_from_args(args) -> tuple[LoadingVector, LoadingSpec | None]:
     return make_loading(spec), spec
 
 
-def _read_floats(path: str) -> np.ndarray:
+def _read_floats(args, name: str) -> np.ndarray:
+    """The floats, one per line, of the file that ``args.<name>`` names.  They
+    replace the path in ``args``, so the output's hash counts what was read."""
+    path = getattr(args, name)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             vals = [float(line) for line in fh if line.strip()]
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot read floats from {path}: {exc}") from exc
+    setattr(args, name, vals)
     return np.asarray(vals, dtype=float)
-
-
-def _loading_params(args) -> dict:
-    return {k: getattr(args, k, None) for k in
-            ("loading_spec", "d", "gamma_d", "gamma_lambda", "c", "gamma", "loading_file")}
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +126,7 @@ def _cmd_solve(args) -> int:
             raise CliError("asym equation needs --s")
         sol = solve_lambda_H(loading, args.alpha, args.s)
     payload = sol.to_dict()
-    payload["meta"] = _meta({**_loading_params(args), "alpha": args.alpha,
-                             "equation": args.equation, "s": args.s, "target": args.target})
+    payload["meta"] = meta(_params(args))
     _emit(payload, args.out)
     return 0
 
@@ -157,15 +156,13 @@ def _cmd_rate(args) -> int:
     if spec is not None and spec.kind == "explicit":
         spec = None
     calc = RateCalculator(loading, args.alpha)
-    meta = _meta({**_loading_params(args), "alpha": args.alpha, "s": args.s,
-                  "s_grid": args.s_grid})
     if args.csv:
         if args.s_grid:
             grid = [int(x) for x in args.s_grid.split(",")]
         else:
             grid = [args.s] if args.s else list(range(1, min(loading.d, 32) + 1))
         rows = [_rate_row(calc, spec, args.alpha, s) for s in grid]
-        report = SimulationReport("rate", list(rows[0]), rows, meta["config_hash"], None)
+        report = SimulationReport("rate", list(rows[0]), rows, meta(_params(args)))
         _write(report.to_csv(), args.out)
         return 0
     if args.s is None:
@@ -173,24 +170,16 @@ def _cmd_rate(args) -> int:
     payload = _rate_row(calc, spec, args.alpha, args.s)
     payload["s_star"] = calc.s_star()
     payload["s0"] = calc.s0()
-    payload["meta"] = meta
+    payload["meta"] = meta(_params(args))
     _emit(payload, args.out)
     return 0
 
 
 def _input_from_args(args, loading: LoadingVector) -> EstimationInput:
-    y = _read_floats(args.y_file)
+    y = _read_floats(args, "y_file")
     sigma = None if args.sigma_unknown else args.sigma
     return EstimationInput(y, loading, args.alpha, args.tau, sigma=sigma,
                            kappa=args.kappa)
-
-
-def _estimate_meta(args, **extra) -> dict:
-    return _meta({**_loading_params(args), "variant": args.variant, "s": args.s,
-                  "alpha": args.alpha, "tau": args.tau, "sigma": args.sigma,
-                  "sigma_unknown": args.sigma_unknown, "kappa": args.kappa,
-                  "zeta": args.zeta, "gamma_split": args.gamma_split,
-                  "y_file": args.y_file, **extra})
 
 
 def _cmd_estimate(args) -> int:
@@ -207,7 +196,7 @@ def _cmd_estimate(args) -> int:
         "threshold": res.threshold,
         "kept_indices": list(res.kept_indices),
         "variant": res.variant,
-        "meta": _estimate_meta(args),
+        "meta": meta(_params(args)),
     }
     _emit(payload, args.out)
     return 0
@@ -224,7 +213,7 @@ def _cmd_test(args) -> int:
     res = linear_test(inp, args.s, args.t0, args.B)
     payload = {"decision": res.decision, "statistic": res.statistic,
                "threshold": res.threshold,
-               "meta": _estimate_meta(args, t0=args.t0, B=args.B)}
+               "meta": meta(_params(args))}
     _emit(payload, args.out)
     return 0
 
@@ -245,8 +234,7 @@ def _cmd_prior(args) -> int:
                     "mean_L": mom.mean_L, "var_L": mom.var_L},
         "chi2_bound": bound.bound,
         "tv_bound": bound.tv_bound,
-        "meta": _meta({**_loading_params(args), "alpha": args.alpha, "s": args.s,
-                       "c1": args.c1, "c_alpha2": args.c_alpha2}, seed=args.seed),
+        "meta": meta(_params(args), args.seed),
     }
     if args.samples:
         theta = sample_prior(prior, args.seed, size=args.samples)
@@ -266,7 +254,7 @@ def _cmd_simulate(args) -> int:
     except OSError as exc:
         raise CliError(f"cannot read config: {exc}") from exc
     cfg = parse_config(text)
-    report = risk_grid(cfg.sim, cfg.grid or {})
+    report = risk_grid(cfg.sim, cfg.grid)
     _write(report.to_csv() if args.format == "csv" else report.to_json() + "\n", args.out)
     if args.out:
         print(f"wrote {len(report.rows)} rows to {args.out}", file=sys.stderr)

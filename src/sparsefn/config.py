@@ -2,7 +2,10 @@
 
 Unknown keys are rejected (anti-typo), every type violation names the
 offending path, and defaults are filled at parse time so a parsed config
-serializes to something that reparses equal.
+serializes to something that reparses equal.  The Lepski constant
+``estimator.zeta`` is the exception: it stays None unless the config sets it,
+and each grid cell resolves it from its own ``alpha`` when the adaptive
+estimator runs (``estimators.default_zeta``).
 """
 
 from __future__ import annotations
@@ -11,10 +14,10 @@ import json
 import math
 from dataclasses import dataclass
 
-from .estimators import VARIANTS, default_zeta
+from .estimators import VARIANTS
 from .loading import LoadingSpec
 from .noise import FAMILIES, NoiseModel
-from .sim import GRID_AXES, EstimatorSpec, SimConfig, ThetaSpec, check_grid
+from .sim import GRID_AXES, EstimatorSpec, Grid, SimConfig, ThetaSpec, check_grid
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "serialize_config"]
 
@@ -29,19 +32,10 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     schema_version: int
     sim: SimConfig
-    grid: dict | None = None
+    grid: Grid
 
     def to_dict(self) -> dict:
-        out = {"schema_version": self.schema_version, "seed": self.sim.seed,
-               "sigma": self.sim.sigma, "loading": self.sim.loading.to_dict(),
-               "noise": self.sim.noise.to_dict(),
-               "estimator": self.sim.estimator.to_dict(),
-               "theta": self.sim.theta.to_dict(),
-               "simulation": {"replicates": self.sim.replicates,
-                              "s_assumed": self.sim.s_assumed}}
-        if self.grid is not None:
-            out["simulation"]["grid"] = self.grid
-        return out
+        return {"schema_version": self.schema_version, **self.sim.to_dict(self.grid.axes)}
 
 
 def _require(obj: dict, key: str, path: str):
@@ -130,22 +124,17 @@ def _parse_noise(obj, path: str) -> NoiseModel:
     )
 
 
-def _parse_estimator(obj, path: str, alpha: float) -> EstimatorSpec:
+def _parse_estimator(obj, path: str) -> EstimatorSpec:
     _check_keys(obj, {"variant", "s", "kappa", "zeta", "gamma_split", "c_h"}, path)
     variant = _string(obj.get("variant", "oracle"), f"{path}.variant")
     if variant not in VARIANTS:
         raise ConfigError(f"{path}.variant: unknown variant {variant!r}")
-    zeta = obj.get("zeta")
-    if zeta is not None:
-        zeta = _number(zeta, f"{path}.zeta")
-    else:
-        zeta = default_zeta(alpha)
     return _build(
         EstimatorSpec, path,
         variant=variant,
         s=_integer(obj["s"], f"{path}.s") if "s" in obj else None,
         kappa=_number(obj.get("kappa", 1.0), f"{path}.kappa"),
-        zeta=zeta,
+        zeta=_number(obj["zeta"], f"{path}.zeta") if obj.get("zeta") is not None else None,
         gamma_split=_number(obj.get("gamma_split", 0.5), f"{path}.gamma_split"),
         c_h=_number(obj["c_h"], f"{path}.c_h") if obj.get("c_h") is not None else None,
     )
@@ -185,7 +174,7 @@ def parse_config(text: str) -> ExperimentConfig:
     sigma = _number(obj.get("sigma", 1.0), "sigma")
     loading = _parse_loading(_require(obj, "loading", "<root>"), "loading")
     noise = _parse_noise(_require(obj, "noise", "<root>"), "noise")
-    estimator = _parse_estimator(obj.get("estimator", {}), "estimator", noise.alpha)
+    estimator = _parse_estimator(obj.get("estimator", {}), "estimator")
 
     sim_obj = obj.get("simulation", {})
     _check_keys(sim_obj, {"replicates", "s_assumed", "grid"}, "simulation")
@@ -201,10 +190,9 @@ def parse_config(text: str) -> ExperimentConfig:
     if grid is not None:
         _check_grid_values(grid)
     try:
-        check_grid(sim, grid or {})
+        return ExperimentConfig(version, sim, check_grid(sim, grid or {}))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return ExperimentConfig(version, sim, grid)
 
 
 _GRID_VALUES = {"d": _integer, "estimator": _string, "s": _integer}  # the rest: numbers

@@ -47,7 +47,9 @@ __all__ = [
     "run_test_power",
     "calibrate_test_threshold",
     "GRID_AXES",
+    "Grid",
     "config_hash",
+    "meta",
     "check_grid",
 ]
 
@@ -63,6 +65,15 @@ def config_hash(params: dict) -> str:
     """SHA-256 of the compact, key-sorted JSON form of ``params``."""
     blob = json.dumps(params, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def meta(params: dict, seed: int | None = None) -> dict:
+    """The metadata of an output made from ``params``, every input that
+    decides it, resolved: ``{tool_version, config_hash, seed}``.  A seeded
+    output also records, and hashes, the stream scheme its draws come from."""
+    scheme = {} if seed is None else {"stream_scheme": STREAM_SCHEME}
+    return {"tool_version": __version__, "config_hash": config_hash({**params, **scheme}),
+            "seed": seed, **scheme}
 
 
 @dataclass(frozen=True)
@@ -160,39 +171,32 @@ class SimConfig:
         if self.s_assumed < 1:
             raise ValueError("s_assumed must be >= 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "loading": self.loading.to_dict(),
-            "noise": self.noise.to_dict(),
-            "sigma": self.sigma,
-            "theta": self.theta.to_dict(),
-            "estimator": self.estimator.to_dict(),
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "s_assumed": self.s_assumed,
-        }
-
-    def hash(self) -> str:
-        """The config hash, with the stream scheme the replicates are drawn on."""
-        return config_hash({**self.to_dict(), "stream_scheme": STREAM_SCHEME})
+    def to_dict(self, grid: dict | None = None) -> dict:
+        """The experiment-config layout that ``config.serialize_config``
+        writes, without its ``schema_version``; ``grid`` when it has axes."""
+        simulation = {"replicates": self.replicates, "s_assumed": self.s_assumed}
+        if grid:
+            simulation["grid"] = grid
+        return {"seed": self.seed, "sigma": self.sigma, "loading": self.loading.to_dict(),
+                "noise": self.noise.to_dict(), "estimator": self.estimator.to_dict(),
+                "theta": self.theta.to_dict(), "simulation": simulation}
 
 
 @dataclass
 class SimulationReport:
-    """Rows plus the metadata that reproduces them; ``stream_scheme`` is set
-    for reports drawn from random streams."""
+    """Rows plus ``meta``, the metadata that reproduces them (see ``meta``)."""
 
     kind: str
     columns: list[str]
     rows: list[dict]
-    config_hash: str
-    seed: int
-    tool_version: str = __version__
-    stream_scheme: int | None = None
+    meta: dict
+
+    config_hash = property(lambda self: self.meta["config_hash"])
 
     def _meta_line(self) -> str:
-        line = f"# sparsefn {self.tool_version} config_hash={self.config_hash} seed={self.seed}"
-        return line if self.stream_scheme is None else f"{line} stream_scheme={self.stream_scheme}"
+        fields = [f"{k}={self.meta[k]}" for k in ("config_hash", "seed", "stream_scheme")
+                  if self.meta.get(k) is not None]
+        return " ".join(["# sparsefn", self.meta["tool_version"], *fields])
 
     def to_csv(self) -> str:
         def fmt(v) -> str:
@@ -206,17 +210,8 @@ class SimulationReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        body = {
-            "tool_version": self.tool_version,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "kind": self.kind,
-            "columns": self.columns,
-            "rows": self.rows,
-        }
-        if self.stream_scheme is not None:
-            body["stream_scheme"] = self.stream_scheme
-        return json.dumps(body, sort_keys=True)
+        return json.dumps({**self.meta, "kind": self.kind, "columns": self.columns,
+                           "rows": self.rows}, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +399,20 @@ def _apply_cell(base: SimConfig, cell: dict) -> SimConfig:
                                theta=theta, estimator=estimator, s_assumed=s_assumed)
 
 
-def check_grid(base: SimConfig, grid: dict) -> tuple[list[dict], list[SimConfig]]:
-    """Every cell of ``grid`` in sorted-axis product order and its config
-    (``base`` with the cell applied), each range-checked, so no cell fails on
-    a range after earlier cells have run.
+@dataclass(frozen=True)
+class Grid:
+    """A sweep whose every cell ``check_grid`` has built and range-checked:
+    ``axes`` as declared, ``cells`` in sorted-axis product order and
+    ``configs``, the base with each cell applied."""
+
+    axes: dict
+    cells: list[dict]
+    configs: list[SimConfig]
+
+
+def check_grid(base: SimConfig, grid: dict) -> Grid:
+    """Every cell of ``grid`` and its config, each range-checked, so no cell
+    fails on a range after earlier cells have run.
 
     A failure raises ValueError at a config path: ``simulation.grid.<axis>[i]``
     when that entry alone breaks a base that is fine without it, the base
@@ -434,16 +439,18 @@ def check_grid(base: SimConfig, grid: dict) -> tuple[list[dict], list[SimConfig]
         if problem == base_problem:
             raise ValueError(f"{problem[0]}: {problem[1]}")
         raise ValueError(f"simulation.grid cell {cell}: {problem[0]}={problem[1]}")
-    return cells, configs
+    return Grid(dict(grid), cells, configs)
 
 
-def risk_grid(base: SimConfig, grid: dict) -> SimulationReport:
-    """Cartesian sweep, run cell-major: cells that differ only in their
-    estimator form one data cell, whose streams are keyed by its (sorted)
-    coordinates, so axis declaration order never changes the result.  Rows
-    come back in sorted-axis product order."""
-    axes = sorted(grid)
-    cells, configs = check_grid(base, grid)
+def risk_grid(base: SimConfig, grid: dict | Grid) -> SimulationReport:
+    """Cartesian sweep over ``grid``, a dict of axis lists or the Grid that
+    ``check_grid`` built from one over ``base``, run cell-major: cells that
+    differ only in their estimator form one data cell, whose streams are
+    keyed by its (sorted) coordinates, so axis declaration order never
+    changes the result.  Rows come back in sorted-axis product order."""
+    if not isinstance(grid, Grid):
+        grid = check_grid(base, grid)
+    cells, configs = grid.cells, grid.configs
     data_cells: dict[str, list[int]] = {}
     for i, cell in enumerate(cells):
         data_cells.setdefault(repr(_data_tags(cell)), []).append(i)
@@ -458,9 +465,9 @@ def risk_grid(base: SimConfig, grid: dict) -> SimulationReport:
                                     [cells[i] for i in members], calc)
         for i, row in zip(members, cell_rows):
             rows[i] = row
-    cell_cols = [a for a in axes if a not in RESULT_COLUMNS]
-    return SimulationReport("risk", cell_cols + list(RESULT_COLUMNS), rows,
-                            base.hash(), base.seed, stream_scheme=STREAM_SCHEME)
+    cell_cols = [a for a in sorted(grid.axes) if a not in RESULT_COLUMNS]
+    return SimulationReport("risk", cell_cols + RESULT_COLUMNS, rows,
+                            meta(base.to_dict(grid.axes), base.seed))
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +558,8 @@ def run_test_power(config: SimConfig, t0: float, B: float, rho_grid) -> Simulati
     s = config.s_assumed
     base, base_support = nulls[0][1], nulls[0][2]
     runs = [("type1", label, 0.0, theta, ("test", "null", label)) for label, theta, _ in nulls]
-    for rho in map(float, rho_grid):
+    rhos = [float(rho) for rho in rho_grid]
+    for rho in rhos:
         runs += [("type2", label, rho, theta, ("test", "alt", label, rho))
                  for label, theta in _alt_fixtures(loading, s, t0, rho, base, base_support)]
 
@@ -567,9 +575,9 @@ def run_test_power(config: SimConfig, t0: float, B: float, rho_grid) -> Simulati
         bad = int(np.count_nonzero((rejected == 1) != (kind == "type2")))
         rows.append({"kind": kind, "fixture": fixture, "rho": rho,
                      "error_rate": bad / config.replicates, "n_rep": config.replicates})
-    return SimulationReport("test_power",
-                            ["kind", "fixture", "rho", "error_rate", "n_rep"],
-                            rows, config.hash(), config.seed, stream_scheme=STREAM_SCHEME)
+    params = {**config.to_dict(), "t0": float(t0), "B": float(B), "rho_grid": rhos}
+    return SimulationReport("test_power", ["kind", "fixture", "rho", "error_rate", "n_rep"],
+                            rows, meta(params, config.seed))
 
 
 def calibrate_test_threshold(config: SimConfig, t0: float, epsilon: float) -> float:

@@ -47,7 +47,7 @@ def test_minimal_config_fills_defaults():
         "noise": {"family": "gaussian", "alpha": 2.0, "tau": 2.0},
     }))
     assert cfg.sim.estimator.kappa == 1.0
-    assert cfg.sim.estimator.zeta == 1e3  # alpha >= 2 rule
+    assert cfg.sim.estimator.zeta is None  # resolved per cell from its alpha
     assert cfg.sim.estimator.gamma_split == 0.5
     assert cfg.sim.theta.kind == "zero"
     assert cfg.sim.replicates == 1
@@ -55,7 +55,7 @@ def test_minimal_config_fills_defaults():
     low_alpha = dict(BASE_CONFIG, noise={"family": "symm_weibull", "alpha": 1.0,
                                          "tau": 2.0, "class": "G"})
     cfg2 = parse_config(json.dumps(low_alpha))
-    assert cfg2.sim.estimator.zeta == 1e4
+    assert cfg2.sim.estimator.zeta is None
 
 
 def test_typo_rejection_names_path():
@@ -487,3 +487,22 @@ def test_simulate_rejects_out_of_range_cell_before_any_replicate(tmp_path, capsy
     assert capsys.readouterr().err == (
         "config error: simulation.grid.s[2]: estimator.s=50 must be in [1, 40]\n")
     assert not out.exists()
+
+
+def test_simulate_checks_the_grid_once(tmp_path, monkeypatch):
+    import sparsefn.config as config
+    import sparsefn.sim as sim
+
+    calls = []
+    real = sim.check_grid
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(config, "check_grid", counting)
+    monkeypatch.setattr(sim, "check_grid", counting)
+    cpath = tmp_path / "c.json"
+    cpath.write_text(json.dumps(BASE_CONFIG))
+    assert main(["simulate", "--config", str(cpath), "--out", str(tmp_path / "o.csv")]) == 0
+    assert len(calls) == 1

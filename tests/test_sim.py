@@ -16,6 +16,7 @@ from sparsefn.sim import (
     ThetaSpec,
     calibrate_test_threshold,
     config_hash,
+    meta,
     risk_grid,
     run_mom_coverage,
     run_risk,
@@ -59,7 +60,7 @@ def test_report_is_deterministic_and_hashed():
     r1, r2 = run_risk(c), run_risk(c)
     assert r1.to_csv() == r2.to_csv()
     assert r1.to_json() == r2.to_json()
-    assert r1.config_hash == c.hash()
+    assert r1.config_hash == meta(c.to_dict(), c.seed)["config_hash"]
     assert len(r1.config_hash) == 64
 
 
@@ -426,8 +427,9 @@ def test_failed_replicate_names_seed_and_replicate(experiment, monkeypatch):
 
 def test_config_hash_records_the_stream_scheme():
     c = config()
-    assert c.hash() == config_hash({**c.to_dict(), "stream_scheme": 2})
-    assert c.hash() != config_hash(c.to_dict())
+    hashed = meta(c.to_dict(), c.seed)["config_hash"]
+    assert hashed == config_hash({**c.to_dict(), "stream_scheme": 2})
+    assert hashed != config_hash(c.to_dict())
     assert json.loads(run_risk(config(replicates=2)).to_json())["stream_scheme"] == 2
 
 
@@ -456,3 +458,28 @@ def test_replicate_rows_do_not_depend_on_the_replicate_count(monkeypatch):
     theta12, xi12 = drawn
     np.testing.assert_array_equal(theta6, theta12[:6])
     np.testing.assert_array_equal(xi6, xi12[:6])
+
+
+def test_zeta_default_resolves_per_alpha_cell(monkeypatch):
+    # an unset Lepski constant follows each cell's alpha (1e3 for alpha >= 2,
+    # else 1e4), not the base config's
+    import sparsefn.estimators as estimators
+    from sparsefn.config import parse_config
+
+    seen = set()
+    real = estimators._lepski_core
+
+    def recording(inp, zeta, calc):
+        seen.add((inp.alpha, zeta))
+        return real(inp, zeta, calc)
+
+    monkeypatch.setattr(estimators, "_lepski_core", recording)
+    cfg = parse_config(json.dumps({
+        "schema_version": 1, "seed": 3,
+        "loading": {"kind": "homogeneous", "d": 20},
+        "noise": {"family": "symm_weibull", "alpha": 2.0, "tau": 2.0},
+        "estimator": {"variant": "adaptive"},
+        "simulation": {"replicates": 2, "grid": {"alpha": [1.0, 2.0]}},
+    }))
+    risk_grid(cfg.sim, cfg.grid)
+    assert seen == {(1.0, 1e4), (2.0, 1e3)}
