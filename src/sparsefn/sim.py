@@ -416,12 +416,36 @@ def check_grid(base: SimConfig, grid: dict) -> Grid:
 
     A failure raises ValueError at a config path: ``simulation.grid.<axis>[i]``
     when that entry alone breaks a base that is fine without it, the base
-    field when the base is at fault, and the whole cell otherwise."""
+    field when the base is at fault, and the whole cell otherwise.  Entries
+    are tried alone only to name a failure that a cell shows: an entry that
+    breaks the base alone may still make valid cells with the other axes."""
     axes = sorted(grid)
-    base_problem = _cell_problem(base)
     for a in axes:
         if a not in GRID_AXES:
             raise ValueError(f"simulation.grid.{a}: unknown grid axis; supported: {GRID_AXES}")
+    cells = [dict(zip(axes, combo)) for combo in itertools.product(*(grid[a] for a in axes))]
+    configs = []
+    for cell in cells:
+        try:
+            config = _apply_cell(base, cell)
+        except ValueError:
+            _blame_grid_entry(base, grid)
+            raise
+        problem = _cell_problem(config)
+        if problem is not None:
+            _blame_grid_entry(base, grid)
+            if problem == _cell_problem(base):
+                raise ValueError(f"{problem[0]}: {problem[1]}")
+            raise ValueError(f"simulation.grid cell {cell}: {problem[0]}={problem[1]}")
+        configs.append(config)
+    return Grid(dict(grid), cells, configs)
+
+
+def _blame_grid_entry(base: SimConfig, grid: dict) -> None:
+    """Raise ValueError at the first grid entry that alone breaks ``base`` in
+    a way the base does not."""
+    base_problem = _cell_problem(base)
+    for a in sorted(grid):
         for i, value in enumerate(grid[a]):
             where = f"simulation.grid.{a}[{i}]"
             try:
@@ -430,16 +454,6 @@ def check_grid(base: SimConfig, grid: dict) -> Grid:
                 raise ValueError(f"{where}: {exc}") from exc
             if problem is not None and problem != base_problem:
                 raise ValueError(f"{where}: {problem[0]}={problem[1]}")
-    cells = [dict(zip(axes, combo)) for combo in itertools.product(*(grid[a] for a in axes))]
-    configs = [_apply_cell(base, cell) for cell in cells]
-    for cell, config in zip(cells, configs):
-        problem = _cell_problem(config)
-        if problem is None:
-            continue
-        if problem == base_problem:
-            raise ValueError(f"{problem[0]}: {problem[1]}")
-        raise ValueError(f"simulation.grid cell {cell}: {problem[0]}={problem[1]}")
-    return Grid(dict(grid), cells, configs)
 
 
 def risk_grid(base: SimConfig, grid: dict | Grid) -> SimulationReport:

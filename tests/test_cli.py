@@ -475,6 +475,13 @@ def test_every_grid_cell_checked_at_parse_time(cfg, message):
         parse_config(json.dumps(cfg))
 
 
+def test_grid_entry_out_of_range_for_the_base_alone_is_accepted():
+    # s=50 does not fit the base's d=40, but the only cell has d=100
+    grid = parse_config(json.dumps(_with_sim({"d": [100], "s": [50]}))).grid
+    assert grid.cells == [{"d": 100, "s": 50}]
+    assert grid.configs[0].estimator.s == 50 and grid.configs[0].loading.d == 100
+
+
 def test_simulate_rejects_out_of_range_cell_before_any_replicate(tmp_path, capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a replicate ran")

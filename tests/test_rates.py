@@ -13,6 +13,7 @@ from sparsefn.rates import (
     oracle_rate,
     oracle_rate_decomposed,
 )
+import sparsefn.threshold as threshold
 from sparsefn.threshold import TOLERANCES, PhiKernel, log_phi_objective
 
 HOM100 = make_loading(LoadingSpec("homogeneous", d=100))
@@ -301,3 +302,25 @@ def test_oracle_and_adaptive_at_s1_share_one_solve(monkeypatch):
     assert calc.star_solution(1).beta == beta
     calc.adaptive(1)
     assert len(rows) == evaluated
+
+
+TWO_PHASE_1E4 = LoadingSpec("two_phase", d=10_000, gamma_d=0.4, gamma_lambda=0.2)
+
+
+def test_ladder_takes_no_python_steps(monkeypatch):
+    def python_step(*args):
+        raise AssertionError("a batch of this size steps on arrays")
+
+    monkeypatch.setattr(threshold, "_chandrupatla_x", python_step)
+    table = RateCalculator(make_loading(TWO_PHASE_1E4), 1.0).table()
+    assert table.j2.size >= threshold._ARRAY_MIN_TARGETS
+
+
+def test_ladder_keeps_its_evaluation_counts():
+    # the s = 1..512 adaptive ladder of a two_phase d=1e4 loading at alpha 1
+    calc = RateCalculator(make_loading(TWO_PHASE_1E4), 1.0)
+    calc.table()
+    targets, _beta, _g, iters = calc._ladder
+    assert targets.size == 512
+    assert int(iters.sum()) == 3656
+    assert len(calc._kernel._memo) == 1642  # distinct kernel rows evaluated

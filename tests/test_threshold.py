@@ -442,6 +442,29 @@ def test_steep_exp_decay_solves_meet_the_residual_or_raise(c, d, gamma, alpha, s
         assert abs(rel) <= TOLERANCES.rel, (sol, rel)
 
 
+def _phi0_target(lv, alpha):
+    """A target whose log is log phi(0) exactly, so that g(0) == 0."""
+    log_phi0 = float(PhiKernel(lv, alpha).log_phi([0.0])[0])
+    target = math.exp(log_phi0)
+    for _ in range(8):
+        if math.log(target) == log_phi0:
+            return target
+        target = math.nextafter(target, math.inf if math.log(target) < log_phi0 else 0.0)
+    raise AssertionError("no float target at phi(0)")
+
+
+def _assert_batch_equals_one_target_solves(monkeypatch, lv, alpha, targets):
+    """Batched on arrays and batched in Python, every target gets the root,
+    evaluation count and residual of its one-target solve."""
+    ones = [solve_beta(lv, alpha, target) for target in targets]
+    for min_targets in (2, len(targets) + 1):  # the array steps, then the Python steps
+        monkeypatch.setattr(threshold, "_ARRAY_MIN_TARGETS", min_targets)
+        beta, g, iters = _solve_phi(PhiKernel(lv, alpha), targets)
+        for i, (target, one) in enumerate(zip(targets, ones)):
+            assert (beta[i], iters[i]) == (one.beta, one.iterations)
+            assert _safe_expm1(g[i]) * target == one.residual
+
+
 @pytest.mark.parametrize("spec", [
     LoadingSpec("homogeneous", d=500),
     LoadingSpec("two_phase", d=10_000, gamma_d=0.4, gamma_lambda=0.2),
@@ -449,14 +472,51 @@ def test_steep_exp_decay_solves_meet_the_residual_or_raise(c, d, gamma, alpha, s
     LoadingSpec("explicit", values=tuple(np.random.default_rng(8).lognormal(size=300))),
 ])
 @pytest.mark.parametrize("alpha", [0.5, 2.0])
-def test_batched_ladder_equals_one_target_solves(spec, alpha):
+def test_batched_ladder_equals_one_target_solves(spec, alpha, monkeypatch):
     lv = make_loading(spec)
-    targets = [adaptive_target(s) for s in range(1, 121)] + [0.01, 1e3]
-    beta, g, iters = _solve_phi(PhiKernel(lv, alpha), targets)
-    for i, target in enumerate(targets):
-        one = solve_beta(lv, alpha, target)
-        assert (beta[i], iters[i]) == (one.beta, one.iterations)
-        assert _safe_expm1(g[i]) * target == one.residual
+    phi0 = _phi0_target(lv, alpha)
+    # phi(0) itself gives g == 0; targets above it give negative roots
+    assert solve_beta(lv, alpha, phi0).iterations == 1
+    targets = [adaptive_target(s) for s in range(1, 121)] + [0.01, 1e3, phi0, 1.5 * phi0]
+    _assert_batch_equals_one_target_solves(monkeypatch, lv, alpha, targets)
+
+
+def test_batched_steep_roots_take_the_one_target_steps(monkeypatch):
+    # roots far below their bracket's end at 0: the exponent step and the
+    # geometric steps after it
+    lv = make_loading(LoadingSpec("exp_decay", d=100, c=3.0, gamma=1.0))
+    targets = [s / 2.0 for s in range(1, 10)] + [adaptive_target(s) for s in range(1, 10)]
+    _assert_batch_equals_one_target_solves(monkeypatch, lv, 2.0, targets)
+
+
+def test_batch_raises_as_its_first_failing_target(monkeypatch):
+    # targets above phi(0) = 1 have roots in (-5e-324, 0); 1e3 fails first
+    lv = explicit(1.0, 1e-100)
+    targets = [0.5, 0.9, 1e3, 2.0]
+    with pytest.raises(BracketError, match="below float resolution") as one:
+        solve_beta(lv, 4.0, 1e3)
+    for min_targets in (2, len(targets) + 1):
+        monkeypatch.setattr(threshold, "_ARRAY_MIN_TARGETS", min_targets)
+        with pytest.raises(BracketError) as batch:
+            _solve_phi(PhiKernel(lv, 4.0), targets)
+        assert str(batch.value) == str(one.value)
+
+
+@pytest.mark.parametrize("resid, scale", [(_safe_expm1, 1.0), (lambda v: v / 7.0, 7.0)],
+                         ids=["expm1", "tail"])
+def test_meets_band_decides_as_the_scalar_stop_test(resid, scale):
+    rel = TOLERANCES.rel
+    lo, hi = threshold._meets_band(resid, rel)
+    assert -2.0 * rel * scale < lo < 0.0 < hi < 2.0 * rel * scale
+    for edge in (lo, hi):
+        g = edge
+        for _ in range(3000):
+            g = math.nextafter(g, -math.inf)
+        for _ in range(6000):
+            assert (lo <= g <= hi) == (abs(resid(g)) <= rel), g
+            g = math.nextafter(g, math.inf)
+    for g in (0.0, -0.0, 1.0, -1.0, 800.0, -800.0, math.inf, -math.inf):
+        assert (lo <= g <= hi) == (abs(resid(g)) <= rel)
 
 
 def test_log_phi_finite_loading_limits():
