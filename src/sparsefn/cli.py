@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import math
 import sys
 
 import numpy as np
@@ -23,7 +23,7 @@ from .estimators import VARIANTS, EstimationInput, linear_test
 from .loading import LoadingSpec, LoadingVector, drop_zero_loadings, make_loading
 from .lowerbound import build_prior, chi2_mixture_bound, prior_moments, sample_prior
 from .rates import RateCalculator, closed_form_for_spec
-from .sim import SimulationError, SimulationReport, meta, risk_grid
+from .sim import SimulationError, SimulationReport, meta, risk_grid, strict_json
 from .threshold import BracketError, solve_adaptive_beta, solve_beta, solve_lambda_H
 
 __all__ = ["main", "console_main"]
@@ -55,17 +55,29 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
+    _write(strict_json(payload, indent=2, sort_keys=True) + "\n", out)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of every float option: NaN and +-inf are input errors."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return x
 
 
 def _add_loading_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--loading-spec", choices=["homogeneous", "two_phase", "exp_decay"],
                    help="generated loading family")
     p.add_argument("--d", type=int, help="dimension for a generated loading")
-    p.add_argument("--gamma-d", type=float, help="two_phase head-count exponent")
-    p.add_argument("--gamma-lambda", type=float, help="two_phase head-value exponent")
-    p.add_argument("--c", type=float, help="exp_decay scale of the decay profile c*x^gamma")
-    p.add_argument("--gamma", type=float, help="exp_decay exponent (>= 1)")
+    p.add_argument("--gamma-d", type=_finite_float, help="two_phase head-count exponent")
+    p.add_argument("--gamma-lambda", type=_finite_float, help="two_phase head-value exponent")
+    p.add_argument("--c", type=_finite_float,
+                   help="exp_decay scale of the decay profile c*x^gamma")
+    p.add_argument("--gamma", type=_finite_float, help="exp_decay exponent (>= 1)")
     p.add_argument("--loading-file", help="explicit loading, one float per line")
     p.add_argument("--drop-zeros", action="store_true",
                    help="drop zero entries from --loading-file before validation")
@@ -94,11 +106,16 @@ def _read_floats(args, name: str) -> np.ndarray:
     """The floats, one per line, of the file that ``args.<name>`` names.  They
     replace the path in ``args``, so the output's hash counts what was read."""
     path = getattr(args, name)
+    vals = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            vals = [float(line) for line in fh if line.strip()]
-    except (OSError, ValueError) as exc:
+            for lineno, line in enumerate(fh, 1):
+                if line.strip():
+                    vals.append(_finite_float(line.strip()))
+    except OSError as exc:
         raise CliError(f"cannot read floats from {path}: {exc}") from exc
+    except argparse.ArgumentTypeError as exc:
+        raise CliError(f"cannot read floats from {path}: line {lineno}: {exc}") from exc
     setattr(args, name, vals)
     return np.asarray(vals, dtype=float)
 
@@ -274,9 +291,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="solve a threshold equation")
     _add_loading_args(p)
-    p.add_argument("--alpha", type=float, required=True, help="noise tail exponent")
+    p.add_argument("--alpha", type=_finite_float, required=True, help="noise tail exponent")
     p.add_argument("--s", type=int, help="sparsity level")
-    p.add_argument("--target", type=float, help="explicit right-hand side (oracle only)")
+    p.add_argument("--target", type=_finite_float, help="explicit right-hand side (oracle only)")
     p.add_argument("--equation", choices=["oracle", "adaptive", "asym"], default="oracle",
                    help="which implicit equation to solve (default oracle)")
     p.add_argument("--out", help="write JSON here instead of stdout")
@@ -284,7 +301,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("rate", help="compute rate profiles")
     _add_loading_args(p)
-    p.add_argument("--alpha", type=float, required=True, help="noise tail exponent")
+    p.add_argument("--alpha", type=_finite_float, required=True, help="noise tail exponent")
     p.add_argument("--s", type=int, help="sparsity level")
     p.add_argument("--csv", action="store_true", help="emit one CSV row per s")
     p.add_argument("--s-grid", help="comma-separated s values for --csv")
@@ -298,38 +315,42 @@ def _build_parser() -> _Parser:
         p.add_argument("--variant", default="oracle", choices=VARIANTS,
                        help="estimator variant (default oracle)")
         p.add_argument("--s", type=int, help="sparsity level")
-        p.add_argument("--alpha", type=float, required=True, help="noise tail exponent")
-        p.add_argument("--tau", type=float, required=True, help="noise tail scale")
-        p.add_argument("--sigma", type=float, default=1.0, help="noise level (default 1)")
+        p.add_argument("--alpha", type=_finite_float, required=True, help="noise tail exponent")
+        p.add_argument("--tau", type=_finite_float, required=True, help="noise tail scale")
+        p.add_argument("--sigma", type=_finite_float, default=1.0, help="noise level (default 1)")
         p.add_argument("--sigma-unknown", action="store_true",
                        help="treat sigma as unknown (median-of-means route)")
-        p.add_argument("--kappa", type=float, default=1.0,
+        p.add_argument("--kappa", type=_finite_float, default=1.0,
                        help="threshold multiplier (default 1)")
-        p.add_argument("--zeta", type=float, default=None,
+        p.add_argument("--zeta", type=_finite_float, default=None,
                        help="Lepski band constant (default 1e3 for alpha>=2 else 1e4)")
-        p.add_argument("--gamma-split", type=float, default=0.5,
+        p.add_argument("--gamma-split", type=_finite_float, default=0.5,
                        help="median-of-means block fraction (default 0.5)")
         p.add_argument("--shuffle-blocks", type=int, default=None, metavar="SEED",
                        help="permute coordinates with this seed before "
                             "median-of-means blocking (default off)")
-        p.add_argument("--c-h", type=float, default=None,
+        p.add_argument("--c-h", type=_finite_float, default=None,
                        help="nonsym threshold constant (default tau*4^(1/alpha))")
         p.add_argument("--y-file", required=True, help="observations, one float per line")
         p.add_argument("--out", help="write JSON here instead of stdout")
         if name == "test":
-            p.add_argument("--t0", type=float, required=True, help="null value of the functional")
-            p.add_argument("--B", type=float, required=True, help="rejection threshold constant")
+            p.add_argument("--t0", type=_finite_float, required=True,
+                           help="null value of the functional")
+            p.add_argument("--B", type=_finite_float, required=True,
+                           help="rejection threshold constant")
             p.set_defaults(func=_cmd_test)
         else:
             p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("prior", help="build the least-favorable prior")
     _add_loading_args(p)
-    p.add_argument("--alpha", type=float, required=True, help="noise tail exponent")
+    p.add_argument("--alpha", type=_finite_float, required=True, help="noise tail exponent")
     p.add_argument("--s", type=int, required=True, help="sparsity level")
-    p.add_argument("--c1", type=float, default=0.5, help="activation mass constant (default 0.5)")
-    p.add_argument("--c-alpha2", type=float, default=1.0, help="value scale constant (default 1)")
-    p.add_argument("--c-alpha1", type=float, default=1.0,
+    p.add_argument("--c1", type=_finite_float, default=0.5,
+                   help="activation mass constant (default 0.5)")
+    p.add_argument("--c-alpha2", type=_finite_float, default=1.0,
+                   help="value scale constant (default 1)")
+    p.add_argument("--c-alpha1", type=_finite_float, default=1.0,
                    help="chi-square bound constant (default 1)")
     p.add_argument("--samples", type=int, default=0, help="also draw this many theta vectors")
     p.add_argument("--samples-out", default="prior_samples.txt",

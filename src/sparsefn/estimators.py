@@ -277,8 +277,8 @@ def _lepski_core(inp: EstimationInput, zeta: float,
     """Shared selection machinery: (s_hat per row, s_star, comparison cap,
     (R, cap) values, omega).  The scan runs over s, on the rows still
     without a selection."""
-    if zeta <= 0:
-        raise ValueError("zeta must be positive")
+    if not 0.0 < zeta < math.inf:
+        raise ValueError("zeta must be positive and finite")
     sigma = inp.require_sigma()
     s_star = calc.s_star()
     table = calc.table()
@@ -347,6 +347,8 @@ def nonsymmetric_estimate(inp: EstimationInput, s: int, c_h: float | None = None
         raise ValueError(f"s must be in [1, {d}]")
     if c_h is None:
         c_h = inp.tau * 4.0 ** (1.0 / inp.alpha)
+    elif not 0.0 < c_h < math.inf:
+        raise ValueError("c_h must be positive and finite")
     j3 = j3_index(d, s, inp.alpha)
     thr = c_h * sigma * (1.0 + math.log(d / s)) ** (1.0 / inp.alpha)
     return _estimate(inp, s, thr, j3, "nonsym", stat=np.abs(inp.ys))
@@ -412,8 +414,10 @@ def linear_test(inp: EstimationInput, s: int, t0: float, B: float, *,
                 calculator: RateCalculator | None = None) -> TestResult:
     """Reject when |L_hat_s - t0| exceeds B sigma sqrt(phi_o(s)); one
     decision per row of a block."""
-    if B <= 0:
-        raise ValueError("B must be positive")
+    if not 0.0 < B < math.inf:
+        raise ValueError("B must be positive and finite")
+    if not math.isfinite(t0):
+        raise ValueError("t0 must be finite")
     s = int(s)
     if s < 2:
         warnings.warn("the testing guarantee is stated for s >= 2", stacklevel=2)

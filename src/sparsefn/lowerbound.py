@@ -84,8 +84,8 @@ def build_prior(loading: LoadingVector, alpha: float, s: int, c1: float,
     ``calculator`` for (loading, alpha) replaces a new one."""
     if not 0.0 < c1 < 2.0:
         raise ValueError("c1 must be in (0, 2)")
-    if c_alpha2 <= 0:
-        raise ValueError("c_alpha2 must be positive")
+    if not 0.0 < c_alpha2 < math.inf:
+        raise ValueError("c_alpha2 must be positive and finite")
     prof = (calculator or RateCalculator(loading, alpha)).oracle(s)
     beta_plus = max(prof.beta, 0.0)
     abs_eta = loading.abs_values
@@ -222,12 +222,15 @@ def chi2_mixture_bound(prior: LeastFavorablePrior, alpha: float,
     ``c_alpha1 = 1`` is exact for alpha <= 1 and alpha = 2; for other alpha
     only existence of the constant is known, so it is a knob.
     """
-    if c_alpha1 < 1.0:
-        raise ValueError("c_alpha1 must be >= 1")
+    if not 1.0 <= c_alpha1 < math.inf:
+        raise ValueError("c_alpha1 must be >= 1 and finite")
     # each term as one exponential: pi_j can underflow to 0 where exp(z_j)
     # overflows, and 0 * inf is NaN; a zero pi_j contributes exp(-inf) = 0
     live = prior.pi > 0.0
     z = np.abs(prior.gamma[live] / prior.c_alpha2) ** alpha
     expo = float(np.exp(2.0 * np.log(prior.pi[live]) + math.log(c_alpha1) + z).sum())
-    bound = math.exp(expo)
+    try:
+        bound = math.exp(expo)
+    except OverflowError:  # a bound beyond the float range
+        bound = math.inf
     return Chi2Bound(bound, math.sqrt(max(bound - 1.0, 0.0)) / 2.0)

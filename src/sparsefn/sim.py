@@ -51,6 +51,7 @@ __all__ = [
     "config_hash",
     "meta",
     "check_grid",
+    "strict_json",
 ]
 
 GRID_AXES = ("alpha", "d", "estimator", "rho", "s", "sigma")
@@ -141,6 +142,12 @@ class EstimatorSpec:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown estimator variant {self.variant!r}")
+        for name in ("kappa", "zeta", "c_h"):  # zeta and c_h may be None: the default
+            v = getattr(self, name)
+            if v is not None and not 0.0 < v < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0.0 < self.gamma_split <= 0.5:
+            raise ValueError("gamma_split must be in (0, 1/2]")
 
     def to_dict(self) -> dict:
         out: dict = {"variant": self.variant, "kappa": self.kappa,
@@ -210,8 +217,15 @@ class SimulationReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        return json.dumps({**self.meta, "kind": self.kind, "columns": self.columns,
-                           "rows": self.rows}, sort_keys=True)
+        return strict_json({**self.meta, "kind": self.kind, "columns": self.columns,
+                            "rows": self.rows}, sort_keys=True)
+
+
+def strict_json(payload, **kwargs) -> str:
+    """``json.dumps`` writing every non-finite float as null: strict JSON has
+    no NaN or Infinity.  Floats survive the round trip bit for bit."""
+    nulled = json.loads(json.dumps(payload), parse_constant=lambda _name: None)
+    return json.dumps(nulled, allow_nan=False, **kwargs)
 
 
 # ---------------------------------------------------------------------------

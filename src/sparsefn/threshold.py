@@ -20,22 +20,21 @@ inverse quadratic interpolation when the last three points show it to be
 safe and a bisection step otherwise, so the root stays bracketed and
 converges superlinearly, in about a third of bisection's evaluations; no
 derivative is needed.  One solve serves a whole vector of targets -- the
-adaptive ladder s = 1..s0 is one call -- and steps each target's bracket
-exactly as a one-target solve would.  A solve of ``_ARRAY_MIN_TARGETS``
-targets or more keeps every bracket in float64 arrays and takes all active
-targets' steps in one pass of numpy operations, the same float operations in
-the same order as the Python step, so every target gets the same probes,
-root, residual and evaluation count on either path; a smaller solve (every
-one-target ``solve_beta`` and ``solve_lambda_H``) steps in Python, which is
-cheaper below that size.
+adaptive ladder s = 1..s0 is one call.  A one-target solve (every
+``solve_beta`` and ``solve_lambda_H``) steps on plain floats in Python; a
+solve of two or more targets keeps every bracket in float64 arrays and takes
+all active targets' steps in one pass of numpy operations, the same float
+operations in the same order as the Python step, so every target gets the
+probes, root, residual and evaluation count of its one-target solve.
 
 A root far below a bracket end at 0 (a steep tail, where the objective is
 flat between the probes and interpolation is refused) would cost one halving
 per factor 2.  So when a halving toward 0 stays on the same side of the root,
 the next bisection step is the exponent step: the geometric mean of the
 nonzero end and the smallest normal float, which bisects the exponent, so
-that any representable root is some 10 steps away.  A solve whose residual is
-still above its level when the steps run out raises BracketError.
+that any representable root is some 10 steps away.  A solve stops when its
+residual is met, when no float lies inside its bracket, or at ``max_iter``
+evaluations; a residual still unmet then raises BracketError.
 """
 
 from __future__ import annotations
@@ -74,13 +73,11 @@ class Tolerances:
 
     ``rel`` bounds the achieved relative objective residual, which is the
     meaningful contract (beta enters rates only through the objective).
-    ``width`` is a purely relative x tolerance: every new point keeps at
-    least ``width * |x|`` from both bracket ends (x the end with the smaller
-    residual), and a solve stops once the bracket is narrower than twice
-    that.  With the iteration cap and the end of the floats strictly inside
-    the bracket it is a backstop for ill-conditioned loadings where the
-    residual target sits below float resolution; having no absolute floor,
-    it never stops a root near 0 before the residual is met.
+    ``width`` only keeps interpolation steps off the bracket ends: every
+    interpolated point keeps at least ``width * |x|`` from both ends (x the
+    end with the smaller residual), and a bracket narrower than twice that
+    takes its midpoint.  It never stops a solve: that is the residual test,
+    the end of the floats strictly inside the bracket, or ``max_iter``.
     """
 
     rel: float = 1e-10
@@ -151,8 +148,8 @@ class PhiKernel:
     """
 
     def __init__(self, loading: LoadingVector, alpha: float):
-        if not alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0.0 < alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
         self.levels = loading.levels
         self.alpha = float(alpha)
         self.log_u = np.log(self.levels.values)
@@ -248,8 +245,6 @@ class PhiKernel:
 def log_phi_objective(loading: LoadingVector, alpha: float, beta: float) -> float:
     """log(phi(beta)); finite for every finite beta and valid loading unless
     the true value leaves the float range, which gives +-inf (never NaN)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
     if not math.isfinite(beta):
         raise ValueError("beta must be finite")
     return float(PhiKernel(loading, alpha).log_phi(np.array([beta]))[0])
@@ -276,20 +271,19 @@ def _chandrupatla_x(x1: float, f1: float, x2: float, f2: float, x3: float | None
     Chandrupatla's step: inverse quadratic interpolation through the three
     points where it is monotone on the bracket, kept at least
     ``width * |x_best|`` from both ends, x_best being the end with the smaller
-    |g|; a bisection step otherwise.  The step is an offset from x_best, where
+    |g|, or its midpoint when the bracket is narrower than twice that; a
+    bisection step otherwise.  The step is an offset from x_best, where
     the root lies nearest, so a root next to an end at 0 keeps its relative
     precision.  A bisection step between same-sign ends more than a factor 4
     apart takes their geometric mean: a root 170 decades below the larger end
     is then some 10 steps away, not 570.  Against an end at exactly 0, a
     bisection step after a halving that did not cross the root is the exponent
-    step (see the module docstring).  None once the bracket is narrower than
-    twice ``width * |x_best|``, or no float lies strictly inside it.
+    step (see the module docstring).  None once no float lies strictly inside
+    the bracket.
     """
     (xb, fb), (xo, fo) = ((x1, f1), (x2, f2)) if abs(f1) < abs(f2) else ((x2, f2), (x1, f1))
     span = xo - xb
-    tl = width * abs(xb) / abs(span)
-    if tl > 0.5:
-        return None
+    tl = min(width * abs(xb) / abs(span), 0.5)
     t = None
     if x3 is not None:
         xi = (x1 - x2) / (x3 - x2)
@@ -321,7 +315,7 @@ def _chandrupatla_xs(x1, f1, x2, f2, x3, f3, width: float) -> np.ndarray:
     best1 = np.abs(f1) < np.abs(f2)
     xb, fb, xo, fo = np.where(best1, (x1, f1, x2, f2), (x2, f2, x1, f1))
     span = xo - xb
-    tl = width * np.abs(xb) / np.abs(span)
+    tl = np.minimum(width * np.abs(xb) / np.abs(span), 0.5)
     x = half = xb + 0.5 * span
     bisect = np.ones(xb.shape, dtype=bool)
     stalled = ~bisect
@@ -351,10 +345,7 @@ def _chandrupatla_xs(x1, f1, x2, f2, x3, f3, width: float) -> np.ndarray:
         mean = np.copysign(np.sqrt(np.abs(a)) * np.sqrt(np.abs(b)), a)
         geo &= (np.minimum(xb, xo) < mean) & (mean < np.maximum(xb, xo))
         x = np.where(geo, mean, x)
-    return np.where(tl > 0.5, np.nan, x)
-
-
-_ARRAY_MIN_TARGETS = 128  # smaller solves step in Python (see _solve_decreasing)
+    return x
 
 
 def _solve_decreasing(f, targets, resid_rel_of) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -372,22 +363,15 @@ def _solve_decreasing(f, targets, resid_rel_of) -> tuple[np.ndarray, np.ndarray,
     more, uncounted, evaluation at the smallest float on its root's side
     tells a root below float resolution from a solve that ran out of steps.
 
-    A solve of ``_ARRAY_MIN_TARGETS`` targets or more keeps the bracket
-    state in arrays and takes every active target's step in one pass of
-    numpy operations (``_chandrupatla_xs``); a smaller one steps each target
-    in Python.  Both give the same probes, calls to ``f``, roots and counts.
-    Each array round costs some 100 numpy calls whatever the number of
-    targets, so the size is the measured break-even: with every kernel row
-    remembered (2 vCPUs, numpy 2.4.6), adaptive ladders s = 1..n on four
-    loadings took 0.74-0.89 times their Python time on arrays at n = 128 and
-    0.79-1.06 at n = 112, a one-target solve about 500 us against 60 us, and
-    the 512-target ladder of a two_phase d=1e4 loading 1.9 ms against 4.6 ms.
+    One target steps on plain floats (``_solve_scalar``).  Two or more take
+    every active target's step in one pass of numpy operations
+    (``_solve_arrays``), some 100 numpy calls a round whatever their number:
+    on arrays a lone solve took about 500 us, in Python 60 us (2 vCPUs).
     """
-    t = [float(x) for x in targets]
     f0 = float(f(np.zeros(1))[0])
-    if len(t) >= _ARRAY_MIN_TARGETS:
-        return _solve_arrays(f, np.array(t), f0, resid_rel_of)
-    return _solve_scalars(f, t, f0, resid_rel_of)
+    if len(targets) == 1:
+        return _solve_scalar(f, float(targets[0]), f0, resid_rel_of)
+    return _solve_arrays(f, np.array(targets, dtype=float), f0, resid_rel_of)
 
 
 def _no_sign_change(sign: float, step: float) -> BracketError:
@@ -409,73 +393,44 @@ def _unmet(f, target: float, sign: float, root: float, g: float, iters: int,
                         f"{resid_rel_of(g):.3g}")
 
 
-def _solve_scalars(f, t: list[float], f0: float, resid_rel_of):
-    """``_solve_decreasing`` one target at a time."""
+def _solve_scalar(f, t: float, f0: float, resid_rel_of):
+    """``_solve_decreasing`` for one target, on plain floats."""
     tol = TOLERANCES
-    n = len(t)
-    g = [f0 - ti for ti in t]           # g at the best probe so far
-    root = [0.0] * n
-    iters = [1] * n
-    sign = [1.0 if gi > 0.0 else -1.0 for gi in g]
+    g = f0 - t                          # g at the best probe so far
+    if g == 0.0:
+        return np.zeros(1), np.array([g]), np.ones(1, dtype=int)
+    sign = 1.0 if g > 0.0 else -1.0
     # the bracket: x1 the newest probe, x2 the other end, x3 the end dropped last
-    x1, f1, x2, f2 = [0.0] * n, [0.0] * n, [0.0] * n, g[:]
-    x3: list[float | None] = [None] * n
-    f3 = [0.0] * n
-
-    rows = [i for i in range(n) if g[i] != 0.0]
-    step = 1.0
-    for _ in range(tol.max_doublings):
-        if not rows:
+    x2, f2, step = 0.0, g, 1.0
+    for iters in range(2, tol.max_doublings + 2):  # evaluations, F(0) included
+        x1 = sign * step
+        f1 = float(f(np.array([x1]))[0]) - t
+        if not sign * f1 > 0.0:
             break
-        dirs = sorted({sign[i] for i in rows})
-        f_far = dict(zip(dirs, f(np.array(dirs) * step).tolist()))
-        open_rows = []
-        for i in rows:
-            x1[i], f1[i] = sign[i] * step, f_far[sign[i]] - t[i]
-            iters[i] += 1
-            if sign[i] * f1[i] > 0.0:  # no sign change yet: the probe is the near end
-                x2[i], f2[i] = x1[i], f1[i]
-                open_rows.append(i)
-        rows = open_rows
-        step *= 2.0
-    if rows:
-        raise _no_sign_change(sign[rows[0]], step)
+        x2, f2, step = x1, f1, 2.0 * step  # no sign change yet: the probe is the near end
+    else:
+        raise _no_sign_change(sign, step)
 
     # the expansion evaluated both bracket ends; start from the better
-    active, xs = [], []
-    for i in range(n):
-        if g[i] == 0.0:
-            continue
-        root[i], g[i] = (x1[i], f1[i]) if abs(f1[i]) < abs(f2[i]) else (x2[i], f2[i])
-        x = _chandrupatla_x(x1[i], f1[i], x2[i], f2[i], None, 0.0, tol.width)
-        if iters[i] < tol.max_iter and x is not None:
-            active.append(i)
-            xs.append(x)
-    while active:
-        f_x = f(np.array(xs)).tolist()
-        next_active, next_xs = [], []
-        for i, x, fx in zip(active, xs, f_x):
-            gx = fx - t[i]
-            iters[i] += 1
-            if abs(gx) < abs(g[i]):
-                root[i], g[i] = x, gx
-            if abs(resid_rel_of(gx)) <= tol.rel:
-                continue
-            if (gx > 0.0) == (f1[i] > 0.0):  # x replaces the newest end
-                x3[i], f3[i] = x1[i], f1[i]
-            else:                            # x replaces the other end
-                x3[i], f3[i] = x2[i], f2[i]
-                x2[i], f2[i] = x1[i], f1[i]
-            x1[i], f1[i] = x, gx
-            x = _chandrupatla_x(x1[i], f1[i], x2[i], f2[i], x3[i], f3[i], tol.width)
-            if iters[i] < tol.max_iter and x is not None:
-                next_active.append(i)
-                next_xs.append(x)
-        active, xs = next_active, next_xs
-    for i in range(n):
-        if abs(resid_rel_of(g[i])) > tol.rel:
-            raise _unmet(f, t[i], sign[i], root[i], g[i], iters[i], resid_rel_of)
-    return np.array(root), np.array(g), np.array(iters)
+    root, g = (x1, f1) if abs(f1) < abs(f2) else (x2, f2)
+    x = _chandrupatla_x(x1, f1, x2, f2, None, 0.0, tol.width)
+    while iters < tol.max_iter and x is not None:
+        gx = float(f(np.array([x]))[0]) - t
+        iters += 1
+        if abs(gx) < abs(g):
+            root, g = x, gx
+        if abs(resid_rel_of(gx)) <= tol.rel:
+            break
+        if (gx > 0.0) == (f1 > 0.0):  # x replaces the newest end
+            x3, f3 = x1, f1
+        else:                         # x replaces the other end
+            x3, f3 = x2, f2
+            x2, f2 = x1, f1
+        x1, f1 = x, gx
+        x = _chandrupatla_x(x1, f1, x2, f2, x3, f3, tol.width)
+    if abs(resid_rel_of(g)) > tol.rel:
+        raise _unmet(f, t, sign, root, g, iters, resid_rel_of)
+    return np.array([root]), np.array([g]), np.array([iters])
 
 
 def _meets_band(resid_rel_of, rel: float) -> tuple[float, float]:

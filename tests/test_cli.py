@@ -38,6 +38,14 @@ def run_json(capsys, argv):
     return rc, json.loads(out)
 
 
+def _strict_json(text: str):
+    """json.loads that rejects the non-standard constants NaN and Infinity."""
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 # -- config parsing --------------------------------------------------------------
 
 def test_minimal_config_fills_defaults():
@@ -84,6 +92,11 @@ def test_typo_rejection_names_path():
     ({"theta": {"kind": "fixed", "support": [0], "values": [float("inf")]}},
      "theta.values[0]"),
     ({"simulation": {"replicates": 3, "workers": 2}}, "simulation.workers"),  # removed key
+    # estimator constants are range-checked at parse time, before any replicate
+    ({"estimator": {"variant": "adaptive", "zeta": -1}}, "estimator"),
+    ({"estimator": {"variant": "oracle", "kappa": -1}}, "estimator"),
+    ({"estimator": {"variant": "unknown-sigma", "gamma_split": 0.9}}, "estimator"),
+    ({"estimator": {"variant": "nonsym", "c_h": -1}}, "estimator"),
 ])
 def test_bad_numbers_rejected_with_path(patch, path):
     with pytest.raises(ConfigError, match="^" + re.escape(path) + ":"):
@@ -215,14 +228,11 @@ def test_prior_subcommand(tmp_path, capsys):
 
 def test_prior_bound_is_finite_when_pi_underflows(capsys):
     # the tail pi_j underflow to 0 where exp(|gamma_j / C2|^alpha) overflows
-    def no_nan(name):
-        raise ValueError(f"non-finite JSON constant {name}")
-
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         rc = main(["prior", "--loading-spec", "exp_decay", "--d", "3000", "--c", "0.01",
                    "--gamma", "1", "--alpha", "2", "--s", "3", "--c1", "0.5"])
-    p = json.loads(capsys.readouterr().out, parse_constant=no_nan)
+    p = _strict_json(capsys.readouterr().out)
     assert rc == 0
     assert 1.0 <= p["chi2_bound"] < math.inf and p["tv_bound"] >= 0.0
 
@@ -281,10 +291,13 @@ def test_cli_test_rejects_non_oracle_variant(tmp_path):
                  "--y-file", str(yfile), "--t0", "0", "--B", "1"]) == 1
 
 
+def _subcommands() -> dict:
+    return next(a for a in _build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _estimate_variant_choices() -> list:
-    sub = next(a for a in _build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    return list(next(a for a in sub.choices["estimate"]._actions
+    return list(next(a for a in _subcommands()["estimate"]._actions
                      if a.dest == "variant").choices)
 
 
@@ -513,3 +526,81 @@ def test_simulate_checks_the_grid_once(tmp_path, monkeypatch):
     cpath.write_text(json.dumps(BASE_CONFIG))
     assert main(["simulate", "--config", str(cpath), "--out", str(tmp_path / "o.csv")]) == 0
     assert len(calls) == 1
+
+
+# -- non-finite input and strict JSON --------------------------------------------
+
+_LOADING = ["--loading-spec", "homogeneous", "--d", "10", "--alpha", "2", "--s", "1"]
+_OBSERVED = _LOADING + ["--tau", "2", "--y-file", "y.txt"]
+_VALID_ARGV = {
+    "solve": ["solve", *_LOADING],
+    "rate": ["rate", *_LOADING],
+    "estimate": ["estimate", *_OBSERVED],
+    "test": ["test", *_OBSERVED, "--t0", "0", "--B", "1"],
+    "prior": ["prior", *_LOADING],
+}
+
+
+def _float_options() -> list:
+    """(subcommand, option) for every option that takes a float."""
+    return [(name, action.option_strings[-1]) for name, sub in _subcommands().items()
+            for action in sub._actions if action.type in (float, cli._finite_float)]
+
+
+def test_every_float_option_is_checked_for_finiteness():
+    options = _float_options()
+    assert {name for name, _opt in options} == set(_VALID_ARGV)
+    assert ("solve", "--gamma-d") in options and ("test", "--B") in options
+    assert all(action.type is not float for sub in _subcommands().values()
+               for action in sub._actions)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, option", _float_options())
+def test_non_finite_float_option_exits_1_naming_it(command, option, value, capsys):
+    assert main(_VALID_ARGV[command] + [f"{option}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: argument {option}: not a finite number: {value!r}\n"
+
+
+@pytest.mark.parametrize("name", ["loading-file", "y-file"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_file_entry_exits_1_naming_file_and_line(name, value, tmp_path, capsys):
+    path = tmp_path / "floats.txt"
+    path.write_text(f"1.0\n\n{value}\n0.5\n")
+    good = tmp_path / "good.txt"
+    good.write_text("1.0\n2.0\n0.5\n")
+    files = {"loading-file": str(good), "y-file": str(good), name: str(path)}
+    argv = ["estimate", "--alpha", "2", "--tau", "2", "--s", "1",
+            "--loading-file", files["loading-file"], "--y-file", files["y-file"]]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: cannot read floats from {path}: "
+                   f"line 3: not a finite number: {value!r}\n")
+
+
+def test_every_json_output_is_strict(tmp_path, capsys):
+    yfile = tmp_path / "y.txt"
+    yfile.write_text("3.0\n" + "".join(f"{0.1 * (-1) ** i}\n" for i in range(9)))
+    observed = ["--alpha", "2", "--tau", "2", "--s", "2", "--loading-spec", "homogeneous",
+                "--d", "10", "--y-file", str(yfile)]
+    cpath = tmp_path / "c.json"
+    cfg = dict(BASE_CONFIG)
+    cfg["simulation"] = {"replicates": 1, "s_assumed": 3}  # one replicate: no mse_se
+    cpath.write_text(json.dumps(cfg))
+    argvs = [
+        ["solve", *_LOADING],
+        ["rate", *_LOADING],
+        ["estimate", *observed],
+        ["test", *observed, "--t0", "0", "--B", "1"],
+        ["prior", *_LOADING, "--c-alpha1", "1e5"],  # a bound beyond the float range
+        ["simulate", "--config", str(cpath), "--format", "json"],
+    ]
+    outputs = []
+    for argv in argvs:
+        assert main(argv) == 0, argv
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        outputs.append(_strict_json(captured.out))
+    assert outputs[4]["chi2_bound"] is None and outputs[4]["tv_bound"] is None
+    assert outputs[5]["rows"][0]["mse_se"] is None

@@ -303,6 +303,22 @@ def test_linear_test_fixtures():
 
     with pytest.warns(UserWarning):
         linear_test(inp, 1, 0.0, 1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="t0 must be finite"):
+            linear_test(inp, 5, bad, 1.0)
+        with pytest.raises(ValueError, match="B must be positive and finite"):
+            linear_test(inp, 5, 0.0, bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_tuning_constants_must_be_positive_and_finite(bad):
+    inp = hom_input(np.zeros(100))
+    with pytest.raises(ValueError, match="zeta must be positive and finite"):
+        lepski_select(inp, bad)
+    with pytest.raises(ValueError, match="zeta must be positive and finite"):
+        adaptive_estimate(inp, bad)
+    with pytest.raises(ValueError, match="c_h must be positive and finite"):
+        nonsymmetric_estimate(inp, 5, bad)
 
 
 # -- cross-cutting properties -----------------------------------------------------

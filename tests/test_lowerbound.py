@@ -83,6 +83,9 @@ def test_rejects_bad_configurations():
         build_prior(HOM100, 2.0, 5, c1=2.5)
     with pytest.raises(ValueError):
         build_prior(HOM100, 2.0, 5, c1=0.5, c_alpha2=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="c_alpha2 must be positive and finite"):
+            build_prior(HOM100, 2.0, 5, c1=0.5, c_alpha2=bad)
     # one dominant coordinate with beta_+ = 0 concentrates the whole
     # activation mass there: pi_1 ~ c1 > 1 must be rejected
     skew = make_loading(LoadingSpec("explicit", values=(1.0, 0.01, 0.01, 0.01)))
@@ -139,6 +142,12 @@ def test_chi2_bound_fixture_and_monotonicity():
 
     with pytest.raises(ValueError):
         chi2_mixture_bound(prior, 2.0, c_alpha1=0.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="c_alpha1 must be >= 1 and finite"):
+            chi2_mixture_bound(prior, 2.0, c_alpha1=bad)
+    # exp(sum) beyond the float range is an infinite bound, not an OverflowError
+    huge = chi2_mixture_bound(prior, 2.0, c_alpha1=1e5)
+    assert huge.bound == math.inf and huge.tv_bound == math.inf
 
 
 def test_chi2_quadrature_cross_check():

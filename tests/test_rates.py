@@ -312,8 +312,7 @@ def test_ladder_takes_no_python_steps(monkeypatch):
         raise AssertionError("a batch of this size steps on arrays")
 
     monkeypatch.setattr(threshold, "_chandrupatla_x", python_step)
-    table = RateCalculator(make_loading(TWO_PHASE_1E4), 1.0).table()
-    assert table.j2.size >= threshold._ARRAY_MIN_TARGETS
+    RateCalculator(make_loading(TWO_PHASE_1E4), 1.0).table()
 
 
 def test_ladder_keeps_its_evaluation_counts():

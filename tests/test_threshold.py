@@ -233,6 +233,9 @@ def test_solver_rejects_bad_inputs():
         solve_adaptive_beta(lv, 2.0, 5)
     with pytest.raises(ValueError):
         log_phi_objective(lv, 0.0, 1.0)
+    for alpha in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            PhiKernel(lv, alpha)
 
 
 def test_tolerances_contract_recorded():
@@ -453,16 +456,14 @@ def _phi0_target(lv, alpha):
     raise AssertionError("no float target at phi(0)")
 
 
-def _assert_batch_equals_one_target_solves(monkeypatch, lv, alpha, targets):
-    """Batched on arrays and batched in Python, every target gets the root,
-    evaluation count and residual of its one-target solve."""
+def _assert_batch_equals_one_target_solves(lv, alpha, targets):
+    """Batched on arrays, every target gets the root, evaluation count and
+    residual of its one-target solve in Python."""
     ones = [solve_beta(lv, alpha, target) for target in targets]
-    for min_targets in (2, len(targets) + 1):  # the array steps, then the Python steps
-        monkeypatch.setattr(threshold, "_ARRAY_MIN_TARGETS", min_targets)
-        beta, g, iters = _solve_phi(PhiKernel(lv, alpha), targets)
-        for i, (target, one) in enumerate(zip(targets, ones)):
-            assert (beta[i], iters[i]) == (one.beta, one.iterations)
-            assert _safe_expm1(g[i]) * target == one.residual
+    beta, g, iters = _solve_phi(PhiKernel(lv, alpha), targets)
+    for i, (target, one) in enumerate(zip(targets, ones)):
+        assert (beta[i], iters[i]) == (one.beta, one.iterations)
+        assert _safe_expm1(g[i]) * target == one.residual
 
 
 @pytest.mark.parametrize("spec", [
@@ -472,34 +473,54 @@ def _assert_batch_equals_one_target_solves(monkeypatch, lv, alpha, targets):
     LoadingSpec("explicit", values=tuple(np.random.default_rng(8).lognormal(size=300))),
 ])
 @pytest.mark.parametrize("alpha", [0.5, 2.0])
-def test_batched_ladder_equals_one_target_solves(spec, alpha, monkeypatch):
+def test_batched_ladder_equals_one_target_solves(spec, alpha):
     lv = make_loading(spec)
     phi0 = _phi0_target(lv, alpha)
     # phi(0) itself gives g == 0; targets above it give negative roots
     assert solve_beta(lv, alpha, phi0).iterations == 1
     targets = [adaptive_target(s) for s in range(1, 121)] + [0.01, 1e3, phi0, 1.5 * phi0]
-    _assert_batch_equals_one_target_solves(monkeypatch, lv, alpha, targets)
+    _assert_batch_equals_one_target_solves(lv, alpha, targets)
 
 
-def test_batched_steep_roots_take_the_one_target_steps(monkeypatch):
+def test_batched_steep_roots_take_the_one_target_steps():
     # roots far below their bracket's end at 0: the exponent step and the
     # geometric steps after it
     lv = make_loading(LoadingSpec("exp_decay", d=100, c=3.0, gamma=1.0))
     targets = [s / 2.0 for s in range(1, 10)] + [adaptive_target(s) for s in range(1, 10)]
-    _assert_batch_equals_one_target_solves(monkeypatch, lv, 2.0, targets)
+    _assert_batch_equals_one_target_solves(lv, 2.0, targets)
 
 
-def test_batch_raises_as_its_first_failing_target(monkeypatch):
+@pytest.mark.parametrize("alpha, ss", [(0.5, (63, 66)), (1.0, (47, 80)), (2.0, (40, 62))])
+def test_steep_adaptive_roots_meet_the_residual(alpha, ss):
+    # roots so steep that a bracket 1e-12 wide (relative) moves phi by more
+    # than 1e-10: a width stop ended these solves with the residual unmet
+    lv = make_loading(LoadingSpec("exp_decay", d=100, c=3.0, gamma=1.0))
+    for s in ss:
+        assert solve_adaptive_beta(lv, alpha, s).meets(TOLERANCES), s
+    _assert_batch_equals_one_target_solves(lv, alpha, [adaptive_target(s) for s in ss])
+
+
+def test_two_targets_step_on_arrays(monkeypatch):
+    def python_step(*args):
+        raise AssertionError("a batch of two steps on arrays")
+
+    lv = make_loading(LoadingSpec("exp_decay", d=2000, c=0.01, gamma=1.0))
+    ones = [solve_beta(lv, 2.0, target) for target in (0.5, 3.0)]
+    monkeypatch.setattr(threshold, "_chandrupatla_x", python_step)
+    beta, _g, iters = _solve_phi(PhiKernel(lv, 2.0), [0.5, 3.0])
+    assert beta.tolist() == [one.beta for one in ones]
+    assert iters.tolist() == [one.iterations for one in ones]
+
+
+def test_batch_raises_as_its_first_failing_target():
     # targets above phi(0) = 1 have roots in (-5e-324, 0); 1e3 fails first
     lv = explicit(1.0, 1e-100)
     targets = [0.5, 0.9, 1e3, 2.0]
     with pytest.raises(BracketError, match="below float resolution") as one:
         solve_beta(lv, 4.0, 1e3)
-    for min_targets in (2, len(targets) + 1):
-        monkeypatch.setattr(threshold, "_ARRAY_MIN_TARGETS", min_targets)
-        with pytest.raises(BracketError) as batch:
-            _solve_phi(PhiKernel(lv, 4.0), targets)
-        assert str(batch.value) == str(one.value)
+    with pytest.raises(BracketError) as batch:
+        _solve_phi(PhiKernel(lv, 4.0), targets)
+    assert str(batch.value) == str(one.value)
 
 
 @pytest.mark.parametrize("resid, scale", [(_safe_expm1, 1.0), (lambda v: v / 7.0, 7.0)],
