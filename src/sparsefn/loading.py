@@ -1,14 +1,17 @@
 """Loading vectors: the fixed weights of the linear functional being estimated.
 
 A loading vector is stored sorted by decreasing absolute value, which is the
-order every threshold and rate computation assumes.  The sort permutation is
-retained so observations and estimates given in the caller's coordinate order
-can be mapped back and forth exactly.
+order every threshold and rate computation assumes.  The sort permutation of
+an explicit loading is retained so observations and estimates given in the
+caller's coordinate order can be mapped back and forth exactly; a generated
+loading is built sorted, so its order is the identity.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -64,21 +67,35 @@ class LoadingLevels(NamedTuple):
         return int(np.searchsorted(self.ends, position, side="right"))
 
 
-@dataclass(frozen=True)
+def _read_only(*arrays: np.ndarray) -> None:
+    for arr in arrays:
+        arr.flags.writeable = False
+
+
 class LoadingVector:
     """Nonzero finite loadings sorted by decreasing absolute value.
 
     ``values[k] == original[order[k]]``, so ``order`` maps sorted positions to
-    the caller's original coordinates.
+    the caller's original coordinates.  Every array is read-only, and the
+    object does not change once built.
+
+    ``LoadingVector(values, order)`` checks an explicit loading.
+    ``make_loading`` builds a generated one, which is positive and sorted by
+    construction, so its order is the identity: that is a fact the object
+    records, not an array.  ``to_sorted`` and ``to_original`` then return
+    their input, and ``abs_values`` is ``values``.  A homogeneous or
+    two_phase loading is built from its ``levels``, and ``values``,
+    ``abs_values``, ``order`` and ``original_values`` are built on first
+    read, so work that reads only the levels (``rate``, ``solve``) costs
+    O(levels) at any d.
     """
 
-    values: np.ndarray
-    order: np.ndarray
-    provenance: str = "explicit"
+    d: int
+    provenance: str
 
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        order = np.asarray(self.order, dtype=np.intp)
+    def __init__(self, values, order, provenance: str = "explicit") -> None:
+        values = np.asarray(values, dtype=float)
+        order = np.asarray(order, dtype=np.intp)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("loading must be a nonempty 1-d sequence")
         if not np.all(np.isfinite(values)):
@@ -90,32 +107,61 @@ class LoadingVector:
             raise ValueError("loading must be sorted by decreasing |value|")
         if order.shape != values.shape or not _is_permutation(order):
             raise ValueError("order must be a permutation of 0..d-1")
-        values.flags.writeable = False
-        order.flags.writeable = False
-        a.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_abs", a)
+        _read_only(values, order, a)
+        self.__dict__.update(d=int(values.size), provenance=provenance, _identity=False,
+                             values=values, order=order, abs_values=a)
 
-    @property
-    def d(self) -> int:
-        return int(self.values.size)
+    @classmethod
+    def _generated(cls, kind: str, d: int, *, values: np.ndarray | None = None,
+                   levels: LoadingLevels | None = None) -> LoadingVector:
+        """A positive loading already in decreasing order (identity order),
+        from its ``values`` or its ``levels``; the caller vouches for both."""
+        self = object.__new__(cls)
+        self.__dict__.update(d=d, provenance=kind, _identity=True)
+        if values is not None:
+            _read_only(values)
+            self.__dict__.update(values=values, abs_values=values)
+        if levels is not None:
+            _read_only(*(arr for arr in levels if arr is not None))
+            self.__dict__["levels"] = levels
+        return self
 
-    @property
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"LoadingVector is immutable; cannot set {name!r}")
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The loadings in sorted order; read-only.  Set when built unless
+        the loading is level-backed."""
+        out = np.repeat(self.levels.values, self.levels.counts)
+        _read_only(out)
+        return out
+
+    @cached_property
     def abs_values(self) -> np.ndarray:
-        """|values|, computed once; read-only."""
-        return self._abs
+        """|values|; read-only.  Set when built unless the loading is
+        generated, hence positive, and then ``values`` itself."""
+        return self.values
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Sorted position -> original coordinate.  Set when built unless the
+        order is the identity."""
+        out = np.arange(self.d, dtype=np.intp)
+        _read_only(out)
+        return out
 
     @cached_property
     def levels(self) -> LoadingLevels:
-        """The distinct |eta| levels, by run-length over the sorted |eta| in O(d)."""
-        a = self._abs
-        ends = np.append(np.flatnonzero(a[1:] != a[:-1]) + 1, a.size)
-        if ends.size == a.size:
+        """The distinct |eta| levels, by run-length over the sorted |eta| in
+        O(d); an untied loading stops at the test that finds no tie."""
+        a = self.abs_values
+        differs = a[1:] != a[:-1]
+        if differs.all():
             return LoadingLevels(a, None, None)
+        ends = np.append(np.flatnonzero(differs) + 1, a.size)
         values, counts = a[ends - 1], np.diff(ends, prepend=0)
-        for arr in (values, counts, ends):
-            arr.flags.writeable = False
+        _read_only(values, counts, ends)
         return LoadingLevels(values, counts, ends)
 
     def _check_rows(self, x) -> np.ndarray:
@@ -127,12 +173,16 @@ class LoadingVector:
 
     def to_sorted(self, x: np.ndarray) -> np.ndarray:
         """Reorder a vector, or each row of a block, from the original
-        coordinate order to sorted order."""
-        return np.take(self._check_rows(x), self.order, axis=-1)
+        coordinate order to sorted order.  Under the identity order this is
+        ``x`` itself, not a copy."""
+        x = self._check_rows(x)
+        return x if self._identity else np.take(x, self.order, axis=-1)
 
     def to_original(self, x_sorted: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`to_sorted`."""
-        return np.take(self._check_rows(x_sorted), self._inverse_order, axis=-1)
+        """Inverse of :meth:`to_sorted`, also ``x_sorted`` itself under the
+        identity order."""
+        x = self._check_rows(x_sorted)
+        return x if self._identity else np.take(x, self._inverse_order, axis=-1)
 
     @cached_property
     def _inverse_order(self) -> np.ndarray:
@@ -146,7 +196,7 @@ class LoadingVector:
     def original_values(self) -> np.ndarray:
         """``values`` in the caller's original order, built once; read-only."""
         out = self.to_original(self.values)
-        out.flags.writeable = False
+        _read_only(out)
         return out
 
 
@@ -173,6 +223,10 @@ class LoadingSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown loading kind {self.kind!r}")
+        for name in ("gamma_d", "gamma_lambda", "c", "gamma"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.kind == "explicit":
             if not self.values:
                 raise ValueError("explicit loading needs values")
@@ -211,7 +265,15 @@ def drop_zero_loadings(values) -> tuple[np.ndarray, np.ndarray]:
 
 
 def make_loading(spec: LoadingSpec) -> LoadingVector:
-    """Build a validated, sorted loading vector from a spec."""
+    """Build a sorted loading vector from a spec.
+
+    An explicit loading is sorted and checked.  A generated one is built
+    positive and sorted, in identity order: homogeneous and two_phase from
+    their one or two levels (no d-vector is built unless read), exp_decay
+    from its values, which are checked here as an explicit loading's are
+    (underflow to 0, NaN from ``0 * inf``, order), with no sort and no order
+    array.
+    """
     if spec.kind == "explicit":
         raw = np.asarray(spec.values, dtype=float)
         order = np.argsort(-np.abs(raw), kind="stable")
@@ -219,22 +281,42 @@ def make_loading(spec: LoadingSpec) -> LoadingVector:
 
     d = int(spec.d)
     if spec.kind == "homogeneous":
-        vals = np.ones(d)
-    elif spec.kind == "two_phase":
+        return _from_levels(spec.kind, [1.0], [d])
+    if spec.kind == "two_phase":
         head = math.floor(d ** spec.gamma_d)
         if head > d:
             raise ValueError("two_phase head count floor(d**gamma_d) exceeds d")
-        vals = np.ones(d)
-        vals[:head] = d ** spec.gamma_lambda
-    else:  # exp_decay with decay profile c * x**gamma
-        j = np.arange(d, dtype=float)
-        vals = np.exp(-spec.c * j**spec.gamma)
-        if np.any(vals == 0.0):
-            raise ValueError("exp_decay underflowed to zero loadings; reduce c or d")
-    return LoadingVector(vals, np.arange(d, dtype=np.intp), provenance=spec.kind)
+        top = d ** spec.gamma_lambda
+        if head == d or top == 1.0:
+            return _from_levels(spec.kind, [top if head == d else 1.0], [d])
+        return _from_levels(spec.kind, [top, 1.0], [head, d - head])
+    # exp_decay with decay profile c * x**gamma
+    vals = np.arange(d, dtype=float) ** spec.gamma
+    vals *= -spec.c
+    np.exp(vals, out=vals)
+    if np.any(vals == 0.0):
+        raise ValueError("exp_decay underflowed to zero loadings; reduce c or d")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("loading entries must be finite")
+    if np.any(vals[:-1] < vals[1:]):
+        raise ValueError("loading must be sorted by decreasing |value|")
+    return LoadingVector._generated(spec.kind, d, values=vals)
+
+
+def _from_levels(kind: str, values: list[float], counts: list[int]) -> LoadingVector:
+    """A generated loading from its distinct decreasing values and their
+    counts.  Levels of one coordinate each are untied, as ``levels`` finds
+    them, so such a loading (d <= 2) is built from its values."""
+    if max(counts) == 1:
+        return LoadingVector._generated(kind, len(values), values=np.array(values))
+    counts = np.array(counts, dtype=np.intp)
+    levels = LoadingLevels(np.array(values), counts, np.cumsum(counts))
+    return LoadingVector._generated(kind, int(levels.ends[-1]), levels=levels)
 
 
 def effective_dimension(loading: LoadingVector) -> int:
-    """Index of the first loading below 1/2 (1-based), or d+1 if none is."""
-    below = np.nonzero(loading.abs_values < 0.5)[0]
-    return int(below[0]) + 1 if below.size else loading.d + 1
+    """Index of the first loading below 1/2 (1-based), or d+1 if none is;
+    a binary search over the decreasing |eta| levels."""
+    levels = loading.levels
+    k = bisect.bisect_right(levels.values, -0.5, key=operator.neg)  # first level < 1/2
+    return int(levels.covered(k)) + 1

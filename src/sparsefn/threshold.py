@@ -43,6 +43,7 @@ import contextlib
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -127,9 +128,12 @@ class PhiKernel:
     """log phi, log nu^2 and tail sums for one (loading, alpha), on the
     loading's distinct |eta| levels u_k with multiplicities c_k.
 
-    Holds ``log_u``, ``neg_r = -u^-alpha`` formed in log space as
-    ``-exp(-alpha log u)`` (-inf where it overflows) and ``a1 = log u + log c``;
-    without ties ``a1`` is ``log_u`` itself, so an untied loading keeps two
+    Reads nothing of the loading but its ``levels``, so a homogeneous or
+    two_phase kernel costs O(levels) at any d.  Holds ``log_u``,
+    ``a1 = log u + log c`` and, from the first phi evaluation on,
+    ``neg_r = -u^-alpha`` formed in log space as ``-exp(-alpha log u)`` (-inf
+    where it overflows); a tail sum (the asym solve) reads only ``log_u``.
+    Without ties ``a1`` is ``log_u`` itself, so an untied loading keeps two
     d-length arrays.  The level exponents are ``w_k = beta * neg_r_k``,
     exactly 0 at beta = 0, and every evaluation subtracts the dominant one,
     ``w_top``, exactly:
@@ -153,13 +157,22 @@ class PhiKernel:
         self.levels = loading.levels
         self.alpha = float(alpha)
         self.log_u = np.log(self.levels.values)
-        with np.errstate(over="ignore"):
-            self.neg_r = -np.exp(self.log_u * -self.alpha)
         self.a1 = self.log_u + np.log(self.levels.counts) if self.levels.tied else self.log_u
         # u^-alpha is largest at the last level
-        self._r_inf = bool(np.isinf(self.neg_r[-1]))
-        self._bounded = bool(self.neg_r[-1] >= -1.0)
+        neg_r_last = self._neg_r(self.log_u[-1:])[0]
+        self._r_inf = bool(np.isinf(neg_r_last))
+        self._bounded = bool(neg_r_last >= -1.0)
         self._memo: dict[float, list[float]] = {}  # beta -> [log phi, log nu^2]
+
+    def _neg_r(self, log_u: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return -np.exp(log_u * -self.alpha)
+
+    @cached_property
+    def neg_r(self) -> np.ndarray:
+        """-u^-alpha per level, built on the first phi evaluation (a tail
+        sum reads only ``log_u``)."""
+        return self._neg_r(self.log_u)
 
     def _lse_pair(self, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(w_top, [LSE(a1 + delta), LSE(a1 + log u + delta)]) for a block of rows."""
@@ -191,7 +204,7 @@ class PhiKernel:
 
     def _rows(self, block, betas) -> np.ndarray:
         betas = np.asarray(betas, dtype=float)
-        step = max(1, _BLOCK // self.neg_r.size)
+        step = max(1, _BLOCK // self.log_u.size)
         # exponents saturate to -+inf; with every |eta| >= 1 they cannot overflow
         with contextlib.nullcontext() if self._bounded else np.errstate(over="ignore"):
             if betas.size <= step:

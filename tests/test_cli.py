@@ -419,22 +419,44 @@ def test_bracket_failure_in_cell_set_up_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_rate_csv_builds_the_loading_once(tmp_path, monkeypatch):
-    from sparsefn.loading import LoadingVector
-
     built = []
-    real = LoadingVector.__post_init__
+    real = cli.make_loading
 
-    def counting(self):
-        built.append(self)
-        real(self)
+    def counting(spec):
+        built.append(spec)
+        return real(spec)
 
-    monkeypatch.setattr(LoadingVector, "__post_init__", counting)
+    monkeypatch.setattr(cli, "make_loading", counting)
     out = tmp_path / "rate.csv"
     assert main(["rate", "--loading-spec", "exp_decay", "--d", "300", "--c", "0.05",
                  "--gamma", "1", "--alpha", "1", "--csv", "--s-grid", "1,2,3",
                  "--out", str(out)]) == 0
     assert len(built) == 1
     assert out.read_text().count("\n") == 5  # meta, header, three rows
+
+
+@pytest.mark.parametrize("spec", [
+    ["--loading-spec", "two_phase", "--gamma-d", "0.4", "--gamma-lambda", "0.2"],
+    ["--loading-spec", "homogeneous"],
+])
+@pytest.mark.parametrize("command", [
+    ["rate", "--alpha", "1", "--csv", "--s-grid", "1,2,5"],
+    ["solve", "--alpha", "1", "--equation", "asym", "--s", "5"],
+])
+def test_rate_and_solve_on_levels_build_no_d_vector(tmp_path, command, spec):
+    """At d = 1e6 a d-vector of floats is 8 MB; numpy reports its buffers
+    to tracemalloc."""
+    import tracemalloc
+
+    argv = [*command, *spec, "--d", "1000000", "--out", str(tmp_path / "out")]
+    assert main(argv) == 0  # imports and first-call set-up outside the trace
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_input_failure_inside_simulation_exits_1(tmp_path, capsys):
