@@ -251,9 +251,25 @@ def family_estimate(inp: EstimationInput, s: int, *,
     return _estimate(inp, s, thr, calc.j2(s), "family")
 
 
+def _first_kept(keys: np.ndarray, thr: np.ndarray, head_from: np.ndarray) -> np.ndarray:
+    """Index s - 1 of the first family member keeping each coordinate: the
+    first whose plug-in head holds it (``head_from``) or whose threshold
+    ``thr`` (nonincreasing in s) lies strictly below its |etay| (``keys``).
+
+    A coordinate is kept before its head member only if its key beats the
+    threshold of the member before that one; only those coordinates, a few
+    percent of an estimation input that is mostly noise, are searched among
+    the thresholds."""
+    first = np.broadcast_to(head_from, keys.shape).copy()
+    early = keys > np.concatenate(([np.inf], thr))[head_from]
+    first[early] = np.searchsorted(-thr, -keys[early], side="right")  # thr(s) < key
+    return first
+
+
 def _family_values(inp: EstimationInput, table: RateTable) -> np.ndarray:
-    """(R, n) family estimates for s = 1..n = len(table.j2), in O(d log s0)
-    per row.
+    """(R, n) family estimates for s = 1..n = len(table.j2), in O(d) per row
+    plus a search among the n thresholds for each coordinate kept before its
+    plug-in head (``_first_kept``).
 
     j2(s) is nondecreasing and the threshold nonincreasing in s, so once a
     coordinate is kept -- in the plug-in head or above the threshold -- every
@@ -264,8 +280,7 @@ def _family_values(inp: EstimationInput, table: RateTable) -> np.ndarray:
     """
     sigma = inp.require_sigma()
     thr = inp.kappa * sigma * inp.tau * table.lambda_star
-    above_from = np.searchsorted(-thr, -np.abs(inp.etay), side="right")  # thr(s) < |etay|
-    first = np.minimum(above_from, table.head_from)
+    first = _first_kept(np.abs(inp.etay), thr, table.head_from)
     rows, n = first.shape[0], thr.size
     first += (n + 1) * np.arange(rows)[:, None]
     sums = np.bincount(first.ravel(), weights=inp.etay.ravel(), minlength=rows * (n + 1))

@@ -26,6 +26,7 @@ from .threshold import (
     PhiKernel,
     ThresholdSolution,
     _solve_phi,
+    _solve_phi_rows,
     _threshold_solution,
     adaptive_target,
 )
@@ -106,7 +107,7 @@ class RateCalculator:
         self.alpha = float(alpha)
         self._oracle: dict[int, RateProfile] = {}
         self._star: dict[int, ThresholdSolution] = {}
-        self._ladder: tuple | None = None  # (targets, beta, g, iterations) for s = 1..n
+        self._ladder: tuple | None = None  # (targets, beta, g, iterations, log nu^2) for s = 1..n
         self._table: RateTable | None = None
         self._s_star: int | None = None
         self._kernel = PhiKernel(loading, alpha)
@@ -120,9 +121,10 @@ class RateCalculator:
         return _threshold_solution(equation, self.alpha, target, float(beta[0]), float(g[0]),
                                    int(iters[0]))
 
-    def _nu_star(self, s: np.ndarray, beta: np.ndarray) -> np.ndarray:
-        """nu_star at each s from its adaptive root beta."""
-        return np.sqrt((1.0 + np.log(s)) * np.exp(self._kernel.log_energy(np.maximum(beta, 0.0))))
+    @staticmethod
+    def _nu_star(s: np.ndarray, log_nu2: np.ndarray) -> np.ndarray:
+        """nu_star at each s from log nu^2 at max(beta, 0), beta its adaptive root."""
+        return np.sqrt((1.0 + np.log(s)) * np.exp(log_nu2))
 
     def _phi_adp(self, s: np.ndarray, lam: np.ndarray, nu: np.ndarray) -> np.ndarray:
         """phi_adp at s = 1, ... (each s <= min(s0, d)) from lambda_star and
@@ -165,7 +167,7 @@ class RateCalculator:
         sol = self._star.get(s)
         if sol is None:
             if self._ladder is not None and s <= self._ladder[0].size:
-                targets, beta, g, iters = self._ladder
+                targets, beta, g, iters, _ = self._ladder
                 sol = _threshold_solution("adaptive", self.alpha, float(targets[s - 1]),
                                           float(beta[s - 1]), float(g[s - 1]),
                                           int(iters[s - 1]))
@@ -181,26 +183,38 @@ class RateCalculator:
         return int(_cutoff(self.loading, self.lambda_star(s)))
 
     def nu_star(self, s: int) -> float:
-        sol = self.star_solution(s)
-        return float(self._nu_star(np.array([float(s)]), np.array([sol.beta]))[0])
+        s = int(s)
+        beta = np.array([self.star_solution(s).beta])
+        if self._ladder is not None and s <= self._ladder[0].size:
+            log_nu2 = self._ladder[4][s - 1:s]  # the ladder's row at max(beta, 0)
+        else:
+            log_nu2 = self._kernel.log_energy(np.maximum(beta, 0.0))
+        return float(self._nu_star(np.array([float(s)]), log_nu2)[0])
 
     def table(self) -> RateTable:
         """The adaptive ladder for s = 1..min(s0, d), solved in one batched
-        solve on the first call.  ``lambda_star`` and ``j2`` equal the
-        per-s methods exactly; ``nu_star`` and ``phi_adp`` up to the rounding
-        of the batched energy evaluation."""
+        solve on the first call.  ``lambda_star``, ``j2`` and ``nu_star``
+        equal the per-s methods exactly: ``nu_star`` reads log nu^2 from the
+        kernel row the solve evaluated at each root (at 0 for a root at or
+        below 0).  The targets, their logs and, unless alpha = 1, the powers
+        max(beta, 0)^(1/alpha) stay per-s Python floats: numpy's log and
+        power differ from ``math``'s in the last bit on some inputs."""
         if self._table is None:
             n = min(self.s0(), self.loading.d)
-            targets = np.array([adaptive_target(s) for s in range(1, n + 1)])
-            self._ladder = (targets, *_solve_phi(self._kernel, targets))
-            beta = self._ladder[1]
+            targets = np.array(list(map(adaptive_target, range(1, n + 1))))
+            beta, g, iters, log_nu2 = _solve_phi_rows(self._kernel, targets)
+            self._ladder = (targets, beta, g, iters, log_nu2)
             inv = 1.0 / self.alpha
-            lam = np.array([max(b, 0.0) ** inv for b in beta.tolist()])
+            if inv == 1.0:  # max(b, 0.0) ** 1.0 is max(b, 0.0), -0.0 included
+                lam = np.where(beta < 0.0, 0.0, beta)
+            else:
+                lam = np.array([max(b, 0.0) ** inv for b in beta.tolist()])
             j2 = _cutoff(self.loading, lam)
             s = np.arange(1, n + 1)
-            nu = self._nu_star(s, beta)
+            nu = self._nu_star(s, log_nu2)
             phi = self._phi_adp(s, lam, nu)
-            head_from = np.searchsorted(j2, np.arange(self.loading.d), side="right")
+            # j2 is nondecreasing: sorted positions j2(s-1) <= j < j2(s) first join at s
+            head_from = np.repeat(np.arange(n + 1), np.diff(j2, prepend=0, append=self.loading.d))
             for arr in (lam, j2, nu, phi, head_from):
                 arr.flags.writeable = False
             self._table = RateTable(lam, j2, nu, phi, head_from)

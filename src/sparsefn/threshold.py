@@ -25,7 +25,10 @@ adaptive ladder s = 1..s0 is one call.  A one-target solve (every
 solve of two or more targets keeps every bracket in float64 arrays and takes
 all active targets' steps in one pass of numpy operations, the same float
 operations in the same order as the Python step, so every target gets the
-probes, root, residual and evaluation count of its one-target solve.
+probes, root, residual and evaluation count of its one-target solve.  The
+batch shares its expansion probes among the targets, evaluates each distinct
+probe once as a plain kernel row, without the kernel's memo, and carries
+log nu^2 along with each target's best probe.
 
 A root far below a bracket end at 0 (a steep tail, where the objective is
 flat between the probes and interpolation is refused) would cost one halving
@@ -145,10 +148,13 @@ class PhiKernel:
     out as +-inf, never NaN.  Every method takes a vector of betas (rows) and
     evaluates them in blocks of about ``_BLOCK`` elements.
 
-    One pass over the levels gives both log phi and log nu^2, and the kernel
-    remembers both for every beta it has evaluated: the solves on one kernel
-    share their expansion probes, a repeated target costs no evaluation, and
-    nu^2 at a root the solver probed is already known.
+    One pass over the levels gives both log phi and log nu^2.  ``rows``
+    evaluates them without a lookup, for the batched solves, which share
+    their own repeated probes and carry each target's log nu^2 with its best
+    probe.  One-target solves, ``log_phi`` and ``log_energy`` read a memo of
+    every row the kernel has evaluated, ``rows``' included: the solves on one
+    kernel share their expansion probes, a repeated target costs no
+    evaluation, and nu^2 at a root the solver probed is already known.
     """
 
     def __init__(self, loading: LoadingVector, alpha: float):
@@ -163,6 +169,7 @@ class PhiKernel:
         self._r_inf = bool(np.isinf(neg_r_last))
         self._bounded = bool(neg_r_last >= -1.0)
         self._memo: dict[float, list[float]] = {}  # beta -> [log phi, log nu^2]
+        self._unmemoized: list = []  # (betas, rows) of ``rows``, for the memo's next lookup
 
     def _neg_r(self, log_u: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
@@ -200,7 +207,10 @@ class PhiKernel:
     def _probe_block(self, betas: np.ndarray) -> np.ndarray:
         """Rows of (log phi, log nu^2) for a block of betas."""
         top, (lse1, lse2) = self._lse_pair(betas)
-        return np.stack([lse1 - 0.5 * (lse2 - top), top + lse2], axis=1)
+        rows = np.empty((betas.size, 2))
+        rows[:, 0] = lse1 - 0.5 * (lse2 - top)
+        rows[:, 1] = top + lse2
+        return rows
 
     def _rows(self, block, betas) -> np.ndarray:
         betas = np.asarray(betas, dtype=float)
@@ -212,10 +222,21 @@ class PhiKernel:
             return np.concatenate([block(betas[i:i + step])
                                    for i in range(0, betas.size, step)])
 
+    def rows(self, betas) -> np.ndarray:
+        """Rows of (log phi, log nu^2), one per beta, evaluated without a memo
+        lookup."""
+        betas = np.asarray(betas, dtype=float)
+        rows = self._rows(self._probe_block, betas)
+        self._unmemoized.append((betas, rows))
+        return rows
+
     def _probe(self, betas) -> list[list[float]]:
         """[log phi, log nu^2] for each beta; only betas not seen before are evaluated."""
         keys = np.asarray(betas, dtype=float).tolist()
         memo = self._memo
+        for seen, rows in self._unmemoized:
+            memo.update(zip(seen.tolist(), rows.tolist()))
+        self._unmemoized.clear()
         new = [b for b in dict.fromkeys(keys) if b not in memo]
         if new:
             memo.update(zip(new, self._rows(self._probe_block, new).tolist()))
@@ -349,6 +370,8 @@ def _chandrupatla_xs(x1, f1, x2, f2, x3, f3, width: float) -> np.ndarray:
     if on_end.any():  # a step that rounds onto an end falls back to the midpoint
         x = np.where(on_end, half, x)
         x[(x == xb) | (x == xo)] = np.nan
+    if not bisect.any():
+        return x
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = xb / xo
     far = (np.sign(xb) * np.sign(xo) > 0.0) & ~((0.25 < ratio) & (ratio < 4.0))
@@ -359,32 +382,6 @@ def _chandrupatla_xs(x1, f1, x2, f2, x3, f3, width: float) -> np.ndarray:
         geo &= (np.minimum(xb, xo) < mean) & (mean < np.maximum(xb, xo))
         x = np.where(geo, mean, x)
     return x
-
-
-def _solve_decreasing(f, targets, resid_rel_of) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Roots of F(x) = t for a strictly decreasing F and a vector of targets t.
-
-    ``f`` maps a vector of x to F(x).  Each target gets a geometric bracket
-    expansion from 0, probing x = +-1, +-2, +-4, ... on its root's side, then
-    Chandrupatla steps (``_chandrupatla_x``) inside the bracket, exactly as if
-    it were solved alone; every step evaluates the targets still active in one
-    call to ``f`` (F(0) once for all, and at most two distinct x per expansion
-    step).  ``resid_rel_of`` maps g = F(x) - t to the relative residual, and
-    a target stops once that is within ``TOLERANCES.rel``.  Returns (root, g(root),
-    evaluations of g) per target, the root being the probe with the smallest
-    |g|.  A target that ends above its level raises BracketError, after one
-    more, uncounted, evaluation at the smallest float on its root's side
-    tells a root below float resolution from a solve that ran out of steps.
-
-    One target steps on plain floats (``_solve_scalar``).  Two or more take
-    every active target's step in one pass of numpy operations
-    (``_solve_arrays``), some 100 numpy calls a round whatever their number:
-    on arrays a lone solve took about 500 us, in Python 60 us (2 vCPUs).
-    """
-    f0 = float(f(np.zeros(1))[0])
-    if len(targets) == 1:
-        return _solve_scalar(f, float(targets[0]), f0, resid_rel_of)
-    return _solve_arrays(f, np.array(targets, dtype=float), f0, resid_rel_of)
 
 
 def _no_sign_change(sign: float, step: float) -> BracketError:
@@ -406,10 +403,25 @@ def _unmet(f, target: float, sign: float, root: float, g: float, iters: int,
                         f"{resid_rel_of(g):.3g}")
 
 
-def _solve_scalar(f, t: float, f0: float, resid_rel_of):
-    """``_solve_decreasing`` for one target, on plain floats."""
+def _solve_decreasing(f, t: float, resid_rel_of) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The root of F(x) = t for a strictly decreasing F, on plain floats.
+
+    ``f`` maps a vector of x to F(x).  After F(0), a geometric bracket
+    expansion from 0 probes x = +-1, +-2, +-4, ... on the root's side, then
+    Chandrupatla steps (``_chandrupatla_x``) inside the bracket take one
+    evaluation each.  ``resid_rel_of`` maps g = F(x) - t to the relative
+    residual, and the solve stops once that is within ``TOLERANCES.rel``.
+    Returns (root, g(root), evaluations of g) as one-element arrays, the root
+    being the probe with the smallest |g|.  A target that ends above its level
+    raises BracketError, after one more, uncounted, evaluation at the smallest
+    float on its root's side tells a root below float resolution from a solve
+    that ran out of steps.
+
+    A batch of targets is ``_solve_arrays``, which gives each target exactly
+    this solve's probes, root and evaluation count.
+    """
     tol = TOLERANCES
-    g = f0 - t                          # g at the best probe so far
+    g = float(f(np.zeros(1))[0]) - t    # g at the best probe so far
     if g == 0.0:
         return np.zeros(1), np.array([g]), np.ones(1, dtype=int)
     sign = 1.0 if g > 0.0 else -1.0
@@ -463,50 +475,84 @@ def _meets_band(resid_rel_of, rel: float) -> tuple[float, float]:
     return ends[0], ends[1]
 
 
-def _solve_arrays(f, t: np.ndarray, f0: float, resid_rel_of):
-    """``_solve_decreasing`` with every target's state in arrays."""
+def _solve_arrays(rows_of, t: np.ndarray, row0: np.ndarray, resid_rel_of):
+    """``_solve_decreasing`` for a vector of targets t, every target's state in
+    float64 arrays: each target gets the probes, root, g and evaluation count
+    of its one-target solve.
+
+    ``rows_of`` maps a vector of x to rows whose column 0 is F(x), and ``row0``
+    is its row at x = 0.  Returns (root, g(root), evaluations, the row at the
+    root) per target.  The expansion probes +-1, +-2, +-4, ... are shared: one
+    ``rows_of`` call per doubling, on each side of 0 until the side's farthest
+    root is bracketed, and each target's bracket ends at its first probe with
+    a sign change.  Every later round takes all active targets' Chandrupatla
+    steps in one pass of numpy operations (``_chandrupatla_xs``) and evaluates
+    the distinct steps in one ``rows_of`` call.
+    """
     tol = TOLERANCES
     lo, hi = _meets_band(resid_rel_of, tol.rel)
-    g = f0 - t                          # g at the best probe so far
+    g = row0[0] - t                     # g at the best probe so far
+    act = np.flatnonzero(g != 0.0)
     root = np.zeros(t.size)
     iters = np.ones(t.size, dtype=int)
-    sign = np.where(g > 0.0, 1.0, -1.0)
-    # rows x1 f1 x2 f2: x1 the newest probe, x2 the other end of the bracket
-    br = np.zeros((4, t.size))
-    br[3] = g
+    at = np.tile(row0, (t.size, 1))     # the row at the best probe so far
 
-    rows = np.flatnonzero(g != 0.0)
-    step = 1.0
+    # a side doubles until its farthest target (the smallest t above 0, the
+    # largest below) sees a sign change: every nearer one has seen it by then
+    sides = []
+    for sign in (-1.0, 1.0):
+        on = np.flatnonzero(sign * g > 0.0)
+        if on.size:
+            sides.append((sign, on, t[on].min() if sign > 0.0 else t[on].max(), [row0]))
+    expanding, step = sides, 1.0
     for _ in range(tol.max_doublings):
-        if not rows.size:
+        if not expanding:
             break
-        s = sign[rows]
-        f_far = f(np.array([d for d in (-1.0, 1.0) if (s == d).any()]) * step)
-        br[0, rows] = s * step
-        br[1, rows] = np.where(s > 0.0, f_far[-1], f_far[0]) - t[rows]
-        iters[rows] += 1
-        rows = rows[s * br[1, rows] > 0.0]  # no sign change yet: the probe is the near end
-        br[2:, rows] = br[:2, rows]
+        rows = rows_of(np.array([side[0] for side in expanding]) * step)
+        for side, row in zip(expanding, rows):
+            side[3].append(row)
+        expanding = [side for side, row in zip(expanding, rows)
+                     if side[0] * (row[0] - side[2]) > 0.0]
         step *= 2.0
-    if rows.size:
-        raise _no_sign_change(sign[rows[0]], step)
+    brackets = []
+    for sign, on, _far, probed in sides:
+        rows = np.array(probed)         # at x = 0, sign, 2 sign, 4 sign, ...
+        f = rows[:, :1] - t[on]         # g at each probe (row) for each target (column)
+        brackets.append((sign, on, rows, f, ~(sign * f[1:] > 0.0)))
+    if expanding:  # the first target still without a sign change names the error
+        i = np.concatenate([on[~change.any(axis=0)] for _, on, _, _, change in brackets]).min()
+        raise _no_sign_change(1.0 if g[i] > 0.0 else -1.0, step)
 
-    # the expansion evaluated both bracket ends; start from the better
-    act = np.flatnonzero(g != 0.0)
+    # rows x1 f1 x2 f2: x1 the probe with the sign change, x2 the other end;
+    # the expansion evaluated both, so each target starts from the better
+    br = np.empty((4, t.size))
+    for sign, on, rows, f, change in brackets:
+        k = change.argmax(axis=0) + 1   # the first probe with a sign change
+        cols = np.arange(on.size)
+        x = np.concatenate([[0.0], np.ldexp(sign, np.arange(rows.shape[0] - 1))])
+        f1, f2 = f[k, cols], f[k - 1, cols]
+        near = np.where(np.abs(f1) < np.abs(f2), k, k - 1)
+        root[on], g[on], at[on] = x[near], f[near, cols], rows[near]
+        br[:, on] = x[k], f1, x[k - 1], f2
+        iters[on] = k + 1
     br = br[:, act]
-    best1 = np.abs(br[1]) < np.abs(br[3])
-    root[act], g[act] = np.where(best1, br[0], br[2]), np.where(best1, br[1], br[3])
     x = _chandrupatla_xs(*br, None, None, tol.width)
     keep = ~np.isnan(x) & (iters[act] < tol.max_iter)
     while True:
         act, x, br = act[keep], x[keep], br.compress(keep, axis=1)
         if not act.size:
             break
-        gx = f(x) - t[act]
+        # targets that share a step are neighbours (a ladder's roots are
+        # monotone in its targets): each run of equal steps takes one row
+        first = np.empty(x.size, dtype=bool)
+        first[0] = True
+        np.not_equal(x[1:], x[:-1], out=first[1:])
+        rows = rows_of(x[first])[np.cumsum(first) - 1]
+        gx = rows[:, 0] - t[act]
         iters[act] += 1
         better = np.abs(gx) < np.abs(g[act])
-        root[act[better]] = x[better]
-        g[act[better]] = gx[better]
+        i = act[better]
+        root[i], g[i], at[i] = x[better], gx[better], rows[better]
         # rows x1 f1 x2 f2 x3 f3: x3 the end the bracket dropped last
         same = (gx > 0.0) == (br[1] > 0.0)  # x replaces the newest end
         nxt = np.empty((6, act.size))
@@ -519,15 +565,32 @@ def _solve_arrays(f, t: np.ndarray, f0: float, resid_rel_of):
     unmet = np.flatnonzero((g < lo) | (g > hi))
     if unmet.size:
         i = unmet[0]
-        raise _unmet(f, float(t[i]), float(sign[i]), float(root[i]), float(g[i]), int(iters[i]),
-                     resid_rel_of)
-    return root, g, iters
+        sign = 1.0 if row0[0] - t[i] > 0.0 else -1.0
+        raise _unmet(lambda x: rows_of(x)[:, 0], float(t[i]), sign, float(root[i]),
+                     float(g[i]), int(iters[i]), resid_rel_of)
+    return root, g, iters, at
 
 
 def _solve_phi(kernel: PhiKernel, targets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(beta, g(beta), iterations) solving phi(beta) = target for every
-    positive target in one batched solve, with g = log phi - log target."""
-    return _solve_decreasing(kernel.log_phi, [math.log(x) for x in targets], _safe_expm1)
+    positive target, with g = log phi - log target: one target in Python on
+    the kernel's memo, two or more in one batched solve on plain kernel rows.
+    An array round costs some 100 numpy calls whatever the number of targets,
+    so a lone target stays in Python: on arrays it took about 500 us, in
+    Python 60 us (2 vCPUs)."""
+    if len(targets) == 1:
+        return _solve_decreasing(kernel.log_phi, math.log(targets[0]), _safe_expm1)
+    return _solve_phi_rows(kernel, targets)[:3]
+
+
+def _solve_phi_rows(kernel: PhiKernel, targets):
+    """``_solve_phi`` on arrays, for any number of targets, plus log nu^2 at
+    max(beta, 0) per target: the kernel row of a root's best probe carries it,
+    and that of 0 serves a root at or below 0."""
+    row0 = kernel.rows(np.zeros(1))[0]
+    log_t = np.array([math.log(x) for x in np.asarray(targets, dtype=float).tolist()])
+    beta, g, iters, at = _solve_arrays(kernel.rows, log_t, row0, _safe_expm1)
+    return beta, g, iters, np.where(beta > 0.0, at[:, 1], row0[1])
 
 
 def _threshold_solution(equation: str, alpha: float, target: float, beta: float, g: float,
@@ -577,7 +640,7 @@ def solve_lambda_H(loading: LoadingVector, alpha: float, s: int) -> ThresholdSol
     kernel = PhiKernel(loading, alpha)
 
     # g(0) = d - s^2 + 1 - s >= 0, so the expansion always runs upward
-    lam, g, iters = _solve_decreasing(lambda x: kernel.tail_sum(x, s * s - 1), [s],
+    lam, g, iters = _solve_decreasing(lambda x: kernel.tail_sum(x, s * s - 1), float(s),
                                       lambda v: v / s)
     lam_ = float(lam[0])
     return ThresholdSolution("asym", float(s), lam_, lam_, float(g[0]), int(iters[0]))

@@ -8,6 +8,8 @@ from sparsefn.estimators import (
     VARIANTS,
     EstimateResult,
     EstimationInput,
+    _family_values,
+    _first_kept,
     adaptive_estimate,
     collier_estimate,
     default_zeta,
@@ -21,7 +23,7 @@ from sparsefn.estimators import (
     unknown_sigma_estimate,
 )
 from sparsefn.loading import LoadingSpec, make_loading
-from sparsefn.rates import RateCalculator, oracle_rate
+from sparsefn.rates import RateCalculator, RateTable, oracle_rate
 from sparsefn.threshold import solve_beta
 
 HOM3 = make_loading(LoadingSpec("homogeneous", d=3))
@@ -323,7 +325,7 @@ def test_tuning_constants_must_be_positive_and_finite(bad):
 
 # -- cross-cutting properties -----------------------------------------------------
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(0, 2**32 - 1))
 def test_sign_equivariance(seed):
     rng = np.random.default_rng(seed)
@@ -341,7 +343,7 @@ def test_sign_equivariance(seed):
         assert f(neg) == pytest.approx(-f(inp), rel=1e-12, abs=1e-12)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(st.integers(0, 2**32 - 1), st.floats(min_value=0.1, max_value=10.0))
 def test_scale_equivariance_known_sigma(seed, c):
     rng = np.random.default_rng(seed)
@@ -469,6 +471,44 @@ def test_rate_table_matches_per_s_methods():
         assert list(table.j2) == [ref.j2(k) for k in s]
         np.testing.assert_allclose(table.nu_star, [ref.nu_star(k) for k in s], rtol=1e-13)
         np.testing.assert_allclose(table.phi_adp, [ref.phi_adp(k) for k in s], rtol=1e-13)
+
+
+def _family_values_full_search(inp, table):
+    """Reference: every coordinate searched among all the thresholds."""
+    thr = inp.kappa * inp.sigma * inp.tau * table.lambda_star
+    above_from = np.searchsorted(-thr, -np.abs(inp.etay), side="right")
+    first = np.minimum(above_from, table.head_from)
+    rows, n = first.shape[0], thr.size
+    bins = first + (n + 1) * np.arange(rows)[:, None]
+    sums = np.bincount(bins.ravel(), weights=inp.etay.ravel(), minlength=rows * (n + 1))
+    return first, np.cumsum(sums.reshape(rows, n + 1)[:, :n], axis=1)
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_family_values_equal_the_full_search(data):
+    # ties everywhere: |eta y| equal to a threshold, zero eta y, lambda_star
+    # of 0, equal thresholds and cutoffs, one member, one row and several
+    d = data.draw(st.integers(min_value=1, max_value=30), label="d")
+    rows = data.draw(st.integers(min_value=1, max_value=3), label="rows")
+    n = data.draw(st.integers(min_value=1, max_value=8), label="n")
+    eta = data.draw(st.lists(st.sampled_from([2.0, 1.0, -1.0, 0.5, -0.5]), min_size=d,
+                             max_size=d), label="eta")
+    y = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, -1.0, 2.0, -3.0]),
+                                    min_size=rows * d, max_size=rows * d), label="y"))
+    lv = make_loading(LoadingSpec("explicit", values=tuple(eta)))
+    inp = EstimationInput(y.reshape(rows, d) if rows > 1 else y, lv, 2.0, 1.0, sigma=1.0)
+    keys = np.abs(inp.etay).ravel().tolist()
+    lam = sorted(data.draw(st.lists(st.sampled_from(keys + [0.0, 0.3, 9.0]), min_size=n,
+                                    max_size=n), label="lambda_star"), reverse=True)
+    j2 = np.array(sorted(data.draw(st.lists(st.integers(min_value=0, max_value=d), min_size=n,
+                                            max_size=n), label="j2")))
+    head_from = np.searchsorted(j2, np.arange(d), side="right")  # as RateCalculator.table
+    table = RateTable(np.array(lam), j2, np.zeros(n), np.zeros(n), head_from)
+    first, values = _family_values_full_search(inp, table)
+    thr = table.lambda_star  # kappa = sigma = tau = 1
+    assert _first_kept(np.abs(inp.etay), thr, head_from).tolist() == first.tolist()
+    assert _family_values(inp, table).tobytes() == values.tobytes()
 
 
 def test_kept_indices_built_on_first_read():

@@ -68,7 +68,7 @@ def test_explicit_sorting_and_round_trip():
     np.testing.assert_array_equal(lv.to_original(lv.to_sorted(y)), y)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.lists(signed_nonzero, min_size=1, max_size=30))
 def test_sorted_and_invertible(raw):
     lv = make_loading(LoadingSpec("explicit", values=tuple(raw)))
@@ -84,7 +84,7 @@ def test_effective_dimension_examples():
     assert effective_dimension(make_loading(LoadingSpec("explicit", values=(0.4,)))) == 1
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=30),
     st.floats(min_value=1e-3, max_value=1.0),
@@ -181,7 +181,7 @@ def _assert_same_loading(lv: LoadingVector, ref: LoadingVector, rng) -> None:
     np.testing.assert_array_equal(lv.to_sorted(x[0]), ref.to_sorted(x[0]))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(st.sampled_from(["homogeneous", "two_phase"]), st.integers(1, 5000),
        st.floats(0.0, 1.5, exclude_min=True), st.floats(0.0, 2.0, exclude_min=True),
        st.sampled_from([0.5, 1.0, 2.0, 4.0]))

@@ -315,11 +315,16 @@ def test_ladder_takes_no_python_steps(monkeypatch):
     RateCalculator(make_loading(TWO_PHASE_1E4), 1.0).table()
 
 
-def test_ladder_keeps_its_evaluation_counts():
+def test_ladder_keeps_its_evaluation_counts(monkeypatch):
     # the s = 1..512 adaptive ladder of a two_phase d=1e4 loading at alpha 1
     calc = RateCalculator(make_loading(TWO_PHASE_1E4), 1.0)
+    calc.s0()  # its row at beta = 0 is the memo's; the batched solve evaluates its own
+    rows = []
+    block = PhiKernel._probe_block
+    monkeypatch.setattr(PhiKernel, "_probe_block",
+                        lambda self, betas: rows.extend(betas.tolist()) or block(self, betas))
     calc.table()
-    targets, _beta, _g, iters = calc._ladder
+    targets, _beta, _g, iters, _log_nu2 = calc._ladder
     assert targets.size == 512
     assert int(iters.sum()) == 3656
-    assert len(calc._kernel._memo) == 1642  # distinct kernel rows evaluated
+    assert len(rows) == len(set(rows)) == 1642  # kernel rows evaluated, each once

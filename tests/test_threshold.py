@@ -57,7 +57,7 @@ def test_phi_two_coordinate_fixture():
     assert got == pytest.approx(0.9458063691067589, rel=1e-12)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(
     st.lists(st.floats(min_value=1e-2, max_value=1e2), min_size=1, max_size=20),
     st.sampled_from([0.5, 1.0, 2.0, 4.0]),
@@ -86,7 +86,7 @@ def test_log_domain_finite_on_extreme_grid():
                 assert math.isfinite(p) and p > 0.0
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=50),
     st.sampled_from([0.5, 1.0, 2.0]),
@@ -98,7 +98,7 @@ def test_phi_strictly_decreasing(mags, alpha, beta1, gap):
     assert log_phi_objective(lv, alpha, beta1) > log_phi_objective(lv, alpha, beta1 + gap)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(
     st.lists(st.floats(min_value=1e-2, max_value=1e2), min_size=1, max_size=20),
     st.sampled_from([0.5, 1.0, 2.0]),
@@ -149,7 +149,7 @@ def test_solve_beta_negative_root():
     assert phi_objective(lv, 2.0, sol.beta) == pytest.approx(3.0, rel=1e-9)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     st.lists(st.floats(min_value=1e-2, max_value=1e2), min_size=1, max_size=30),
     st.sampled_from([0.5, 1.0, 2.0, 4.0]),
@@ -421,7 +421,7 @@ def _tail_residual(lv, alpha, lam, s):
     return (float(np.exp(-z).sum()) - s) / s
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.floats(min_value=0.05, max_value=5.0), st.integers(min_value=2, max_value=150),
        st.sampled_from([1.0, 1.5]), st.floats(min_value=0.5, max_value=4.0),
        st.integers(min_value=1, max_value=12))
@@ -560,7 +560,7 @@ def test_root_below_float_resolution_raises():
     assert solve_beta(lv, 2.0, 25.0).lambda_ == 0.0
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     st.lists(st.floats(min_value=-300.0, max_value=300.0), min_size=1, max_size=12),
     st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]),
