@@ -117,7 +117,7 @@ class RateCalculator:
         return float(self._kernel.log_energy(np.array([max(beta, 0.0)]))[0])
 
     def _solve(self, equation: str, target: float) -> ThresholdSolution:
-        beta, g, iters = _solve_phi(self._kernel, [target])
+        beta, g, iters = _solve_phi(self._kernel, target)
         return _threshold_solution(equation, self.alpha, target, float(beta[0]), float(g[0]),
                                    int(iters[0]))
 
@@ -196,19 +196,16 @@ class RateCalculator:
         solve on the first call.  ``lambda_star``, ``j2`` and ``nu_star``
         equal the per-s methods exactly: ``nu_star`` reads log nu^2 from the
         kernel row the solve evaluated at each root (at 0 for a root at or
-        below 0).  The targets, their logs and, unless alpha = 1, the powers
-        max(beta, 0)^(1/alpha) stay per-s Python floats: numpy's log and
-        power differ from ``math``'s in the last bit on some inputs."""
+        below 0).  The targets, their logs and the powers max(beta, 0)^(1/alpha)
+        stay per-s Python floats: numpy's log and power differ from ``math``'s
+        in the last bit on some inputs."""
         if self._table is None:
             n = min(self.s0(), self.loading.d)
-            targets = np.array(list(map(adaptive_target, range(1, n + 1))))
+            targets = np.array([adaptive_target(s) for s in range(1, n + 1)])
             beta, g, iters, log_nu2 = _solve_phi_rows(self._kernel, targets)
             self._ladder = (targets, beta, g, iters, log_nu2)
             inv = 1.0 / self.alpha
-            if inv == 1.0:  # max(b, 0.0) ** 1.0 is max(b, 0.0), -0.0 included
-                lam = np.where(beta < 0.0, 0.0, beta)
-            else:
-                lam = np.array([max(b, 0.0) ** inv for b in beta.tolist()])
+            lam = np.array([max(b, 0.0) ** inv for b in beta.tolist()])
             j2 = _cutoff(self.loading, lam)
             s = np.arange(1, n + 1)
             nu = self._nu_star(s, log_nu2)

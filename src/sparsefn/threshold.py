@@ -207,10 +207,7 @@ class PhiKernel:
     def _probe_block(self, betas: np.ndarray) -> np.ndarray:
         """Rows of (log phi, log nu^2) for a block of betas."""
         top, (lse1, lse2) = self._lse_pair(betas)
-        rows = np.empty((betas.size, 2))
-        rows[:, 0] = lse1 - 0.5 * (lse2 - top)
-        rows[:, 1] = top + lse2
-        return rows
+        return np.stack([lse1 - 0.5 * (lse2 - top), top + lse2], axis=1)
 
     def _rows(self, block, betas) -> np.ndarray:
         betas = np.asarray(betas, dtype=float)
@@ -370,8 +367,6 @@ def _chandrupatla_xs(x1, f1, x2, f2, x3, f3, width: float) -> np.ndarray:
     if on_end.any():  # a step that rounds onto an end falls back to the midpoint
         x = np.where(on_end, half, x)
         x[(x == xb) | (x == xo)] = np.nan
-    if not bisect.any():
-        return x
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = xb / xo
     far = (np.sign(xb) * np.sign(xo) > 0.0) & ~((0.25 < ratio) & (ratio < 4.0))
@@ -571,22 +566,19 @@ def _solve_arrays(rows_of, t: np.ndarray, row0: np.ndarray, resid_rel_of):
     return root, g, iters, at
 
 
-def _solve_phi(kernel: PhiKernel, targets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(beta, g(beta), iterations) solving phi(beta) = target for every
-    positive target, with g = log phi - log target: one target in Python on
-    the kernel's memo, two or more in one batched solve on plain kernel rows.
+def _solve_phi(kernel: PhiKernel, target: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(beta, g(beta), iterations) solving phi(beta) = target for one positive
+    target, with g = log phi - log target, in Python on the kernel's memo.
     An array round costs some 100 numpy calls whatever the number of targets,
-    so a lone target stays in Python: on arrays it took about 500 us, in
+    so a lone target stays off arrays: on arrays it took about 500 us, in
     Python 60 us (2 vCPUs)."""
-    if len(targets) == 1:
-        return _solve_decreasing(kernel.log_phi, math.log(targets[0]), _safe_expm1)
-    return _solve_phi_rows(kernel, targets)[:3]
+    return _solve_decreasing(kernel.log_phi, math.log(target), _safe_expm1)
 
 
 def _solve_phi_rows(kernel: PhiKernel, targets):
-    """``_solve_phi`` on arrays, for any number of targets, plus log nu^2 at
-    max(beta, 0) per target: the kernel row of a root's best probe carries it,
-    and that of 0 serves a root at or below 0."""
+    """``_solve_phi`` for a vector of targets in one batched solve on plain
+    kernel rows, plus log nu^2 at max(beta, 0) per target: the kernel row of
+    a root's best probe carries it, and that of 0 serves a root at or below 0."""
     row0 = kernel.rows(np.zeros(1))[0]
     log_t = np.array([math.log(x) for x in np.asarray(targets, dtype=float).tolist()])
     beta, g, iters, at = _solve_arrays(kernel.rows, log_t, row0, _safe_expm1)
@@ -605,7 +597,7 @@ def solve_beta(loading: LoadingVector, alpha: float, target: float,
     """Solve phi(beta) = target by bracket expansion from 0 plus Chandrupatla steps."""
     if target <= 0 or not math.isfinite(target):
         raise ValueError("target must be positive and finite")
-    beta, g, iters = _solve_phi(PhiKernel(loading, alpha), [target])
+    beta, g, iters = _solve_phi(PhiKernel(loading, alpha), target)
     return _threshold_solution(equation, alpha, float(target), float(beta[0]), float(g[0]),
                                int(iters[0]))
 

@@ -343,9 +343,9 @@ def test_oracle_equation_solved_once_per_loading_alpha_and_s(monkeypatch):
     solved = []
     real = rates._solve_phi
 
-    def counting(kernel, targets):
-        solved.append((kernel.alpha, tuple(targets)))
-        return real(kernel, targets)
+    def counting(kernel, target):
+        solved.append((kernel.alpha, target))
+        return real(kernel, target)
 
     monkeypatch.setattr(rates, "_solve_phi", counting)
     rep = risk_grid(config(replicates=2),
@@ -353,7 +353,7 @@ def test_oracle_equation_solved_once_per_loading_alpha_and_s(monkeypatch):
                      "rho": [0.5, 2.0], "s": [2, 3], "d": [40, 50]})
     assert len(rep.rows) == 24
     # one oracle solve (target s/2) per distinct (d, alpha, s): two d, two s
-    assert sorted(solved) == [(2.0, (1.0,))] * 2 + [(2.0, (1.5,))] * 2
+    assert sorted(solved) == [(2.0, 1.0)] * 2 + [(2.0, 1.5)] * 2
 
 
 def test_multi_estimator_rows_equal_single_estimator_rows():

@@ -13,6 +13,7 @@ from sparsefn.threshold import (
     PhiKernel,
     Tolerances,
     _solve_phi,
+    _solve_phi_rows,
     _safe_expm1,
     adaptive_target,
     log_phi_objective,
@@ -354,7 +355,7 @@ def test_solver_costs_no_more_than_bisection():
         alpha = float(rng.choice([0.5, 1.0, 2.0, 4.0]))
         kernel = PhiKernel(lv, alpha)
         target = math.exp(float(kernel.log_phi([0.0])[0])) * 10.0 ** rng.uniform(-3.0, 3.0)
-        _beta, _g, iters = _solve_phi(kernel, [target])
+        _beta, _g, iters = _solve_phi(kernel, target)
         reference = _bisection_evaluations(kernel, target)
         assert iters[0] <= reference, (lv.d, alpha, target)
         ours += int(iters[0])
@@ -365,14 +366,21 @@ def test_solver_costs_no_more_than_bisection():
 def test_log_phi_memo_changes_no_bits(monkeypatch):
     lv = make_loading(LoadingSpec("exp_decay", d=2000, c=0.01, gamma=1.0))
     shared = PhiKernel(lv, 2.0)
-    _solve_phi(shared, [0.5, 3.0])
-    for targets in ([0.5], [3.0, 0.5], [0.7], [1e-3, 40.0]):
-        hit = _solve_phi(shared, targets)
-        fresh = _solve_phi(PhiKernel(lv, 2.0), targets)
+    def one(kernel, targets):
+        return _solve_phi(kernel, targets[0])
+
+    def batch(kernel, targets):
+        return _solve_phi_rows(kernel, targets)[:3]
+
+    batch(shared, [0.5, 3.0])
+    for solve, targets in ((one, [0.5]), (batch, [3.0, 0.5]), (one, [0.7]),
+                           (batch, [1e-3, 40.0])):
+        hit = solve(shared, targets)
+        fresh = solve(PhiKernel(lv, 2.0), targets)
         for a, b in zip(hit, fresh):  # beta, g and iterations
             assert a.tolist() == b.tolist()
     rows = _counting(monkeypatch, "_probe_block")
-    _solve_phi(shared, [3.0])
+    _solve_phi(shared, 3.0)
     assert rows == []  # every probe of a repeated target is remembered
 
 
@@ -460,7 +468,7 @@ def _assert_batch_equals_one_target_solves(lv, alpha, targets):
     """Batched on arrays, every target gets the root, evaluation count and
     residual of its one-target solve in Python."""
     ones = [solve_beta(lv, alpha, target) for target in targets]
-    beta, g, iters = _solve_phi(PhiKernel(lv, alpha), targets)
+    beta, g, iters = _solve_phi_rows(PhiKernel(lv, alpha), targets)[:3]
     for i, (target, one) in enumerate(zip(targets, ones)):
         assert (beta[i], iters[i]) == (one.beta, one.iterations)
         assert _safe_expm1(g[i]) * target == one.residual
@@ -507,7 +515,7 @@ def test_two_targets_step_on_arrays(monkeypatch):
     lv = make_loading(LoadingSpec("exp_decay", d=2000, c=0.01, gamma=1.0))
     ones = [solve_beta(lv, 2.0, target) for target in (0.5, 3.0)]
     monkeypatch.setattr(threshold, "_chandrupatla_x", python_step)
-    beta, _g, iters = _solve_phi(PhiKernel(lv, 2.0), [0.5, 3.0])
+    beta, _g, iters = _solve_phi_rows(PhiKernel(lv, 2.0), [0.5, 3.0])[:3]
     assert beta.tolist() == [one.beta for one in ones]
     assert iters.tolist() == [one.iterations for one in ones]
 
@@ -519,7 +527,7 @@ def test_batch_raises_as_its_first_failing_target():
     with pytest.raises(BracketError, match="below float resolution") as one:
         solve_beta(lv, 4.0, 1e3)
     with pytest.raises(BracketError) as batch:
-        _solve_phi(PhiKernel(lv, 4.0), targets)
+        _solve_phi_rows(PhiKernel(lv, 4.0), targets)
     assert str(batch.value) == str(one.value)
 
 
