@@ -177,7 +177,7 @@ def _cmd_rate(args) -> int:
         if args.s_grid:
             grid = [int(x) for x in args.s_grid.split(",")]
         else:
-            grid = [args.s] if args.s else list(range(1, min(loading.d, 32) + 1))
+            grid = [args.s] if args.s is not None else list(range(1, min(loading.d, 32) + 1))
         rows = [_rate_row(calc, spec, args.alpha, s) for s in grid]
         report = SimulationReport("rate", list(rows[0]), rows, meta(_params(args)))
         _write(report.to_csv(), args.out)

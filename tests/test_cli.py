@@ -272,6 +272,16 @@ def test_missing_required_args_exit_1():
                  "--alpha", "2"]) == 1                   # no --s and no --csv
 
 
+@pytest.mark.parametrize("extra", [["--s", "0"], ["--csv", "--s", "0"],
+                                   ["--csv", "--s-grid", "0,1"]])
+def test_rate_s_out_of_range_exits_1(extra, capsys):
+    # with --csv, --s 0 is an s like any other, not a request for the default table
+    assert main(["rate", "--loading-spec", "homogeneous", "--d", "10", "--alpha", "2",
+                 *extra]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: s must be in [1, 10]\n")
+
+
 def test_workers_env_default(tmp_path, monkeypatch):
     cpath = tmp_path / "c.json"
     cpath.write_text(json.dumps(BASE_CONFIG))

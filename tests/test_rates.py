@@ -13,8 +13,10 @@ from sparsefn.rates import (
     oracle_rate,
     oracle_rate_decomposed,
 )
+import sparsefn.rates as rates
 import sparsefn.threshold as threshold
 from sparsefn.threshold import TOLERANCES, PhiKernel, log_phi_objective
+from test_threshold import _phi0_target
 
 HOM100 = make_loading(LoadingSpec("homogeneous", d=100))
 
@@ -119,12 +121,15 @@ def test_phi_star_constant_past_s0():
 
 
 def test_s_star_definition_brute_force():
+    # homogeneous d = 1 and d = 4 have s_star = d: every s of the search is below phi(0)
     for spec in (LoadingSpec("homogeneous", d=64),
                  LoadingSpec("exp_decay", d=64, c=0.1, gamma=1.0),
-                 LoadingSpec("two_phase", d=64, gamma_d=0.5, gamma_lambda=0.3)):
+                 LoadingSpec("two_phase", d=64, gamma_d=0.5, gamma_lambda=0.3),
+                 LoadingSpec("homogeneous", d=1),
+                 LoadingSpec("homogeneous", d=4)):
         lv = make_loading(spec)
         calc = RateCalculator(lv, 2.0)
-        brute = max((s for s in range(1, 65) if calc.lambda_star(s) > 0.0), default=0)
+        brute = max((s for s in range(1, lv.d + 1) if calc.lambda_star(s) > 0.0), default=0)
         assert calc.s_star() == brute
 
 
@@ -302,6 +307,49 @@ def test_oracle_and_adaptive_at_s1_share_one_solve(monkeypatch):
     assert calc.star_solution(1).beta == beta
     calc.adaptive(1)
     assert len(rows) == evaluated
+
+
+def _bits(x) -> list[int]:
+    """The float64 bit patterns of x: equal bits, not equal values."""
+    return np.asarray(x, dtype=float).reshape(-1).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("ladder_first", [False, True], ids=["per-s", "ladder-first"])
+def test_nu_has_one_source(monkeypatch, ladder_first):
+    # oracle nu, nu_star and the ladder's nu_star all equal log nu^2 at
+    # max(beta, 0) from a kernel that has evaluated nothing else
+    lv = make_loading(LoadingSpec("exp_decay", d=2000, c=0.01, gamma=1.0))
+    alpha = 2.0
+    s0 = RateCalculator(lv, alpha).s0()
+    # the adaptive target at s0 moved onto phi(0) exactly: g = 0 there, s0 unchanged
+    phi0, real = _phi0_target(lv, alpha), rates.adaptive_target
+    monkeypatch.setattr(rates, "adaptive_target", lambda s: phi0 if s == s0 else real(s))
+    calc = RateCalculator(lv, alpha)
+    assert calc.s0() == s0 == 65
+    if ladder_first:
+        calc.table()
+
+    def fresh(beta):
+        return PhiKernel(lv, alpha).log_energy(np.maximum(beta, 0.0))
+
+    # s = 1: oracle and adaptive share the target 1/2; 5: both roots above 0;
+    # 40: the oracle target above phi(0), the adaptive one below; s0: g = 0;
+    # 100 and d: beyond s0, both targets above phi(0)
+    for s in (1, 5, 40, s0, 100, lv.d):
+        prof = calc.oracle(s)
+        assert _bits(prof.nu) == _bits(math.exp(0.5 * float(fresh(np.array([prof.beta]))[0])))
+        beta = np.array([calc.star_solution(s).beta])
+        nu_star = np.sqrt((1.0 + np.log(np.array([float(s)]))) * np.exp(fresh(beta)))
+        assert _bits(calc.nu_star(s)) == _bits(nu_star)
+    assert calc.oracle(40).beta <= 0.0 < calc.star_solution(40).beta
+    assert calc.star_solution(100).beta <= 0.0
+    at_phi0 = calc.star_solution(s0)
+    assert (at_phi0.beta, at_phi0.residual, at_phi0.iterations) == (0.0, 0.0, 1)
+
+    ss = np.arange(1, s0 + 1)
+    beta = np.array([calc.star_solution(s).beta for s in ss.tolist()])
+    nu_star = np.sqrt((1.0 + np.log(ss)) * np.exp(fresh(beta)))
+    assert _bits(calc.table().nu_star) == _bits(nu_star)
 
 
 TWO_PHASE_1E4 = LoadingSpec("two_phase", d=10_000, gamma_d=0.4, gamma_lambda=0.2)
