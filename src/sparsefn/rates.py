@@ -7,14 +7,17 @@ phi_o = (lambda_o * s + nu)^2.  Adaptive analogues replace the target by
 s / (2 sqrt(log(es))) and carry the extra log(es) factor in nu_star.
 
 A RateCalculator serves one (loading, alpha): it holds one PhiKernel, solves
-every equation through it and memoizes solves per s.  Its ``table()`` solves
-the adaptive equation for every s = 1..min(s0, d) in one batched solve
-and tabulates what the Lepski selection reads, so a simulation cell, which
-owns one calculator, does that work once rather than once per replicate.
+every equation through it and memoizes solves per s.  Every solve returns
+log nu^2 at max(beta, 0) with its root, and nu and nu_star read only that.
+Its ``table()`` solves the adaptive equation for every s = 1..min(s0, d) in
+one batched solve and tabulates what the Lepski selection reads, so a
+simulation cell, which owns one calculator, does that work once rather than
+once per replicate.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -26,7 +29,6 @@ from .threshold import (
     PhiKernel,
     ThresholdSolution,
     _solve_phi,
-    _solve_phi_rows,
     _threshold_solution,
     adaptive_target,
 )
@@ -106,20 +108,22 @@ class RateCalculator:
         self.loading = loading
         self.alpha = float(alpha)
         self._oracle: dict[int, RateProfile] = {}
-        self._star: dict[int, ThresholdSolution] = {}
+        self._star: dict[int, tuple[ThresholdSolution, float]] = {}  # s -> (root, log nu^2)
         self._ladder: tuple | None = None  # (targets, beta, g, iterations, log nu^2) for s = 1..n
         self._table: RateTable | None = None
         self._s_star: int | None = None
         self._kernel = PhiKernel(loading, alpha)
 
-    def _nu2_log(self, beta: float) -> float:
-        """log(nu^2) at max(beta, 0)."""
-        return float(self._kernel.log_energy(np.array([max(beta, 0.0)]))[0])
+    def _solve(self, targets) -> tuple:
+        """The solve record (targets, beta, g, iterations, log nu^2 at
+        max(beta, 0)) of ``targets``, one entry per target."""
+        targets = np.asarray(targets, dtype=float)
+        return (targets, *_solve_phi(self._kernel, targets))
 
-    def _solve(self, equation: str, target: float) -> ThresholdSolution:
-        beta, g, iters = _solve_phi(self._kernel, target)
-        return _threshold_solution(equation, self.alpha, target, float(beta[0]), float(g[0]),
-                                   int(iters[0]))
+    def _root(self, equation: str, record: tuple, i: int) -> tuple[ThresholdSolution, float]:
+        """Entry i of a solve record: its root and log nu^2 at max(beta, 0)."""
+        target, beta, g, iters, log_nu2 = (col[i].item() for col in record)
+        return _threshold_solution(equation, self.alpha, target, beta, g, iters), log_nu2
 
     @staticmethod
     def _nu_star(s: np.ndarray, log_nu2: np.ndarray) -> np.ndarray:
@@ -143,38 +147,34 @@ class RateCalculator:
             raise ValueError(f"s must be in [1, {self.loading.d}]")
         prof = self._oracle.get(s)
         if prof is None:
-            sol = self._solve("oracle", s / 2.0)
-            prof = self._profile_from(sol, s)
+            sol, log_nu2 = self._root("oracle", self._solve([s / 2.0]), 0)
+            lam, nu = sol.lambda_, math.exp(0.5 * log_nu2)
+            prof = RateProfile(s, self.alpha, sol.beta, lam, nu, int(_cutoff(self.loading, lam)),
+                               (lam * s + nu) ** 2)
             self._oracle[s] = prof
         return prof
-
-    def _profile_from(self, sol: ThresholdSolution, s: int) -> RateProfile:
-        nu = math.exp(0.5 * self._nu2_log(sol.beta))
-        lam = sol.lambda_
-        j1 = int(_cutoff(self.loading, lam))
-        phi = (lam * s + nu) ** 2
-        return RateProfile(s, self.alpha, sol.beta, lam, nu, j1, phi)
 
     def phi_o(self, s: int) -> float:
         return self.oracle(s).phi_o
 
     # -- adaptive side -------------------------------------------------------
 
-    def star_solution(self, s: int) -> ThresholdSolution:
-        s = int(s)
+    def _adaptive(self, s: int) -> tuple[ThresholdSolution, float]:
+        """The adaptive root at s and log nu^2 at max(beta, 0): the ladder's
+        once it is solved and holds s, else a one-target solve."""
         if not 1 <= s <= self.loading.d:
             raise ValueError(f"s must be in [1, {self.loading.d}]")
-        sol = self._star.get(s)
-        if sol is None:
+        star = self._star.get(s)
+        if star is None:
             if self._ladder is not None and s <= self._ladder[0].size:
-                targets, beta, g, iters, _ = self._ladder
-                sol = _threshold_solution("adaptive", self.alpha, float(targets[s - 1]),
-                                          float(beta[s - 1]), float(g[s - 1]),
-                                          int(iters[s - 1]))
+                star = self._root("adaptive", self._ladder, s - 1)
             else:
-                sol = self._solve("adaptive", adaptive_target(s))
-            self._star[s] = sol
-        return sol
+                star = self._root("adaptive", self._solve([adaptive_target(s)]), 0)
+            self._star[s] = star
+        return star
+
+    def star_solution(self, s: int) -> ThresholdSolution:
+        return self._adaptive(int(s))[0]
 
     def lambda_star(self, s: int) -> float:
         return self.star_solution(s).lambda_
@@ -184,26 +184,20 @@ class RateCalculator:
 
     def nu_star(self, s: int) -> float:
         s = int(s)
-        beta = np.array([self.star_solution(s).beta])
-        if self._ladder is not None and s <= self._ladder[0].size:
-            log_nu2 = self._ladder[4][s - 1:s]  # the ladder's row at max(beta, 0)
-        else:
-            log_nu2 = self._kernel.log_energy(np.maximum(beta, 0.0))
-        return float(self._nu_star(np.array([float(s)]), log_nu2)[0])
+        log_nu2 = self._adaptive(s)[1]
+        return float(self._nu_star(np.array([float(s)]), np.array([log_nu2]))[0])
 
     def table(self) -> RateTable:
         """The adaptive ladder for s = 1..min(s0, d), solved in one batched
         solve on the first call.  ``lambda_star``, ``j2`` and ``nu_star``
-        equal the per-s methods exactly: ``nu_star`` reads log nu^2 from the
-        kernel row the solve evaluated at each root (at 0 for a root at or
-        below 0).  The targets, their logs and the powers max(beta, 0)^(1/alpha)
-        stay per-s Python floats: numpy's log and power differ from ``math``'s
-        in the last bit on some inputs."""
+        equal the per-s methods exactly: they read the same solve record.  The
+        targets, their logs and the powers max(beta, 0)^(1/alpha) stay per-s
+        Python floats: numpy's log and power differ from ``math``'s in the last
+        bit on some inputs."""
         if self._table is None:
             n = min(self.s0(), self.loading.d)
-            targets = np.array([adaptive_target(s) for s in range(1, n + 1)])
-            beta, g, iters, log_nu2 = _solve_phi_rows(self._kernel, targets)
-            self._ladder = (targets, beta, g, iters, log_nu2)
+            self._ladder = self._solve([adaptive_target(s) for s in range(1, n + 1)])
+            _targets, beta, _g, _iters, log_nu2 = self._ladder
             inv = 1.0 / self.alpha
             lam = np.array([max(b, 0.0) ** inv for b in beta.tolist()])
             j2 = _cutoff(self.loading, lam)
@@ -221,31 +215,17 @@ class RateCalculator:
         """Largest s with lambda_star(s) > 0, i.e. adaptive_target(s) < phi(0); 0 if none."""
         if self._s_star is None:
             log_phi0 = float(self._kernel.log_phi(np.zeros(1))[0])
-            if math.log(adaptive_target(1)) >= log_phi0:
-                self._s_star = 0
-            else:
-                lo, hi = 1, self.loading.d  # target is increasing in s
-                if math.log(adaptive_target(hi)) < log_phi0:
-                    lo = hi
-                while lo < hi:
-                    mid = (lo + hi + 1) // 2
-                    if math.log(adaptive_target(mid)) < log_phi0:
-                        lo = mid
-                    else:
-                        hi = mid - 1
-                self._s_star = lo
+            # the target is increasing in s: s = 1..s_star lie below phi(0)
+            self._s_star = bisect.bisect_left(range(1, self.loading.d + 1), log_phi0,
+                                              key=lambda s: math.log(adaptive_target(s)))
         return self._s_star
 
     def s0(self) -> int:
         return self.s_star() + 1
 
     def phi_star(self, s: int) -> float:
-        s = int(s)
-        s0 = min(self.s0(), self.loading.d)
-        if s > s0:
-            s = s0
-        sol = self.star_solution(s)
-        return (s * sol.lambda_) ** 2 + self.nu_star(s) ** 2
+        s = min(int(s), self.s0(), self.loading.d)
+        return (s * self.lambda_star(s)) ** 2 + self.nu_star(s) ** 2
 
     def phi_adp(self, s: int) -> float:
         """Flat beyond s0: phi_adp(s) = phi_adp(min(s, s0))."""

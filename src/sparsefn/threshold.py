@@ -25,10 +25,13 @@ adaptive ladder s = 1..s0 is one call.  A one-target solve (every
 solve of two or more targets keeps every bracket in float64 arrays and takes
 all active targets' steps in one pass of numpy operations, the same float
 operations in the same order as the Python step, so every target gets the
-probes, root, residual and evaluation count of its one-target solve.  The
-batch shares its expansion probes among the targets, evaluates each distinct
-probe once as a plain kernel row, without the kernel's memo, and carries
-log nu^2 along with each target's best probe.
+probes, root, residual and evaluation count of its one-target solve.  Both
+loops evaluate through one function from probes to rows whose first column
+is the objective, and return with each root the row at its best probe, so a
+phi root carries log nu^2, which the rates read.  A one-target phi solve
+reads its rows through the kernel's memo; a batch shares its expansion
+probes among the targets and evaluates each distinct probe once as a plain
+kernel row.
 
 A root far below a bracket end at 0 (a steep tail, where the objective is
 flat between the probes and interpolation is refused) would cost one halving
@@ -148,13 +151,12 @@ class PhiKernel:
     out as +-inf, never NaN.  Every method takes a vector of betas (rows) and
     evaluates them in blocks of about ``_BLOCK`` elements.
 
-    One pass over the levels gives both log phi and log nu^2.  ``rows``
-    evaluates them without a lookup, for the batched solves, which share
-    their own repeated probes and carry each target's log nu^2 with its best
-    probe.  One-target solves, ``log_phi`` and ``log_energy`` read a memo of
-    every row the kernel has evaluated, ``rows``' included: the solves on one
-    kernel share their expansion probes, a repeated target costs no
-    evaluation, and nu^2 at a root the solver probed is already known.
+    One pass over the levels gives both log phi and log nu^2, a row.  ``rows``
+    evaluates rows without a lookup, for the batched solves, which share
+    their own repeated probes.  ``_probe`` reads them through a memo of every
+    row it has evaluated, for one-target solves, ``log_phi`` and
+    ``log_energy``: the one-target solves on one kernel share their expansion
+    probes, and a repeated target costs no evaluation.
     """
 
     def __init__(self, loading: LoadingVector, alpha: float):
@@ -169,7 +171,6 @@ class PhiKernel:
         self._r_inf = bool(np.isinf(neg_r_last))
         self._bounded = bool(neg_r_last >= -1.0)
         self._memo: dict[float, list[float]] = {}  # beta -> [log phi, log nu^2]
-        self._unmemoized: list = []  # (betas, rows) of ``rows``, for the memo's next lookup
 
     def _neg_r(self, log_u: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
@@ -222,30 +223,24 @@ class PhiKernel:
     def rows(self, betas) -> np.ndarray:
         """Rows of (log phi, log nu^2), one per beta, evaluated without a memo
         lookup."""
-        betas = np.asarray(betas, dtype=float)
-        rows = self._rows(self._probe_block, betas)
-        self._unmemoized.append((betas, rows))
-        return rows
+        return self._rows(self._probe_block, betas)
 
-    def _probe(self, betas) -> list[list[float]]:
-        """[log phi, log nu^2] for each beta; only betas not seen before are evaluated."""
+    def _probe(self, betas) -> np.ndarray:
+        """``rows`` through the memo: only betas not seen before are evaluated."""
         keys = np.asarray(betas, dtype=float).tolist()
         memo = self._memo
-        for seen, rows in self._unmemoized:
-            memo.update(zip(seen.tolist(), rows.tolist()))
-        self._unmemoized.clear()
         new = [b for b in dict.fromkeys(keys) if b not in memo]
         if new:
-            memo.update(zip(new, self._rows(self._probe_block, new).tolist()))
-        return [memo[b] for b in keys]
+            memo.update(zip(new, self.rows(new).tolist()))
+        return np.array([memo[b] for b in keys]).reshape(-1, 2)
 
     def log_phi(self, betas) -> np.ndarray:
         """log phi(beta) for each beta."""
-        return np.array([p[0] for p in self._probe(betas)])
+        return self._probe(betas)[:, 0]
 
     def log_energy(self, betas) -> np.ndarray:
         """log(sum_j eta_j^2 exp(-beta/|eta_j|^alpha)) for each beta: log(nu^2) at beta >= 0."""
-        return np.array([p[1] for p in self._probe(betas)])
+        return self._probe(betas)[:, 1]
 
     def tail_sum(self, lams, start: int) -> np.ndarray:
         """sum_{j >= start} exp(-(lam/|eta_j|)^alpha) over 0-based sorted
@@ -384,12 +379,12 @@ def _no_sign_change(sign: float, step: float) -> BracketError:
     return BracketError(f"no sign change in {span} after {TOLERANCES.max_doublings} doublings")
 
 
-def _unmet(f, target: float, sign: float, root: float, g: float, iters: int,
+def _unmet(rows_of, target: float, sign: float, root: float, g: float, iters: int,
            resid_rel_of) -> BracketError:
     """The error of a target whose best probe misses its level; a root
     strictly between 0 and the smallest float of its sign has no float to
     stand for it."""
-    if sign * (float(f(np.array([sign * math.ulp(0.0)]))[0]) - target) < 0.0:
+    if sign * (float(rows_of(np.array([sign * math.ulp(0.0)]))[0, 0]) - target) < 0.0:
         why = f"root in {'(0, 5e-324)' if sign > 0.0 else '(-5e-324, 0)'}, " \
               "below float resolution"
     else:
@@ -398,47 +393,52 @@ def _unmet(f, target: float, sign: float, root: float, g: float, iters: int,
                         f"{resid_rel_of(g):.3g}")
 
 
-def _solve_decreasing(f, t: float, resid_rel_of) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The root of F(x) = t for a strictly decreasing F, on plain floats.
+def _solve_decreasing(rows_of, t: np.ndarray, row0: np.ndarray, resid_rel_of):
+    """The root of F(x) = t for a strictly decreasing F and one target t (a
+    one-element array), on plain floats.
 
-    ``f`` maps a vector of x to F(x).  After F(0), a geometric bracket
-    expansion from 0 probes x = +-1, +-2, +-4, ... on the root's side, then
-    Chandrupatla steps (``_chandrupatla_x``) inside the bracket take one
-    evaluation each.  ``resid_rel_of`` maps g = F(x) - t to the relative
-    residual, and the solve stops once that is within ``TOLERANCES.rel``.
-    Returns (root, g(root), evaluations of g) as one-element arrays, the root
-    being the probe with the smallest |g|.  A target that ends above its level
-    raises BracketError, after one more, uncounted, evaluation at the smallest
-    float on its root's side tells a root below float resolution from a solve
-    that ran out of steps.
+    ``rows_of`` maps a vector of x to rows whose column 0 is F(x), and ``row0``
+    is its row at x = 0.  After F(0), a geometric bracket expansion from 0
+    probes x = +-1, +-2, +-4, ... on the root's side, then Chandrupatla steps
+    (``_chandrupatla_x``) inside the bracket take one ``rows_of`` call each.
+    ``resid_rel_of`` maps g = F(x) - t to the relative residual, and the solve
+    stops once that is within ``TOLERANCES.rel``.  Returns (root, g(root),
+    evaluations of g, the row at the root) as one-element arrays and a one-row
+    array, the root being the probe with the smallest |g|.  A target that
+    ends above its level raises BracketError, after one more, uncounted,
+    evaluation at the smallest float on its root's side tells a root below
+    float resolution from a solve that ran out of steps.
 
-    A batch of targets is ``_solve_arrays``, which gives each target exactly
-    this solve's probes, root and evaluation count.
+    A batch of targets is ``_solve_arrays``, which takes the same arguments and
+    gives each target exactly this solve's probes, root and evaluation count.
     """
     tol = TOLERANCES
-    g = float(f(np.zeros(1))[0]) - t    # g at the best probe so far
+    t = float(t[0])
+    g = float(row0[0]) - t              # g at the best probe so far
     if g == 0.0:
-        return np.zeros(1), np.array([g]), np.ones(1, dtype=int)
+        return np.zeros(1), np.array([g]), np.ones(1, dtype=int), row0[None]
     sign = 1.0 if g > 0.0 else -1.0
     # the bracket: x1 the newest probe, x2 the other end, x3 the end dropped last
-    x2, f2, step = 0.0, g, 1.0
+    x2, f2, row2, step = 0.0, g, row0, 1.0
     for iters in range(2, tol.max_doublings + 2):  # evaluations, F(0) included
         x1 = sign * step
-        f1 = float(f(np.array([x1]))[0]) - t
+        row1 = rows_of(np.array([x1]))[0]
+        f1 = float(row1[0]) - t
         if not sign * f1 > 0.0:
             break
-        x2, f2, step = x1, f1, 2.0 * step  # no sign change yet: the probe is the near end
+        x2, f2, row2, step = x1, f1, row1, 2.0 * step  # no sign change yet: the near end
     else:
         raise _no_sign_change(sign, step)
 
     # the expansion evaluated both bracket ends; start from the better
-    root, g = (x1, f1) if abs(f1) < abs(f2) else (x2, f2)
+    root, g, at = (x1, f1, row1) if abs(f1) < abs(f2) else (x2, f2, row2)
     x = _chandrupatla_x(x1, f1, x2, f2, None, 0.0, tol.width)
     while iters < tol.max_iter and x is not None:
-        gx = float(f(np.array([x]))[0]) - t
+        row = rows_of(np.array([x]))[0]
+        gx = float(row[0]) - t
         iters += 1
         if abs(gx) < abs(g):
-            root, g = x, gx
+            root, g, at = x, gx, row
         if abs(resid_rel_of(gx)) <= tol.rel:
             break
         if (gx > 0.0) == (f1 > 0.0):  # x replaces the newest end
@@ -449,8 +449,8 @@ def _solve_decreasing(f, t: float, resid_rel_of) -> tuple[np.ndarray, np.ndarray
         x1, f1 = x, gx
         x = _chandrupatla_x(x1, f1, x2, f2, x3, f3, tol.width)
     if abs(resid_rel_of(g)) > tol.rel:
-        raise _unmet(f, t, sign, root, g, iters, resid_rel_of)
-    return np.array([root]), np.array([g]), np.array([iters])
+        raise _unmet(rows_of, t, sign, root, g, iters, resid_rel_of)
+    return np.array([root]), np.array([g]), np.array([iters]), at[None]
 
 
 def _meets_band(resid_rel_of, rel: float) -> tuple[float, float]:
@@ -475,9 +475,8 @@ def _solve_arrays(rows_of, t: np.ndarray, row0: np.ndarray, resid_rel_of):
     float64 arrays: each target gets the probes, root, g and evaluation count
     of its one-target solve.
 
-    ``rows_of`` maps a vector of x to rows whose column 0 is F(x), and ``row0``
-    is its row at x = 0.  Returns (root, g(root), evaluations, the row at the
-    root) per target.  The expansion probes +-1, +-2, +-4, ... are shared: one
+    It takes and returns what ``_solve_decreasing`` does, one entry per
+    target.  The expansion probes +-1, +-2, +-4, ... are shared: one
     ``rows_of`` call per doubling, on each side of 0 until the side's farthest
     root is bracketed, and each target's bracket ends at its first probe with
     a sign change.  Every later round takes all active targets' Chandrupatla
@@ -561,27 +560,27 @@ def _solve_arrays(rows_of, t: np.ndarray, row0: np.ndarray, resid_rel_of):
     if unmet.size:
         i = unmet[0]
         sign = 1.0 if row0[0] - t[i] > 0.0 else -1.0
-        raise _unmet(lambda x: rows_of(x)[:, 0], float(t[i]), sign, float(root[i]),
-                     float(g[i]), int(iters[i]), resid_rel_of)
+        raise _unmet(rows_of, float(t[i]), sign, float(root[i]), float(g[i]), int(iters[i]),
+                     resid_rel_of)
     return root, g, iters, at
 
 
-def _solve_phi(kernel: PhiKernel, target: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(beta, g(beta), iterations) solving phi(beta) = target for one positive
-    target, with g = log phi - log target, in Python on the kernel's memo.
-    An array round costs some 100 numpy calls whatever the number of targets,
-    so a lone target stays off arrays: on arrays it took about 500 us, in
-    Python 60 us (2 vCPUs)."""
-    return _solve_decreasing(kernel.log_phi, math.log(target), _safe_expm1)
+def _solve_phi(kernel: PhiKernel, targets):
+    """(beta, g(beta), iterations, log nu^2 at max(beta, 0)) per positive
+    target, solving phi(beta) = target with g = log phi - log target.
 
-
-def _solve_phi_rows(kernel: PhiKernel, targets):
-    """``_solve_phi`` for a vector of targets in one batched solve on plain
-    kernel rows, plus log nu^2 at max(beta, 0) per target: the kernel row of
-    a root's best probe carries it, and that of 0 serves a root at or below 0."""
-    row0 = kernel.rows(np.zeros(1))[0]
+    One target steps in Python on the kernel's memo (``_solve_decreasing``),
+    two or more on arrays on plain kernel rows (``_solve_arrays``): an array
+    round costs some 100 numpy calls whatever the number of targets, and a
+    lone target took about 500 us on arrays, 60 us in Python (2 vCPUs).  The
+    row at 0, read once through the memo, gives log nu^2 for a root at or
+    below 0.
+    """
     log_t = np.array([math.log(x) for x in np.asarray(targets, dtype=float).tolist()])
-    beta, g, iters, at = _solve_arrays(kernel.rows, log_t, row0, _safe_expm1)
+    row0 = kernel._probe(np.zeros(1))[0]
+    solve, rows_of = ((_solve_decreasing, kernel._probe) if log_t.size == 1
+                      else (_solve_arrays, kernel.rows))
+    beta, g, iters, at = solve(rows_of, log_t, row0, _safe_expm1)
     return beta, g, iters, np.where(beta > 0.0, at[:, 1], row0[1])
 
 
@@ -597,7 +596,7 @@ def solve_beta(loading: LoadingVector, alpha: float, target: float,
     """Solve phi(beta) = target by bracket expansion from 0 plus Chandrupatla steps."""
     if target <= 0 or not math.isfinite(target):
         raise ValueError("target must be positive and finite")
-    beta, g, iters = _solve_phi(PhiKernel(loading, alpha), target)
+    beta, g, iters, _log_nu2 = _solve_phi(PhiKernel(loading, alpha), [target])
     return _threshold_solution(equation, alpha, float(target), float(beta[0]), float(g[0]),
                                int(iters[0]))
 
@@ -631,8 +630,11 @@ def solve_lambda_H(loading: LoadingVector, alpha: float, s: int) -> ThresholdSol
         raise ValueError("alpha must be positive")
     kernel = PhiKernel(loading, alpha)
 
+    def rows_of(lams: np.ndarray) -> np.ndarray:
+        return kernel.tail_sum(lams, s * s - 1)[:, None]
+
     # g(0) = d - s^2 + 1 - s >= 0, so the expansion always runs upward
-    lam, g, iters = _solve_decreasing(lambda x: kernel.tail_sum(x, s * s - 1), float(s),
-                                      lambda v: v / s)
+    lam, g, iters, _row = _solve_decreasing(rows_of, np.array([float(s)]),
+                                            rows_of(np.zeros(1))[0], lambda v: v / s)
     lam_ = float(lam[0])
     return ThresholdSolution("asym", float(s), lam_, lam_, float(g[0]), int(iters[0]))

@@ -366,7 +366,7 @@ def test_ladder_takes_no_python_steps(monkeypatch):
 def test_ladder_keeps_its_evaluation_counts(monkeypatch):
     # the s = 1..512 adaptive ladder of a two_phase d=1e4 loading at alpha 1
     calc = RateCalculator(make_loading(TWO_PHASE_1E4), 1.0)
-    calc.s0()  # its row at beta = 0 is the memo's; the batched solve evaluates its own
+    calc.s0()
     rows = []
     block = PhiKernel._probe_block
     monkeypatch.setattr(PhiKernel, "_probe_block",
@@ -375,4 +375,4 @@ def test_ladder_keeps_its_evaluation_counts(monkeypatch):
     targets, _beta, _g, iters, _log_nu2 = calc._ladder
     assert targets.size == 512
     assert int(iters.sum()) == 3656
-    assert len(rows) == len(set(rows)) == 1642  # kernel rows evaluated, each once
+    assert len(rows) == len(set(rows)) == 1641  # kernel rows evaluated, each once

@@ -343,9 +343,9 @@ def test_oracle_equation_solved_once_per_loading_alpha_and_s(monkeypatch):
     solved = []
     real = rates._solve_phi
 
-    def counting(kernel, target):
-        solved.append((kernel.alpha, target))
-        return real(kernel, target)
+    def counting(kernel, targets):
+        solved.append((kernel.alpha, *targets))
+        return real(kernel, targets)
 
     monkeypatch.setattr(rates, "_solve_phi", counting)
     rep = risk_grid(config(replicates=2),

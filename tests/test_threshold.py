@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.optimize import elementwise
 
 import sparsefn.threshold as threshold
 from sparsefn.loading import LoadingSpec, make_loading
@@ -13,7 +14,6 @@ from sparsefn.threshold import (
     PhiKernel,
     Tolerances,
     _solve_phi,
-    _solve_phi_rows,
     _safe_expm1,
     adaptive_target,
     log_phi_objective,
@@ -296,7 +296,7 @@ def _counting(monkeypatch, name):
 def test_each_iteration_is_one_kernel_evaluation(monkeypatch):
     # the bracket ends found by the expansion are not evaluated again
     lv = make_loading(LoadingSpec("homogeneous", d=1000))
-    rows = _counting(monkeypatch, "log_phi")
+    rows = _counting(monkeypatch, "_probe")
     sol = solve_beta(lv, 2.0, 5.0)
     assert rows == [1] * sol.iterations and sol.iterations == 6
     assert sol.beta == 3.6888794541139363 and sol.residual == 1.1102230246251565e-15
@@ -355,7 +355,7 @@ def test_solver_costs_no_more_than_bisection():
         alpha = float(rng.choice([0.5, 1.0, 2.0, 4.0]))
         kernel = PhiKernel(lv, alpha)
         target = math.exp(float(kernel.log_phi([0.0])[0])) * 10.0 ** rng.uniform(-3.0, 3.0)
-        _beta, _g, iters = _solve_phi(kernel, target)
+        _beta, _g, iters, _log_nu2 = _solve_phi(kernel, [target])
         reference = _bisection_evaluations(kernel, target)
         assert iters[0] <= reference, (lv.d, alpha, target)
         ours += int(iters[0])
@@ -363,25 +363,74 @@ def test_solver_costs_no_more_than_bisection():
     assert bisection >= 2.5 * ours, (bisection, ours)
 
 
+def _scipy_roots(f, levels, **domain):
+    """Roots of the decreasing f(x, level) = 0, one per level, by SciPy's
+    elementwise bracket search (from [0, 1], within ``domain``) and root finder."""
+    bracket = elementwise.bracket_root(f, 0.0, args=(levels,), **domain)
+    res = elementwise.find_root(f, bracket.bracket, args=(levels,))
+    assert bracket.success.all() and res.success.all()
+    return res.x
+
+
+def _dense_log_phi_gap(values, alpha):
+    """(beta, log level) -> log phi(beta) - log level over every coordinate,
+    elementwise in beta: the log-sum-exps in plain float64 numpy."""
+    a = np.abs(np.asarray(values, dtype=float))
+    log_a, neg_r = np.log(a), -(a**-alpha)
+
+    def lse(x):
+        m = x.max(axis=-1)
+        return m + np.log(np.exp(x - m[..., None]).sum(axis=-1))
+
+    def gap(beta, log_level):
+        w = beta[..., None] * neg_r
+        return lse(log_a + w) - 0.5 * lse(2.0 * log_a + w) - log_level
+
+    return gap
+
+
+def test_roots_lie_between_scipy_roots_of_the_perturbed_targets():
+    # criterion 1's loadings: every root whose residual meets 1e-10 lies
+    # between the roots of a dense phi at targets t (1 -+ 2e-10)
+    rng = np.random.default_rng(101)
+    rel = 2.0 * TOLERANCES.rel
+    for _ in range(6):
+        lv = _random_loading(rng)
+        alpha = float(rng.choice([0.5, 1.0, 2.0, 4.0]))
+        kernel = PhiKernel(lv, alpha)
+        targets = np.exp(float(kernel.log_phi([0.0])[0])) * 10.0 ** rng.uniform(-3.0, 3.0, 4)
+        gap = _dense_log_phi_gap(lv.values, alpha)
+        lo = _scipy_roots(gap, np.log(targets * (1.0 + rel)))
+        hi = _scipy_roots(gap, np.log(targets * (1.0 - rel)))
+        ones = [solve_beta(lv, alpha, t).beta for t in targets.tolist()]
+        batch = _solve_phi(kernel, targets)[0]
+        for roots in (ones, batch):
+            assert (lo <= roots).all() and (roots <= hi).all(), (lo, roots, hi)
+
+        tail = lv.abs_values
+        for s in (1, 2, 3):
+            if s * s + s > lv.d + 1:
+                break
+            def tail_gap(lam, level, u=tail[s * s - 1:]):
+                return np.exp(-((lam[..., None] / u) ** alpha)).sum(axis=-1) - level
+
+            lo, hi = _scipy_roots(tail_gap, np.array([s * (1.0 + rel), s * (1.0 - rel)]),
+                                  xmin=0.0)
+            assert lo <= solve_lambda_H(lv, alpha, s).lambda_ <= hi, (lo, hi)
+
+
 def test_log_phi_memo_changes_no_bits(monkeypatch):
     lv = make_loading(LoadingSpec("exp_decay", d=2000, c=0.01, gamma=1.0))
     shared = PhiKernel(lv, 2.0)
-    def one(kernel, targets):
-        return _solve_phi(kernel, targets[0])
-
-    def batch(kernel, targets):
-        return _solve_phi_rows(kernel, targets)[:3]
-
-    batch(shared, [0.5, 3.0])
-    for solve, targets in ((one, [0.5]), (batch, [3.0, 0.5]), (one, [0.7]),
-                           (batch, [1e-3, 40.0])):
-        hit = solve(shared, targets)
-        fresh = solve(PhiKernel(lv, 2.0), targets)
-        for a, b in zip(hit, fresh):  # beta, g and iterations
+    _solve_phi(shared, [0.5, 3.0])
+    for targets in ([0.5], [3.0, 0.5], [0.7], [1e-3, 40.0], [3.0]):
+        hit = _solve_phi(shared, targets)
+        fresh = _solve_phi(PhiKernel(lv, 2.0), targets)
+        for a, b in zip(hit, fresh):  # beta, g, iterations and log nu^2
             assert a.tolist() == b.tolist()
     rows = _counting(monkeypatch, "_probe_block")
-    _solve_phi(shared, 3.0)
-    assert rows == []  # every probe of a repeated target is remembered
+    _solve_phi(shared, [3.0])
+    assert rows == []  # every probe of a repeated one-target solve is remembered
 
 
 @pytest.mark.parametrize("d, c, target", [(2000, 0.01, 20.0), (100, 2.0, 25.0),
@@ -468,7 +517,7 @@ def _assert_batch_equals_one_target_solves(lv, alpha, targets):
     """Batched on arrays, every target gets the root, evaluation count and
     residual of its one-target solve in Python."""
     ones = [solve_beta(lv, alpha, target) for target in targets]
-    beta, g, iters = _solve_phi_rows(PhiKernel(lv, alpha), targets)[:3]
+    beta, g, iters, _log_nu2 = _solve_phi(PhiKernel(lv, alpha), targets)
     for i, (target, one) in enumerate(zip(targets, ones)):
         assert (beta[i], iters[i]) == (one.beta, one.iterations)
         assert _safe_expm1(g[i]) * target == one.residual
@@ -515,7 +564,7 @@ def test_two_targets_step_on_arrays(monkeypatch):
     lv = make_loading(LoadingSpec("exp_decay", d=2000, c=0.01, gamma=1.0))
     ones = [solve_beta(lv, 2.0, target) for target in (0.5, 3.0)]
     monkeypatch.setattr(threshold, "_chandrupatla_x", python_step)
-    beta, _g, iters = _solve_phi_rows(PhiKernel(lv, 2.0), [0.5, 3.0])[:3]
+    beta, _g, iters, _log_nu2 = _solve_phi(PhiKernel(lv, 2.0), [0.5, 3.0])
     assert beta.tolist() == [one.beta for one in ones]
     assert iters.tolist() == [one.iterations for one in ones]
 
@@ -527,7 +576,7 @@ def test_batch_raises_as_its_first_failing_target():
     with pytest.raises(BracketError, match="below float resolution") as one:
         solve_beta(lv, 4.0, 1e3)
     with pytest.raises(BracketError) as batch:
-        _solve_phi_rows(PhiKernel(lv, 4.0), targets)
+        _solve_phi(PhiKernel(lv, 4.0), targets)
     assert str(batch.value) == str(one.value)
 
 
