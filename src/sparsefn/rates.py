@@ -224,8 +224,12 @@ class RateCalculator:
         return self.s_star() + 1
 
     def phi_star(self, s: int) -> float:
-        s = min(int(s), self.s0(), self.loading.d)
-        return (s * self.lambda_star(s)) ** 2 + self.nu_star(s) ** 2
+        s = int(s)
+        s0 = min(self.s0(), self.loading.d)
+        if s > s0:
+            s = s0
+        sol = self.star_solution(s)
+        return (s * sol.lambda_) ** 2 + self.nu_star(s) ** 2
 
     def phi_adp(self, s: int) -> float:
         """Flat beyond s0: phi_adp(s) = phi_adp(min(s, s0))."""
