@@ -1,17 +1,22 @@
 """Experiment configuration files: strict JSON parsing with path-precise errors.
 
-Unknown keys are rejected (anti-typo), every type violation names the
-offending path, and defaults are filled at parse time so a parsed config
-serializes to something that reparses equal.  The Lepski constant
-``estimator.zeta`` is the exception: it stays None unless the config sets it,
-and each grid cell resolves it from its own ``alpha`` when the adaptive
-estimator runs (``estimators.default_zeta``).
+Each spec dataclass (``LoadingSpec``, ``NoiseModel``, ``EstimatorSpec``,
+``ThetaSpec``) is the schema of its config object: ``_parse_spec`` reads keys,
+types and defaults from its fields and ``sim.spec_dict`` writes them back, so a
+parsed config serializes to something that reparses equal.  Unknown keys are
+rejected (anti-typo) and every type violation names the offending path.  An
+unset ``estimator.zeta`` stays None, and each grid cell resolves it from its
+own ``alpha`` (``estimators.default_zeta``).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
+import re
+import typing
 from dataclasses import dataclass
 
 from .estimators import VARIANTS
@@ -34,9 +39,6 @@ class ExperimentConfig:
     sim: SimConfig
     grid: Grid
 
-    def to_dict(self) -> dict:
-        return {"schema_version": self.schema_version, **self.sim.to_dict(self.grid.axes)}
-
 
 def _require(obj: dict, key: str, path: str):
     if key not in obj:
@@ -44,7 +46,7 @@ def _require(obj: dict, key: str, path: str):
     return obj[key]
 
 
-def _check_keys(obj, allowed: set, path: str) -> None:
+def _check_keys(obj, allowed, path: str) -> None:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object")
     for k in obj:
@@ -80,12 +82,13 @@ def _list(v, path: str, check) -> tuple:
 
 
 def _build(cls, path: str, **fields):
-    """``cls(**fields)``, its ValueError reported under ``path``.  The fields
-    are parsed before the call, so their own errors keep their paths."""
+    """``cls(**fields)`` of parsed fields, its ValueError reported under ``path``
+    (under ``path.key[i]`` when the error names a list entry: ``support[1]: ...``)."""
     try:
         return cls(**fields)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        sep = "." if re.match(r"\w+\[\d+\]: ", str(exc)) else ": "
+        raise ConfigError(f"{path}{sep}{exc}") from exc
 
 
 def _string(v, path: str) -> str:
@@ -94,68 +97,46 @@ def _string(v, path: str) -> str:
     return v
 
 
-def _parse_loading(obj, path: str) -> LoadingSpec:
-    _check_keys(obj, {"kind", "d", "values", "gamma_d", "gamma_lambda", "c", "gamma"}, path)
-    kind = _string(_require(obj, "kind", path), f"{path}.kind")
-    return _build(
-        LoadingSpec, path,
-        kind=kind,
-        d=_integer(obj["d"], f"{path}.d") if "d" in obj else None,
-        values=_list(obj["values"], f"{path}.values", _number) if "values" in obj else None,
-        gamma_d=_number(obj["gamma_d"], f"{path}.gamma_d") if "gamma_d" in obj else None,
-        gamma_lambda=(_number(obj["gamma_lambda"], f"{path}.gamma_lambda")
-                      if "gamma_lambda" in obj else None),
-        c=_number(obj["c"], f"{path}.c") if "c" in obj else None,
-        gamma=_number(obj["gamma"], f"{path}.gamma") if "gamma" in obj else None,
-    )
+_CHECKS = {int: _integer, float: _number, str: _string}
+_CHOICES = {(NoiseModel, "family"): FAMILIES, (EstimatorSpec, "variant"): VARIANTS}
 
 
-def _parse_noise(obj, path: str) -> NoiseModel:
-    _check_keys(obj, {"family", "alpha", "tau", "class"}, path)
-    family = _string(_require(obj, "family", path), f"{path}.family")
-    if family not in FAMILIES:
-        raise ConfigError(f"{path}.family: unknown family {family!r}")
-    return _build(
-        NoiseModel, path,
-        family=family,
-        alpha=_number(_require(obj, "alpha", path), f"{path}.alpha"),
-        tau=_number(_require(obj, "tau", path), f"{path}.tau"),
-        tail_class=_string(obj.get("class", "G"), f"{path}.class"),
-    )
+@functools.cache
+def _schema(cls) -> dict:
+    """JSON key -> (field name, check, default, choices) for each field of the
+    spec dataclass ``cls``, read from its fields and type hints."""
+    hints = typing.get_type_hints(cls)
+    schema = {}
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        if f.default is None:  # ``X | None``: check X
+            (hint,) = [a for a in typing.get_args(hint) if a is not type(None)]
+        if typing.get_origin(hint) is tuple:  # ``tuple[X, ...]``: a JSON list of X
+            check = functools.partial(_list, check=_CHECKS[typing.get_args(hint)[0]])
+        else:
+            check = _CHECKS[hint]
+        schema[f.metadata.get("json", f.name)] = (f.name, check, f.default,
+                                                  _CHOICES.get((cls, f.name)))
+    return schema
 
 
-def _parse_estimator(obj, path: str) -> EstimatorSpec:
-    _check_keys(obj, {"variant", "s", "kappa", "zeta", "gamma_split", "c_h"}, path)
-    variant = _string(obj.get("variant", "oracle"), f"{path}.variant")
-    if variant not in VARIANTS:
-        raise ConfigError(f"{path}.variant: unknown variant {variant!r}")
-    return _build(
-        EstimatorSpec, path,
-        variant=variant,
-        s=_integer(obj["s"], f"{path}.s") if "s" in obj else None,
-        kappa=_number(obj.get("kappa", 1.0), f"{path}.kappa"),
-        zeta=_number(obj["zeta"], f"{path}.zeta") if obj.get("zeta") is not None else None,
-        gamma_split=_number(obj.get("gamma_split", 0.5), f"{path}.gamma_split"),
-        c_h=_number(obj["c_h"], f"{path}.c_h") if obj.get("c_h") is not None else None,
-    )
-
-
-def _parse_theta(obj, path: str) -> ThetaSpec:
-    _check_keys(obj, {"kind", "support", "values", "rho", "n_spikes", "placement",
-                      "s", "c1", "c_alpha2"}, path)
-    kind = _string(obj.get("kind", "zero"), f"{path}.kind")
-    return _build(
-        ThetaSpec, path,
-        kind=kind,
-        support=_list(obj["support"], f"{path}.support", _integer) if "support" in obj else None,
-        values=_list(obj["values"], f"{path}.values", _number) if "values" in obj else None,
-        rho=_number(obj["rho"], f"{path}.rho") if "rho" in obj else None,
-        n_spikes=_integer(obj["n_spikes"], f"{path}.n_spikes") if "n_spikes" in obj else None,
-        placement=_string(obj.get("placement", "tail"), f"{path}.placement"),
-        s=_integer(obj["s"], f"{path}.s") if "s" in obj else None,
-        c1=_number(obj["c1"], f"{path}.c1") if "c1" in obj else None,
-        c_alpha2=_number(obj.get("c_alpha2", 1.0), f"{path}.c_alpha2"),
-    )
+def _parse_spec(cls, obj, path: str):
+    """The spec dataclass ``cls`` from its JSON object ``obj`` at ``path``.  A
+    field without a default is required, and JSON null stands for an absent
+    key only where the default is None."""
+    schema = _schema(cls)
+    _check_keys(obj, schema, path)
+    fields = {}
+    for key, (name, check, default, choices) in schema.items():
+        v = obj.get(key)
+        if v is None and (default is None or key not in obj):
+            if default is dataclasses.MISSING:
+                raise ConfigError(f"{path}.{key}: missing required key")
+            continue
+        fields[name] = check(v, f"{path}.{key}")
+        if choices is not None and fields[name] not in choices:
+            raise ConfigError(f"{path}.{key}: unknown {key} {fields[name]!r}")
+    return _build(cls, path, **fields)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -172,16 +153,15 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, got {version}")
     seed = _integer(_require(obj, "seed", "<root>"), "seed")
     sigma = _number(obj.get("sigma", 1.0), "sigma")
-    loading = _parse_loading(_require(obj, "loading", "<root>"), "loading")
-    noise = _parse_noise(_require(obj, "noise", "<root>"), "noise")
-    estimator = _parse_estimator(obj.get("estimator", {}), "estimator")
+    loading = _parse_spec(LoadingSpec, _require(obj, "loading", "<root>"), "loading")
+    noise = _parse_spec(NoiseModel, _require(obj, "noise", "<root>"), "noise")
+    estimator = _parse_spec(EstimatorSpec, obj.get("estimator", {}), "estimator")
 
     sim_obj = obj.get("simulation", {})
     _check_keys(sim_obj, {"replicates", "s_assumed", "grid"}, "simulation")
     replicates = _integer(sim_obj.get("replicates", 1), "simulation.replicates")
-    s_assumed = _integer(sim_obj.get("s_assumed", estimator.s if estimator.s else 1),
-                         "simulation.s_assumed")
-    theta = _parse_theta(obj.get("theta", {"kind": "zero"}), "theta")
+    s_assumed = _integer(sim_obj.get("s_assumed", estimator.s or 1), "simulation.s_assumed")
+    theta = _parse_spec(ThetaSpec, obj.get("theta", {}), "theta")
     grid = sim_obj.get("grid")
 
     sim = _build(SimConfig, "simulation", loading=loading, noise=noise, sigma=sigma,
@@ -210,4 +190,5 @@ def _check_grid_values(grid) -> None:
 
 
 def serialize_config(config: ExperimentConfig) -> str:
-    return json.dumps(config.to_dict(), indent=2, sort_keys=True)
+    return json.dumps({"schema_version": config.schema_version,
+                       **config.sim.to_dict(config.grid.axes)}, indent=2, sort_keys=True)

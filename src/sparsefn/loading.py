@@ -244,14 +244,6 @@ class LoadingSpec:
             if self.c < 0 or self.gamma < 1:
                 raise ValueError("exp_decay needs c >= 0 and gamma >= 1")
 
-    def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        for name in ("d", "values", "gamma_d", "gamma_lambda", "c", "gamma"):
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = list(v) if name == "values" else v
-        return out
-
 
 def drop_zero_loadings(values) -> tuple[np.ndarray, np.ndarray]:
     """Drop exactly-zero entries from a raw loading sequence.

@@ -21,7 +21,7 @@ variates from its fallback stream, keyed by (seed, tags, r).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,7 +50,7 @@ class NoiseModel:
     family: str
     alpha: float
     tau: float
-    tail_class: str = "G"
+    tail_class: str = field(default="G", metadata={"json": "class"})
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -62,10 +62,6 @@ class NoiseModel:
             raise ValueError("tail class must be 'G' or 'H'")
         if self.tail_class == "G" and self.family not in _SYMMETRIC:
             raise ValueError(f"{self.family} is not symmetric, declare class 'H'")
-
-    def to_dict(self) -> dict:
-        return {"family": self.family, "alpha": self.alpha, "tau": self.tau,
-                "class": self.tail_class}
 
 
 def sigma_alpha(alpha: float) -> float:

@@ -51,6 +51,7 @@ __all__ = [
     "config_hash",
     "meta",
     "check_grid",
+    "spec_dict",
     "strict_json",
 ]
 
@@ -89,24 +90,32 @@ class ThetaSpec:
     ``prior``      -- random draw from the least-favorable prior per replicate.
     """
 
-    kind: str
+    kind: str = "zero"
     support: tuple[int, ...] | None = None
     values: tuple[float, ...] | None = None
     rho: float | None = None
     n_spikes: int | None = None
-    placement: str = "tail"
+    placement: str | None = None
     s: int | None = None
     c1: float | None = None
-    c_alpha2: float = 1.0
+    c_alpha2: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("zero", "fixed", "spike_grid", "prior"):
             raise ValueError(f"unknown theta kind {self.kind!r}")
+        # placement belongs to spike_grid and c_alpha2 to prior: other kinds drop them
+        object.__setattr__(self, "placement", None if self.kind != "spike_grid"
+                           else "tail" if self.placement is None else self.placement)
+        object.__setattr__(self, "c_alpha2", None if self.kind != "prior"
+                           else 1.0 if self.c_alpha2 is None else self.c_alpha2)
         if self.kind == "fixed":
             if self.support is None or self.values is None:
                 raise ValueError("fixed theta needs support and values")
             if len(self.support) != len(self.values):
                 raise ValueError("support and values must have equal length")
+            if len(set(self.support)) < len(self.support):
+                i = next(i for i, j in enumerate(self.support) if j in self.support[:i])
+                raise ValueError(f"support[{i}]: {self.support[i]} repeats an earlier index")
         if self.kind == "spike_grid":
             if self.rho is None or self.n_spikes is None:
                 raise ValueError("spike_grid theta needs rho and n_spikes")
@@ -115,24 +124,12 @@ class ThetaSpec:
         if self.kind == "prior" and (self.s is None or self.c1 is None):
             raise ValueError("prior theta needs s and c1")
 
-    def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        for name in ("support", "values", "rho", "n_spikes", "s", "c1"):
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = list(v) if isinstance(v, tuple) else v
-        if self.kind == "spike_grid":
-            out["placement"] = self.placement
-        if self.kind == "prior":
-            out["c_alpha2"] = self.c_alpha2
-        return out
-
 
 @dataclass(frozen=True)
 class EstimatorSpec:
     """Which estimator to run and its knobs; None means use defaults."""
 
-    variant: str
+    variant: str = "oracle"
     s: int | None = None
     kappa: float = 1.0
     zeta: float | None = None
@@ -148,15 +145,6 @@ class EstimatorSpec:
                 raise ValueError(f"{name} must be positive and finite")
         if not 0.0 < self.gamma_split <= 0.5:
             raise ValueError("gamma_split must be in (0, 1/2]")
-
-    def to_dict(self) -> dict:
-        out: dict = {"variant": self.variant, "kappa": self.kappa,
-                     "gamma_split": self.gamma_split}
-        for name in ("s", "zeta", "c_h"):
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = v
-        return out
 
 
 @dataclass(frozen=True)
@@ -184,9 +172,21 @@ class SimConfig:
         simulation = {"replicates": self.replicates, "s_assumed": self.s_assumed}
         if grid:
             simulation["grid"] = grid
-        return {"seed": self.seed, "sigma": self.sigma, "loading": self.loading.to_dict(),
-                "noise": self.noise.to_dict(), "estimator": self.estimator.to_dict(),
-                "theta": self.theta.to_dict(), "simulation": simulation}
+        return {"seed": self.seed, "sigma": self.sigma, "loading": spec_dict(self.loading),
+                "noise": spec_dict(self.noise), "estimator": spec_dict(self.estimator),
+                "theta": spec_dict(self.theta), "simulation": simulation}
+
+
+def spec_dict(spec) -> dict:
+    """The config-file form of a spec dataclass (``LoadingSpec``, ``NoiseModel``,
+    ``EstimatorSpec``, ``ThetaSpec``): every field that is set (not None), under
+    its JSON name (``metadata["json"]``, else the field name), tuples as lists."""
+    out = {}
+    for f in dataclasses.fields(spec):
+        v = getattr(spec, f.name)
+        if v is not None:
+            out[f.metadata.get("json", f.name)] = list(v) if isinstance(v, tuple) else v
+    return out
 
 
 @dataclass

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["STREAM_SCHEME", "Stream", "seed_sequence", "generator"]
+__all__ = ["STREAM_SCHEME", "Stream", "generator"]
 
 STREAM_SCHEME = 2
 
@@ -46,14 +46,10 @@ def _digest(seed: int, tags: tuple) -> bytes:
     return hashlib.sha256(f"{int(seed)}|{_canon(tags)}".encode("utf-8")).digest()
 
 
-def seed_sequence(seed: int, *tags) -> np.random.SeedSequence:
+def generator(seed: int, *tags) -> np.random.Generator:
     digest = _digest(seed, tags)
     words = [int.from_bytes(digest[i:i + 4], "little") for i in range(0, 16, 4)]
-    return np.random.SeedSequence(words)
-
-
-def generator(seed: int, *tags) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed=seed_sequence(seed, *tags)))
+    return np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(words)))
 
 
 class Stream:

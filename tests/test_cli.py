@@ -97,6 +97,9 @@ def test_typo_rejection_names_path():
     ({"estimator": {"variant": "oracle", "kappa": -1}}, "estimator"),
     ({"estimator": {"variant": "unknown-sigma", "gamma_split": 0.9}}, "estimator"),
     ({"estimator": {"variant": "nonsym", "c_h": -1}}, "estimator"),
+    # a repeated index would drop a value: theta[0] = 5.0 and the 1.0 lost
+    ({"theta": {"kind": "fixed", "support": [0, 0], "values": [1.0, 5.0]},
+      "simulation": {"replicates": 3, "s_assumed": 3}}, "theta.support[1]"),
 ])
 def test_bad_numbers_rejected_with_path(patch, path):
     with pytest.raises(ConfigError, match="^" + re.escape(path) + ":"):
