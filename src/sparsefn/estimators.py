@@ -29,6 +29,7 @@ import numpy as np
 from .loading import LoadingVector
 from .rates import RateCalculator, RateTable, j3_index
 from .streams import generator
+from .threshold import reduce_last
 
 __all__ = [
     "VARIANTS",
@@ -399,8 +400,10 @@ def mom_sigma(y, gamma_split: float = 0.5, shuffle_seed: int | None = None):
     head = extra * (base + 1)
     sq = rows * rows
     r = rows.shape[0]
-    means = np.concatenate([sq[:, :head].reshape(r, extra, base + 1).sum(axis=2) / (base + 1),
-                            sq[:, head:].reshape(r, m - extra, base).sum(axis=2) / base], axis=1)
+    means = np.concatenate([reduce_last(np.add, sq[:, :head].reshape(r, extra, base + 1))
+                            / (base + 1),
+                            reduce_last(np.add, sq[:, head:].reshape(r, m - extra, base)) / base],
+                           axis=1)
     k = (m - 1) // 2
     out = np.partition(means, k, axis=1)[:, k]
     return float(out[0]) if y.ndim == 1 else out

@@ -41,15 +41,28 @@ nonzero end and the smallest normal float, which bisects the exponent, so
 that any representable root is some 10 steps away.  A solve stops when its
 residual is met, when no float lies inside its bracket, or at ``max_iter``
 evaluations; a residual still unmet then raises BracketError.
+
+An untied loading of ``_SPLIT`` levels or more costs a full kernel row per
+probe, so on two CPUs or more each row runs in two halves at once, the
+caller's thread taking the lower half and one helper thread the upper
+(``_sum_halves``).  The halves meet at the point where numpy's pairwise sum
+splits the row, so the row's sum is the sum of the halves' sums bit for
+bit.  The levels are sorted, so at beta >= 0 the maxima a phi row subtracts
+are its first level's, known before the split: no half waits for the other,
+and every output is the one-thread output.  Each half writes into a scratch
+buffer the kernel keeps across rows, so a kernel is not to be shared
+between threads.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import math
+import os
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -128,6 +141,58 @@ class ThresholdSolution:
 
 
 _BLOCK = 1 << 16  # elements (rows x levels) per kernel evaluation block
+_SPLIT = 1 << 15  # levels (> 128) from which an untied kernel row runs in two halves
+_helper: tuple[int, object] | None = None  # (pid, the executor of upper halves)
+
+
+def reduce_last(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(a, axis=-1)`` for np.add or np.maximum.  numpy reduces a
+    last axis shorter than 8 element by element; one pass per column is the
+    same float operations in the same order (a sum from 0.0, as numpy's
+    starts), so the result is bit for bit numpy's, at a fraction of the cost
+    on many short rows."""
+    k = a.shape[-1]
+    if not 0 < k < 8:
+        return ufunc.reduce(a, axis=-1)
+    out = a[..., 0] + 0.0 if ufunc is np.add else a[..., 0].copy()
+    for j in range(1, k):
+        ufunc(out, a[..., j], out=out)
+    return out
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _sum_halves(n: int, half):
+    """half(0, h) + half(h, n): the lower half of n levels in this thread and
+    the upper half at the same time in the helper thread, which the first
+    call makes.  The upper half runs in a copy of the caller's context, so
+    under its numpy errstate.  h is the point where numpy's pairwise sum of
+    n > 128 elements splits them, so a sum over the levels equals the sum of
+    the two halves' sums bit for bit.
+
+    An idle helper can take milliseconds to wake, longer than a half takes
+    (2 vCPUs: median 0.2 ms, 90th percentile 1.4-2 ms), so an upper half
+    that the helper has not started when the lower one is done runs in this
+    thread instead: a row never costs much more than in one thread."""
+    global _helper
+    if _helper is None or _helper[0] != os.getpid():  # a forked child has no helper thread
+        from concurrent.futures import ThreadPoolExecutor
+        _helper = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="sparsefn-half"))
+    h = n // 2 - (n // 2) % 8
+    upper = _helper[1].submit(contextvars.copy_context().run, half, h, n)
+    try:
+        lower = half(0, h)
+    finally:  # a started upper half writes into the kernel's scratch: wait for it
+        here = upper.cancel()
+        if not here:
+            higher = upper.result()
+    return lower + (half(h, n) if here else higher)
 
 
 class PhiKernel:
@@ -157,6 +222,19 @@ class PhiKernel:
     row it has evaluated, for one-target solves, ``log_phi`` and
     ``log_energy``: the one-target solves on one kernel share their expansion
     probes, and a repeated target costs no evaluation.
+
+    An untied kernel of at least ``_SPLIT`` levels, in a process that may run
+    on two CPUs or more, evaluates each tail-sum row, and each phi row of a
+    block with every beta in [0, inf), in two halves at once
+    (``_sum_halves``).  Each half runs the whole chain of passes on its own
+    levels, into a scratch buffer that the kernel keeps across rows, and the
+    row's sum is the sum of the halves' sums.  The levels fall, and so, when
+    ``log_u`` and ``neg_r`` fall as floats too (checked once per kernel), do
+    the exponents at beta >= 0 and both LSE terms: ``w_top`` and both LSE
+    maxima are the first level's, known before either half starts.  So no
+    half waits for the other, and every row is bit for bit the one-thread
+    row.  The scratch buffer makes a kernel unfit to be shared between
+    threads.
     """
 
     def __init__(self, loading: LoadingVector, alpha: float):
@@ -171,6 +249,7 @@ class PhiKernel:
         self._r_inf = bool(np.isinf(neg_r_last))
         self._bounded = bool(neg_r_last >= -1.0)
         self._memo: dict[float, list[float]] = {}  # beta -> [log phi, log nu^2]
+        self._scratch = np.empty(0)  # the rows of a split block
 
     def _neg_r(self, log_u: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
@@ -182,28 +261,83 @@ class PhiKernel:
         sum reads only ``log_u``)."""
         return self._neg_r(self.log_u)
 
-    def _lse_pair(self, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(w_top, [LSE(a1 + delta), LSE(a1 + log u + delta)]) for a block of rows."""
-        x = np.empty((2, betas.size, self.neg_r.size))
-        w = x[0]
+    @cached_property
+    def _splits(self) -> bool:
+        """Whether rows of ``_SPLIT`` levels or more run in two halves: on an
+        untied kernel, in a process that may run on two CPUs or more."""
+        return not self.levels.tied and self.log_u.size >= _SPLIT and _cpus() > 1
+
+    @cached_property
+    def _split_phi(self) -> bool:
+        """Whether phi rows at betas >= 0 run in two halves: where rows split,
+        if ``log_u`` and ``neg_r`` fall with the level as floats."""
+        return self._splits and all(bool((v[:-1] >= v[1:]).all())
+                                    for v in (self.log_u, self.neg_r))
+
+    def _buffer(self, shape: tuple[int, ...]) -> np.ndarray:
+        """An array of ``shape`` in the scratch buffer, which this thread
+        allocates: the helper thread's own heap would hold it after the
+        kernel has gone."""
+        size = math.prod(shape)
+        if self._scratch.size < size:
+            self._scratch = np.empty(size)
+        return self._scratch[:size].reshape(shape)
+
+    def _exponents(self, betas: np.ndarray, lo: int, hi: int, x: np.ndarray) -> None:
+        """x[0] = w over levels lo..hi-1 for a block of rows."""
+        w, neg_r = x[0], self.neg_r[lo:hi]
         if self._r_inf and not betas.all():  # 0 * inf: rows at beta = 0 stay 0
             w[...] = 0.0
-            np.multiply(betas[:, None], self.neg_r, out=w, where=betas[:, None] != 0.0)
+            np.multiply(betas[:, None], neg_r, out=w, where=betas[:, None] != 0.0)
         else:
-            np.multiply(betas[:, None], self.neg_r, out=w)
-        top = w.max(axis=1)
+            np.multiply(betas[:, None], neg_r, out=w)
+
+    def _lse_terms(self, top: np.ndarray, lo: int, hi: int, x: np.ndarray) -> None:
+        """x[0] = a1 + delta and x[1] = a1 + log u + delta over levels lo..hi-1,
+        from x[0] = w."""
+        w = x[0]
         if self._bounded or np.isfinite(top).all():
             w -= top[:, None]
         else:  # the log is w_top's infinity; a zero delta keeps the row finite
             finite = np.isfinite(top)
             w -= np.where(finite, top, 0.0)[:, None]
             w[~finite] = 0.0
-        w += self.a1
-        np.add(w, self.log_u, out=x[1])
-        m = x.max(axis=2)
+        w += self.a1[lo:hi]
+        np.add(w, self.log_u[lo:hi], out=x[1])
+
+    def _lse_pair(self, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(w_top, [LSE(a1 + delta), LSE(a1 + log u + delta)]) for a block of rows."""
+        n = self.log_u.size
+        if self._split_phi and ((betas >= 0.0) & (betas < math.inf)).all():
+            return self._lse_pair_halves(betas)
+        x = np.empty((2, betas.size, n))
+        self._exponents(betas, 0, n, x)
+        top = reduce_last(np.maximum, x[0])
+        self._lse_terms(top, 0, n, x)
+        m = reduce_last(np.maximum, x)
         x -= m[:, :, None]
         np.exp(x, out=x)
-        return top, m + np.log(x.sum(axis=2))
+        return top, m + np.log(reduce_last(np.add, x))
+
+    def _lse_pair_halves(self, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``_lse_pair`` of rows at betas >= 0 in two halves: every term
+        falls with the level, so the maxima are the first level's."""
+        first = np.empty((2, betas.size, 1))
+        self._exponents(betas, 0, 1, first)
+        top = first[0, :, 0].copy()
+        self._lse_terms(top, 0, 1, first)
+        m = first[:, :, 0]
+        rows = self._buffer((2, betas.size, self.log_u.size))
+
+        def half(lo: int, hi: int) -> np.ndarray:
+            x = rows[:, :, lo:hi]
+            self._exponents(betas, lo, hi, x)
+            self._lse_terms(top, lo, hi, x)
+            x -= m[:, :, None]
+            np.exp(x, out=x)
+            return x.sum(axis=2)
+
+        return top, m + np.log(_sum_halves(self.log_u.size, half))
 
     def _probe_block(self, betas: np.ndarray) -> np.ndarray:
         """Rows of (log phi, log nu^2) for a block of betas."""
@@ -253,17 +387,23 @@ class PhiKernel:
             counts = lv.counts[k:].astype(float)
             counts[0] = lv.ends[k] - start  # the part of level k at or after start
 
-        def block(lam: np.ndarray) -> np.ndarray:
-            w = np.empty((lam.size, log_u.size))
+        def terms(lam: np.ndarray, w: np.ndarray, lo: int, hi: int) -> np.ndarray:
+            w = w[:, lo:hi]
             with np.errstate(divide="ignore", over="ignore"):  # log 0 = -inf; saturate to inf
-                np.subtract(np.log(lam)[:, None], log_u, out=w)
+                np.subtract(np.log(lam)[:, None], log_u[lo:hi], out=w)
                 w *= self.alpha
                 np.exp(w, out=w)
             np.negative(w, out=w)
             np.exp(w, out=w)
             if counts is not None:
-                w *= counts
-            return w.sum(axis=1)
+                w *= counts[lo:hi]
+            return reduce_last(np.add, w)
+
+        def block(lam: np.ndarray) -> np.ndarray:
+            n = log_u.size
+            if not (self._splits and n >= _SPLIT):
+                return terms(lam, np.empty((lam.size, n)), 0, n)
+            return _sum_halves(n, partial(terms, lam, self._buffer((lam.size, n))))
 
         return self._rows(block, lams)
 
