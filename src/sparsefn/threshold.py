@@ -49,9 +49,9 @@ caller's thread taking the lower half and one helper thread the upper
 splits the row, so the row's sum is the sum of the halves' sums bit for
 bit.  The levels are sorted, so at beta >= 0 the maxima a phi row subtracts
 are its first level's, known before the split: no half waits for the other,
-and every output is the one-thread output.  Each half writes into a scratch
-buffer the kernel keeps across rows, so a kernel is not to be shared
-between threads.
+and every output is the one-thread output.  Both halves write into one
+buffer that the calling thread allocates for the row, so threads may share
+a kernel.
 """
 
 from __future__ import annotations
@@ -141,7 +141,13 @@ class ThresholdSolution:
 
 
 _BLOCK = 1 << 16  # elements (rows x levels) per kernel evaluation block
-_SPLIT = 1 << 15  # levels (> 128) from which an untied kernel row runs in two halves
+# Levels (> 128) from which an untied kernel row runs in two halves.  On 2
+# vCPUs, exp_decay (BENCH_16.json "cutoff", medians of 3 runs), a split row
+# takes this share of its one-thread time: at 2^15 levels 1.5-1.7 (phi row)
+# and 1.7-2.0 (tail row), at 2^16 0.90-0.98 and 1.29-1.39, at 2^17 0.60-0.64
+# and 0.77-0.87, at 2^18 0.47-0.60 and 0.53-0.99.  Below 2^16 a block of
+# several rows takes 0.8-1.2 (phi) and 1.1-1.7 (tail) of it.
+_SPLIT = 1 << 17
 _helper: tuple[int, object] | None = None  # (pid, the executor of upper halves)
 
 
@@ -179,19 +185,23 @@ def _sum_halves(n: int, half):
     An idle helper can take milliseconds to wake, longer than a half takes
     (2 vCPUs: median 0.2 ms, 90th percentile 1.4-2 ms), so an upper half
     that the helper has not started when the lower one is done runs in this
-    thread instead: a row never costs much more than in one thread."""
+    thread instead, rather than wait for the helper.  The cancelled job stays
+    in the helper's queue until the helper wakes, so it reaches ``half``, and
+    the buffer ``half`` writes into, only through a list emptied here."""
     global _helper
     if _helper is None or _helper[0] != os.getpid():  # a forked child has no helper thread
         from concurrent.futures import ThreadPoolExecutor
         _helper = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="sparsefn-half"))
     h = n // 2 - (n // 2) % 8
-    upper = _helper[1].submit(contextvars.copy_context().run, half, h, n)
+    job = [half]
+    upper = _helper[1].submit(contextvars.copy_context().run, lambda: job[0](h, n))
     try:
         lower = half(0, h)
-    finally:  # a started upper half writes into the kernel's scratch: wait for it
+    finally:  # a started upper half writes into the caller's buffer: wait for it
         here = upper.cancel()
         if not here:
             higher = upper.result()
+        job.clear()
     return lower + (half(h, n) if here else higher)
 
 
@@ -227,14 +237,14 @@ class PhiKernel:
     on two CPUs or more, evaluates each tail-sum row, and each phi row of a
     block with every beta in [0, inf), in two halves at once
     (``_sum_halves``).  Each half runs the whole chain of passes on its own
-    levels, into a scratch buffer that the kernel keeps across rows, and the
-    row's sum is the sum of the halves' sums.  The levels fall, and so, when
-    ``log_u`` and ``neg_r`` fall as floats too (checked once per kernel), do
-    the exponents at beta >= 0 and both LSE terms: ``w_top`` and both LSE
-    maxima are the first level's, known before either half starts.  So no
-    half waits for the other, and every row is bit for bit the one-thread
-    row.  The scratch buffer makes a kernel unfit to be shared between
-    threads.
+    levels, into a buffer that the calling thread allocates for the row, and
+    the row's sum is the sum of the halves' sums.  The levels fall, and so,
+    when ``log_u`` and ``neg_r`` fall as floats too (checked once per
+    kernel), do the exponents at beta >= 0 and both LSE terms: ``w_top`` and
+    both LSE maxima are the first level's, known before either half starts.
+    So no half waits for the other, and every row is bit for bit the
+    one-thread row.  No row writes into memory another row can see, so
+    threads may share a kernel.
     """
 
     def __init__(self, loading: LoadingVector, alpha: float):
@@ -249,7 +259,6 @@ class PhiKernel:
         self._r_inf = bool(np.isinf(neg_r_last))
         self._bounded = bool(neg_r_last >= -1.0)
         self._memo: dict[float, list[float]] = {}  # beta -> [log phi, log nu^2]
-        self._scratch = np.empty(0)  # the rows of a split block
 
     def _neg_r(self, log_u: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
@@ -273,15 +282,6 @@ class PhiKernel:
         if ``log_u`` and ``neg_r`` fall with the level as floats."""
         return self._splits and all(bool((v[:-1] >= v[1:]).all())
                                     for v in (self.log_u, self.neg_r))
-
-    def _buffer(self, shape: tuple[int, ...]) -> np.ndarray:
-        """An array of ``shape`` in the scratch buffer, which this thread
-        allocates: the helper thread's own heap would hold it after the
-        kernel has gone."""
-        size = math.prod(shape)
-        if self._scratch.size < size:
-            self._scratch = np.empty(size)
-        return self._scratch[:size].reshape(shape)
 
     def _exponents(self, betas: np.ndarray, lo: int, hi: int, x: np.ndarray) -> None:
         """x[0] = w over levels lo..hi-1 for a block of rows."""
@@ -327,7 +327,7 @@ class PhiKernel:
         top = first[0, :, 0].copy()
         self._lse_terms(top, 0, 1, first)
         m = first[:, :, 0]
-        rows = self._buffer((2, betas.size, self.log_u.size))
+        rows = np.empty((2, betas.size, self.log_u.size))  # the helper's arena would keep it
 
         def half(lo: int, hi: int) -> np.ndarray:
             x = rows[:, :, lo:hi]
@@ -403,7 +403,7 @@ class PhiKernel:
             n = log_u.size
             if not (self._splits and n >= _SPLIT):
                 return terms(lam, np.empty((lam.size, n)), 0, n)
-            return _sum_halves(n, partial(terms, lam, self._buffer((lam.size, n))))
+            return _sum_halves(n, partial(terms, lam, np.empty((lam.size, n))))
 
         return self._rows(block, lams)
 

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,51 @@ def test_upper_halves_the_helper_has_not_started_run_here(split_from):
             busy.set()
     assert len(calls) > 1
     assert two == one
+
+
+def test_an_upper_half_run_here_leaves_no_reference_in_the_queue():
+    """The helper's queue keeps a cancelled job until the helper wakes; the
+    job must not keep the row's buffer alive meanwhile."""
+    threshold._sum_halves(1000, lambda lo, hi: float(hi - lo))  # makes the helper thread
+    busy = threading.Event()
+    threshold._helper[1].submit(busy.wait)
+    try:
+        def half(lo: int, hi: int) -> float:
+            return float(hi - lo)
+
+        ref = weakref.ref(half)
+        assert threshold._sum_halves(1000, half) == 1000.0
+        del half
+        assert ref() is None
+    finally:
+        busy.set()
+
+
+def test_threads_sharing_a_kernel_get_one_thread_rows(split_from):
+    """Each split row has its own buffer, so two threads evaluating rows on
+    one kernel at once get the rows one thread gets."""
+    lv = make_loading(LoadingSpec("exp_decay", d=20_000, c=1e-4, gamma=1.0))
+    betas = [[0.5 + 0.01 * i] for i in range(40)]
+    lams = [[0.3 + 0.01 * i] for i in range(40)]
+    kernel = PhiKernel(lv, 1.0)
+    one = [_bits(kernel.rows(b)) + _bits(kernel.tail_sum(lam, 1))
+           for b, lam in zip(betas, lams)]
+    with split_from(129) as calls:
+        shared = PhiKernel(lv, 1.0)
+        got = [None, None]
+
+        def evaluate(t: int) -> None:
+            order = zip(betas[t::2] + betas[1 - t::2], lams[t::2] + lams[1 - t::2])
+            got[t] = [_bits(shared.rows(b)) + _bits(shared.tail_sum(lam, 1)) for b, lam in order]
+
+        threads = [threading.Thread(target=evaluate, args=(t,)) for t in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    assert got[0] == one[0::2] + one[1::2]
+    assert got[1] == one[1::2] + one[0::2]
+    assert len(calls) == 160
 
 
 @pytest.mark.parametrize("values, alpha", [
