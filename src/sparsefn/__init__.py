@@ -29,6 +29,7 @@ from .noise import NoiseModel, minimal_tau, sample, sigma_alpha, tail_check
 from .estimators import (
     EstimateResult,
     EstimationInput,
+    EstimatorSpec,
     TestResult,
     adaptive_estimate,
     collier_estimate,
@@ -44,17 +45,16 @@ from .estimators import (
 )
 from .lowerbound import (
     LeastFavorablePrior,
+    ThetaSpec,
     build_prior,
     chi2_mixture_bound,
     prior_moments,
     sample_prior,
 )
 from .sim import (
-    EstimatorSpec,
     MomCoverageReport,
     SimConfig,
     SimulationReport,
-    ThetaSpec,
     calibrate_test_threshold,
     risk_grid,
     run_mom_coverage,

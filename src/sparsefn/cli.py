@@ -11,6 +11,7 @@ floats read from it; ``simulate`` hashes the parsed config.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -18,10 +19,11 @@ import sys
 import numpy as np
 
 from ._version import __version__
-from .config import ConfigError, parse_config
-from .estimators import VARIANTS, EstimationInput, linear_test
-from .loading import LoadingSpec, LoadingVector, drop_zero_loadings, make_loading
-from .lowerbound import build_prior, chi2_mixture_bound, prior_moments, sample_prior
+from .config import ConfigError, _schema, parse_config
+from .estimators import VARIANTS, EstimationInput, EstimatorSpec, linear_test
+from .loading import LOADING_KINDS, LoadingSpec, LoadingVector, drop_zero_loadings, make_loading
+from .lowerbound import (C_ALPHA1, THETA_KINDS, ThetaSpec, build_prior, chi2_mixture_bound,
+                         prior_moments, sample_prior)
 from .rates import RateCalculator, closed_form_for_spec
 from .sim import SimulationError, SimulationReport, meta, risk_grid, strict_json
 from .threshold import BracketError, solve_adaptive_beta, solve_beta, solve_lambda_H
@@ -69,36 +71,79 @@ def _finite_float(text: str) -> float:
     return x
 
 
-def _add_loading_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--loading-spec", choices=["homogeneous", "two_phase", "exp_decay"],
-                   help="generated loading family")
-    p.add_argument("--d", type=int, help="dimension for a generated loading")
-    p.add_argument("--gamma-d", type=_finite_float, help="two_phase head-count exponent")
-    p.add_argument("--gamma-lambda", type=_finite_float, help="two_phase head-value exponent")
-    p.add_argument("--c", type=_finite_float,
-                   help="exp_decay scale of the decay profile c*x^gamma")
-    p.add_argument("--gamma", type=_finite_float, help="exp_decay exponent (>= 1)")
-    p.add_argument("--loading-file", help="explicit loading, one float per line")
+def _int_list(text: str) -> str:
+    """argparse type of ``--s-grid``: comma-separated integers, kept as
+    written, since the output's hash reads the option as given."""
+    try:
+        [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid comma-separated integers: {text!r}") from None
+    return text
+
+
+_OPTION_TYPES = {int: int, float: _finite_float, str: str}
+_RESOLVED = {"zeta": "1e3 for alpha >= 2, else 1e4", "c_h": "tau * 4^(1/alpha)"}
+
+
+def _add_spec_args(p: argparse.ArgumentParser, cls, section: str, keys,
+                   row: dict | None = None) -> None:
+    """An option ``--<key>`` for each field ``key`` of the spec dataclass
+    ``cls`` (the config's ``<section>.<key>``) with the type, choices and
+    default of its schema (``config._schema``).  A kind table's ``row``
+    replaces the defaults, and a None in it makes the option required."""
+    for key in keys:
+        _name, hint, _check, default, choices = _schema(cls)[key]
+        if row is not None:
+            default = row[key]
+        shown = "%(default)s" if default is not None else _RESOLVED.get(key)
+        p.add_argument("--" + key.replace("_", "-"), type=_OPTION_TYPES[hint], choices=choices,
+                       default=default, required=row is not None and default is None,
+                       help=f"as {section}.{key} in a config"
+                            + (f" (default {shown})" if shown else ""))
+
+
+def _spec(cls, args, **fields):
+    """The spec dataclass ``cls`` of ``fields`` and of the options that
+    ``_add_spec_args`` made for its other fields.  A ValueError whose message
+    names a field first is an input error under that field's option."""
+    fields = {k: v for k, v in vars(args).items() if k in _schema(cls)} | fields
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        name, _, rest = str(exc).partition(" ")
+        name = name.rstrip(":")
+        if name not in fields:
+            raise
+        option = "--loading-file" if name == "values" else "--" + name.replace("_", "-")
+        raise CliError(f"argument {option}: {rest}") from exc
+
+
+def _add_problem_args(p: argparse.ArgumentParser) -> None:
+    """The options of every command but ``simulate``: the loading, the noise
+    tail exponent and the output file."""
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--loading-spec", choices=[k for k in LOADING_KINDS if k != "explicit"],
+                        help="generated loading family")
+    source.add_argument("--loading-file", help="explicit loading, one float per line")
     p.add_argument("--drop-zeros", action="store_true",
                    help="drop zero entries from --loading-file before validation")
+    _add_spec_args(p, LoadingSpec, "loading", ("d", "gamma_d", "gamma_lambda", "c", "gamma"))
+    p.add_argument("--alpha", type=_finite_float, required=True, help="noise tail exponent")
+    p.add_argument("--out", help="write the output here instead of stdout")
 
 
-def _loading_from_args(args) -> tuple[LoadingVector, LoadingSpec | None]:
-    if args.loading_file:
-        raw = values = _read_floats(args, "loading_file")
+def _loading_from_args(args) -> tuple[LoadingVector, LoadingSpec]:
+    if not args.loading_file:
         if args.drop_zeros:
-            values, kept = drop_zero_loadings(raw)
-            dropped = raw.size - kept.size
-            if dropped:
-                print(f"dropped {dropped} zero loadings", file=sys.stderr)
-        spec = LoadingSpec(kind="explicit", values=tuple(float(v) for v in values))
+            raise CliError("argument --drop-zeros: requires --loading-file")
+        spec = _spec(LoadingSpec, args, kind=args.loading_spec)
         return make_loading(spec), spec
-    if not args.loading_spec:
-        raise CliError("one of --loading-spec or --loading-file is required")
-    if args.d is None:
-        raise CliError("--d is required with --loading-spec")
-    spec = LoadingSpec(kind=args.loading_spec, d=args.d, gamma_d=args.gamma_d,
-                       gamma_lambda=args.gamma_lambda, c=args.c, gamma=args.gamma)
+    values = raw = _read_floats(args, "loading_file")
+    if args.drop_zeros:
+        values, kept = drop_zero_loadings(raw)
+        if kept.size < raw.size:
+            print(f"dropped {raw.size - kept.size} zero loadings", file=sys.stderr)
+    spec = _spec(LoadingSpec, args, kind="explicit", values=tuple(values.tolist()))
     return make_loading(spec), spec
 
 
@@ -125,53 +170,32 @@ def _read_floats(args, name: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _cmd_solve(args) -> int:
-    loading, _spec = _loading_from_args(args)
+    loading, _ = _loading_from_args(args)
+    if args.s is None and (args.equation != "oracle" or args.target is None):
+        needs = "--s or --target" if args.equation == "oracle" else "--s"
+        raise CliError(f"{args.equation} equation needs {needs}")
     if args.equation == "oracle":
-        if args.target is not None:
-            target = args.target
-        elif args.s is not None:
-            target = args.s / 2.0
-        else:
-            raise CliError("oracle equation needs --s or --target")
+        target = args.target if args.target is not None else args.s / 2.0
         sol = solve_beta(loading, args.alpha, target)
-    elif args.equation == "adaptive":
-        if args.s is None:
-            raise CliError("adaptive equation needs --s")
-        sol = solve_adaptive_beta(loading, args.alpha, args.s)
     else:
-        if args.s is None:
-            raise CliError("asym equation needs --s")
-        sol = solve_lambda_H(loading, args.alpha, args.s)
+        solve = solve_adaptive_beta if args.equation == "adaptive" else solve_lambda_H
+        sol = solve(loading, args.alpha, args.s)
     payload = sol.to_dict()
     payload["meta"] = meta(_params(args))
     _emit(payload, args.out)
     return 0
 
 
-def _rate_row(calc: RateCalculator, spec: LoadingSpec | None, alpha: float, s: int) -> dict:
-    prof = calc.oracle(s)
-    adp = calc.adaptive(s)
-    closed = closed_form_for_spec(spec, calc.loading, alpha, s) if spec is not None else None
-    return {
-        "s": s,
-        "beta": prof.beta,
-        "lambda_o": prof.lambda_o,
-        "nu": prof.nu,
-        "j1": prof.j1,
-        "phi_o": prof.phi_o,
-        "lambda_star": adp.lambda_star,
-        "nu_star": adp.nu_star,
-        "phi_star": adp.phi_star,
-        "phi_adp": adp.phi_adp,
-        "closed_form": closed,
-        "ratio": (prof.phi_o / closed) if closed else None,
-    }
+def _rate_row(calc: RateCalculator, spec: LoadingSpec, alpha: float, s: int) -> dict:
+    prof, adp = calc.oracle(s), calc.adaptive(s)
+    closed = closed_form_for_spec(spec, calc.loading, alpha, s)
+    return {"s": s, **{k: getattr(prof, k) for k in ("beta", "lambda_o", "nu", "j1", "phi_o")},
+            **{k: getattr(adp, k) for k in ("lambda_star", "nu_star", "phi_star", "phi_adp")},
+            "closed_form": closed, "ratio": (prof.phi_o / closed) if closed else None}
 
 
 def _cmd_rate(args) -> int:
     loading, spec = _loading_from_args(args)
-    if spec is not None and spec.kind == "explicit":
-        spec = None
     calc = RateCalculator(loading, args.alpha)
     if args.csv:
         if args.s_grid:
@@ -192,42 +216,33 @@ def _cmd_rate(args) -> int:
     return 0
 
 
-def _input_from_args(args, loading: LoadingVector) -> EstimationInput:
+def _input_from_args(args, sigma: float | None) -> tuple[EstimationInput, EstimatorSpec]:
+    """The observations and the estimator knobs that ``args`` sets."""
+    spec = _spec(EstimatorSpec, args)
+    loading, _ = _loading_from_args(args)
     y = _read_floats(args, "y_file")
-    sigma = None if args.sigma_unknown else args.sigma
     return EstimationInput(y, loading, args.alpha, args.tau, sigma=sigma,
-                           kappa=args.kappa)
+                           kappa=spec.kappa), spec
 
 
 def _cmd_estimate(args) -> int:
-    loading, _spec = _loading_from_args(args)
-    inp = _input_from_args(args, loading)
-    variant = VARIANTS[args.variant]
-    if variant.needs_s and args.s is None:
-        raise CliError(f"--variant {args.variant} needs --s")
-    res = variant.run(inp, args.s, None, zeta=args.zeta, c_h=args.c_h,
-                      gamma_split=args.gamma_split, shuffle_seed=args.shuffle_blocks)
-    payload = {
-        "value": res.value,
-        "s_used": res.s_used,
-        "threshold": res.threshold,
-        "kept_indices": list(res.kept_indices),
-        "variant": res.variant,
-        "meta": meta(_params(args)),
-    }
+    inp, spec = _input_from_args(args, None if args.sigma_unknown else args.sigma)
+    variant = VARIANTS[spec.variant]
+    if variant.needs_s and spec.s is None:
+        raise CliError(f"--variant {spec.variant} needs --s")
+    res = variant.run(inp, spec.s, None, zeta=spec.zeta, c_h=spec.c_h,
+                      gamma_split=spec.gamma_split, shuffle_seed=args.shuffle_blocks)
+    payload = {k: getattr(res, k) for k in ("value", "s_used", "threshold", "variant")}
+    payload.update(kept_indices=list(res.kept_indices), meta=meta(_params(args)))
     _emit(payload, args.out)
     return 0
 
 
 def _cmd_test(args) -> int:
-    loading, _spec = _loading_from_args(args)
-    inp = _input_from_args(args, loading)
-    if args.s is None:
+    inp, spec = _input_from_args(args, args.sigma)
+    if spec.s is None:
         raise CliError("test needs --s")
-    if args.variant != "oracle":
-        raise CliError("the test statistic is defined through the known-sparsity "
-                       "thresholding estimator; only --variant oracle is supported")
-    res = linear_test(inp, args.s, args.t0, args.B)
+    res = linear_test(inp, spec.s, args.t0, args.B)
     payload = {"decision": res.decision, "statistic": res.statistic,
                "threshold": res.threshold,
                "meta": meta(_params(args))}
@@ -236,23 +251,17 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_prior(args) -> int:
-    loading, _spec = _loading_from_args(args)
-    prior = build_prior(loading, args.alpha, args.s, args.c1, args.c_alpha2)
+    if args.samples < 0:
+        raise CliError(f"argument --samples: must be >= 0, got {args.samples}")
+    theta = _spec(ThetaSpec, args, kind="prior")
+    loading, _ = _loading_from_args(args)
+    prior = build_prior(loading, args.alpha, theta.s, theta.c1, theta.c_alpha2)
     mom = prior_moments(prior)
     bound = chi2_mixture_bound(prior, args.alpha, args.c_alpha1)
-    payload = {
-        "s": prior.s,
-        "c1": prior.c1,
-        "c_alpha2": prior.c_alpha2,
-        "lambda_o": prior.lambda_o,
-        "nu": prior.nu,
-        "sum_pi": float(prior.pi.sum()),
-        "moments": {"mean_support": mom.mean_support, "var_support": mom.var_support,
-                    "mean_L": mom.mean_L, "var_L": mom.var_L},
-        "chi2_bound": bound.bound,
-        "tv_bound": bound.tv_bound,
-        "meta": meta(_params(args), args.seed),
-    }
+    payload = {k: getattr(prior, k) for k in ("s", "c1", "c_alpha2", "lambda_o", "nu")}
+    payload.update(sum_pi=float(prior.pi.sum()), moments=dataclasses.asdict(mom),
+                   chi2_bound=bound.bound, tv_bound=bound.tv_bound,
+                   meta=meta(_params(args), args.seed))
     if args.samples:
         theta = sample_prior(prior, args.seed, size=args.samples)
         with open(args.samples_out, "w", encoding="utf-8") as fh:
@@ -282,6 +291,17 @@ def _cmd_simulate(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _add_observed_args(p: argparse.ArgumentParser, knobs) -> None:
+    """The options of a command that reads observations, with the estimator
+    knobs ``knobs``."""
+    _add_problem_args(p)
+    _add_spec_args(p, EstimatorSpec, "estimator", knobs)
+    p.add_argument("--tau", type=_finite_float, required=True, help="noise tail scale")
+    p.add_argument("--sigma", type=_finite_float, default=EstimationInput.sigma,
+                   help="noise level (default %(default)s)")
+    p.add_argument("--y-file", required=True, help="observations, one float per line")
+
+
 @functools.cache  # built on the first main() call, not at import
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sparsefn",
@@ -290,73 +310,45 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve a threshold equation")
-    _add_loading_args(p)
-    p.add_argument("--alpha", type=_finite_float, required=True, help="noise tail exponent")
+    _add_problem_args(p)
     p.add_argument("--s", type=int, help="sparsity level")
     p.add_argument("--target", type=_finite_float, help="explicit right-hand side (oracle only)")
     p.add_argument("--equation", choices=["oracle", "adaptive", "asym"], default="oracle",
                    help="which implicit equation to solve (default oracle)")
-    p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("rate", help="compute rate profiles")
-    _add_loading_args(p)
-    p.add_argument("--alpha", type=_finite_float, required=True, help="noise tail exponent")
+    _add_problem_args(p)
     p.add_argument("--s", type=int, help="sparsity level")
     p.add_argument("--csv", action="store_true", help="emit one CSV row per s")
-    p.add_argument("--s-grid", help="comma-separated s values for --csv")
-    p.add_argument("--out", help="write output here instead of stdout")
+    p.add_argument("--s-grid", type=_int_list, help="comma-separated s values for --csv")
     p.set_defaults(func=_cmd_rate)
 
-    for name, helptext in (("estimate", "run one estimator on observations"),
-                           ("test", "run the linear-functional test")):
-        p = sub.add_parser(name, help=helptext)
-        _add_loading_args(p)
-        p.add_argument("--variant", default="oracle", choices=VARIANTS,
-                       help="estimator variant (default oracle)")
-        p.add_argument("--s", type=int, help="sparsity level")
-        p.add_argument("--alpha", type=_finite_float, required=True, help="noise tail exponent")
-        p.add_argument("--tau", type=_finite_float, required=True, help="noise tail scale")
-        p.add_argument("--sigma", type=_finite_float, default=1.0, help="noise level (default 1)")
-        p.add_argument("--sigma-unknown", action="store_true",
-                       help="treat sigma as unknown (median-of-means route)")
-        p.add_argument("--kappa", type=_finite_float, default=1.0,
-                       help="threshold multiplier (default 1)")
-        p.add_argument("--zeta", type=_finite_float, default=None,
-                       help="Lepski band constant (default 1e3 for alpha>=2 else 1e4)")
-        p.add_argument("--gamma-split", type=_finite_float, default=0.5,
-                       help="median-of-means block fraction (default 0.5)")
-        p.add_argument("--shuffle-blocks", type=int, default=None, metavar="SEED",
-                       help="permute coordinates with this seed before "
-                            "median-of-means blocking (default off)")
-        p.add_argument("--c-h", type=_finite_float, default=None,
-                       help="nonsym threshold constant (default tau*4^(1/alpha))")
-        p.add_argument("--y-file", required=True, help="observations, one float per line")
-        p.add_argument("--out", help="write JSON here instead of stdout")
-        if name == "test":
-            p.add_argument("--t0", type=_finite_float, required=True,
-                           help="null value of the functional")
-            p.add_argument("--B", type=_finite_float, required=True,
-                           help="rejection threshold constant")
-            p.set_defaults(func=_cmd_test)
-        else:
-            p.set_defaults(func=_cmd_estimate)
+    p = sub.add_parser("estimate", help="run one estimator on observations")
+    _add_observed_args(p, ("variant", "s", "kappa", "zeta", "gamma_split", "c_h"))
+    p.add_argument("--sigma-unknown", action="store_true",
+                   help="treat sigma as unknown (median-of-means route)")
+    p.add_argument("--shuffle-blocks", type=int, default=None, metavar="SEED",
+                   help="permute coordinates with this seed before "
+                        "median-of-means blocking (default off)")
+    p.set_defaults(func=_cmd_estimate)
+
+    # the test statistic is the known-sparsity (oracle) estimate
+    p = sub.add_parser("test", help="run the linear-functional test")
+    _add_observed_args(p, ("s", "kappa"))
+    p.add_argument("--t0", type=_finite_float, required=True, help="null value of the functional")
+    p.add_argument("--B", type=_finite_float, required=True, help="rejection threshold constant")
+    p.set_defaults(func=_cmd_test)
 
     p = sub.add_parser("prior", help="build the least-favorable prior")
-    _add_loading_args(p)
-    p.add_argument("--alpha", type=_finite_float, required=True, help="noise tail exponent")
-    p.add_argument("--s", type=int, required=True, help="sparsity level")
-    p.add_argument("--c1", type=_finite_float, default=0.5,
-                   help="activation mass constant (default 0.5)")
-    p.add_argument("--c-alpha2", type=_finite_float, default=1.0,
-                   help="value scale constant (default 1)")
-    p.add_argument("--c-alpha1", type=_finite_float, default=1.0,
-                   help="chi-square bound constant (default 1)")
+    _add_problem_args(p)
+    _add_spec_args(p, ThetaSpec, "theta", ("s", "c1", "c_alpha2"), THETA_KINDS["prior"])
+    p.add_argument("--c-alpha1", type=_finite_float, default=C_ALPHA1,
+                   help="chi-square bound constant (default %(default)s)")
     p.add_argument("--samples", type=int, default=0, help="also draw this many theta vectors")
     p.add_argument("--samples-out", default="prior_samples.txt",
                    help="file for --samples (one vector per line)")
     p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_prior)
 
     p = sub.add_parser("simulate", help="run a replicated risk experiment from a config file")
@@ -375,9 +367,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -1,12 +1,13 @@
 """Experiment configuration files: strict JSON parsing with path-precise errors.
 
 Each spec dataclass (``LoadingSpec``, ``NoiseModel``, ``EstimatorSpec``,
-``ThetaSpec``) is the schema of its config object: ``_parse_spec`` reads keys,
-types and defaults from its fields and ``sim.spec_dict`` writes them back, so a
-parsed config serializes to something that reparses equal.  Unknown keys are
-rejected (anti-typo) and every type violation names the offending path.  An
-unset ``estimator.zeta`` stays None, and each grid cell resolves it from its
-own ``alpha`` (``estimators.default_zeta``).
+``ThetaSpec``) is the schema of its config object and of the CLI options that
+set its fields: ``_schema`` reads keys, types and defaults from its fields and
+``sim.spec_dict`` writes them back, so a parsed config serializes to something
+that reparses equal.  Unknown keys are rejected (anti-typo), and so is a field
+that its kind does not read (``LOADING_KINDS``, ``THETA_KINDS``); every
+violation names the offending path.  An unset ``estimator.zeta`` stays None,
+and each grid cell resolves it from its own ``alpha`` (``default_zeta``).
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ import re
 import typing
 from dataclasses import dataclass
 
-from .estimators import VARIANTS
+from .estimators import VARIANTS, EstimationInput, EstimatorSpec
 from .loading import LoadingSpec
+from .lowerbound import ThetaSpec
 from .noise import FAMILIES, NoiseModel
-from .sim import GRID_AXES, EstimatorSpec, Grid, SimConfig, ThetaSpec, check_grid
+from .sim import GRID_AXES, Grid, SimConfig, check_grid
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "serialize_config"]
 
@@ -83,11 +85,12 @@ def _list(v, path: str, check) -> tuple:
 
 def _build(cls, path: str, **fields):
     """``cls(**fields)`` of parsed fields, its ValueError reported under ``path``
-    (under ``path.key[i]`` when the error names a list entry: ``support[1]: ...``)."""
+    (under ``path.key`` or ``path.key[i]`` when the error names a field or a
+    list entry first: ``rho: ...``, ``support[1]: ...``)."""
     try:
         return cls(**fields)
     except ValueError as exc:
-        sep = "." if re.match(r"\w+\[\d+\]: ", str(exc)) else ": "
+        sep = "." if re.match(r"\w+(\[\d+\])?: ", str(exc)) else ": "
         raise ConfigError(f"{path}{sep}{exc}") from exc
 
 
@@ -103,8 +106,9 @@ _CHOICES = {(NoiseModel, "family"): FAMILIES, (EstimatorSpec, "variant"): VARIAN
 
 @functools.cache
 def _schema(cls) -> dict:
-    """JSON key -> (field name, check, default, choices) for each field of the
-    spec dataclass ``cls``, read from its fields and type hints."""
+    """JSON key -> (field name, type, check, default, choices) for each field
+    of the spec dataclass ``cls``, read from its fields and type hints; the
+    type (int, float or str) is the value's, or each element's of a tuple."""
     hints = typing.get_type_hints(cls)
     schema = {}
     for f in dataclasses.fields(cls):
@@ -112,10 +116,11 @@ def _schema(cls) -> dict:
         if f.default is None:  # ``X | None``: check X
             (hint,) = [a for a in typing.get_args(hint) if a is not type(None)]
         if typing.get_origin(hint) is tuple:  # ``tuple[X, ...]``: a JSON list of X
-            check = functools.partial(_list, check=_CHECKS[typing.get_args(hint)[0]])
+            hint = typing.get_args(hint)[0]
+            check = functools.partial(_list, check=_CHECKS[hint])
         else:
             check = _CHECKS[hint]
-        schema[f.metadata.get("json", f.name)] = (f.name, check, f.default,
+        schema[f.metadata.get("json", f.name)] = (f.name, hint, check, f.default,
                                                   _CHOICES.get((cls, f.name)))
     return schema
 
@@ -127,7 +132,7 @@ def _parse_spec(cls, obj, path: str):
     schema = _schema(cls)
     _check_keys(obj, schema, path)
     fields = {}
-    for key, (name, check, default, choices) in schema.items():
+    for key, (name, _type, check, default, choices) in schema.items():
         v = obj.get(key)
         if v is None and (default is None or key not in obj):
             if default is dataclasses.MISSING:
@@ -152,7 +157,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if version != SCHEMA_VERSION:
         raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, got {version}")
     seed = _integer(_require(obj, "seed", "<root>"), "seed")
-    sigma = _number(obj.get("sigma", 1.0), "sigma")
+    sigma = _number(obj.get("sigma", EstimationInput.sigma), "sigma")
     loading = _parse_spec(LoadingSpec, _require(obj, "loading", "<root>"), "loading")
     noise = _parse_spec(NoiseModel, _require(obj, "noise", "<root>"), "noise")
     estimator = _parse_spec(EstimatorSpec, obj.get("estimator", {}), "estimator")

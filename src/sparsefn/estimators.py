@@ -34,6 +34,7 @@ from .threshold import reduce_last
 __all__ = [
     "VARIANTS",
     "Variant",
+    "EstimatorSpec",
     "EstimationInput",
     "EstimateResult",
     "TestResult",
@@ -57,6 +58,30 @@ def default_zeta(alpha: float) -> float:
 
 
 @dataclass(frozen=True)
+class EstimatorSpec:
+    """Which estimator to run and its knobs; None means use defaults.  Every
+    variant accepts every knob and ignores those its estimator does not take,
+    since the ``estimator`` grid axis swaps the variant and keeps the knobs."""
+
+    variant: str = "oracle"
+    s: int | None = None
+    kappa: float = 1.0
+    zeta: float | None = None
+    gamma_split: float = 0.5
+    c_h: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown estimator variant {self.variant!r}")
+        for name in ("kappa", "zeta", "c_h"):  # zeta and c_h may be None: the default
+            v = getattr(self, name)
+            if v is not None and not 0.0 < v < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0.0 < self.gamma_split <= 0.5:
+            raise ValueError("gamma_split must be in (0, 1/2]")
+
+
+@dataclass(frozen=True)
 class EstimationInput:
     """Observations plus everything the estimators need to threshold them.
 
@@ -74,7 +99,7 @@ class EstimationInput:
     alpha: float
     tau: float
     sigma: float | None = 1.0
-    kappa: float = 1.0
+    kappa: float = EstimatorSpec.kappa
     ys: np.ndarray = field(init=False, repr=False, compare=False)
     etay: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -89,8 +114,7 @@ class EstimationInput:
             raise ValueError("alpha and tau must be positive and finite")
         if self.sigma is not None and not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError("sigma must be nonnegative and finite, or None (unknown)")
-        if not (math.isfinite(self.kappa) and self.kappa > 0):
-            raise ValueError("kappa must be positive and finite")
+        EstimatorSpec(kappa=self.kappa)  # range-checks kappa
         ys = self.loading.to_sorted(np.atleast_2d(y))
         etay = self.loading.values * ys
         for name, arr in (("y", y), ("ys", ys), ("etay", etay)):
@@ -293,8 +317,7 @@ def _lepski_core(inp: EstimationInput, zeta: float,
     """Shared selection machinery: (s_hat per row, s_star, comparison cap,
     (R, cap) values, omega).  The scan runs over s, on the rows still
     without a selection."""
-    if not 0.0 < zeta < math.inf:
-        raise ValueError("zeta must be positive and finite")
+    EstimatorSpec(zeta=zeta)  # range-checks zeta
     sigma = inp.require_sigma()
     s_star = calc.s_star()
     table = calc.table()
@@ -361,16 +384,15 @@ def nonsymmetric_estimate(inp: EstimationInput, s: int, c_h: float | None = None
     s = int(s)
     if not 1 <= s <= d:
         raise ValueError(f"s must be in [1, {d}]")
+    EstimatorSpec(c_h=c_h)  # range-checks c_h
     if c_h is None:
         c_h = inp.tau * 4.0 ** (1.0 / inp.alpha)
-    elif not 0.0 < c_h < math.inf:
-        raise ValueError("c_h must be positive and finite")
     j3 = j3_index(d, s, inp.alpha)
     thr = c_h * sigma * (1.0 + math.log(d / s)) ** (1.0 / inp.alpha)
     return _estimate(inp, s, thr, j3, "nonsym", stat=np.abs(inp.ys))
 
 
-def mom_sigma(y, gamma_split: float = 0.5, shuffle_seed: int | None = None):
+def mom_sigma(y, gamma_split: float = EstimatorSpec.gamma_split, shuffle_seed: int | None = None):
     """Median-of-means estimate of sigma^2 from contiguous blocks of y_j^2.
 
     ``m = floor(gamma_split * d)`` blocks; the first ``d mod m`` blocks get one
@@ -387,8 +409,7 @@ def mom_sigma(y, gamma_split: float = 0.5, shuffle_seed: int | None = None):
     d = rows.shape[1]
     if d < 2:
         raise ValueError("median-of-means needs d >= 2")
-    if not 0.0 < gamma_split <= 0.5:
-        raise ValueError("gamma_split must be in (0, 1/2]")
+    EstimatorSpec(gamma_split=gamma_split)  # range-checks gamma_split
     m = math.floor(gamma_split * d)
     if m < 1:
         raise ValueError("floor(gamma_split * d) must be >= 1")
@@ -409,7 +430,8 @@ def mom_sigma(y, gamma_split: float = 0.5, shuffle_seed: int | None = None):
     return float(out[0]) if y.ndim == 1 else out
 
 
-def unknown_sigma_estimate(inp: EstimationInput, s: int, gamma_split: float = 0.5,
+def unknown_sigma_estimate(inp: EstimationInput, s: int,
+                           gamma_split: float = EstimatorSpec.gamma_split,
                            shuffle_seed: int | None = None, *,
                            calculator: RateCalculator | None = None) -> EstimateResult:
     """Oracle-shape estimator with sigma replaced by the median-of-means

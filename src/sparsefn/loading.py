@@ -19,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
+    "LOADING_KINDS",
     "LoadingLevels",
     "LoadingVector",
     "LoadingSpec",
@@ -27,7 +28,30 @@ __all__ = [
     "drop_zero_loadings",
 ]
 
-_KINDS = ("explicit", "homogeneous", "two_phase", "exp_decay")
+# kind -> {field: default} of every field that the kind reads; None: required
+LOADING_KINDS = {
+    "explicit": {"values": None},
+    "homogeneous": {"d": None},
+    "two_phase": {"d": None, "gamma_d": None, "gamma_lambda": None},
+    "exp_decay": {"d": None, "c": None, "gamma": None},
+}
+
+
+def check_kind(spec, noun: str, kinds: dict) -> None:
+    """Hold the frozen spec dataclass ``spec`` to its kind's row of ``kinds``,
+    a kind table like ``LOADING_KINDS``: an unset field that the row lists
+    takes its default, and a field that it does not list must stay unset.  A
+    failure names the field first (``gamma_d: not read by kind 'homogeneous'``)."""
+    row = kinds.get(spec.kind)
+    if row is None:
+        raise ValueError(f"unknown {noun} kind {spec.kind!r}")
+    for name, value in vars(spec).items():
+        if name != "kind" and (value is None) == (name in row):  # set off the row, or unset on it
+            if value is not None:
+                raise ValueError(f"{name}: not read by kind {spec.kind!r}")
+            if row[name] is None:
+                raise ValueError(f"{name}: required by kind {spec.kind!r}")
+            object.__setattr__(spec, name, row[name])
 
 
 def _is_permutation(order: np.ndarray) -> bool:
@@ -206,10 +230,12 @@ class LoadingSpec:
 
     kind:
         ``explicit``     -- ``values`` given verbatim,
-        ``homogeneous``  -- all ones, needs ``d``,
+        ``homogeneous``  -- ``d`` ones,
         ``two_phase``    -- ``floor(d**gamma_d)`` entries ``d**gamma_lambda`` then ones,
         ``exp_decay``    -- ``exp(-c * (j-1)**gamma)``, ``c >= 0`` and ``gamma >= 1``
                             keep the decay profile non-decreasing and convex.
+
+    A kind reads the fields of its row of ``LOADING_KINDS``; the rest stay unset.
     """
 
     kind: str
@@ -221,28 +247,23 @@ class LoadingSpec:
     gamma: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown loading kind {self.kind!r}")
+        check_kind(self, "loading", LOADING_KINDS)
         for name in ("gamma_d", "gamma_lambda", "c", "gamma"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.kind == "explicit":
-            if not self.values:
-                raise ValueError("explicit loading needs values")
-        else:
-            if self.d is None or int(self.d) < 1:
-                raise ValueError("generated loading needs d >= 1")
+        if self.kind == "explicit" and not self.values:
+            raise ValueError("values: an explicit loading needs at least one")
+        if self.d is not None and self.d < 1:
+            raise ValueError("d must be >= 1")
         if self.kind == "two_phase":
-            if self.gamma_d is None or self.gamma_lambda is None:
-                raise ValueError("two_phase needs gamma_d and gamma_lambda")
-            if self.gamma_d <= 0 or self.gamma_lambda <= 0:
-                raise ValueError("two_phase needs gamma_d > 0 and gamma_lambda > 0")
-        if self.kind == "exp_decay":
-            if self.c is None or self.gamma is None:
-                raise ValueError("exp_decay needs c and gamma")
-            if self.c < 0 or self.gamma < 1:
-                raise ValueError("exp_decay needs c >= 0 and gamma >= 1")
+            for name in ("gamma_d", "gamma_lambda"):
+                if getattr(self, name) <= 0:
+                    raise ValueError(f"{name} must be > 0")
+        if self.kind == "exp_decay" and self.c < 0:
+            raise ValueError("c must be >= 0")
+        if self.kind == "exp_decay" and self.gamma < 1:
+            raise ValueError("gamma must be >= 1")
 
 
 def drop_zero_loadings(values) -> tuple[np.ndarray, np.ndarray]:

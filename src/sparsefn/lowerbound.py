@@ -16,11 +16,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .loading import LoadingVector
+from .loading import LoadingVector, check_kind
 from .rates import RateCalculator
 from .streams import Stream
 
 __all__ = [
+    "THETA_KINDS",
+    "ThetaSpec",
     "LeastFavorablePrior",
     "PriorMoments",
     "Chi2Bound",
@@ -31,6 +33,55 @@ __all__ = [
     "chi2_mixture_bound",
     "chi2_shifted_extremal",
 ]
+
+# kind -> {field: default} of every field that the kind reads; None: required
+THETA_KINDS = {
+    "zero": {},
+    "fixed": {"support": None, "values": None},
+    "spike_grid": {"rho": None, "n_spikes": None, "placement": "tail"},
+    "prior": {"s": None, "c1": 0.5, "c_alpha2": 1.0},
+}
+C_ALPHA1 = 1.0  # the chi-square bound constant C1 (see ``chi2_mixture_bound``)
+
+
+@dataclass(frozen=True)
+class ThetaSpec:
+    """Signal configurations.
+
+    ``zero``       -- theta = 0;
+    ``fixed``      -- explicit support (original-order indices) and values;
+    ``spike_grid`` -- n_spikes coordinates at magnitude
+                      rho * sigma * tau * lambda_o(n_spikes) / eta_j, placed on
+                      the smallest ("tail") or largest ("head") loadings;
+    ``prior``      -- random draw from the least-favorable prior per replicate.
+
+    A kind reads the fields of its row of ``THETA_KINDS``; the rest stay unset.
+    """
+
+    kind: str = "zero"
+    support: tuple[int, ...] | None = None
+    values: tuple[float, ...] | None = None
+    rho: float | None = None
+    n_spikes: int | None = None
+    placement: str | None = None
+    s: int | None = None
+    c1: float | None = None
+    c_alpha2: float | None = None
+
+    def __post_init__(self) -> None:
+        check_kind(self, "theta", THETA_KINDS)
+        if self.kind == "fixed":
+            if len(self.support) != len(self.values):
+                raise ValueError("support and values must have equal length")
+            if len(set(self.support)) < len(self.support):
+                i = next(i for i, j in enumerate(self.support) if j in self.support[:i])
+                raise ValueError(f"support[{i}]: {self.support[i]} repeats an earlier index")
+        if self.placement not in (None, "tail", "head"):
+            raise ValueError("placement: must be 'tail' or 'head'")
+        if self.c1 is not None and not 0.0 < self.c1 < 2.0:
+            raise ValueError("c1 must be in (0, 2)")
+        if self.c_alpha2 is not None and not 0.0 < self.c_alpha2 < math.inf:
+            raise ValueError("c_alpha2 must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -78,14 +129,11 @@ class LeastFavorablePrior:
 
 
 def build_prior(loading: LoadingVector, alpha: float, s: int, c1: float,
-                c_alpha2: float = 1.0,
+                c_alpha2: float = THETA_KINDS["prior"]["c_alpha2"],
                 calculator: RateCalculator | None = None) -> LeastFavorablePrior:
     """Construct the prior; rejects configurations where any pi_j >= 1.  A
     ``calculator`` for (loading, alpha) replaces a new one."""
-    if not 0.0 < c1 < 2.0:
-        raise ValueError("c1 must be in (0, 2)")
-    if not 0.0 < c_alpha2 < math.inf:
-        raise ValueError("c_alpha2 must be positive and finite")
+    ThetaSpec("prior", s=s, c1=c1, c_alpha2=c_alpha2)  # range-checks c1 and c_alpha2
     prof = (calculator or RateCalculator(loading, alpha)).oracle(s)
     beta_plus = max(prof.beta, 0.0)
     abs_eta = loading.abs_values
@@ -216,7 +264,7 @@ class Chi2Bound:
 
 
 def chi2_mixture_bound(prior: LeastFavorablePrior, alpha: float,
-                       c_alpha1: float = 1.0) -> Chi2Bound:
+                       c_alpha1: float = C_ALPHA1) -> Chi2Bound:
     """exp(sum_j pi_j^2 * C1 * exp(|gamma_j / C2|^alpha)) and the TV bound.
 
     ``c_alpha1 = 1`` is exact for alpha <= 1 and alpha = 2; for other alpha

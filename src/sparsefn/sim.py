@@ -27,16 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._version import __version__
-from .estimators import VARIANTS, EstimationInput, linear_test, mom_sigma, oracle_estimate
+from .estimators import (VARIANTS, EstimationInput, EstimatorSpec, linear_test, mom_sigma,
+                         oracle_estimate)
 from .loading import LoadingSpec, LoadingVector, make_loading
-from .lowerbound import build_prior, draw_prior
+from .lowerbound import ThetaSpec, build_prior, draw_prior
 from .noise import NoiseModel, sample_with
 from .rates import RateCalculator
 from .streams import STREAM_SCHEME, Stream
 
 __all__ = [
-    "ThetaSpec",
-    "EstimatorSpec",
     "SimConfig",
     "SimulationReport",
     "MomCoverageReport",
@@ -56,6 +55,7 @@ __all__ = [
 ]
 
 GRID_AXES = ("alpha", "d", "estimator", "rho", "s", "sigma")
+_THETA_SPARSITY = {"spike_grid": "n_spikes", "prior": "s"}  # the theta field the s axis sets
 RESULT_COLUMNS = ["estimator", "n_rep", "mse", "mse_se", "rate_kind", "rate_value", "ratio"]
 
 
@@ -76,75 +76,6 @@ def meta(params: dict, seed: int | None = None) -> dict:
     scheme = {} if seed is None else {"stream_scheme": STREAM_SCHEME}
     return {"tool_version": __version__, "config_hash": config_hash({**params, **scheme}),
             "seed": seed, **scheme}
-
-
-@dataclass(frozen=True)
-class ThetaSpec:
-    """Signal configurations.
-
-    ``zero``       -- theta = 0;
-    ``fixed``      -- explicit support (original-order indices) and values;
-    ``spike_grid`` -- n_spikes coordinates at magnitude
-                      rho * sigma * tau * lambda_o(n_spikes) / eta_j, placed on
-                      the smallest ("tail") or largest ("head") loadings;
-    ``prior``      -- random draw from the least-favorable prior per replicate.
-    """
-
-    kind: str = "zero"
-    support: tuple[int, ...] | None = None
-    values: tuple[float, ...] | None = None
-    rho: float | None = None
-    n_spikes: int | None = None
-    placement: str | None = None
-    s: int | None = None
-    c1: float | None = None
-    c_alpha2: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("zero", "fixed", "spike_grid", "prior"):
-            raise ValueError(f"unknown theta kind {self.kind!r}")
-        # placement belongs to spike_grid and c_alpha2 to prior: other kinds drop them
-        object.__setattr__(self, "placement", None if self.kind != "spike_grid"
-                           else "tail" if self.placement is None else self.placement)
-        object.__setattr__(self, "c_alpha2", None if self.kind != "prior"
-                           else 1.0 if self.c_alpha2 is None else self.c_alpha2)
-        if self.kind == "fixed":
-            if self.support is None or self.values is None:
-                raise ValueError("fixed theta needs support and values")
-            if len(self.support) != len(self.values):
-                raise ValueError("support and values must have equal length")
-            if len(set(self.support)) < len(self.support):
-                i = next(i for i, j in enumerate(self.support) if j in self.support[:i])
-                raise ValueError(f"support[{i}]: {self.support[i]} repeats an earlier index")
-        if self.kind == "spike_grid":
-            if self.rho is None or self.n_spikes is None:
-                raise ValueError("spike_grid theta needs rho and n_spikes")
-            if self.placement not in ("tail", "head"):
-                raise ValueError("placement must be 'tail' or 'head'")
-        if self.kind == "prior" and (self.s is None or self.c1 is None):
-            raise ValueError("prior theta needs s and c1")
-
-
-@dataclass(frozen=True)
-class EstimatorSpec:
-    """Which estimator to run and its knobs; None means use defaults."""
-
-    variant: str = "oracle"
-    s: int | None = None
-    kappa: float = 1.0
-    zeta: float | None = None
-    gamma_split: float = 0.5
-    c_h: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown estimator variant {self.variant!r}")
-        for name in ("kappa", "zeta", "c_h"):  # zeta and c_h may be None: the default
-            v = getattr(self, name)
-            if v is not None and not 0.0 < v < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        if not 0.0 < self.gamma_split <= 0.5:
-            raise ValueError("gamma_split must be in (0, 1/2]")
 
 
 @dataclass(frozen=True)
@@ -277,10 +208,9 @@ def _cell_problem(config: SimConfig) -> tuple[str, str] | None:
     if variant.rate_kind == "phi_o":  # phi_o(s_assumed) needs s_assumed <= d
         sparsity.append(("simulation.s_assumed", config.s_assumed))
     theta = config.theta
-    if theta.kind == "spike_grid":
-        sparsity.append(("theta.n_spikes", theta.n_spikes))
-    elif theta.kind == "prior":
-        sparsity.append(("theta.s", theta.s))
+    key = _THETA_SPARSITY.get(theta.kind)
+    if key is not None:
+        sparsity.append((f"theta.{key}", getattr(theta, key)))
     for field, value in sparsity:
         if not 1 <= value <= d:
             return field, f"{value} must be in [1, {d}]"
@@ -401,10 +331,8 @@ def _apply_cell(base: SimConfig, cell: dict) -> SimConfig:
             s_assumed = int(value)
             if estimator.s is not None or VARIANTS[estimator.variant].needs_s:
                 estimator = dataclasses.replace(estimator, s=int(value))
-            if theta.kind == "spike_grid":
-                theta = dataclasses.replace(theta, n_spikes=int(value))
-            elif theta.kind == "prior":
-                theta = dataclasses.replace(theta, s=int(value))
+            if theta.kind in _THETA_SPARSITY:
+                theta = dataclasses.replace(theta, **{_THETA_SPARSITY[theta.kind]: int(value)})
         elif axis == "estimator":
             estimator = dataclasses.replace(estimator, variant=str(value))
         else:

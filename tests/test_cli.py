@@ -3,7 +3,9 @@ import functools
 import json
 import math
 import re
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -639,3 +641,125 @@ def test_every_json_output_is_strict(tmp_path, capsys):
         outputs.append(_strict_json(captured.out))
     assert outputs[4]["chi2_bound"] is None and outputs[4]["tv_bound"] is None
     assert outputs[5]["rows"][0]["mse_se"] is None
+
+
+# -- one schema for the CLI and the config ---------------------------------------
+
+def _error(capsys, argv) -> str:
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+def test_s_grid_entry_that_is_not_an_integer_names_the_option(capsys):
+    err = _error(capsys, ["rate", "--loading-spec", "homogeneous", "--d", "10",
+                          "--alpha", "2", "--csv", "--s-grid", "1,,2"])
+    assert err == "error: argument --s-grid: invalid comma-separated integers: '1,,2'\n"
+
+
+def test_negative_sample_count_names_the_option(capsys):
+    err = _error(capsys, ["prior", "--loading-spec", "homogeneous", "--d", "10",
+                          "--alpha", "2", "--s", "2", "--samples", "-3"])
+    assert err == "error: argument --samples: must be >= 0, got -3\n"
+
+
+def test_loading_sources_are_exclusive_and_drop_zeros_needs_a_file(tmp_path, capsys):
+    lfile = tmp_path / "loading.txt"
+    lfile.write_text("2.0\n0.0\n1.0\n")
+    rate = ["rate", "--alpha", "2", "--s", "1"]
+    err = _error(capsys, [*rate, "--loading-spec", "homogeneous", "--d", "3",
+                          "--loading-file", str(lfile)])
+    assert err.startswith("error: argument --loading-file: not allowed with argument "
+                          "--loading-spec")
+    err = _error(capsys, [*rate, "--loading-spec", "homogeneous", "--d", "3", "--drop-zeros"])
+    assert err == "error: argument --drop-zeros: requires --loading-file\n"
+    err = _error(capsys, rate)
+    assert "--loading-spec --loading-file is required" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--loading-spec", "homogeneous", "--d", "10", "--gamma-d", "3", "--c", "9"],
+     "argument --gamma-d: not read by kind 'homogeneous'"),
+    (["--loading-spec", "two_phase", "--d", "10", "--gamma-d", "0.5"],
+     "argument --gamma-lambda: required by kind 'two_phase'"),
+    (["--loading-spec", "exp_decay", "--c", "0.1", "--gamma", "1"],
+     "argument --d: required by kind 'exp_decay'"),
+    (["--loading-spec", "exp_decay", "--d", "10", "--c", "0.1", "--gamma", "0.5"],
+     "argument --gamma: must be >= 1"),
+    (["--loading-file", "{lfile}", "--d", "3"], "argument --d: not read by kind 'explicit'"),
+    (["--loading-file", "{empty}"],
+     "argument --loading-file: an explicit loading needs at least one"),
+])
+def test_loading_option_off_its_kind_names_the_option(argv, message, tmp_path, capsys):
+    (tmp_path / "l.txt").write_text("2.0\n1.0\n1.0\n")
+    (tmp_path / "e.txt").write_text("\n")
+    argv = [a.format(lfile=tmp_path / "l.txt", empty=tmp_path / "e.txt") for a in argv]
+    err = _error(capsys, ["solve", *argv, "--alpha", "2", "--s", "1"])
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("option, value, key, message", [
+    ("--gamma-split", "0.9", "gamma_split", "must be in (0, 1/2]"),
+    ("--zeta", "-1", "zeta", "must be positive and finite"),
+    ("--c-h", "-3", "c_h", "must be positive and finite"),
+    ("--kappa", "0", "kappa", "must be positive and finite"),
+])
+def test_cli_rejects_every_estimator_knob_that_the_config_rejects(option, value, key, message,
+                                                                  tmp_path, capsys):
+    yfile = tmp_path / "y.txt"
+    yfile.write_text("1.0\n" * 10)
+    err = _error(capsys, ["estimate", "--variant", "oracle", "--s", "2", "--alpha", "2",
+                          "--tau", "2", "--loading-spec", "homogeneous", "--d", "10",
+                          "--y-file", str(yfile), option, value])
+    assert err == f"error: argument {option}: {message}\n"
+    cfg = dict(BASE_CONFIG, estimator={"variant": "oracle", key: float(value)})
+    with pytest.raises(ConfigError, match="^" + re.escape(f"estimator: {key} {message}")):
+        parse_config(json.dumps(cfg))
+
+
+@pytest.mark.parametrize("option, value, key, message", [
+    ("--c1", "3", "c1", "must be in (0, 2)"),
+    ("--c-alpha2", "-1", "c_alpha2", "must be positive and finite"),
+])
+def test_cli_rejects_every_prior_knob_that_the_config_rejects(option, value, key, message,
+                                                              capsys):
+    err = _error(capsys, ["prior", "--loading-spec", "homogeneous", "--d", "10", "--alpha", "2",
+                          "--s", "2", option, value])
+    assert err == f"error: argument {option}: {message}\n"
+    cfg = dict(BASE_CONFIG, theta={"kind": "prior", "s": 2, key: float(value)},
+               simulation={"replicates": 2, "s_assumed": 2})
+    with pytest.raises(ConfigError, match="^" + re.escape(f"theta: {key} {message}")):
+        parse_config(json.dumps(cfg))
+
+
+def test_cli_defaults_are_the_spec_defaults():
+    subs = _subcommands()
+
+    def default(command, dest):
+        return next(a for a in subs[command]._actions if a.dest == dest).default
+
+    for key in ("variant", "s", "kappa", "zeta", "gamma_split", "c_h"):
+        assert default("estimate", key) == getattr(EstimatorSpec(), key)
+    assert default("test", "kappa") == EstimatorSpec().kappa
+    prior = ThetaSpec("prior", s=2)
+    assert (default("prior", "c1"), default("prior", "c_alpha2")) == (prior.c1, prior.c_alpha2)
+
+
+def test_test_takes_only_the_options_its_statistic_reads():
+    options = {o for a in _subcommands()["test"]._actions for o in a.option_strings}
+    assert options - {"-h", "--help"} == {
+        "--loading-spec", "--loading-file", "--drop-zeros", "--d", "--gamma-d",
+        "--gamma-lambda", "--c", "--gamma", "--s", "--kappa", "--alpha", "--tau", "--sigma",
+        "--y-file", "--out", "--t0", "--B"}
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [b for b in re.findall(r"```sh\n(.*?)```", readme, re.S) if "sparsefn " in b]
+    assert len(blocks) == 1, "README has no single CLI example block"
+    commands = [line for line in blocks[0].replace("\\\n", " ").splitlines()
+                if line.startswith("sparsefn ")]
+    assert {shlex.split(c)[1] for c in commands} == set(_subcommands())
+    for command in commands:
+        _build_parser().parse_args(shlex.split(command)[1:])

@@ -9,6 +9,7 @@ import pytest
 
 from sparsefn.config import ConfigError, parse_config, serialize_config
 from sparsefn.loading import LoadingSpec
+from sparsefn.lowerbound import THETA_KINDS
 from sparsefn.noise import NoiseModel
 from sparsefn.sim import EstimatorSpec, SimConfig, ThetaSpec, meta, spec_dict
 from test_cli import BASE_CONFIG
@@ -110,17 +111,62 @@ def test_missing_required_key_names_its_path(section, key):
 
 
 def test_theta_keeps_placement_and_c_alpha2_only_on_their_kinds():
-    fixed = ThetaSpec("fixed", support=(0,), values=(1.0,), placement="head", c_alpha2=2.0)
-    assert fixed == ThetaSpec("fixed", support=(0,), values=(1.0,))
-    assert fixed.placement is None and fixed.c_alpha2 is None
+    # placement belongs to spike_grid and c_alpha2 to prior: other kinds reject them
+    for kind, fields in [("fixed", dict(support=(0,), values=(1.0,))),
+                         ("spike_grid", dict(rho=1.0, n_spikes=2)),
+                         ("prior", dict(s=2, c1=0.5))]:
+        for key, value in [("placement", "head"), ("c_alpha2", 2.0)]:
+            if key in THETA_KINDS[kind]:
+                continue
+            with pytest.raises(ValueError, match=f"^{key}: not read by kind '{kind}'"):
+                ThetaSpec(kind, **fields, **{key: value})
+    fixed = ThetaSpec("fixed", support=(0,), values=(1.0,))
     assert spec_dict(fixed) == {"kind": "fixed", "support": [0], "values": [1.0]}
-    spikes = ThetaSpec("spike_grid", rho=1.0, n_spikes=2, c_alpha2=2.0)
+    spikes = ThetaSpec("spike_grid", rho=1.0, n_spikes=2)
     assert (spikes.placement, spikes.c_alpha2) == ("tail", None)
-    prior = ThetaSpec("prior", s=2, c1=0.5, placement="head")
+    prior = ThetaSpec("prior", s=2, c1=0.5)
     assert (prior.placement, prior.c_alpha2) == (None, 1.0)
     assert ThetaSpec().kind == "zero" and spec_dict(ThetaSpec()) == {"kind": "zero"}
     with pytest.raises(ValueError, match="placement"):
         ThetaSpec("spike_grid", rho=1.0, n_spikes=2, placement="")
+
+
+@pytest.mark.parametrize("section, patch, message", [
+    ("loading", {"kind": "homogeneous", "d": 20, "values": [1.0]},
+     "loading.values: not read by kind 'homogeneous'"),
+    ("loading", {"kind": "homogeneous", "d": 20, "gamma_d": 3.0},
+     "loading.gamma_d: not read by kind 'homogeneous'"),
+    ("loading", {"kind": "explicit", "values": [1.0], "d": 1},
+     "loading.d: not read by kind 'explicit'"),
+    ("loading", {"kind": "two_phase", "d": 20, "gamma_d": 0.5},
+     "loading.gamma_lambda: required by kind 'two_phase'"),
+    ("loading", {"kind": "exp_decay", "c": 0.1, "gamma": 1.0},
+     "loading.d: required by kind 'exp_decay'"),
+    ("loading", {"kind": "explicit", "values": []},
+     "loading.values: an explicit loading needs at least one"),
+    ("theta", {"kind": "zero", "rho": 1.0}, "theta.rho: not read by kind 'zero'"),
+    ("theta", {"kind": "zero", "placement": "tail"}, "theta.placement: not read by kind 'zero'"),
+    ("theta", {"kind": "fixed", "support": [0], "values": [1.0], "c_alpha2": 1.0},
+     "theta.c_alpha2: not read by kind 'fixed'"),
+    ("theta", {"kind": "spike_grid", "rho": 1.0}, "theta.n_spikes: required by kind 'spike_grid'"),
+    ("theta", {"kind": "prior", "c1": 0.5}, "theta.s: required by kind 'prior'"),
+])
+def test_a_field_off_its_kinds_row_fails_at_its_path(section, patch, message):
+    obj = json.loads(json.dumps(BASE_CONFIG))
+    obj[section] = patch
+    with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+        parse_config(json.dumps(obj))
+
+
+@pytest.mark.parametrize("theta, defaults", [
+    ({"kind": "prior", "s": 2}, {"c1": 0.5, "c_alpha2": 1.0}),
+    ({"kind": "spike_grid", "rho": 1.0, "n_spikes": 2}, {"placement": "tail"}),
+])
+def test_kind_defaults_fill_and_hash_like_written_values(theta, defaults):
+    obj = dict(BASE_CONFIG, theta=theta, simulation={"replicates": 2, "s_assumed": 2})
+    cfg, written = (parse_config(json.dumps(o)) for o in (obj, dict(obj, theta=theta | defaults)))
+    assert cfg == written
+    assert meta(cfg.sim.to_dict(), 1) == meta(written.sim.to_dict(), 1)
 
 
 def test_theta_rejects_a_repeated_support_index():

@@ -186,7 +186,8 @@ def _assert_same_loading(lv: LoadingVector, ref: LoadingVector, rng) -> None:
        st.floats(0.0, 1.5, exclude_min=True), st.floats(0.0, 2.0, exclude_min=True),
        st.sampled_from([0.5, 1.0, 2.0, 4.0]))
 def test_level_backed_loading_equals_its_dense_vector(kind, d, gamma_d, gamma_lambda, alpha):
-    spec = LoadingSpec(kind, d=d, gamma_d=gamma_d, gamma_lambda=gamma_lambda)
+    two_phase = dict(gamma_d=gamma_d, gamma_lambda=gamma_lambda) if kind == "two_phase" else {}
+    spec = LoadingSpec(kind, d=d, **two_phase)
     if kind == "homogeneous":
         vals = np.ones(d)
     elif math.floor(d ** gamma_d) > d:
