@@ -170,6 +170,8 @@ def _read_floats(args, name: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _cmd_solve(args) -> int:
+    if args.target is not None and args.equation != "oracle":
+        raise CliError(f"argument --target: not read by equation {args.equation!r}")
     loading, _ = _loading_from_args(args)
     if args.s is None and (args.equation != "oracle" or args.target is None):
         needs = "--s or --target" if args.equation == "oracle" else "--s"
@@ -195,6 +197,10 @@ def _rate_row(calc: RateCalculator, spec: LoadingSpec, alpha: float, s: int) -> 
 
 
 def _cmd_rate(args) -> int:
+    if args.s_grid is not None and not args.csv:
+        raise CliError("argument --s-grid: not read without --csv")
+    if args.s_grid is not None and args.s is not None:
+        raise CliError("argument --s: not read with --s-grid")
     loading, spec = _loading_from_args(args)
     calc = RateCalculator(loading, args.alpha)
     if args.csv:

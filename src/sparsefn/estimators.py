@@ -11,8 +11,11 @@ replicate rows.  It sorts the rows into decreasing-|loading| order once and
 keeps that view with ``eta * y``; every thresholding estimator is one call
 of ``_estimate`` on it with its own threshold and cutoff (the adaptive one
 reads both from the rate table its Lepski scan already used), and maps the
-block to R values.  A single vector is the R = 1 case of the same code, so
-row r of a block's result equals the result on row r alone, bit for bit.
+block to R values.  An estimator that takes the sparsity level ``s`` takes
+it as a scalar or as one value per row, and reads its threshold and cutoff
+once per distinct value.  A single vector is the R = 1 case of the same
+code, so row r of a block's result equals the result on row r alone, at
+row r's s, bit for bit.
 Kept indices are reported in the caller's original order.
 """
 
@@ -214,33 +217,60 @@ def _result(inp: EstimationInput, value: np.ndarray, s_used, threshold, keep: np
     and ``keep`` (R, d, original order) as the result for ``inp``: arrays for
     a block, scalars for a single vector."""
     rows = keep.shape[0]
-    s_used = np.broadcast_to(np.asarray(s_used, dtype=int), rows)
-    threshold = np.broadcast_to(np.asarray(threshold, dtype=float), rows)
-    if inp.block:
-        return EstimateResult(value, s_used, threshold, keep, variant)
-    return EstimateResult(float(value[0]), int(s_used[0]), float(threshold[0]), keep[0],
-                          variant)
+    s_used = np.asarray(s_used, dtype=int)
+    threshold = np.asarray(threshold, dtype=float)
+    if inp.block:  # a scalar holds for every row (repeat: broadcast_to costs more)
+        return EstimateResult(value, s_used.repeat(rows // s_used.size),
+                              threshold.repeat(rows // threshold.size), keep, variant)
+    return EstimateResult(float(value[0]), int(s_used.flat[0]), float(threshold.flat[0]),
+                          keep[0], variant)
+
+
+def _per_s(s, at) -> tuple:
+    """``at(s)``, a tuple of per-estimate parameters, for a scalar ``s``; for
+    one s per row, a tuple of (R,) arrays holding each row's ``at(s)``, with
+    ``at`` called once per distinct s, in increasing order."""
+    if np.ndim(s) == 0:
+        return at(s)
+    keys = sorted(dict.fromkeys(np.asarray(s).tolist()))
+    rows = np.searchsorted(keys, s)
+    return tuple(np.array(col)[rows] for col in zip(*map(at, keys)))
+
+
+def _check_s(s: int, d: int) -> int:
+    s = int(s)
+    if not 1 <= s <= d:
+        raise ValueError(f"s must be in [1, {d}]")
+    return s
 
 
 def _estimate(inp: EstimationInput, s, threshold, cutoff, variant: str,
               stat: np.ndarray | None = None) -> EstimateResult:
     """Plug-in on the sorted head ``[:cutoff]``, strict hard threshold on
     ``stat`` (default |eta*y|, in sorted order) beyond, on every row;
-    ``s``, ``threshold`` and ``cutoff`` are scalars or one per row."""
-    keep = (np.abs(inp.etay) if stat is None else stat) > np.reshape(threshold, (-1, 1))
+    ``s``, ``threshold`` and ``cutoff`` are scalars or one per row.  A
+    ``stat`` array is this call's to overwrite: it receives the kept terms."""
+    stat = np.abs(inp.etay) if stat is None else stat
+    keep = stat > np.reshape(threshold, (-1, 1))
     keep |= np.arange(inp.loading.d) < np.reshape(cutoff, (-1, 1))
-    value = np.where(keep, inp.etay, 0.0).sum(axis=1)
+    stat[...] = 0.0  # np.where(keep, etay, 0.0), in stat's buffer
+    np.copyto(stat, inp.etay, where=keep)
+    value = stat.sum(axis=1)
     return _result(inp, value, s, threshold, inp.loading.to_original(keep), variant)
 
 
-def oracle_estimate(inp: EstimationInput, s: int, *,
+def oracle_estimate(inp: EstimationInput, s, *,
                     calculator: RateCalculator | None = None) -> EstimateResult:
     """Thresholding estimator with known sparsity: plug-in up to j1, threshold
-    kappa * sigma * tau * lambda_o beyond."""
+    kappa * sigma * tau * lambda_o beyond; ``s`` is a scalar or one per row."""
     sigma = inp.require_sigma()
-    prof = _calc(inp, calculator).oracle(s)
-    thr = inp.kappa * sigma * inp.tau * prof.lambda_o
-    return _estimate(inp, s, thr, prof.j1, "oracle")
+    calc = _calc(inp, calculator)
+
+    def at(s):
+        prof = calc.oracle(s)
+        return inp.kappa * sigma * inp.tau * prof.lambda_o, prof.j1
+
+    return _estimate(inp, s, *_per_s(s, at), "oracle")
 
 
 def plugin_estimate(inp: EstimationInput) -> EstimateResult:
@@ -250,30 +280,34 @@ def plugin_estimate(inp: EstimationInput) -> EstimateResult:
     return _result(inp, value, inp.loading.d, 0.0, np.ones(rows.shape, dtype=bool), "plugin")
 
 
-def collier_estimate(inp: EstimationInput, s: int) -> EstimateResult:
+def collier_estimate(inp: EstimationInput, s) -> EstimateResult:
     """Homogeneous-loading reference: threshold sigma*sqrt(2 log(1 + d/s^2))
-    for s below sqrt(d), plug-in otherwise."""
+    for s below sqrt(d), plug-in otherwise; ``s`` is a scalar or one per row."""
     sigma = inp.require_sigma()
     if not np.all(inp.loading.values == 1.0):
         raise ValueError("collier_estimate requires a homogeneous loading (all ones)")
     d = inp.loading.d
-    s = int(s)
-    if not 1 <= s <= d:
-        raise ValueError(f"s must be in [1, {d}]")
-    if s >= math.sqrt(d):
-        return _estimate(inp, s, 0.0, d, "collier")
-    return _estimate(inp, s, sigma * math.sqrt(2.0 * math.log1p(d / s**2)), 0, "collier")
+
+    def at(s):
+        s = _check_s(s, d)
+        if s >= math.sqrt(d):
+            return 0.0, d
+        return sigma * math.sqrt(2.0 * math.log1p(d / s**2)), 0
+
+    return _estimate(inp, s, *_per_s(s, at), "collier")
 
 
-def family_estimate(inp: EstimationInput, s: int, *,
+def family_estimate(inp: EstimationInput, s, *,
                     calculator: RateCalculator | None = None) -> EstimateResult:
     """Member s of the adaptive family: lambda_star(s) and j2(s) in place of
-    the oracle quantities."""
+    the oracle quantities; ``s`` is a scalar or one per row."""
     sigma = inp.require_sigma()
     calc = _calc(inp, calculator)
-    lam = calc.lambda_star(s)
-    thr = inp.kappa * sigma * inp.tau * lam
-    return _estimate(inp, s, thr, calc.j2(s), "family")
+
+    def at(s):
+        return inp.kappa * sigma * inp.tau * calc.lambda_star(s), calc.j2(s)
+
+    return _estimate(inp, s, *_per_s(s, at), "family")
 
 
 def _first_kept(keys: np.ndarray, thr: np.ndarray, head_from: np.ndarray) -> np.ndarray:
@@ -372,24 +406,26 @@ def adaptive_estimate(inp: EstimationInput, zeta: float | None = None, *,
     return _estimate(inp, s_hat, thr, table.j2[m - 1], "adaptive")
 
 
-def nonsymmetric_estimate(inp: EstimationInput, s: int, c_h: float | None = None, *,
+def nonsymmetric_estimate(inp: EstimationInput, s, c_h: float | None = None, *,
                           calculator: RateCalculator | None = None) -> EstimateResult:
     """Estimator for non-symmetric noise: plug-in up to j3(s), threshold on
-    |y_j| (not |eta_j y_j|) beyond, with level c_h sigma log^(1/alpha)(ed/s).
+    |y_j| (not |eta_j y_j|) beyond, with level c_h sigma log^(1/alpha)(ed/s);
+    ``s`` is a scalar or one per row.
 
     Default ``c_h = tau * 4**(1/alpha)``.
     """
     sigma = inp.require_sigma()
     d = inp.loading.d
-    s = int(s)
-    if not 1 <= s <= d:
-        raise ValueError(f"s must be in [1, {d}]")
     EstimatorSpec(c_h=c_h)  # range-checks c_h
     if c_h is None:
         c_h = inp.tau * 4.0 ** (1.0 / inp.alpha)
-    j3 = j3_index(d, s, inp.alpha)
-    thr = c_h * sigma * (1.0 + math.log(d / s)) ** (1.0 / inp.alpha)
-    return _estimate(inp, s, thr, j3, "nonsym", stat=np.abs(inp.ys))
+
+    def at(s):
+        s = _check_s(s, d)
+        thr = c_h * sigma * (1.0 + math.log(d / s)) ** (1.0 / inp.alpha)
+        return thr, j3_index(d, s, inp.alpha)
+
+    return _estimate(inp, s, *_per_s(s, at), "nonsym", stat=np.abs(inp.ys))
 
 
 def mom_sigma(y, gamma_split: float = EstimatorSpec.gamma_split, shuffle_seed: int | None = None):
@@ -430,24 +466,29 @@ def mom_sigma(y, gamma_split: float = EstimatorSpec.gamma_split, shuffle_seed: i
     return float(out[0]) if y.ndim == 1 else out
 
 
-def unknown_sigma_estimate(inp: EstimationInput, s: int,
+def unknown_sigma_estimate(inp: EstimationInput, s,
                            gamma_split: float = EstimatorSpec.gamma_split,
                            shuffle_seed: int | None = None, *,
                            calculator: RateCalculator | None = None) -> EstimateResult:
     """Oracle-shape estimator with sigma replaced by the median-of-means
-    estimate and the threshold constant inflated by sqrt(2)."""
+    estimate and the threshold constant inflated by sqrt(2); ``s`` is a
+    scalar or one per row."""
     d = inp.loading.d
-    s = int(s)
-    if not 1 <= s <= d:
-        raise ValueError(f"s must be in [1, {d}]")
     m = math.floor(gamma_split * d)
-    if not s < m / 4:
-        warnings.warn(f"s={s} is not below floor(gamma_split*d)/4={m / 4:g}; "
-                      "the variance-estimate guarantee degrades", stacklevel=2)
+    calc = _calc(inp, calculator)
+
+    def at(s):
+        s = _check_s(s, d)
+        if not s < m / 4:  # stacklevel: at, _per_s, this function, its caller
+            warnings.warn(f"s={s} is not below floor(gamma_split*d)/4={m / 4:g}; "
+                          "the variance-estimate guarantee degrades", stacklevel=4)
+        prof = calc.oracle(s)
+        return prof.lambda_o, prof.j1
+
+    lam, j1 = _per_s(s, at)
     sigma_hat = np.sqrt(mom_sigma(inp.y, gamma_split, shuffle_seed))
-    prof = _calc(inp, calculator).oracle(s)
-    thr = inp.kappa * math.sqrt(2.0) * sigma_hat * inp.tau * prof.lambda_o
-    return _estimate(inp, s, thr, prof.j1, "unknown-sigma")
+    thr = inp.kappa * math.sqrt(2.0) * sigma_hat * inp.tau * lam
+    return _estimate(inp, s, thr, j1, "unknown-sigma")
 
 
 def linear_test(inp: EstimationInput, s: int, t0: float, B: float, *,

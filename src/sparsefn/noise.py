@@ -15,7 +15,8 @@ number of uniforms per variate, so replicate r's variates are a transform of
 its own counter segment of the stream (see ``streams``).  symm_weibull's
 rejection step gets a fixed candidate budget per replicate
 (``GAMMA_BUDGET``); a replicate that runs past it takes the rest of its
-variates from its fallback stream, keyed by (seed, tags, r).
+variates from its fallback stream, keyed by (seed, tags, r).  Given a list
+of streams, ``sample_with`` stacks their blocks, one per stream.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .streams import Stream
+from .streams import Stream, uniforms
 
 __all__ = [
     "NoiseModel",
@@ -79,20 +80,21 @@ def minimal_tau(alpha: float) -> float:
 
 
 def _box_muller(u: np.ndarray) -> np.ndarray:
-    """Normals from an (R, 2m) uniform block: the first m columns give the
-    radius, the last m the angle.  Works in place where it can: a block's
-    temporaries are large, and fresh ones cost page faults."""
+    """Normals from an (R, 2m) uniform block, written over it and returned:
+    the first m columns give the radius, the last m the angle.  Works in
+    place where it can: a block's temporaries are large, and fresh ones cost
+    page faults."""
     m = u.shape[1] // 2
-    r = np.log1p(-u[:, :m])
+    r = np.negative(u[:, :m])
+    np.log1p(r, out=r)
     r *= -2.0
     np.sqrt(r, out=r)
     angle = u[:, m:] * (2.0 * np.pi)
-    out = np.empty((u.shape[0], 2 * m))
-    np.cos(angle, out=out[:, :m])
-    out[:, :m] *= r
+    np.cos(angle, out=u[:, :m])
+    u[:, :m] *= r
     np.sin(angle, out=angle)
-    np.multiply(angle, r, out=out[:, m:])
-    return out
+    np.multiply(angle, r, out=u[:, m:])
+    return u
 
 
 def _marsaglia_tsang(k: float, z: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,17 +170,24 @@ def _standard_gamma(shape: float, n: int, parts: list, stream: Stream) -> np.nda
     return out
 
 
-def sample_with(model: NoiseModel, n: int, stream: Stream, replicates: int = 1) -> np.ndarray:
+def sample_with(model: NoiseModel, n: int, stream: Stream | list[Stream],
+                replicates: int = 1) -> np.ndarray:
     """(replicates, n) variates; row r is drawn from counter segment r of
     ``stream`` (its fallback stream for a symm_weibull replicate that runs
-    past its candidate budget)."""
+    past its candidate budget).  A list of k streams gives the k blocks
+    stacked, (k * replicates, n), each as its stream alone gives it: the
+    other families transform every uniform on its own, so their k blocks
+    are one transform, and symm_weibull takes one call per stream."""
+    streams = [stream] if isinstance(stream, Stream) else stream
+    if model.family == "symm_weibull" and len(streams) > 1:
+        return np.concatenate([sample_with(model, n, one, replicates) for one in streams])
     widths = _layout(model, n)
-    u = stream.uniforms(replicates, sum(widths))
+    u = uniforms(streams, replicates, sum(widths))
     parts = np.split(u, np.cumsum(widths)[:-1], axis=1)
     if model.family == "gaussian":
         return _box_muller(parts[0])[:, :n]
     if model.family == "symm_weibull":
-        g = _standard_gamma(1.0 / model.alpha, n, parts[1:], stream)
+        g = _standard_gamma(1.0 / model.alpha, n, parts[1:], streams[0])
         g **= 1.0 / model.alpha
         g *= sigma_alpha(model.alpha)
         return np.negative(g, out=g, where=parts[0] < 0.5)  # the sign

@@ -7,12 +7,22 @@ deliberately excluded from the stream key, so sweeping the ``estimator`` axis
 compares variants on identical noise (paired design) while distinct data
 cells get provably distinct streams.
 
-The replicate loop is a block computation: ``_replicates`` draws the R
-replicates of a data cell as one (R, d) block of theta and noise, validates
-it once, and every statistic maps the block to R values.  Risk, coverage,
-test power and calibration reduce over those values in replicate order, so
-repeated runs are byte-identical, and a run with more replicates repeats the
-draws of a shorter one.
+The replicate loop is a block computation: ``_stacked_replicates`` draws
+the R replicates of a data cell as one (R, d) block of theta and noise, and
+every statistic maps the block to R values.  The risk grid stacks the blocks
+of consecutive data cells that share their loading, noise, sigma and
+estimator list into one (cells * R, d) block of at most about
+``_BLOCK_ELEMENTS`` elements: each data cell still draws its rows from its
+own streams, one ``EstimationInput`` validates the block, and each estimator
+runs once, with one sparsity level per row, so every row is the row the data
+cell gives alone.  A block that fails runs again one data cell at a time,
+and the error names the data cell, seed and replicate that fail alone.
+Risk, coverage, test power and calibration reduce over the values in
+replicate order, so repeated runs are byte-identical, and a run with more
+replicates repeats the draws of a shorter one.
+
+``check_grid`` validates each grid entry once on the base config, and
+builds the cells without re-running the specs' checks.
 """
 
 from __future__ import annotations
@@ -194,12 +204,15 @@ def _fixed_theta(config: SimConfig, loading: LoadingVector,
 # single-cell risk experiment
 # ---------------------------------------------------------------------------
 
+def _spec_d(spec: LoadingSpec) -> int:
+    return len(spec.values) if spec.kind == "explicit" else int(spec.d)
+
+
 def _cell_problem(config: SimConfig) -> tuple[str, str] | None:
     """The first sparsity level or support index of ``config`` that does not
     fit its loading's dimension d, as (field path, "value must be in [lo, hi]"),
     or None."""
-    spec = config.loading
-    d = len(spec.values) if spec.kind == "explicit" else int(spec.d)
+    d = _spec_d(config.loading)
     variant = VARIANTS[config.estimator.variant]
     sparsity = []
     if variant.needs_s:
@@ -230,24 +243,29 @@ def _estimation_input(config: SimConfig, loading: LoadingVector, y: np.ndarray):
                            sigma=config.sigma, kappa=config.estimator.kappa)
 
 
-def _replicates(config: SimConfig, loading: LoadingVector, xi_tags, statistic, where: str,
-                theta: np.ndarray | None = None, prior=None, theta_tags=()):
-    """``statistic(y, theta)`` on the (R, d) block of every replicate, the one
-    replicate computation of every experiment.  Row r of theta is drawn from
-    segment r of the stream ``(seed, *theta_tags)`` when ``prior`` is given
-    (else every row is ``theta``), row r of xi from segment r of
-    ``(seed, *xi_tags)``, and ``y = theta + sigma * xi``.  A ValueError or
+def _stacked_replicates(config: SimConfig, loading: LoadingVector, draws, statistic,
+                        where: str):
+    """``statistic(y, thetas)`` on the replicates of every draw, stacked in
+    one (k R, d) block: the one replicate computation of every experiment.
+    Draw i is ``(xi_tags, theta, prior, theta_tags)``; row r of its theta is
+    drawn from segment r of the stream ``(seed, *theta_tags)`` when ``prior``
+    is given (else every row is ``theta``), row r of its xi from segment r of
+    ``(seed, *xi_tags)``, and ``y = theta + sigma * xi`` fills rows
+    i R .. i R + R - 1; ``thetas`` holds each draw's theta.  A ValueError or
     RuntimeError becomes a SimulationError (its cause) naming the seed, the
-    first replicate whose row of y is not finite (replicate 0 when every row
-    is), and ``where``."""
-    y = None
+    first row of y that is not finite (row 0 when every row is), which is a
+    replicate when there is one draw, and ``where``."""
+    y, R = None, config.replicates
     try:
-        if prior is not None:
-            theta = draw_prior(prior, Stream(config.seed, *theta_tags), config.replicates)
-        xi = sample_with(config.noise, loading.d, Stream(config.seed, *xi_tags),
-                         config.replicates)
-        y = theta + config.sigma * xi
-        return statistic(y, theta)
+        thetas = [theta if prior is None else
+                  draw_prior(prior, Stream(config.seed, *theta_tags), R)
+                  for _xi_tags, theta, prior, theta_tags in draws]
+        y = sample_with(config.noise, loading.d,
+                        [Stream(config.seed, *draw[0]) for draw in draws], R)
+        y *= config.sigma  # y = theta + sigma * xi, in xi's buffer
+        for i, theta in enumerate(thetas):
+            y[i * R:(i + 1) * R] += theta
+        return statistic(y, thetas)
     except (ValueError, RuntimeError) as exc:
         bad = [] if y is None else np.flatnonzero(~np.isfinite(y).all(axis=1))
         r = int(bad[0]) if len(bad) else 0
@@ -255,54 +273,94 @@ def _replicates(config: SimConfig, loading: LoadingVector, xi_tags, statistic, w
             f"replicate {r} failed (seed={config.seed}, {where}): {exc}") from exc
 
 
-def _run_cell(configs: list[SimConfig], cells: list[dict],
-              calc: RateCalculator | None) -> tuple[list[dict], RateCalculator]:
-    """One data cell: ``cells`` and their ``configs`` differ only in the
-    estimator.  Each replicate's theta and noise are drawn once and every
-    estimator runs on them.  ``calc`` is the calculator of this cell's
-    (loading, alpha), or None to build one.  Returns one row per cell and the
-    calculator used."""
-    first = configs[0]
-    tags = _data_tags(cells[0])
-    try:
-        if calc is None:
-            calc = RateCalculator(make_loading(first.loading), first.noise.alpha)
-        loading = calc.loading
-        theta_fixed = _fixed_theta(first, loading, calc)
-        prior = build_prior(loading, first.noise.alpha, first.theta.s, first.theta.c1,
-                            first.theta.c_alpha2,
-                            calculator=calc) if first.theta.kind == "prior" else None
-    except (ValueError, RuntimeError) as exc:
-        raise SimulationError(
-            f"cell set-up failed (seed={first.seed}, cell={tags}): {exc}") from exc
-    eta_orig = loading.original_values
-    runs = [(VARIANTS[c.estimator.variant].run,
-             c.estimator.s if c.estimator.s is not None else c.s_assumed, c.estimator)
-            for c in configs]
+def _replicates(config: SimConfig, loading: LoadingVector, xi_tags, statistic, where: str,
+                theta: np.ndarray | None = None, prior=None, theta_tags=()):
+    """``statistic(y, theta)`` on the (R, d) block of one draw's replicates
+    (``_stacked_replicates``)."""
+    return _stacked_replicates(config, loading, [(xi_tags, theta, prior, theta_tags)],
+                               lambda y, thetas: statistic(y, thetas[0]), where)
 
-    def squared_errors(y: np.ndarray, theta: np.ndarray) -> list[np.ndarray]:
+
+# A block holds at most this many elements of y, or one data cell if that is
+# more: past it, a larger block saves little per call and holds more memory.
+_BLOCK_ELEMENTS = 1 << 14
+
+
+def _block_rows(data_cells: list[tuple[list[SimConfig], list[dict]]],
+                calc: RateCalculator | None) -> tuple[list[dict], RateCalculator]:
+    """The rows of consecutive data cells that share their loading, noise,
+    sigma and estimator list, run as one (cells * R, d) block: each data
+    cell's theta and noise rows come from its own streams, one
+    ``EstimationInput`` holds them all, and each estimator runs once, with
+    one s per row where the cells' s differ.  A data cell is ``(configs,
+    cells)``, which differ only in the estimator.  ``calc`` is the calculator
+    of the cells' (loading, alpha), or None to build one.  Returns the rows
+    of every cell, data cell by data cell, and the calculator used."""
+    first = data_cells[0][0][0]
+    draws = []
+    for configs, cells in data_cells:
+        config, tags = configs[0], _data_tags(cells[0])
+        try:
+            if calc is None:
+                calc = RateCalculator(make_loading(config.loading), config.noise.alpha)
+            theta = _fixed_theta(config, calc.loading, calc)
+            prior = build_prior(calc.loading, config.noise.alpha, config.theta.s,
+                                config.theta.c1, config.theta.c_alpha2,
+                                calculator=calc) if config.theta.kind == "prior" else None
+        except (ValueError, RuntimeError) as exc:
+            raise SimulationError(
+                f"cell set-up failed (seed={config.seed}, cell={tags}): {exc}") from exc
+        draws.append((tags, theta, prior))
+    loading, R = calc.loading, first.replicates
+    runs = []
+    for members in zip(*(configs for configs, _cells in data_cells)):  # one estimator
+        s = [c.estimator.s if c.estimator.s is not None else c.s_assumed for c in members]
+        runs.append((VARIANTS[members[0].estimator.variant].run,
+                     s[0] if s.count(s[0]) == len(s) else np.repeat(s, R), members[0].estimator))
+
+    def squared_errors(y: np.ndarray, thetas: list[np.ndarray]) -> list[np.ndarray]:
         inp = _estimation_input(first, loading, y)
-        target = (np.atleast_2d(theta) * eta_orig).sum(axis=1)
+        targets = [(np.atleast_2d(theta) * loading.original_values).sum(axis=1)
+                   for theta in thetas]  # one per row, or one for every row
+        target = np.concatenate([t.repeat(R // t.size) for t in targets])
         return [(run(inp, s, calc, zeta=spec.zeta, c_h=spec.c_h, gamma_split=spec.gamma_split,
                      shuffle_seed=None).value - target) ** 2
                 for run, s, spec in runs]
 
-    errors = _replicates(first, loading, ("cell", tags, "xi"), squared_errors,
-                         f"cell={tags}", theta=theta_fixed, prior=prior,
-                         theta_tags=("cell", tags, "theta"))
+    errors = _stacked_replicates(
+        first, loading, [(("cell", tags, "xi"), theta, prior, ("cell", tags, "theta"))
+                         for tags, theta, prior in draws],
+        squared_errors, f"cell={draws[0][0]}")
     rows = []
-    for config, cell, errs in zip(configs, cells, errors):
-        n = errs.size
-        mse = math.fsum(errs.tolist()) / n
-        mse_se = (math.sqrt(math.fsum(((errs - mse) ** 2).tolist()) / (n - 1) / n)
-                  if n > 1 else float("nan"))
-        rate_kind = VARIANTS[config.estimator.variant].rate_kind
-        rate_value = getattr(calc, rate_kind)(config.s_assumed)
-        denom = config.sigma**2 * rate_value
-        ratio = mse / denom if denom > 0 else float("inf") if mse > 0 else 0.0
-        rows.append(dict(cell, estimator=config.estimator.variant, n_rep=n, mse=mse,
-                         mse_se=mse_se, rate_kind=rate_kind, rate_value=rate_value,
-                         ratio=ratio))
+    for i, (configs, cells) in enumerate(data_cells):
+        for config, cell, errs in zip(configs, cells, [e[i * R:(i + 1) * R] for e in errors]):
+            mse = math.fsum(errs.tolist()) / R
+            mse_se = (math.sqrt(math.fsum(((errs - mse) ** 2).tolist()) / (R - 1) / R)
+                      if R > 1 else float("nan"))
+            rate_kind = VARIANTS[config.estimator.variant].rate_kind
+            rate_value = getattr(calc, rate_kind)(config.s_assumed)
+            denom = config.sigma**2 * rate_value
+            ratio = mse / denom if denom > 0 else float("inf") if mse > 0 else 0.0
+            rows.append(dict(cell, estimator=config.estimator.variant, n_rep=R, mse=mse,
+                             mse_se=mse_se, rate_kind=rate_kind, rate_value=rate_value,
+                             ratio=ratio))
+    return rows, calc
+
+
+def _run_block(data_cells: list[tuple[list[SimConfig], list[dict]]],
+               calc: RateCalculator | None) -> tuple[list[dict], RateCalculator]:
+    """``_block_rows``; a block of several data cells that fails is run again
+    one data cell at a time, so that the first data cell to fail raises the
+    error it raises alone: the same cell, seed and replicate."""
+    try:
+        return _block_rows(data_cells, calc)
+    except SimulationError:
+        if len(data_cells) == 1:
+            raise
+    rows = []
+    for data_cell in data_cells:
+        cell_rows, calc = _block_rows([data_cell], calc)
+        rows += cell_rows
     return rows, calc
 
 
@@ -311,34 +369,42 @@ def run_risk(config: SimConfig) -> SimulationReport:
     return risk_grid(config, {})
 
 
-def _apply_cell(base: SimConfig, cell: dict) -> SimConfig:
+def _replace_unchecked(obj, **changes):
+    """``dataclasses.replace`` without ``__post_init__``, for changes that
+    have been validated on their own."""
+    new = object.__new__(type(obj))
+    new.__dict__.update(vars(obj), **changes)
+    return new
+
+
+def _apply_cell(base: SimConfig, cell: dict, replace=dataclasses.replace) -> SimConfig:
     loading, noise, theta = base.loading, base.noise, base.theta
     estimator, sigma, s_assumed = base.estimator, base.sigma, base.s_assumed
     for axis, value in cell.items():
         if axis == "d":
             if loading.kind == "explicit":
                 raise ValueError("cannot sweep d over an explicit loading")
-            loading = dataclasses.replace(loading, d=int(value))
+            loading = replace(loading, d=int(value))
         elif axis == "alpha":
-            noise = dataclasses.replace(noise, alpha=float(value))
+            noise = replace(noise, alpha=float(value))
         elif axis == "sigma":
             sigma = float(value)
         elif axis == "rho":
             if theta.kind != "spike_grid":
                 raise ValueError("rho axis requires a spike_grid theta")
-            theta = dataclasses.replace(theta, rho=float(value))
+            theta = replace(theta, rho=float(value))
         elif axis == "s":
             s_assumed = int(value)
             if estimator.s is not None or VARIANTS[estimator.variant].needs_s:
-                estimator = dataclasses.replace(estimator, s=int(value))
+                estimator = replace(estimator, s=int(value))
             if theta.kind in _THETA_SPARSITY:
-                theta = dataclasses.replace(theta, **{_THETA_SPARSITY[theta.kind]: int(value)})
+                theta = replace(theta, **{_THETA_SPARSITY[theta.kind]: int(value)})
         elif axis == "estimator":
-            estimator = dataclasses.replace(estimator, variant=str(value))
+            estimator = replace(estimator, variant=str(value))
         else:
             raise ValueError(f"unknown grid axis {axis!r}; supported: {GRID_AXES}")
-    return dataclasses.replace(base, loading=loading, noise=noise, sigma=sigma,
-                               theta=theta, estimator=estimator, s_assumed=s_assumed)
+    return replace(base, loading=loading, noise=noise, sigma=sigma, theta=theta,
+                   estimator=estimator, s_assumed=s_assumed)
 
 
 @dataclass(frozen=True)
@@ -360,19 +426,29 @@ def check_grid(base: SimConfig, grid: dict) -> Grid:
     when that entry alone breaks a base that is fine without it, the base
     field when the base is at fault, and the whole cell otherwise.  Entries
     are tried alone only to name a failure that a cell shows: an entry that
-    breaks the base alone may still make valid cells with the other axes."""
+    breaks the base alone may still make valid cells with the other axes.
+
+    Every spec check reads one field, and each axis sets its own fields, so
+    a cell passes its specs' checks when each of its entries passes them
+    alone on the base.  So each entry is applied to the base once, checked,
+    and the cells are built from the base without checking their specs
+    again; ``_cell_problem``, which reads fields that different axes set,
+    runs on every cell."""
     axes = sorted(grid)
     for a in axes:
         if a not in GRID_AXES:
             raise ValueError(f"simulation.grid.{a}: unknown grid axis; supported: {GRID_AXES}")
+    try:
+        for a in axes:
+            for value in grid[a]:
+                _apply_cell(base, {a: value})
+    except ValueError:
+        _blame_grid_entry(base, grid)
+        raise
     cells = [dict(zip(axes, combo)) for combo in itertools.product(*(grid[a] for a in axes))]
     configs = []
     for cell in cells:
-        try:
-            config = _apply_cell(base, cell)
-        except ValueError:
-            _blame_grid_entry(base, grid)
-            raise
+        config = _apply_cell(base, cell, _replace_unchecked)
         problem = _cell_problem(config)
         if problem is not None:
             _blame_grid_entry(base, grid)
@@ -411,15 +487,31 @@ def risk_grid(base: SimConfig, grid: dict | Grid) -> SimulationReport:
     for i, cell in enumerate(cells):
         data_cells.setdefault(repr(_data_tags(cell)), []).append(i)
 
-    rows: list = [None] * len(cells)
-    key = calc = None  # consecutive data cells on one (loading, alpha) share a calculator
+    # consecutive data cells that share a block key form blocks of at most
+    # _BLOCK_ELEMENTS elements of y (or one data cell)
+    blocks: list[list[list[int]]] = []
+    block_key = None
     for members in data_cells.values():
         config = configs[members[0]]
-        if (config.loading, config.noise.alpha) != key:
-            key, calc = (config.loading, config.noise.alpha), None
-        cell_rows, calc = _run_cell([configs[i] for i in members],
-                                    [cells[i] for i in members], calc)
-        for i, row in zip(members, cell_rows):
+        key = (config.loading, config.noise, config.sigma,
+               [_replace_unchecked(configs[i].estimator, s=None) for i in members])
+        size = config.replicates * _spec_d(config.loading)
+        if key == block_key and (len(blocks[-1]) + 1) * size <= _BLOCK_ELEMENTS:
+            blocks[-1].append(members)
+        else:
+            blocks.append([members])
+            block_key = key
+
+    rows: list = [None] * len(cells)
+    calc_key = calc = None  # consecutive blocks on one (loading, alpha) share a calculator
+    for block in blocks:
+        config = configs[block[0][0]]
+        if (config.loading, config.noise.alpha) != calc_key:
+            calc_key, calc = (config.loading, config.noise.alpha), None
+        block_rows, calc = _run_block([([configs[i] for i in members],
+                                        [cells[i] for i in members]) for members in block],
+                                      calc)
+        for i, row in zip([i for members in block for i in members], block_rows):
             rows[i] = row
     cell_cols = [a for a in sorted(grid.axes) if a not in RESULT_COLUMNS]
     return SimulationReport("risk", cell_cols + RESULT_COLUMNS, rows,

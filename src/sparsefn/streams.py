@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["STREAM_SCHEME", "Stream", "generator"]
+__all__ = ["STREAM_SCHEME", "Stream", "generator", "uniforms"]
 
 STREAM_SCHEME = 2
 
@@ -67,11 +67,21 @@ class Stream:
 
     def uniforms(self, replicates: int, width: int) -> np.ndarray:
         """(replicates, width) uniforms in [0, 1); row r is replicate r's segment."""
-        blocks = -(-int(width) // 4)
-        bits = np.random.Philox(key=self.key)
-        return np.random.Generator(bits).random((int(replicates), 4 * blocks))[:, :width]
+        return uniforms([self], replicates, width)
 
     def fallback(self, r: int) -> np.random.Generator:
         """Replicate r's own free-running stream, keyed by (seed, tags, r), for
         draws that run past the replicate's segment."""
         return generator(self.seed, *self.tags, int(r))
+
+
+def uniforms(streams, replicates: int, width: int) -> np.ndarray:
+    """(len(streams) * replicates, width) uniforms in [0, 1): the
+    ``Stream.uniforms`` block of each stream in turn, each filled in place
+    from its own key, so stacking changes no draw."""
+    replicates, blocks = int(replicates), -(-int(width) // 4)
+    u = np.empty((len(streams) * replicates, 4 * blocks))
+    for i, stream in enumerate(streams):
+        bits = np.random.Philox(key=stream.key)
+        np.random.Generator(bits).random(out=u[i * replicates:(i + 1) * replicates])
+    return u[:, :width]

@@ -49,9 +49,10 @@ caller's thread taking the lower half and one helper thread the upper
 splits the row, so the row's sum is the sum of the halves' sums bit for
 bit.  The levels are sorted, so at beta >= 0 the maxima a phi row subtracts
 are its first level's, known before the split: no half waits for the other,
-and every output is the one-thread output.  Both halves write into one
-buffer that the calling thread allocates for the row, so threads may share
-a kernel.
+and every output is the one-thread output.  Each half walks the pairwise
+sum's tree down to leaves of at most ``_LEAF`` levels (``_tree_sum``) in a
+leaf-sized buffer that the calling thread allocates for the row, so no row
+holds a buffer of its own length, and threads may share a kernel.
 """
 
 from __future__ import annotations
@@ -148,6 +149,9 @@ _BLOCK = 1 << 16  # elements (rows x levels) per kernel evaluation block
 # and 0.77-0.87, at 2^18 0.47-0.60 and 0.53-0.99.  Below 2^16 a block of
 # several rows takes 0.8-1.2 (phi) and 1.1-1.7 (tail) of it.
 _SPLIT = 1 << 17
+# Each half of a split row runs its pass chain on leaves of at most _LEAF
+# levels, in one leaf-sized buffer per half (d = 2.5e5: 2^16 levels beat 2^14).
+_LEAF = 1 << 16
 _helper: tuple[int, object] | None = None  # (pid, the executor of upper halves)
 
 
@@ -172,6 +176,17 @@ def _cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _tree_sum(lo: int, n: int, leaf):
+    """The sum of levels lo..lo+n-1 as numpy's pairwise sum of n > 128
+    elements forms it: split at ``n//2 - (n//2) % 8`` down to leaves of at
+    most ``_LEAF`` levels, ``leaf(lo, hi)`` the sum of each, added back up
+    the same tree.  So the sum is numpy's bit for bit."""
+    if n <= _LEAF:
+        return leaf(lo, lo + n)
+    h = n // 2 - (n // 2) % 8
+    return _tree_sum(lo, h, leaf) + _tree_sum(lo + h, n - h, leaf)
 
 
 def _sum_halves(n: int, half):
@@ -236,9 +251,10 @@ class PhiKernel:
     An untied kernel of at least ``_SPLIT`` levels, in a process that may run
     on two CPUs or more, evaluates each tail-sum row, and each phi row of a
     block with every beta in [0, inf), in two halves at once
-    (``_sum_halves``).  Each half runs the whole chain of passes on its own
-    levels, into a buffer that the calling thread allocates for the row, and
-    the row's sum is the sum of the halves' sums.  The levels fall, and so,
+    (``_sum_halves``).  Each half runs the whole chain of passes on each leaf
+    of its levels (``_tree_sum``), in a leaf-sized buffer that the calling
+    thread allocates for the row, and the row's sum is the sum of the
+    halves' sums.  The levels fall, and so,
     when ``log_u`` and ``neg_r`` fall as floats too (checked once per
     kernel), do the exponents at beta >= 0 and both LSE terms: ``w_top`` and
     both LSE maxima are the first level's, known before either half starts.
@@ -327,15 +343,20 @@ class PhiKernel:
         top = first[0, :, 0].copy()
         self._lse_terms(top, 0, 1, first)
         m = first[:, :, 0]
-        rows = np.empty((2, betas.size, self.log_u.size))  # the helper's arena would keep it
+        leaves = np.empty((2, 2, betas.size, _LEAF))  # the helper's arena would keep it
 
         def half(lo: int, hi: int) -> np.ndarray:
-            x = rows[:, :, lo:hi]
-            self._exponents(betas, lo, hi, x)
-            self._lse_terms(top, lo, hi, x)
-            x -= m[:, :, None]
-            np.exp(x, out=x)
-            return x.sum(axis=2)
+            buf = leaves[int(lo > 0)]
+
+            def leaf(a: int, b: int) -> np.ndarray:
+                x = buf[:, :, :b - a]
+                self._exponents(betas, a, b, x)
+                self._lse_terms(top, a, b, x)
+                x -= m[:, :, None]
+                np.exp(x, out=x)
+                return x.sum(axis=2)
+
+            return _tree_sum(lo, hi - lo, leaf)
 
         return top, m + np.log(_sum_halves(self.log_u.size, half))
 
@@ -388,7 +409,7 @@ class PhiKernel:
             counts[0] = lv.ends[k] - start  # the part of level k at or after start
 
         def terms(lam: np.ndarray, w: np.ndarray, lo: int, hi: int) -> np.ndarray:
-            w = w[:, lo:hi]
+            w = w[:, :hi - lo]
             with np.errstate(divide="ignore", over="ignore"):  # log 0 = -inf; saturate to inf
                 np.subtract(np.log(lam)[:, None], log_u[lo:hi], out=w)
                 w *= self.alpha
@@ -403,7 +424,9 @@ class PhiKernel:
             n = log_u.size
             if not (self._splits and n >= _SPLIT):
                 return terms(lam, np.empty((lam.size, n)), 0, n)
-            return _sum_halves(n, partial(terms, lam, np.empty((lam.size, n))))
+            leaves = np.empty((2, lam.size, _LEAF))  # the helper's arena would keep it
+            return _sum_halves(n, lambda lo, hi: _tree_sum(
+                lo, hi - lo, partial(terms, lam, leaves[int(lo > 0)])))
 
         return self._rows(block, lams)
 

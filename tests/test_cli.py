@@ -763,3 +763,43 @@ def test_readme_cli_examples_parse():
     assert {shlex.split(c)[1] for c in commands} == set(_subcommands())
     for command in commands:
         _build_parser().parse_args(shlex.split(command)[1:])
+
+
+_HOMOGENEOUS_20 = ["--loading-spec", "homogeneous", "--d", "20", "--alpha", "2"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", *_HOMOGENEOUS_20, "--equation", "adaptive", "--s", "2", "--target", "5"],
+     "argument --target: not read by equation 'adaptive'"),
+    (["solve", *_HOMOGENEOUS_20, "--equation", "asym", "--s", "2", "--target", "5"],
+     "argument --target: not read by equation 'asym'"),
+    (["rate", *_HOMOGENEOUS_20, "--s", "2", "--s-grid", "1,2"],
+     "argument --s-grid: not read without --csv"),
+    (["rate", *_HOMOGENEOUS_20, "--csv", "--s", "7", "--s-grid", "1,2"],
+     "argument --s: not read with --s-grid"),
+])
+def test_option_that_the_mode_does_not_read_is_rejected(argv, message, capsys):
+    assert _error(capsys, argv) == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["solve", *_HOMOGENEOUS_20, "--s", "2", "--target", "1.5"],
+     "1e690a771ef77569d4b5a7dc91cde7e6ae413a348c3ed808bb5bca5a921d7711"),
+    (["solve", *_HOMOGENEOUS_20, "--equation", "adaptive", "--s", "2"],
+     "91a701cbe6a66b22703822faaf97323525e18eff188a638c855720b153e9b18f"),
+    (["solve", *_HOMOGENEOUS_20, "--equation", "asym", "--s", "2"],
+     "657b462310aa9b194f0963d7f7d08d0328b4715bec1f4f72d2d679142fd98ceb"),
+    (["rate", *_HOMOGENEOUS_20, "--s", "2"],
+     "2ed6909a34be0a09d008fa3d35a708e740bd42ed7610934a81455c51277c02d4"),
+    (["rate", *_HOMOGENEOUS_20, "--csv", "--s", "7"],
+     "9397dc729be72cf470a71f9ca79c46699733e23ccd96e88dc3a7b61cc3861dc8"),
+    (["rate", *_HOMOGENEOUS_20, "--csv", "--s-grid", "1,2"],
+     "2fbc3c76ede74f0e44cc2c4e6c67a8c802e8232bd49f4f2a606c0cef66e05c59"),
+])
+def test_calls_beside_the_rejected_ones_keep_their_hash(argv, digest, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    if out.startswith("{"):
+        assert json.loads(out)["meta"]["config_hash"] == digest
+    else:
+        assert f"config_hash={digest}" in out.splitlines()[0].split()

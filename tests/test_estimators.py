@@ -577,6 +577,33 @@ def test_block_estimate_rows_equal_single_vector_estimates(name, variant):
         assert block.row(r) == one
 
 
+_BLOCK_CALCS = {name: RateCalculator(make_loading(spec), 1.0)
+                for name, spec in BLOCK_LOADINGS.items()}
+_S_VARIANTS = [name for name, v in VARIANTS.items() if v.needs_s]
+
+
+@pytest.mark.filterwarnings("ignore:s=.* is not below:UserWarning")
+@settings(max_examples=60)
+@given(st.sampled_from(list(BLOCK_LOADINGS)), st.sampled_from(_S_VARIANTS),
+       st.lists(st.integers(1, 30), min_size=1, max_size=8), st.integers(0, 2**32 - 1))
+def test_block_rows_at_their_own_s_equal_single_vector_estimates(name, variant, s, seed):
+    """A block with one s per row gives on row r the estimate of row r alone
+    at its s, bit for bit, for every variant that reads s."""
+    if variant == "collier":
+        name = "homogeneous"
+    calc = _BLOCK_CALCS[name]
+    lv = calc.loading
+    y = _block(lv, len(s), seed)
+    kw = dict(zeta=None, c_h=None, gamma_split=0.5, shuffle_seed=None)
+    run = VARIANTS[variant].run
+    block = run(EstimationInput(y, lv, 1.0, 2.0), np.array(s), calc, **kw)
+    for r, s_r in enumerate(s):
+        one = run(EstimationInput(y[r], lv, 1.0, 2.0), s_r, calc, **kw)
+        assert (block.value[r].hex(), block.threshold[r].hex(), int(block.s_used[r])) == (
+            one.value.hex(), one.threshold.hex(), s_r)
+        assert block.row(r) == one
+
+
 def test_block_test_and_mom_rows_equal_single_vector_calls():
     lv = make_loading(BLOCK_LOADINGS["signed_explicit"])
     y = _block(lv, 6, 12)

@@ -287,9 +287,9 @@ def test_estimator_axis_draws_noise_once_per_data_cell_replicate(monkeypatch):
     blocks = []
     real = sim.sample_with
 
-    def counting(*args, **kwargs):
-        xi = real(*args, **kwargs)
-        blocks.append(xi.shape)
+    def counting(noise, d, streams, replicates):
+        xi = real(noise, d, streams, replicates)
+        blocks.append(([stream.tags for stream in streams], xi.shape))
         return xi
 
     monkeypatch.setattr(sim, "sample_with", counting)
@@ -298,8 +298,10 @@ def test_estimator_axis_draws_noise_once_per_data_cell_replicate(monkeypatch):
                     {"estimator": ["oracle", "plugin", "nonsym", "unknown-sigma"],
                      "rho": [0.5, 1.0, 2.0]})
     assert len(rep.rows) == 12
-    # rows drawn = data cells x R: one (R, d) block per data cell
-    assert blocks == [(reps, 40)] * 3
+    # rows drawn = data cells x R: each data cell's stream once, its R rows
+    # stacked with the other data cells' in one (3 R, d) block
+    tags = [("cell", [["rho", rho]], "xi") for rho in (0.5, 1.0, 2.0)]
+    assert blocks == [(tags, (3 * reps, 40))]
 
 
 def test_each_replicate_sorted_once_across_the_estimator_axis(monkeypatch):
@@ -423,6 +425,83 @@ def test_failed_replicate_names_seed_and_replicate(experiment, monkeypatch):
     with pytest.raises(SimulationError, match=r"^replicate 3 failed \(seed=7, ") as err:
         experiment(_pinned_config())
     assert isinstance(err.value.__cause__, ValueError)
+
+
+def test_failed_replicate_in_a_shared_block_names_its_own_cell(monkeypatch):
+    # three data cells share one block; replicate 3 of the middle one fails,
+    # and the error names that cell as when it runs alone
+    import sparsefn.sim as sim
+
+    real = sim.sample_with
+    failing = ("cell", [["rho", 1.0]], "xi")
+    blocks = []
+
+    def nan_in_the_middle_cell(noise, d, streams, replicates):
+        xi = real(noise, d, streams, replicates)
+        tags = [stream.tags for stream in streams]
+        blocks.append(len(tags))
+        if failing in tags:
+            xi[tags.index(failing) * replicates + 3] = np.nan
+        return xi
+
+    monkeypatch.setattr(sim, "sample_with", nan_in_the_middle_cell)
+    message = (r"^replicate 3 failed \(seed=7, cell=\[\['rho', 1\.0\]\]\): "
+               r"y entries must be finite$")
+    with pytest.raises(SimulationError, match=message) as err:
+        risk_grid(config(seed=7, replicates=10), {"rho": [0.5, 1.0, 2.0],
+                                                  "estimator": ["oracle", "plugin"]})
+    assert isinstance(err.value.__cause__, ValueError)
+    assert blocks == [3, 1, 1]  # the block, then its data cells one at a time
+
+
+@pytest.mark.parametrize("base, axes", [
+    (config(replicates=17),
+     {"rho": [0.5, 2.0], "s": [1, 2, 4],
+      "estimator": ["collier", "family", "adaptive", "unknown-sigma", "oracle", "nonsym"]}),
+    (config(replicates=9, theta=ThetaSpec("prior", s=2, c1=0.5),
+            noise=NoiseModel("symm_weibull", 1.0, 2.0, "G")),
+     {"s": [1, 2, 3], "estimator": ["oracle", "family", "plugin"]}),
+], ids=["spike_grid-gaussian", "prior-symm_weibull"])
+def test_block_rows_equal_each_data_cell_run_alone(base, axes, monkeypatch):
+    # the data cells share one block, with one s per row; each data cell's
+    # streams are keyed by its coordinates, so run as its own one-cell grid
+    # it draws the same rows and must give the same rows bit for bit
+    import sparsefn.sim as sim
+
+    blocks = []
+    real = sim.sample_with
+
+    def counting(noise, d, streams, replicates):
+        blocks.append(len(streams))
+        return real(noise, d, streams, replicates)
+
+    monkeypatch.setattr(sim, "sample_with", counting)
+    joint = risk_grid(base, axes).rows
+    assert blocks[0] == len(joint) // len(axes["estimator"]) > 1
+    data_axes = [a for a in sorted(axes) if a != "estimator"]
+    for row in joint:
+        if row["estimator"] != axes["estimator"][0]:
+            continue
+        alone = risk_grid(base, dict({a: [row[a]] for a in data_axes},
+                                     estimator=axes["estimator"])).rows
+        assert alone == [r for r in joint if all(r[a] == row[a] for a in data_axes)]
+
+
+@pytest.mark.parametrize("base", [
+    config(),
+    config(theta=ThetaSpec("prior", s=2, c1=0.5), estimator=EstimatorSpec("family")),
+    config(theta=ThetaSpec("zero"), estimator=EstimatorSpec("plugin", s=2)),
+], ids=["spike_grid", "prior", "zero"])
+def test_unchecked_cells_equal_checked_cells(base):
+    from sparsefn.sim import _apply_cell, check_grid
+
+    grid = {"alpha": [1.0, 2.0], "d": [40, 50], "estimator": ["oracle", "plugin", "adaptive"],
+            "s": [2, 3], "sigma": [0.5, 1.0]}
+    if base.theta.kind == "spike_grid":
+        grid["rho"] = [0.5, 2.0]
+    checked = check_grid(base, grid)
+    assert len(checked.configs) == math.prod(len(v) for v in grid.values())
+    assert checked.configs == [_apply_cell(base, cell) for cell in checked.cells]
 
 
 def test_config_hash_records_the_stream_scheme():

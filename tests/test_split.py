@@ -3,8 +3,9 @@ CLI output bit for bit as in one thread; and the numpy properties that this
 rests on still hold.
 
 ``split_from`` lowers the split threshold so that kernels of a few hundred
-levels split, and reports 2 CPUs, so that the split also runs where the
-process may use only one.
+levels split, and the leaf size to numpy's pairwise block of 128, so that
+their halves run on several leaves, and reports 2 CPUs, so that the split
+also runs where the process may use only one.
 """
 
 import contextlib
@@ -34,8 +35,9 @@ LAMS = [0.0, 5e-324, 1e-8, 0.3, 1.0, 7.0, 1e5, 1e300]
 @pytest.fixture(scope="module")
 def split_from():
     """A context manager: kernels built inside it split their rows from
-    ``levels`` levels on (> 128, numpy's pairwise block) as on 2 CPUs; it
-    yields the list of the split rows' lengths."""
+    ``levels`` levels on (> 128, numpy's pairwise block) as on 2 CPUs, into
+    leaves of at most 128 levels; it yields the list of the split rows'
+    lengths."""
 
     @contextlib.contextmanager
     def split(levels: int):
@@ -48,6 +50,7 @@ def split_from():
 
         mp = pytest.MonkeyPatch()
         mp.setattr(threshold, "_SPLIT", levels)
+        mp.setattr(threshold, "_LEAF", 128)
         mp.setattr(threshold, "_cpus", lambda: 2)
         mp.setattr(threshold, "_sum_halves", counted)
         try:
@@ -203,6 +206,39 @@ def test_cli_output_equal_with_split(split_from, capsys, argv):
         assert main([*argv, *spec]) == 0
     assert calls
     assert capsys.readouterr().out == one
+
+
+def test_split_row_holds_no_buffer_of_its_length():
+    """A split row runs on leaves of at most 2^16 levels, so evaluating one
+    at d = 2^19 allocates less than one d-length array (a phi row held 16
+    bytes per level, a tail row 8; its leaves hold 2 MB and 1 MB)."""
+    import tracemalloc
+
+    lv = make_loading(LoadingSpec("exp_decay", d=1 << 19, c=4e-6, gamma=1.0))
+    kernel = PhiKernel(lv, 1.0)
+    kernel.rows([0.5])
+    kernel.tail_sum([0.5], 1)
+    if not kernel._split_phi:
+        pytest.skip("rows do not split in a process on one CPU")
+    tracemalloc.start()
+    try:
+        for evaluate in (lambda: kernel.rows([2.0]), lambda: kernel.tail_sum([2.0], 1)):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            evaluate()
+            assert tracemalloc.get_traced_memory()[1] - before < 8 * lv.d
+    finally:
+        tracemalloc.stop()
+
+
+def test_tree_sum_is_numpys_pairwise_sum(monkeypatch):
+    rng = np.random.default_rng(18)
+    for leaf in (128, 136, 1000):
+        monkeypatch.setattr(threshold, "_LEAF", leaf)
+        for n in np.unique(np.geomspace(129, 100_000, 40).astype(int)):
+            x = rng.standard_normal((2, n)) * 10.0 ** rng.uniform(-5, 5, (2, n))
+            got = threshold._tree_sum(0, n, lambda lo, hi: x[:, lo:hi].sum(axis=1))
+            assert _bits(got) == _bits(x.sum(axis=1))
 
 
 def test_pairwise_sum_splits_at_its_midpoint():
