@@ -11,9 +11,9 @@ The replicate loop is a block computation: ``_stacked_replicates`` draws
 the R replicates of a data cell as one (R, d) block of theta and noise, and
 every statistic maps the block to R values.  The risk grid stacks the blocks
 of consecutive data cells that share their loading, noise, sigma and
-estimator list into one (cells * R, d) block of at most about
-``_BLOCK_ELEMENTS`` elements: each data cell still draws its rows from its
-own streams, one ``EstimationInput`` validates the block, and each estimator
+estimator list into one (cells * R, d) block of at most ``_BLOCK_ELEMENTS``
+elements (or one data cell): each data cell draws its rows from its own
+streams, one ``EstimationInput`` validates the block, and each estimator
 runs once, with one sparsity level per row, so every row is the row the data
 cell gives alone.  A block that fails runs again one data cell at a time,
 and the error names the data cell, seed and replicate that fail alone.
