@@ -42,17 +42,15 @@ that any representable root is some 10 steps away.  A solve stops when its
 residual is met, when no float lies inside its bracket, or at ``max_iter``
 evaluations; a residual still unmet then raises BracketError.
 
-An untied loading of ``_SPLIT`` levels or more costs a full kernel row per
-probe, so on two CPUs or more each row runs in two halves at once, the
-caller's thread taking the lower half and one helper thread the upper
-(``_sum_halves``).  The halves meet at the point where numpy's pairwise sum
-splits the row, so the row's sum is the sum of the halves' sums bit for
-bit.  The levels are sorted, so at beta >= 0 the maxima a phi row subtracts
-are its first level's, known before the split: no half waits for the other,
-and every output is the one-thread output.  Each half walks the pairwise
-sum's tree down to leaves of at most ``_LEAF`` levels (``_tree_sum``) in a
-leaf-sized buffer that the calling thread allocates for the row, so no row
-holds a buffer of its own length, and threads may share a kernel.
+Two kinds of kernel row need no maximum computed before their sum: every
+tail sum, and every phi row of an untied loading at beta >= 0, whose levels
+are sorted, so that the maxima the row subtracts are its first level's.  Each
+such row walks numpy's pairwise-sum tree down to leaves of at most ``_LEAF``
+levels (``_walk``), running every pass on each leaf in one leaf-sized buffer,
+so the row's sum is numpy's bit for bit and no row holds a buffer of its own
+length.  A row of ``_SPLIT`` levels or more, in a process that may run on two
+CPUs or more, walks its upper half in a helper thread at the same time
+(``_sum_halves``): the CPU count picks the thread, never the result.
 """
 
 from __future__ import annotations
@@ -142,15 +140,15 @@ class ThresholdSolution:
 
 
 _BLOCK = 1 << 16  # elements (rows x levels) per kernel evaluation block
-# Levels (> 128) from which an untied kernel row runs in two halves.  On 2
+# Levels (> 128) from which a walked row runs in two halves.  On 2
 # vCPUs, exp_decay (BENCH_16.json "cutoff", medians of 3 runs), a split row
 # takes this share of its one-thread time: at 2^15 levels 1.5-1.7 (phi row)
 # and 1.7-2.0 (tail row), at 2^16 0.90-0.98 and 1.29-1.39, at 2^17 0.60-0.64
 # and 0.77-0.87, at 2^18 0.47-0.60 and 0.53-0.99.  Below 2^16 a block of
 # several rows takes 0.8-1.2 (phi) and 1.1-1.7 (tail) of it.
 _SPLIT = 1 << 17
-# Each half of a split row runs its pass chain on leaves of at most _LEAF
-# levels, in one leaf-sized buffer per half (d = 2.5e5: 2^16 levels beat 2^14).
+# A walked row runs its pass chain on leaves of at most _LEAF levels, in one
+# leaf-sized buffer per half (d = 2.5e5: 2^16 levels beat 2^14).
 _LEAF = 1 << 16
 _helper: tuple[int, object] | None = None  # (pid, the executor of upper halves)
 
@@ -220,6 +218,25 @@ def _sum_halves(n: int, half):
     return lower + (half(h, n) if here else higher)
 
 
+def _walk(n: int, shape: tuple[int, ...], leaf):
+    """The sum over n > 0 levels of ``leaf(buf, lo, hi)``, the sums over
+    levels lo..hi-1 of a block of ``shape`` rows, added up numpy's pairwise
+    tree (``_tree_sum``), so bit for bit numpy's sum of the whole row.  Each
+    leaf writes into ``buf``, a leaf-sized buffer that this call allocates
+    for the row, so no row holds a buffer of its own length, and rows that
+    threads evaluate at once write into buffers of their own.  From
+    ``_SPLIT`` levels on, in a process that may run on two CPUs or more, the
+    upper half walks a second buffer in the helper thread (``_sum_halves``);
+    this is the only place the CPU count is read."""
+    split = n >= _SPLIT and _cpus() > 1
+    bufs = np.empty((1 + split, *shape, min(n, _LEAF)))  # the helper's arena would keep them
+
+    def half(lo: int, hi: int):
+        return _tree_sum(lo, hi - lo, partial(leaf, bufs[int(lo > 0)]))
+
+    return _sum_halves(n, half) if split else half(0, n)
+
+
 class PhiKernel:
     """log phi, log nu^2 and tail sums for one (loading, alpha), on the
     loading's distinct |eta| levels u_k with multiplicities c_k.
@@ -248,19 +265,19 @@ class PhiKernel:
     ``log_energy``: the one-target solves on one kernel share their expansion
     probes, and a repeated target costs no evaluation.
 
-    An untied kernel of at least ``_SPLIT`` levels, in a process that may run
-    on two CPUs or more, evaluates each tail-sum row, and each phi row of a
-    block with every beta in [0, inf), in two halves at once
-    (``_sum_halves``).  Each half runs the whole chain of passes on each leaf
-    of its levels (``_tree_sum``), in a leaf-sized buffer that the calling
-    thread allocates for the row, and the row's sum is the sum of the
-    halves' sums.  The levels fall, and so,
-    when ``log_u`` and ``neg_r`` fall as floats too (checked once per
-    kernel), do the exponents at beta >= 0 and both LSE terms: ``w_top`` and
-    both LSE maxima are the first level's, known before either half starts.
-    So no half waits for the other, and every row is bit for bit the
-    one-thread row.  No row writes into memory another row can see, so
-    threads may share a kernel.
+    Each tail-sum row, and each phi row of a block with every beta in [0, inf)
+    on a kernel whose maxima are known (``_falls``), walks its levels
+    (``_walk``): the whole chain of passes runs on each leaf of at most
+    ``_LEAF`` levels, in a leaf-sized buffer allocated for the row, and the
+    leaf sums are added up numpy's pairwise tree, the upper half in a helper
+    thread from ``_SPLIT`` levels on where two CPUs may run.  The levels fall,
+    and so, on an untied kernel whose ``log_u`` and ``neg_r`` fall as floats
+    too (checked once per kernel), do the exponents at beta >= 0 and both LSE
+    terms: ``w_top`` and both LSE maxima are the first level's, known before
+    the walk starts.  So a walked row is bit for bit the row that one buffer
+    of its length gives, which is the path of tied kernels and of blocks
+    holding a beta < 0: they compute their maxima first.  No row writes into
+    memory another row can see, so threads may share a kernel.
     """
 
     def __init__(self, loading: LoadingVector, alpha: float):
@@ -287,17 +304,12 @@ class PhiKernel:
         return self._neg_r(self.log_u)
 
     @cached_property
-    def _splits(self) -> bool:
-        """Whether rows of ``_SPLIT`` levels or more run in two halves: on an
-        untied kernel, in a process that may run on two CPUs or more."""
-        return not self.levels.tied and self.log_u.size >= _SPLIT and _cpus() > 1
-
-    @cached_property
-    def _split_phi(self) -> bool:
-        """Whether phi rows at betas >= 0 run in two halves: where rows split,
-        if ``log_u`` and ``neg_r`` fall with the level as floats."""
-        return self._splits and all(bool((v[:-1] >= v[1:]).all())
-                                    for v in (self.log_u, self.neg_r))
+    def _falls(self) -> bool:
+        """Whether the maxima of a phi row at betas in [0, inf) are its first
+        level's: on an untied kernel whose ``log_u`` and ``neg_r`` fall with
+        the level as floats."""
+        return not self.levels.tied and all(bool((v[:-1] >= v[1:]).all())
+                                            for v in (self.log_u, self.neg_r))
 
     def _exponents(self, betas: np.ndarray, lo: int, hi: int, x: np.ndarray) -> None:
         """x[0] = w over levels lo..hi-1 for a block of rows."""
@@ -322,43 +334,32 @@ class PhiKernel:
         np.add(w, self.log_u[lo:hi], out=x[1])
 
     def _lse_pair(self, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(w_top, [LSE(a1 + delta), LSE(a1 + log u + delta)]) for a block of rows."""
+        """(w_top, [LSE(a1 + delta), LSE(a1 + log u + delta)]) for a block of
+        rows.  Where the maxima are the first level's (``_falls``, every beta
+        in [0, inf)), the row walks leaves (``_walk``); otherwise it computes
+        its maxima in one buffer of the row's length."""
         n = self.log_u.size
-        if self._split_phi and ((betas >= 0.0) & (betas < math.inf)).all():
-            return self._lse_pair_halves(betas)
-        x = np.empty((2, betas.size, n))
-        self._exponents(betas, 0, n, x)
+        falls = self._falls and bool(((betas >= 0.0) & (betas < math.inf)).all())
+        k = 1 if falls else n  # the levels that hold the maxima
+        x = np.empty((2, betas.size, k))
+        self._exponents(betas, 0, k, x)
         top = reduce_last(np.maximum, x[0])
-        self._lse_terms(top, 0, n, x)
+        self._lse_terms(top, 0, k, x)
         m = reduce_last(np.maximum, x)
-        x -= m[:, :, None]
-        np.exp(x, out=x)
-        return top, m + np.log(reduce_last(np.add, x))
+        if not falls:
+            x -= m[:, :, None]
+            np.exp(x, out=x)
+            return top, m + np.log(reduce_last(np.add, x))
 
-    def _lse_pair_halves(self, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``_lse_pair`` of rows at betas >= 0 in two halves: every term
-        falls with the level, so the maxima are the first level's."""
-        first = np.empty((2, betas.size, 1))
-        self._exponents(betas, 0, 1, first)
-        top = first[0, :, 0].copy()
-        self._lse_terms(top, 0, 1, first)
-        m = first[:, :, 0]
-        leaves = np.empty((2, 2, betas.size, _LEAF))  # the helper's arena would keep it
+        def leaf(buf: np.ndarray, lo: int, hi: int) -> np.ndarray:
+            x = buf[:, :, :hi - lo]
+            self._exponents(betas, lo, hi, x)
+            self._lse_terms(top, lo, hi, x)
+            x -= m[:, :, None]
+            np.exp(x, out=x)
+            return reduce_last(np.add, x)
 
-        def half(lo: int, hi: int) -> np.ndarray:
-            buf = leaves[int(lo > 0)]
-
-            def leaf(a: int, b: int) -> np.ndarray:
-                x = buf[:, :, :b - a]
-                self._exponents(betas, a, b, x)
-                self._lse_terms(top, a, b, x)
-                x -= m[:, :, None]
-                np.exp(x, out=x)
-                return x.sum(axis=2)
-
-            return _tree_sum(lo, hi - lo, leaf)
-
-        return top, m + np.log(_sum_halves(self.log_u.size, half))
+        return top, m + np.log(_walk(n, x.shape[:2], leaf))
 
     def _probe_block(self, betas: np.ndarray) -> np.ndarray:
         """Rows of (log phi, log nu^2) for a block of betas."""
@@ -420,15 +421,7 @@ class PhiKernel:
                 w *= counts[lo:hi]
             return reduce_last(np.add, w)
 
-        def block(lam: np.ndarray) -> np.ndarray:
-            n = log_u.size
-            if not (self._splits and n >= _SPLIT):
-                return terms(lam, np.empty((lam.size, n)), 0, n)
-            leaves = np.empty((2, lam.size, _LEAF))  # the helper's arena would keep it
-            return _sum_halves(n, lambda lo, hi: _tree_sum(
-                lo, hi - lo, partial(terms, lam, leaves[int(lo > 0)])))
-
-        return self._rows(block, lams)
+        return self._rows(lambda lam: _walk(log_u.size, lam.shape, partial(terms, lam)), lams)
 
 
 def log_phi_objective(loading: LoadingVector, alpha: float, beta: float) -> float:
@@ -443,7 +436,10 @@ def phi_objective(loading: LoadingVector, alpha: float, beta: float) -> float:
     """phi(beta) itself; overflows to inf only when the true value exceeds
     the float64 range (beta very negative with tiny loadings)."""
     lp = log_phi_objective(loading, alpha, beta)
-    return math.exp(lp) if lp < 709.0 else math.inf
+    try:
+        return math.exp(lp)
+    except OverflowError:
+        return math.inf
 
 
 def _safe_expm1(g: float) -> float:

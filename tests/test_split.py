@@ -1,6 +1,7 @@
-"""Kernel rows split in two halves give every row, tail sum, solve record and
-CLI output bit for bit as in one thread; and the numpy properties that this
-rests on still hold.
+"""Kernel rows that walk leaves, in two halves on two threads or in one,
+give every row, tail sum, solve record and CLI output bit for bit as one
+buffer of the row's length does; and the numpy properties that this rests
+on still hold.
 
 ``split_from`` lowers the split threshold so that kernels of a few hundred
 levels split, and the leaf size to numpy's pairwise block of 128, so that
@@ -171,25 +172,108 @@ def test_split_rows_on_extreme_levels(split_from, values, alpha):
     one = _kernel_record(lv, alpha)
     with split_from(129) as calls:
         two = _kernel_record(lv, alpha)
-        assert PhiKernel(lv, alpha)._split_phi
+        assert PhiKernel(lv, alpha)._falls
     assert calls
     assert two == one
 
 
-def test_tied_kernels_negative_betas_and_one_cpu_take_one_thread(split_from, monkeypatch):
+def _one_buffer_tail(kernel: PhiKernel, lams, start: int) -> np.ndarray:
+    """``tail_sum`` of an untied kernel in one buffer of the tail's length,
+    the same float operations as each leaf of the walk."""
+    lam = np.asarray(lams, dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):
+        w = np.exp((np.log(lam)[:, None] - kernel.log_u[start:]) * kernel.alpha)
+    return np.exp(-w).sum(axis=1)
+
+
+def _one_buffer_kernel(lv, alpha: float) -> PhiKernel:
+    """A kernel whose phi rows all compute their maxima in one buffer."""
+    kernel = PhiKernel(lv, alpha)
+    vars(kernel)["_falls"] = False  # the cached property, forced off
+    return kernel
+
+
+@settings(max_examples=25)
+@given(_untied_loadings(1), st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+       st.lists(st.floats(min_value=0.0, max_value=1e300), min_size=1, max_size=4))
+def test_walked_rows_equal_one_buffer_rows(split_from, lv, alpha, drawn):
+    """Rows at betas in [0, inf) walk leaves on one CPU or two, with leaves of
+    2^16 levels or of 128: each is bit for bit the row that computes its
+    maxima in one buffer, and each tail sum the sum over one buffer."""
+    betas = BETAS + drawn
+    ref = _one_buffer_kernel(lv, alpha)
+    want = [_bits(ref.rows(betas)), *(_bits(ref.rows([b])) for b in betas),
+            *(_bits(_one_buffer_tail(ref, LAMS, start)) for start in (0, lv.d // 3))]
+    for walk in (contextlib.nullcontext, lambda: split_from(129)):
+        with walk():
+            kernel = PhiKernel(lv, alpha)
+            got = [_bits(kernel.rows(betas)), *(_bits(kernel.rows([b])) for b in betas),
+                   *(_bits(kernel.tail_sum(LAMS, start)) for start in (0, lv.d // 3))]
+            assert kernel._falls
+        assert got == want
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The thread of every leaf that ``_walk`` runs, per row length."""
+    seen = []
+    walk = threshold._walk
+
+    def recorded(n, shape, leaf):
+        def traced(*args):
+            seen.append((n, threading.get_ident()))
+            return leaf(*args)
+
+        return walk(n, shape, traced)
+
+    monkeypatch.setattr(threshold, "_walk", recorded)
+    return seen
+
+
+def test_computed_maxima_take_one_buffer_and_one_cpu_walks_here(split_from, walks,
+                                                                 monkeypatch):
+    """Tied phi rows and blocks with a beta < 0 compute their maxima in one
+    buffer; every other row walks, a tied tail row too, and on one CPU the
+    walk starts no helper."""
     tied = make_loading(LoadingSpec("two_phase", d=5000, gamma_d=0.4, gamma_lambda=0.2))
     untied = make_loading(LoadingSpec("exp_decay", d=1000, c=2e-3, gamma=1.0))
     with split_from(129) as calls:
-        PhiKernel(tied, 1.0).rows(BETAS)
-        PhiKernel(tied, 1.0).tail_sum(LAMS, 0)
-        PhiKernel(untied, 1.0).rows(BETAS + NEGATIVE)
-        PhiKernel(untied, 1.0).tail_sum(LAMS, 1000 - 128)  # a tail of 128 levels
-        assert calls == []
+        PhiKernel(tied, 1.0).rows(BETAS)  # tied phi rows compute their maxima
+        PhiKernel(untied, 1.0).rows(BETAS + NEGATIVE)  # so does a block with a beta < 0
+        assert walks == []
+        PhiKernel(untied, 1.0).tail_sum(LAMS, 1000 - 128)  # 128 levels: below the split
+        assert calls == [] and {n for n, _ in walks} == {128}
         PhiKernel(untied, 1.0).rows(BETAS)
         assert calls == [1000]
+
+    # a tied tail row splits as an untied one does: counts scale each leaf
+    values = np.geomspace(1.0, 1e-3, 1000)
+    values[500] = values[501]
+    lv = make_loading(LoadingSpec("explicit", values=tuple(values.tolist())))
+    assert lv.levels.tied
+    for start in (0, 1, 500, 501, 700):
+        one = PhiKernel(lv, 1.0).tail_sum(LAMS, start)
+        with split_from(129) as calls:
+            assert _bits(PhiKernel(lv, 1.0).tail_sum(LAMS, start)) == _bits(one)
+        assert calls == [999 - lv.levels.level_of(start)]
+        with np.errstate(divide="ignore", over="ignore"):
+            w = np.exp(np.log(LAMS)[:, None] - np.log(values[start:]))
+        assert np.allclose(one, np.exp(-w).sum(axis=1), rtol=1e-13)
+
+    # on one CPU a row of _SPLIT levels or more walks its leaves in this thread
+    walks.clear()
     monkeypatch.setattr(threshold, "_SPLIT", 129)
+    monkeypatch.setattr(threshold, "_LEAF", 128)
     monkeypatch.setattr(threshold, "_cpus", lambda: 1)
-    assert not PhiKernel(untied, 1.0)._splits
+    halves = []
+    monkeypatch.setattr(threshold, "_sum_halves", lambda n, half: halves.append(n))
+    kernel = PhiKernel(untied, 1.0)
+    assert _bits(kernel.rows(BETAS)) == _bits(_one_buffer_kernel(untied, 1.0).rows(BETAS))
+    assert _bits(kernel.tail_sum(LAMS, 1)) == _bits(_one_buffer_tail(kernel, LAMS, 1))
+    assert halves == []
+    assert {n for n, _ in walks} == {1000, 999}
+    assert {thread for _, thread in walks} == {threading.get_ident()}
+    assert len(walks) >= 2 * (1000 // 128)  # each row walks several leaves
 
 
 @pytest.mark.parametrize("argv", [
@@ -208,27 +292,33 @@ def test_cli_output_equal_with_split(split_from, capsys, argv):
     assert capsys.readouterr().out == one
 
 
-def test_split_row_holds_no_buffer_of_its_length():
-    """A split row runs on leaves of at most 2^16 levels, so evaluating one
-    at d = 2^19 allocates less than one d-length array (a phi row held 16
-    bytes per level, a tail row 8; its leaves hold 2 MB and 1 MB)."""
+def test_split_row_holds_no_buffer_of_its_length(monkeypatch):
+    """A row walks leaves of at most 2^16 levels, on one CPU or two, so
+    evaluating one allocates less than the buffer of its length that the
+    one-buffer path holds: 16 bytes per level for a phi row, 8 for a tail
+    row.  At d = 2^19 the leaves hold 2 MB and 1 MB on two CPUs; at
+    d = 2^16 + 1000 the row does not split, and its leaves hold 1 MB and
+    0.5 MB."""
     import tracemalloc
 
-    lv = make_loading(LoadingSpec("exp_decay", d=1 << 19, c=4e-6, gamma=1.0))
-    kernel = PhiKernel(lv, 1.0)
-    kernel.rows([0.5])
-    kernel.tail_sum([0.5], 1)
-    if not kernel._split_phi:
-        pytest.skip("rows do not split in a process on one CPU")
-    tracemalloc.start()
-    try:
-        for evaluate in (lambda: kernel.rows([2.0]), lambda: kernel.tail_sum([2.0], 1)):
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            evaluate()
-            assert tracemalloc.get_traced_memory()[1] - before < 8 * lv.d
-    finally:
-        tracemalloc.stop()
+    for d in (1 << 19, (1 << 16) + 1000):
+        lv = make_loading(LoadingSpec("exp_decay", d=d, c=2.0 / d, gamma=1.0))
+        for cpus in (1, 2):
+            monkeypatch.setattr(threshold, "_cpus", lambda: cpus)
+            kernel = PhiKernel(lv, 1.0)
+            kernel.rows([0.5])
+            kernel.tail_sum([0.5], 1)
+            assert kernel._falls
+            tracemalloc.start()
+            try:
+                for evaluate, row_bytes in ((lambda: kernel.rows([2.0]), 16 * d),
+                                            (lambda: kernel.tail_sum([2.0], 1), 8 * (d - 1))):
+                    tracemalloc.reset_peak()
+                    before = tracemalloc.get_traced_memory()[0]
+                    evaluate()
+                    assert tracemalloc.get_traced_memory()[1] - before < row_bytes, (d, cpus)
+            finally:
+                tracemalloc.stop()
 
 
 def test_tree_sum_is_numpys_pairwise_sum(monkeypatch):

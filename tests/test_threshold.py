@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -44,6 +45,17 @@ def test_phi_homogeneous_at_zero():
         assert phi_objective(lv, 1.7, beta) == pytest.approx(2.0 * math.exp(-beta / 2), rel=1e-12)
 
 
+def test_phi_is_finite_wherever_its_log_is_in_float_range():
+    # sqrt(4) exp(-beta/2) = exp(709.5) = 1.355e308 < float max = exp(709.78)
+    lv = make_loading(LoadingSpec("homogeneous", d=4))
+    beta = 2.0 * (math.log(2.0) - 709.5)
+    lp = log_phi_objective(lv, 2.0, beta)
+    assert lp == pytest.approx(709.5, rel=1e-15)
+    assert phi_objective(lv, 2.0, beta) == math.exp(lp)
+    assert phi_objective(lv, 2.0, beta) == pytest.approx(1.355e308, rel=1e-3)
+    assert phi_objective(lv, 2.0, 2.0 * (math.log(2.0) - 710.0)) == math.inf
+
+
 def test_phi_single_coordinate_cancellation():
     assert phi_objective(explicit(2.0), 1.0, 0.0) == pytest.approx(1.0, rel=1e-14)
 
@@ -82,7 +94,7 @@ def test_log_domain_finite_on_extreme_grid():
         for beta in (-1e6, -1e3, -1.0, 0.0, 1.0, 1e3, 1e6):
             lp = log_phi_objective(lv, alpha, beta)
             assert math.isfinite(lp)
-            if lp < 700.0:
+            if lp < math.log(sys.float_info.max):
                 p = phi_objective(lv, alpha, beta)
                 assert math.isfinite(p) and p > 0.0
 
