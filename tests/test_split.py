@@ -296,13 +296,16 @@ def test_split_row_holds_no_buffer_of_its_length(monkeypatch):
     """A row walks leaves of at most 2^16 levels, on one CPU or two, so
     evaluating one allocates less than the buffer of its length that the
     one-buffer path holds: 16 bytes per level for a phi row, 8 for a tail
-    row.  At d = 2^19 the leaves hold 2 MB and 1 MB on two CPUs; at
-    d = 2^16 + 1000 the row does not split, and its leaves hold 1 MB and
-    0.5 MB."""
+    row.  At d = 2^19 the leaves hold at most 2 MB and 1 MB, below one
+    d-length array of 8 bytes per level for either row; at d = 2^16 + 1000
+    the row does not split, and its leaves hold 1 MB and 0.5 MB, so it is
+    held to the one-buffer row's bytes."""
     import tracemalloc
 
-    for d in (1 << 19, (1 << 16) + 1000):
-        lv = make_loading(LoadingSpec("exp_decay", d=d, c=2.0 / d, gamma=1.0))
+    small = (1 << 16) + 1000
+    for d, c, phi_bytes, tail_bytes in ((1 << 19, 4e-6, 8 << 19, 8 << 19),
+                                        (small, 2.0 / small, 16 * small, 8 * (small - 1))):
+        lv = make_loading(LoadingSpec("exp_decay", d=d, c=c, gamma=1.0))
         for cpus in (1, 2):
             monkeypatch.setattr(threshold, "_cpus", lambda: cpus)
             kernel = PhiKernel(lv, 1.0)
@@ -311,8 +314,8 @@ def test_split_row_holds_no_buffer_of_its_length(monkeypatch):
             assert kernel._falls
             tracemalloc.start()
             try:
-                for evaluate, row_bytes in ((lambda: kernel.rows([2.0]), 16 * d),
-                                            (lambda: kernel.tail_sum([2.0], 1), 8 * (d - 1))):
+                for evaluate, row_bytes in ((lambda: kernel.rows([2.0]), phi_bytes),
+                                            (lambda: kernel.tail_sum([2.0], 1), tail_bytes)):
                     tracemalloc.reset_peak()
                     before = tracemalloc.get_traced_memory()[0]
                     evaluate()
