@@ -8,6 +8,7 @@ that reparses equal.  Unknown keys are rejected (anti-typo), and so is a field
 that its kind does not read (``LOADING_KINDS``, ``THETA_KINDS``); every
 violation names the offending path.  An unset ``estimator.zeta`` stays None,
 and each grid cell resolves it from its own ``alpha`` (``default_zeta``).
+``sim.check_grid`` alone decides what a ``simulation.grid`` entry may be.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .estimators import VARIANTS, EstimationInput, EstimatorSpec
 from .loading import LoadingSpec
 from .lowerbound import ThetaSpec
 from .noise import FAMILIES, NoiseModel
-from .sim import GRID_AXES, Grid, SimConfig, check_grid
+from .sim import Grid, SimConfig, check_grid
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "serialize_config"]
 
@@ -172,26 +173,10 @@ def parse_config(text: str) -> ExperimentConfig:
     sim = _build(SimConfig, "simulation", loading=loading, noise=noise, sigma=sigma,
                  theta=theta, estimator=estimator, replicates=replicates, seed=seed,
                  s_assumed=s_assumed)
-    if grid is not None:
-        _check_grid_values(grid)
     try:
-        return ExperimentConfig(version, sim, check_grid(sim, grid or {}))
+        return ExperimentConfig(version, sim, check_grid(sim, {} if grid is None else grid))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-_GRID_VALUES = {"d": _integer, "estimator": _string, "s": _integer}  # the rest: numbers
-
-
-def _check_grid_values(grid) -> None:
-    if not isinstance(grid, dict):
-        raise ConfigError("simulation.grid: expected an object of axis lists")
-    for axis, values in grid.items():
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"simulation.grid.{axis}: expected a nonempty list")
-        if axis in GRID_AXES:
-            for i, value in enumerate(values):
-                _GRID_VALUES.get(axis, _number)(value, f"simulation.grid.{axis}[{i}]")
 
 
 def serialize_config(config: ExperimentConfig) -> str:

@@ -281,11 +281,11 @@ def make_loading(spec: LoadingSpec) -> LoadingVector:
     """Build a sorted loading vector from a spec.
 
     An explicit loading is sorted and checked.  A generated one is built
-    positive and sorted, in identity order: homogeneous and two_phase from
-    their one or two levels (no d-vector is built unless read), exp_decay
-    from its values, which are checked here as an explicit loading's are
-    (underflow to 0, NaN from ``0 * inf``, order), with no sort and no order
-    array.
+    positive and sorted, in identity order: homogeneous, two_phase and
+    exp_decay with c = 0 from their one or two levels (no d-vector is built
+    unless read), any other exp_decay from its values, which are checked
+    here as an explicit loading's are (underflow to 0, order), with no sort
+    and no order array.
     """
     if spec.kind == "explicit":
         raw = np.asarray(spec.values, dtype=float)
@@ -293,7 +293,7 @@ def make_loading(spec: LoadingSpec) -> LoadingVector:
         return LoadingVector(raw[order], order, provenance="explicit")
 
     d = int(spec.d)
-    if spec.kind == "homogeneous":
+    if spec.kind == "homogeneous" or spec.c == 0.0:  # exp_decay with c = 0: ones too
         return _from_levels(spec.kind, [1.0], [d])
     if spec.kind == "two_phase":
         head = math.floor(d ** spec.gamma_d)
@@ -304,13 +304,12 @@ def make_loading(spec: LoadingSpec) -> LoadingVector:
             return _from_levels(spec.kind, [top if head == d else 1.0], [d])
         return _from_levels(spec.kind, [top, 1.0], [head, d - head])
     # exp_decay with decay profile c * x**gamma
-    vals = np.arange(d, dtype=float) ** spec.gamma
-    vals *= -spec.c
+    with np.errstate(over="ignore"):  # a profile past the float range decays to 0
+        vals = np.arange(d, dtype=float) ** spec.gamma
+        vals *= -spec.c
     np.exp(vals, out=vals)
     if np.any(vals == 0.0):
         raise ValueError("exp_decay underflowed to zero loadings; reduce c or d")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("loading entries must be finite")
     if np.any(vals[:-1] < vals[1:]):
         raise ValueError("loading must be sorted by decreasing |value|")
     return LoadingVector._generated(spec.kind, d, values=vals)

@@ -16,7 +16,7 @@ its own counter segment of the stream (see ``streams``).  symm_weibull's
 rejection step gets a fixed candidate budget per replicate
 (``GAMMA_BUDGET``); a replicate that runs past it takes the rest of its
 variates from its fallback stream, keyed by (seed, tags, r).  Given a list
-of streams, ``sample_with`` stacks their blocks, one per stream.
+of streams, ``sample_with`` stacks their blocks in one transform.
 """
 
 from __future__ import annotations
@@ -149,10 +149,10 @@ def _layout(model: NoiseModel, n: int) -> tuple[int, ...]:
     return (n, boost, k, k)  # sign, boost, Box-Muller normals, acceptance uniforms
 
 
-def _standard_gamma(shape: float, n: int, parts: list, stream: Stream) -> np.ndarray:
-    """(R, n) Gamma(shape) variates: Marsaglia-Tsang on each replicate's
-    candidate budget, in candidate order.  Shapes below one (alpha > 1) use
-    the boost Gamma(k) = Gamma(k+1) * U^(1/k)."""
+def _standard_gamma(shape: float, n: int, parts: list, streams: list, R: int) -> np.ndarray:
+    """(k R, n) Gamma(shape) variates for the k stacked blocks of ``streams``:
+    Marsaglia-Tsang on each replicate's candidate budget, in candidate order.
+    Shapes below one (alpha > 1) use the boost Gamma(k) = Gamma(k+1) * U^(1/k)."""
     boost, normals, accept = parts
     k = shape + 1.0 if shape < 1.0 else shape
     values, ok = _marsaglia_tsang(k, _box_muller(normals), accept)
@@ -163,7 +163,7 @@ def _standard_gamma(shape: float, n: int, parts: list, stream: Stream) -> np.nda
     out = np.empty((ok.shape[0], n))
     out[full] = accepted[first[full, None] + np.arange(n)]
     for r in np.flatnonzero(~full):  # past the budget: the rest from r's fallback
-        rest = _gamma_rejection(stream.fallback(r), k, n - got[r])
+        rest = _gamma_rejection(streams[r // R].fallback(r % R), k, n - got[r])
         out[r] = np.concatenate([accepted[first[r]:first[r] + got[r]], rest])
     if shape < 1.0:
         out *= boost ** (1.0 / shape)
@@ -175,19 +175,17 @@ def sample_with(model: NoiseModel, n: int, stream: Stream | list[Stream],
     """(replicates, n) variates; row r is drawn from counter segment r of
     ``stream`` (its fallback stream for a symm_weibull replicate that runs
     past its candidate budget).  A list of k streams gives the k blocks
-    stacked, (k * replicates, n), each as its stream alone gives it: the
-    other families transform every uniform on its own, so their k blocks
-    are one transform, and symm_weibull takes one call per stream."""
+    stacked, (k * replicates, n), each as its stream alone gives it: every
+    row is a transform of its own uniforms, so the k blocks are one
+    transform."""
     streams = [stream] if isinstance(stream, Stream) else stream
-    if model.family == "symm_weibull" and len(streams) > 1:
-        return np.concatenate([sample_with(model, n, one, replicates) for one in streams])
     widths = _layout(model, n)
     u = uniforms(streams, replicates, sum(widths))
     parts = np.split(u, np.cumsum(widths)[:-1], axis=1)
     if model.family == "gaussian":
         return _box_muller(parts[0])[:, :n]
     if model.family == "symm_weibull":
-        g = _standard_gamma(1.0 / model.alpha, n, parts[1:], streams[0])
+        g = _standard_gamma(1.0 / model.alpha, n, parts[1:], streams, replicates)
         g **= 1.0 / model.alpha
         g *= sigma_alpha(model.alpha)
         return np.negative(g, out=g, where=parts[0] < 0.5)  # the sign

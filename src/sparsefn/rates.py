@@ -351,8 +351,6 @@ class AssumptionReport:
 
 
 def _log_grid(lo: int, hi: int, n: int) -> list[int]:
-    if hi < lo:
-        return []
     pts = np.unique(np.round(np.exp(np.linspace(math.log(lo), math.log(hi), n))).astype(int))
     return [int(p) for p in pts if lo <= p <= hi]
 

@@ -21,8 +21,8 @@ Risk, coverage, test power and calibration reduce over the values in
 replicate order, so repeated runs are byte-identical, and a run with more
 replicates repeats the draws of a shorter one.
 
-``check_grid`` validates each grid entry once on the base config, and
-builds the cells without re-running the specs' checks.
+``check_grid`` is the one gate of a grid, from a config file or from Python,
+and builds the cells without re-running the specs' checks.
 """
 
 from __future__ import annotations
@@ -64,7 +64,11 @@ __all__ = [
     "strict_json",
 ]
 
-GRID_AXES = ("alpha", "d", "estimator", "rho", "s", "sigma")
+_NUMBER, _INTEGER = ((int, float), "a number"), ((int,), "an integer")
+_GRID_TYPES = {"alpha": _NUMBER, "d": _INTEGER, "estimator": ((str,), "a string"),
+               "rho": _NUMBER, "s": _INTEGER, "sigma": _NUMBER}  # exact types, name in errors
+GRID_AXES = tuple(_GRID_TYPES)
+_FLOAT_BOUND = 2**1024 - 2**970  # above every finite float; the least int float() overflows on
 _THETA_SPARSITY = {"spike_grid": "n_spikes", "prior": "s"}  # the theta field the s axis sets
 RESULT_COLUMNS = ["estimator", "n_rep", "mse", "mse_se", "rate_kind", "rate_value", "ratio"]
 
@@ -274,10 +278,10 @@ def _stacked_replicates(config: SimConfig, loading: LoadingVector, draws, statis
 
 
 def _replicates(config: SimConfig, loading: LoadingVector, xi_tags, statistic, where: str,
-                theta: np.ndarray | None = None, prior=None, theta_tags=()):
+                theta: np.ndarray):
     """``statistic(y, theta)`` on the (R, d) block of one draw's replicates
-    (``_stacked_replicates``)."""
-    return _stacked_replicates(config, loading, [(xi_tags, theta, prior, theta_tags)],
+    around a fixed ``theta`` (``_stacked_replicates``)."""
+    return _stacked_replicates(config, loading, [(xi_tags, theta, None, ())],
                                lambda y, thetas: statistic(y, thetas[0]), where)
 
 
@@ -384,7 +388,7 @@ def _apply_cell(base: SimConfig, cell: dict, replace=dataclasses.replace) -> Sim
         if axis == "d":
             if loading.kind == "explicit":
                 raise ValueError("cannot sweep d over an explicit loading")
-            loading = replace(loading, d=int(value))
+            loading = replace(loading, d=value)
         elif axis == "alpha":
             noise = replace(noise, alpha=float(value))
         elif axis == "sigma":
@@ -394,15 +398,13 @@ def _apply_cell(base: SimConfig, cell: dict, replace=dataclasses.replace) -> Sim
                 raise ValueError("rho axis requires a spike_grid theta")
             theta = replace(theta, rho=float(value))
         elif axis == "s":
-            s_assumed = int(value)
+            s_assumed = value
             if estimator.s is not None or VARIANTS[estimator.variant].needs_s:
-                estimator = replace(estimator, s=int(value))
+                estimator = replace(estimator, s=value)
             if theta.kind in _THETA_SPARSITY:
-                theta = replace(theta, **{_THETA_SPARSITY[theta.kind]: int(value)})
-        elif axis == "estimator":
-            estimator = replace(estimator, variant=str(value))
-        else:
-            raise ValueError(f"unknown grid axis {axis!r}; supported: {GRID_AXES}")
+                theta = replace(theta, **{_THETA_SPARSITY[theta.kind]: value})
+        else:  # estimator
+            estimator = replace(estimator, variant=value)
     return replace(base, loading=loading, noise=noise, sigma=sigma, theta=theta,
                    estimator=estimator, s_assumed=s_assumed)
 
@@ -420,7 +422,11 @@ class Grid:
 
 def check_grid(base: SimConfig, grid: dict) -> Grid:
     """Every cell of ``grid`` and its config, each range-checked, so no cell
-    fails on a range after earlier cells have run.
+    fails on a range after earlier cells have run.  The one gate of a grid,
+    from a config file or from Python: first, in key order, ``grid`` is a
+    dict of nonempty lists (or tuples), each entry of a known axis exactly of
+    a ``_GRID_TYPES`` type (finite if a number: no bool or numpy scalar runs);
+    then every axis must be known.
 
     A failure raises ValueError at a config path: ``simulation.grid.<axis>[i]``
     when that entry alone breaks a base that is fine without it, the base
@@ -434,6 +440,18 @@ def check_grid(base: SimConfig, grid: dict) -> Grid:
     and the cells are built from the base without checking their specs
     again; ``_cell_problem``, which reads fields that different axes set,
     runs on every cell."""
+    if not isinstance(grid, dict):
+        raise ValueError("simulation.grid: expected an object of axis lists")
+    for axis, values in grid.items():
+        if not isinstance(values, (list, tuple)) or not values:
+            raise ValueError(f"simulation.grid.{axis}: expected a nonempty list")
+        if axis in _GRID_TYPES:
+            types, noun = _GRID_TYPES[axis]
+            for i, value in enumerate(values):
+                if type(value) not in types:
+                    raise ValueError(f"simulation.grid.{axis}[{i}]: expected {noun}")
+                if types is _NUMBER[0] and not abs(value) < _FLOAT_BOUND:  # NaN too
+                    raise ValueError(f"simulation.grid.{axis}[{i}]: expected a finite number")
     axes = sorted(grid)
     for a in axes:
         if a not in GRID_AXES:

@@ -167,6 +167,23 @@ def test_rate_json_and_csv(tmp_path, capsys):
         assert float(closed) > 0.0 and 0.05 <= float(ratio) <= 20.0
 
 
+def test_exp_decay_profile_past_the_float_range_warns_nothing(capsys):
+    # c = 0 is one level of ones at any gamma, so its rate is homogeneous's;
+    # c = 1 underflows to zero loadings, and says so without numpy warnings
+    spec = ["--d", "5", "--gamma", "1e308", "--alpha", "1", "--s", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, flat = run_json(capsys, ["rate", "--loading-spec", "exp_decay", "--c", "0", *spec])
+        assert rc == 0
+        assert main(["rate", "--loading-spec", "exp_decay", "--c", "1", *spec]) == 1
+    assert capsys.readouterr().err == (
+        "error: exp_decay underflowed to zero loadings; reduce c or d\n")
+    _, hom = run_json(capsys, ["rate", "--loading-spec", "homogeneous", "--d", "5",
+                               "--alpha", "1", "--s", "1"])
+    for key in ("beta", "lambda_o", "nu", "phi_o", "lambda_star", "phi_adp", "s0"):
+        assert flat[key] == hom[key], key
+
+
 def test_estimate_and_exit_codes(tmp_path, capsys):
     yfile = tmp_path / "y.txt"
     yfile.write_text("4.0\n1.0\n-0.5\n")

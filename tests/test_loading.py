@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -224,6 +225,25 @@ def test_level_backed_edge_cases_are_one_level():
                make_loading(LoadingSpec("homogeneous", d=1))):
         assert not lv.levels.tied and lv.levels.values is lv.abs_values
     assert list(lv.values) == [1.0]
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 1000])
+@pytest.mark.parametrize("gamma", [1.0, 1e308])
+def test_exp_decay_without_decay_is_one_level_of_ones(d, gamma):
+    # c = 0 is built from its one level, as homogeneous is, so a gamma whose
+    # profile overflows still gives exp(0) = 1 everywhere, and the levels are
+    # those the run-length view finds on the dense vector
+    lv = make_loading(LoadingSpec("exp_decay", d=d, c=0.0, gamma=gamma))
+    assert lv.d == d and lv.provenance == "exp_decay"
+    assert ("values" in vars(lv)) == (d == 1)  # no d-vector is built unless read
+    _assert_same_loading(lv, LoadingVector(np.ones(d), np.arange(d)), np.random.default_rng(d))
+
+
+def test_exp_decay_profile_past_the_float_range_underflows_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^exp_decay underflowed to zero loadings"):
+            make_loading(LoadingSpec("exp_decay", d=5, c=1.0, gamma=1e308))
 
 
 def test_exp_decay_identity_order_equals_a_gather():

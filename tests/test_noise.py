@@ -185,6 +185,32 @@ def test_replicate_draws_have_the_prefix_property(model, n):
     _assert_prefix(model, n)
 
 
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: f"{m.family}-{m.alpha}")
+@pytest.mark.parametrize("budget", [1.1, 0.0])  # 0.0: 8 candidates, every weibull row falls back
+def test_stacked_streams_equal_each_stream_alone(model, budget, monkeypatch):
+    # k streams are drawn as one (k R, n) transform; each block must be the
+    # block its stream gives alone, bit for bit, and a replicate past its
+    # candidate budget must ask its own stream's fallback for its own index
+    calls = []
+    real = Stream.fallback
+
+    def recording(self, r):
+        calls.append((self.tags, int(r)))
+        return real(self, r)
+
+    monkeypatch.setattr(Stream, "fallback", recording)
+    monkeypatch.setattr(noise_module, "GAMMA_BUDGET", budget)
+    streams = [Stream(5, "cell", [["rho", rho]], "xi") for rho in (0.5, 1.0, 2.0)]
+    n, R = 30, 4
+    stacked = sample_with(model, n, streams, R)
+    stacked_calls, calls[:] = calls[:], []
+    alone = np.concatenate([sample_with(model, n, stream, R) for stream in streams])
+    np.testing.assert_array_equal(stacked, alone)
+    assert stacked_calls == calls
+    if model.family == "symm_weibull" and budget == 0.0:
+        assert calls == [(stream.tags, r) for stream in streams for r in range(R)]
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 def test_prefix_property_holds_past_the_gamma_budget(alpha, monkeypatch):
     calls = []

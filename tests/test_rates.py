@@ -174,6 +174,31 @@ def test_adaptive_closed_form_band_homogeneous():
     print("phi_adp/closed-form band over s in (1,10,100):", [round(r, 3) for r in ratios])
 
 
+@pytest.mark.parametrize("spec", [
+    LoadingSpec("homogeneous", d=100),
+    LoadingSpec("homogeneous", d=10_000),
+    LoadingSpec("homogeneous", d=1_000_000),
+    LoadingSpec("exp_decay", d=2000, c=2e-3, gamma=1.0),
+    LoadingSpec("exp_decay", d=20_000, c=2e-4, gamma=1.0),
+], ids=lambda spec: f"{spec.kind}-{spec.d}")
+def test_adaptive_closed_forms_within_criterion_3_band(spec):
+    # phi_adp(s) against its closed form, within criterion 3's band [0.2, 10],
+    # for every s up to 10 and geometric steps on to 2 sqrt(d), which passes
+    # exp_decay's turn to its flat branch at sqrt(j0 (1 + log j0))
+    lv = make_loading(spec)
+    if spec.kind == "homogeneous":
+        kind, params = "homogeneous_adaptive", {"d": spec.d}
+    else:
+        kind, params = "exp_decay_adaptive", {"j0": effective_dimension(lv)}
+    top = 2 * math.isqrt(spec.d)
+    s_values = sorted({*range(1, 11), *np.geomspace(10, top, 12).round().astype(int).tolist()})
+    for alpha in (1.0, 2.0):
+        calc = RateCalculator(lv, alpha)
+        for s in s_values:
+            ratio = calc.phi_adp(s) / closed_form_rate(kind, dict(params, alpha=alpha), s)
+            assert 0.2 <= ratio <= 10.0, (alpha, s, ratio)
+
+
 def test_exp_decay_equivalent_to_homogeneous_effective_dim():
     spec = LoadingSpec("exp_decay", d=200, c=2.0 / 200.0, gamma=1.0)
     lv = make_loading(spec)

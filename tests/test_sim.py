@@ -105,6 +105,47 @@ def test_grid_rejects_unknown_axis():
         risk_grid(config(), {"bananas": [1]})
 
 
+@pytest.mark.parametrize("grid, message", [
+    ({"d": [20.9]}, "simulation.grid.d[0]: expected an integer"),
+    ({"rho": [0.5], "s": [1, 2.7]}, "simulation.grid.s[1]: expected an integer"),
+    ({"d": [True]}, "simulation.grid.d[0]: expected an integer"),
+    ({"sigma": ["1"]}, "simulation.grid.sigma[0]: expected a number"),
+    ({"rho": [1.0, math.nan]}, "simulation.grid.rho[1]: expected a finite number"),
+    ({"alpha": [10**400]}, "simulation.grid.alpha[0]: expected a finite number"),
+    ({"estimator": [3]}, "simulation.grid.estimator[0]: expected a string"),
+    ({"s": [np.int64(2)]}, "simulation.grid.s[0]: expected an integer"),
+    ({"rho": [np.float64(0.5)]}, "simulation.grid.rho[0]: expected a number"),
+    ([["rho", [1.0]]], "simulation.grid: expected an object of axis lists"),
+    ({"rho": []}, "simulation.grid.rho: expected a nonempty list"),
+    # types are checked in the grid's key order, before any axis must be known
+    ({"bananas": [1], "d": [2.5]}, "simulation.grid.d[0]: expected an integer"),
+], ids=["d-float", "s-float", "d-bool", "sigma-str", "rho-nan", "alpha-huge-int",
+        "estimator-int", "s-numpy", "rho-numpy", "not-a-dict", "empty-axis", "key-order"])
+def test_library_grids_pass_the_config_gate(grid, message):
+    # a grid from Python is held to the rules of a config file's grid, with
+    # the same message, instead of running a coerced entry and writing the
+    # entry as given into the CSV and its config_hash
+    from sparsefn.config import ConfigError, parse_config
+    from sparsefn.sim import check_grid
+
+    for call in (check_grid, risk_grid):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(config(), grid)
+    if not any(isinstance(v, np.generic) for values in dict(grid).values() for v in values):
+        obj = {"schema_version": 1, **config().to_dict()}
+        obj["simulation"]["grid"] = grid
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(json.dumps(obj))
+
+
+def test_library_grid_of_tuples_equals_its_list_grid():
+    c = config(replicates=5)
+    as_lists = risk_grid(c, {"rho": [0.5, 2], "s": [1, 3]})
+    as_tuples = risk_grid(c, {"rho": (0.5, 2), "s": (1, 3)})
+    assert as_tuples.to_csv() == as_lists.to_csv()
+    assert as_tuples.to_json() == as_lists.to_json()
+
+
 @pytest.mark.parametrize("sigma", [math.nan, math.inf])
 def test_config_rejects_non_finite_sigma(sigma):
     with pytest.raises(ValueError, match="finite"):
