@@ -424,7 +424,7 @@ def check_grid(base: SimConfig, grid: dict) -> Grid:
     """Every cell of ``grid`` and its config, each range-checked, so no cell
     fails on a range after earlier cells have run.  The one gate of a grid,
     from a config file or from Python: first, in key order, ``grid`` is a
-    dict of nonempty lists (or tuples), each entry of a known axis exactly of
+    dict from axis names (strings) to nonempty lists (or tuples), each entry of a known axis exactly of
     a ``_GRID_TYPES`` type (finite if a number: no bool or numpy scalar runs);
     then every axis must be known.
 
@@ -443,6 +443,8 @@ def check_grid(base: SimConfig, grid: dict) -> Grid:
     if not isinstance(grid, dict):
         raise ValueError("simulation.grid: expected an object of axis lists")
     for axis, values in grid.items():
+        if type(axis) is not str:  # sorted() below compares the names
+            raise ValueError(f"simulation.grid: axis names must be strings, not {axis!r}")
         if not isinstance(values, (list, tuple)) or not values:
             raise ValueError(f"simulation.grid.{axis}: expected a nonempty list")
         if axis in _GRID_TYPES:

@@ -35,12 +35,13 @@ kernel row.
 
 A root far below a bracket end at 0 (a steep tail, where the objective is
 flat between the probes and interpolation is refused) would cost one halving
-per factor 2.  So when a halving toward 0 stays on the same side of the root,
-the next bisection step is the exponent step: the geometric mean of the
-nonzero end and the smallest normal float, which bisects the exponent, so
-that any representable root is some 10 steps away.  A solve stops when its
-residual is met, when no float lies inside its bracket, or at ``max_iter``
-evaluations; a residual still unmet then raises BracketError.
+per factor 2.  So when a halving toward 0 stays on the same side of the root
+and fails to halve |g| (the objective is flat there), the next bisection
+step is the exponent step: the geometric mean of the nonzero end and the
+smallest normal float, which bisects the exponent, so that any representable
+root is some 10 steps away.  A solve stops when its residual is met, when no
+float lies inside its bracket, or at ``max_iter`` evaluations; a residual
+still unmet then raises BracketError.
 
 Two kinds of kernel row need no maximum computed before their sum: every
 tail sum, and every phi row of an untied loading at beta >= 0, whose levels
@@ -51,6 +52,15 @@ so the row's sum is numpy's bit for bit and no row holds a buffer of its own
 length.  A row of ``_SPLIT`` levels or more, in a process that may run on two
 CPUs or more, walks its upper half in a helper thread at the same time
 (``_sum_halves``): the CPU count picks the thread, never the result.
+
+An untied kernel row takes one exponential per level.  A phi row
+exponentiates only the first log-sum-exp's terms e_k; the second log-sum-exp
+is read from the sum of e_k u_k, one multiply per level.  A tail-sum row
+exponentiates B r_k, with rates r_k = -(u_top/u_k)^alpha scaled to the
+tail's first level and B = (lam/u_top)^alpha.  A row whose scalars leave the
+normal float range takes the two-exponential form instead, decided per row,
+so that a row's bits depend on its beta or lambda alone (``PhiKernel``).
+Tied rows, which are short, keep the two-exponential phi form.
 """
 
 from __future__ import annotations
@@ -140,17 +150,19 @@ class ThresholdSolution:
 
 
 _BLOCK = 1 << 16  # elements (rows x levels) per kernel evaluation block
-# Levels (> 128) from which a walked row runs in two halves.  On 2
-# vCPUs, exp_decay (BENCH_16.json "cutoff", medians of 3 runs), a split row
-# takes this share of its one-thread time: at 2^15 levels 1.5-1.7 (phi row)
-# and 1.7-2.0 (tail row), at 2^16 0.90-0.98 and 1.29-1.39, at 2^17 0.60-0.64
-# and 0.77-0.87, at 2^18 0.47-0.60 and 0.53-0.99.  Below 2^16 a block of
-# several rows takes 0.8-1.2 (phi) and 1.1-1.7 (tail) of it.
-_SPLIT = 1 << 17
+# Levels (> 128) from which a walked row runs in two halves.  On 2 vCPUs,
+# exp_decay, with one exponential per level (BENCH_21.json "cutoff", medians
+# of 500 calls), a split row takes this share of its one-thread time:
+# 1.13-1.40 (phi row) and 1.18-1.61 (tail row) at 2^15 to 2^18 levels, 1.14
+# and 0.89 at 2.5e5, 1.03-1.08 and 1.04-1.08 at 2^19 to 2^21, 0.97 and 0.65
+# at 3e6, 0.55-0.68 and 0.68-0.77 at 2^22.  Two processes there each ran at
+# half speed: the helper gains only once a row outgrows the caches.
+_SPLIT = 1 << 21
 # A walked row runs its pass chain on leaves of at most _LEAF levels, in one
 # leaf-sized buffer per half (d = 2.5e5: 2^16 levels beat 2^14).
 _LEAF = 1 << 16
 _helper: tuple[int, object] | None = None  # (pid, the executor of upper halves)
+_TINY = sys.float_info.min  # the smallest normal float
 
 
 def reduce_last(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
@@ -239,17 +251,18 @@ def _walk(n: int, shape: tuple[int, ...], leaf):
 
 class PhiKernel:
     """log phi, log nu^2 and tail sums for one (loading, alpha), on the
-    loading's distinct |eta| levels u_k with multiplicities c_k.
+    loading's distinct |eta| levels u_0 > u_1 > ... with multiplicities c_k.
 
     Reads nothing of the loading but its ``levels``, so a homogeneous or
-    two_phase kernel costs O(levels) at any d.  Holds ``log_u``,
-    ``a1 = log u + log c`` and, from the first phi evaluation on,
-    ``neg_r = -u^-alpha`` formed in log space as ``-exp(-alpha log u)`` (-inf
-    where it overflows); a tail sum (the asym solve) reads only ``log_u``.
-    Without ties ``a1`` is ``log_u`` itself, so an untied loading keeps two
-    d-length arrays.  The level exponents are ``w_k = beta * neg_r_k``,
-    exactly 0 at beta = 0, and every evaluation subtracts the dominant one,
-    ``w_top``, exactly:
+    two_phase kernel costs O(levels) at any d.  Each array it holds over the
+    levels is built on first use: ``neg_r = -u^-alpha``, formed in log space
+    as ``-exp(-alpha log u)`` (-inf where it overflows), which phi rows and
+    tail sums read; and for phi rows, on a tied kernel ``log_u`` and ``a1 =
+    log u + log c``, on an untied one only the exponent gap ``gap = log u -
+    log u_0``.  So an untied kernel holds two arrays of its levels' length, a
+    kernel that only sums tails one.  The level exponents are ``w_k = beta *
+    neg_r_k``, exactly 0 at beta = 0, and every evaluation subtracts the
+    dominant one, ``w_top``, exactly:
 
         log phi = w_top/2 + LSE(a1 + delta) - LSE(a1 + log u + delta)/2,
         delta_k = w_k - w_top <= 0,
@@ -257,6 +270,22 @@ class PhiKernel:
     so the log-sum-exps stay finite and a log phi beyond the float range comes
     out as +-inf, never NaN.  Every method takes a vector of betas (rows) and
     evaluates them in blocks of about ``_BLOCK`` elements.
+
+    A tied row exponentiates both LSE terms.  An untied row takes one
+    exponential per level: with y_k = delta_k + gap_k and its maxima
+    m1 = max y and m2 = max(y + gap),
+
+        e_k = exp(y_k - m1),  LSE(a1 + delta) = log u_0 + m1 + log sum e_k,
+        LSE(a1 + log u + delta) = log u_0 + m1 + log sum e_k u_k,
+
+    since the second term's level is the first's times u_k.  That sum's
+    largest term is exp(m2 - m1 + log u_0); a row where it lies outside
+    [e^-600, e^700 / levels], so that the sum could overflow or its largest
+    terms lose bits below the normal range, exponentiates its second term
+    too: LSE = 2 log u_0 + m2 + log sum exp(y_k + gap_k - m2).  (Scaling u_k
+    by c = exp(m1 - m2 - log u_0) instead would need a clamp where u_k c
+    overflows, and there e_k is subnormal: a clamped product could lose a
+    term of order 1.)
 
     One pass over the levels gives both log phi and log nu^2, a row.  ``rows``
     evaluates rows without a lookup, for the batched solves, which share
@@ -271,13 +300,13 @@ class PhiKernel:
     ``_LEAF`` levels, in a leaf-sized buffer allocated for the row, and the
     leaf sums are added up numpy's pairwise tree, the upper half in a helper
     thread from ``_SPLIT`` levels on where two CPUs may run.  The levels fall,
-    and so, on an untied kernel whose ``log_u`` and ``neg_r`` fall as floats
+    and so, on an untied kernel whose ``gap`` and ``neg_r`` fall as floats
     too (checked once per kernel), do the exponents at beta >= 0 and both LSE
-    terms: ``w_top`` and both LSE maxima are the first level's, known before
-    the walk starts.  So a walked row is bit for bit the row that one buffer
-    of its length gives, which is the path of tied kernels and of blocks
-    holding a beta < 0: they compute their maxima first.  No row writes into
-    memory another row can see, so threads may share a kernel.
+    terms: ``w_top`` and both maxima are the first level's (m1 = m2 = 0),
+    known before the walk starts.  So a walked row is bit for bit the row that
+    one buffer of its length gives, which is the path of tied kernels and of
+    blocks holding a beta < 0: they compute their maxima first.  No row
+    writes into memory another row can see, so threads may share a kernel.
     """
 
     def __init__(self, loading: LoadingVector, alpha: float):
@@ -285,31 +314,49 @@ class PhiKernel:
             raise ValueError("alpha must be positive and finite")
         self.levels = loading.levels
         self.alpha = float(alpha)
-        self.log_u = np.log(self.levels.values)
-        self.a1 = self.log_u + np.log(self.levels.counts) if self.levels.tied else self.log_u
         # u^-alpha is largest at the last level
-        neg_r_last = self._neg_r(self.log_u[-1:])[0]
+        neg_r_last = self._neg_r(self.levels.values[-1:])[0]
         self._r_inf = bool(np.isinf(neg_r_last))
         self._bounded = bool(neg_r_last >= -1.0)
         self._memo: dict[float, list[float]] = {}  # beta -> [log phi, log nu^2]
 
-    def _neg_r(self, log_u: np.ndarray) -> np.ndarray:
+    def _neg_r(self, u: np.ndarray) -> np.ndarray:
+        x = np.log(u)
+        x *= -self.alpha
         with np.errstate(over="ignore"):
-            return -np.exp(log_u * -self.alpha)
+            np.exp(x, out=x)
+        return np.negative(x, out=x)
 
     @cached_property
     def neg_r(self) -> np.ndarray:
-        """-u^-alpha per level, built on the first phi evaluation (a tail
-        sum reads only ``log_u``)."""
-        return self._neg_r(self.log_u)
+        """-u^-alpha per level, built on the first phi row or tail sum."""
+        return self._neg_r(self.levels.values)
+
+    @cached_property
+    def log_u(self) -> np.ndarray:
+        """log u per level of a tied kernel."""
+        return np.log(self.levels.values)
+
+    @cached_property
+    def a1(self) -> np.ndarray:
+        """log u + log c per level of a tied kernel."""
+        return self.log_u + np.log(self.levels.counts)
+
+    @cached_property
+    def gap(self) -> tuple[float, np.ndarray]:
+        """(log u_0, log u - log u_0 per level) of an untied kernel."""
+        gap = np.log(self.levels.values)
+        log_top = float(gap[0])
+        gap -= log_top
+        return log_top, gap
 
     @cached_property
     def _falls(self) -> bool:
         """Whether the maxima of a phi row at betas in [0, inf) are its first
-        level's: on an untied kernel whose ``log_u`` and ``neg_r`` fall with
+        level's: on an untied kernel whose ``gap`` and ``neg_r`` fall with
         the level as floats."""
         return not self.levels.tied and all(bool((v[:-1] >= v[1:]).all())
-                                            for v in (self.log_u, self.neg_r))
+                                            for v in (self.gap[1], self.neg_r))
 
     def _exponents(self, betas: np.ndarray, lo: int, hi: int, x: np.ndarray) -> None:
         """x[0] = w over levels lo..hi-1 for a block of rows."""
@@ -320,46 +367,73 @@ class PhiKernel:
         else:
             np.multiply(betas[:, None], neg_r, out=w)
 
-    def _lse_terms(self, top: np.ndarray, lo: int, hi: int, x: np.ndarray) -> None:
-        """x[0] = a1 + delta and x[1] = a1 + log u + delta over levels lo..hi-1,
-        from x[0] = w."""
-        w = x[0]
+    def _first_terms(self, top: np.ndarray, a1: np.ndarray, w: np.ndarray) -> None:
+        """w = a1 + delta in place, from w = w over the levels of a1."""
         if self._bounded or np.isfinite(top).all():
             w -= top[:, None]
         else:  # the log is w_top's infinity; a zero delta keeps the row finite
             finite = np.isfinite(top)
             w -= np.where(finite, top, 0.0)[:, None]
             w[~finite] = 0.0
-        w += self.a1[lo:hi]
-        np.add(w, self.log_u[lo:hi], out=x[1])
+        w += a1
 
     def _lse_pair(self, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(w_top, [LSE(a1 + delta), LSE(a1 + log u + delta)]) for a block of
         rows.  Where the maxima are the first level's (``_falls``, every beta
         in [0, inf)), the row walks leaves (``_walk``); otherwise it computes
         its maxima in one buffer of the row's length."""
-        n = self.log_u.size
+        lv = self.levels
+        n = lv.values.size
         falls = self._falls and bool(((betas >= 0.0) & (betas < math.inf)).all())
         k = 1 if falls else n  # the levels that hold the maxima
+        a1, log_u = (self.a1, self.log_u) if lv.tied else (self.gap[1],) * 2
         x = np.empty((2, betas.size, k))
         self._exponents(betas, 0, k, x)
         top = reduce_last(np.maximum, x[0])
-        self._lse_terms(top, 0, k, x)
+        self._first_terms(top, a1[:k], x[0])
+        np.add(x[0], log_u[:k], out=x[1])
         m = reduce_last(np.maximum, x)
-        if not falls:
+        if lv.tied:
             x -= m[:, :, None]
             np.exp(x, out=x)
             return top, m + np.log(reduce_last(np.add, x))
 
-        def leaf(buf: np.ndarray, lo: int, hi: int) -> np.ndarray:
-            x = buf[:, :, :hi - lo]
-            self._exponents(betas, lo, hi, x)
-            self._lse_terms(top, lo, hi, x)
-            x -= m[:, :, None]
-            np.exp(x, out=x)
+        log_top = self.gap[0]
+        # the second sum's largest term, e_j u_j = exp(m2 - m1 + log u_0)
+        largest = m[1] - m[0] + log_top
+        slow = np.flatnonzero(~((largest >= -600.0) & (largest <= 700.0 - math.log(n))))
+
+        def sums(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+            """[sum e_k, sum e_k u_k] over levels lo..hi-1, from x[0] = y; a
+            slow row's second sum is of exp(y + gap - m2)."""
+            y, second = x
+            if slow.size:
+                term = y[slow] + log_u[lo:hi]
+                term -= m[1, slow, None]
+                np.exp(term, out=term)
+            if not falls:  # a walked row's m1 is 0
+                y -= m[0, :, None]
+            np.exp(y, out=y)
+            np.multiply(y, lv.values[lo:hi], out=second)
+            if slow.size:
+                second[slow] = term
             return reduce_last(np.add, x)
 
-        return top, m + np.log(_walk(n, x.shape[:2], leaf))
+        if falls:
+            def leaf(buf: np.ndarray, lo: int, hi: int) -> np.ndarray:
+                x = buf[:, :, :hi - lo]
+                self._exponents(betas, lo, hi, x)
+                self._first_terms(top, a1[lo:hi], x[0])
+                return sums(x, lo, hi)
+
+            total = _walk(n, x.shape[:2], leaf)
+        else:
+            total = sums(x, 0, n)
+        slow_offset = m[1, slow] + 2.0 * log_top
+        m[0] += log_top
+        m[1] = m[0]
+        m[1, slow] = slow_offset
+        return top, m + np.log(total)
 
     def _probe_block(self, betas: np.ndarray) -> np.ndarray:
         """Rows of (log phi, log nu^2) for a block of betas."""
@@ -368,7 +442,7 @@ class PhiKernel:
 
     def _rows(self, block, betas) -> np.ndarray:
         betas = np.asarray(betas, dtype=float)
-        step = max(1, _BLOCK // self.log_u.size)
+        step = max(1, _BLOCK // self.levels.values.size)
         # exponents saturate to -+inf; with every |eta| >= 1 they cannot overflow
         with contextlib.nullcontext() if self._bounded else np.errstate(over="ignore"):
             if betas.size <= step:
@@ -400,28 +474,55 @@ class PhiKernel:
 
     def tail_sum(self, lams, start: int) -> np.ndarray:
         """sum_{j >= start} exp(-(lam/|eta_j|)^alpha) over 0-based sorted
-        positions j, for each lam >= 0; (lam/u)^alpha is formed in log space."""
+        positions j, for each lam >= 0.
+
+        Each term is exp(B r_k), one exponential per level, with rates scaled
+        to the tail's first level u_top: r_k = neg_r_k t = -(u_top/u_k)^alpha,
+        t = -1/neg_r_top, formed on each leaf, and B = (lam/u_top)^alpha
+        formed in log space.  A tail whose neg_r leaves the normal range or
+        whose last rate overflows, and a row whose B is neither 0 (at lam = 0)
+        nor normal, takes the terms exp(-exp(alpha (log lam - log u))) instead,
+        on logs formed per leaf.  Both are decided per row, from scalars."""
         lv = self.levels
         k = lv.level_of(start)
-        log_u = self.log_u[k:]
+        u, neg_r = lv.values[k:], self.neg_r[k:]
         counts = None
         if lv.tied:
             counts = lv.counts[k:].astype(float)
             counts[0] = lv.ends[k] - start  # the part of level k at or after start
+        first, last = float(neg_r[0]), float(neg_r[-1])
+        t = -1.0 / first if _TINY <= -first < math.inf else math.nan
+        scaled = _TINY <= t < math.inf and -last * t < math.inf
+        log_top = math.log(float(u[0]))
 
-        def terms(lam: np.ndarray, w: np.ndarray, lo: int, hi: int) -> np.ndarray:
-            w = w[:, :hi - lo]
+        def block(lam: np.ndarray) -> np.ndarray:
             with np.errstate(divide="ignore", over="ignore"):  # log 0 = -inf; saturate to inf
-                np.subtract(np.log(lam)[:, None], log_u[lo:hi], out=w)
-                w *= self.alpha
-                np.exp(w, out=w)
-            np.negative(w, out=w)
-            np.exp(w, out=w)
-            if counts is not None:
-                w *= counts[lo:hi]
-            return reduce_last(np.add, w)
+                log_lam = np.log(lam)
+                b = np.exp((log_lam - log_top) * self.alpha)
+            slow = (np.flatnonzero((lam != 0.0) & ~((b >= _TINY) & (b < math.inf))) if scaled
+                    else np.arange(lam.size))
 
-        return self._rows(lambda lam: _walk(log_u.size, lam.shape, partial(terms, lam)), lams)
+            def terms(w: np.ndarray, lo: int, hi: int) -> np.ndarray:
+                w = w[:, :hi - lo]
+                with np.errstate(divide="ignore", over="ignore"):
+                    if slow.size < lam.size:  # the rates in row 0, then each row's B r_k
+                        np.multiply(neg_r[lo:hi], t, out=w[0])
+                        np.multiply(b[1:, None], w[0], out=w[1:])
+                        w[0] *= b[0]
+                        np.exp(w, out=w)
+                    if slow.size:  # rows whose B or rates leave the normal range
+                        x = log_lam[slow, None] - np.log(u[lo:hi])
+                        x *= self.alpha
+                        np.exp(x, out=x)
+                        np.negative(x, out=x)
+                        w[slow] = np.exp(x, out=x)
+                if counts is not None:
+                    w *= counts[lo:hi]
+                return reduce_last(np.add, w)
+
+            return _walk(u.size, lam.shape, terms)
+
+        return self._rows(block, lams)
 
 
 def log_phi_objective(loading: LoadingVector, alpha: float, beta: float) -> float:
@@ -448,10 +549,12 @@ def _safe_expm1(g: float) -> float:
 
 
 def _chandrupatla_x(x1: float, f1: float, x2: float, f2: float, x3: float | None,
-                    f3: float, width: float) -> float | None:
+                    f3: float, width: float, stalled: bool = False) -> float | None:
     """Next probe strictly inside the bracket between x1 (the newest point)
     and x2, across which g changes sign; x3 is the point the bracket dropped
-    last (None before the first step).
+    last (None before the first step).  ``stalled`` says that the last step
+    halved the bracket toward an end at 0 without crossing the root or
+    halving |g|.
 
     Chandrupatla's step: inverse quadratic interpolation through the three
     points where it is monotone on the bracket, kept at least
@@ -461,10 +564,9 @@ def _chandrupatla_x(x1: float, f1: float, x2: float, f2: float, x3: float | None
     the root lies nearest, so a root next to an end at 0 keeps its relative
     precision.  A bisection step between same-sign ends more than a factor 4
     apart takes their geometric mean: a root 170 decades below the larger end
-    is then some 10 steps away, not 570.  Against an end at exactly 0, a
-    bisection step after a halving that did not cross the root is the exponent
-    step (see the module docstring).  None once no float lies strictly inside
-    the bracket.
+    is then some 10 steps away, not 570.  A bisection step after a stalled
+    halving is the exponent step (see the module docstring).  None once no
+    float lies strictly inside the bracket.
     """
     (xb, fb), (xo, fo) = ((x1, f1), (x2, f2)) if abs(f1) < abs(f2) else ((x2, f2), (x1, f1))
     span = xo - xb
@@ -479,7 +581,6 @@ def _chandrupatla_x(x1: float, f1: float, x2: float, f2: float, x3: float | None
             t = min(1.0 - tl, max(tl, t))
     if t is None:
         t = 0.5
-        stalled = x2 == 0.0 and x3 is not None and x1 == 0.5 * x3  # the exponent step
         if stalled or (min(xb, xo) > 0.0 or max(xb, xo) < 0.0) and not 0.25 < xb / xo < 4.0:
             a, b = (x1, sys.float_info.min) if stalled else (xb, xo)
             x = math.copysign(math.sqrt(abs(a)) * math.sqrt(abs(b)), a)
@@ -492,18 +593,19 @@ def _chandrupatla_x(x1: float, f1: float, x2: float, f2: float, x3: float | None
     return None
 
 
-def _chandrupatla_xs(x1, f1, x2, f2, x3, f3, width: float) -> np.ndarray:
+def _chandrupatla_xs(x1, f1, x2, f2, x3, f3, width: float, stalled=None) -> np.ndarray:
     """``_chandrupatla_x`` on arrays of brackets, NaN where it returns None;
-    ``x3`` and ``f3`` are None before the first step.  Every bracket goes
-    through the same float operations in the same order, so it gets exactly
-    the probe its one-target step would."""
+    ``x3``, ``f3`` and ``stalled`` are None before the first step.  Every
+    bracket goes through the same float operations in the same order, so it
+    gets exactly the probe its one-target step would."""
     best1 = np.abs(f1) < np.abs(f2)
     xb, fb, xo, fo = np.where(best1, (x1, f1, x2, f2), (x2, f2, x1, f1))
     span = xo - xb
     tl = np.minimum(width * np.abs(xb) / np.abs(span), 0.5)
     x = half = xb + 0.5 * span
     bisect = np.ones(xb.shape, dtype=bool)
-    stalled = ~bisect
+    if stalled is None:
+        stalled = ~bisect
     if x3 is not None:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             xi = (x1 - x2) / (x3 - x2)
@@ -516,7 +618,6 @@ def _chandrupatla_xs(x1, f1, x2, f2, x3, f3, width: float) -> np.ndarray:
             t = np.where(t < 1.0 - tl, t, 1.0 - tl)
         x = np.where(iqi, xb + t * span, half)
         bisect = ~iqi
-        stalled = (x2 == 0.0) & (x1 == 0.5 * x3)  # the exponent step
     on_end = (x == xb) | (x == xo)
     if on_end.any():  # a step that rounds onto an end falls back to the midpoint
         x = np.where(on_end, half, x)
@@ -592,6 +693,7 @@ def _solve_decreasing(rows_of, t: np.ndarray, row0: np.ndarray, resid_rel_of):
     # the expansion evaluated both bracket ends; start from the better
     root, g, at = (x1, f1, row1) if abs(f1) < abs(f2) else (x2, f2, row2)
     x = _chandrupatla_x(x1, f1, x2, f2, None, 0.0, tol.width)
+    stalled = False  # the last step halved toward 0, crossing neither the root nor |g|/2
     while iters < tol.max_iter and x is not None:
         row = rows_of(np.array([x]))[0]
         gx = float(row[0]) - t
@@ -601,12 +703,14 @@ def _solve_decreasing(rows_of, t: np.ndarray, row0: np.ndarray, resid_rel_of):
         if abs(resid_rel_of(gx)) <= tol.rel:
             break
         if (gx > 0.0) == (f1 > 0.0):  # x replaces the newest end
+            stalled = x2 == 0.0 and x == 0.5 * x1 and abs(gx) > 0.5 * abs(f1)
             x3, f3 = x1, f1
         else:                         # x replaces the other end
+            stalled = False
             x3, f3 = x2, f2
             x2, f2 = x1, f1
         x1, f1 = x, gx
-        x = _chandrupatla_x(x1, f1, x2, f2, x3, f3, tol.width)
+        x = _chandrupatla_x(x1, f1, x2, f2, x3, f3, tol.width, stalled)
     if abs(resid_rel_of(g)) > tol.rel:
         raise _unmet(rows_of, t, sign, root, g, iters, resid_rel_of)
     return np.array([root]), np.array([g]), np.array([iters]), at[None]
@@ -708,12 +812,14 @@ def _solve_arrays(rows_of, t: np.ndarray, row0: np.ndarray, resid_rel_of):
         root[i], g[i], at[i] = x[better], gx[better], rows[better]
         # rows x1 f1 x2 f2 x3 f3: x3 the end the bracket dropped last
         same = (gx > 0.0) == (br[1] > 0.0)  # x replaces the newest end
+        stalled = (same & (br[2] == 0.0) & (x == 0.5 * br[0])
+                   & (np.abs(gx) > 0.5 * np.abs(br[1])))  # as in _solve_decreasing
         nxt = np.empty((6, act.size))
         nxt[0], nxt[1] = x, gx
         nxt[2:4] = np.where(same, br[2:4], br[:2])
         nxt[4:] = np.where(same, br[:2], br[2:4])
         br = nxt
-        x = _chandrupatla_xs(*br, tol.width)
+        x = _chandrupatla_xs(*br, tol.width, stalled)
         keep = ((gx < lo) | (gx > hi)) & ~np.isnan(x) & (iters[act] < tol.max_iter)
     unmet = np.flatnonzero((g < lo) | (g > hi))
     if unmet.size:

@@ -138,6 +138,19 @@ def test_library_grids_pass_the_config_gate(grid, message):
             parse_config(json.dumps(obj))
 
 
+@pytest.mark.parametrize("grid, name", [({1: [2], "rho": [1.0]}, "1"),
+                                        ({"rho": [1.0], ("s",): [2]}, "('s',)")])
+def test_library_grid_axis_names_must_be_strings(grid, name):
+    # mixed key types used to fail in sorted() with a TypeError and no path
+    # (a config file cannot reach this: JSON keys are strings)
+    from sparsefn.sim import check_grid
+
+    message = f"simulation.grid: axis names must be strings, not {name}"
+    for call in (check_grid, risk_grid):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(config(), grid)
+
+
 def test_library_grid_of_tuples_equals_its_list_grid():
     c = config(replicates=5)
     as_lists = risk_grid(c, {"rho": [0.5, 2], "s": [1, 3]})

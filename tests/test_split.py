@@ -10,6 +10,7 @@ also runs where the process may use only one.
 """
 
 import contextlib
+import math
 import os
 import subprocess
 import sys
@@ -177,12 +178,91 @@ def test_split_rows_on_extreme_levels(split_from, values, alpha):
     assert two == one
 
 
+TINY = sys.float_info.min
+
+
+def _exponents(kernel: PhiKernel, beta: float) -> np.ndarray:
+    """w = beta * neg_r over the levels, 0 at beta = 0 where neg_r is -inf."""
+    if beta == 0.0 and kernel._r_inf:
+        return np.zeros(kernel.neg_r.size)
+    return beta * kernel.neg_r
+
+
+def _row_scalars(kernel: PhiKernel, beta: float):
+    """(w_top, y = delta + gap, m1, m2, whether the second sum's largest term
+    exp(m2 - m1 + log u_0) lies in [e^-600, e^700 / levels]) of an untied
+    row."""
+    log_top, gap = kernel.gap
+    with np.errstate(over="ignore"):
+        w = _exponents(kernel, beta)
+        top = w.max()
+        y = ((w - top) if np.isfinite(top) else np.zeros(w.size)) + gap
+    m1, m2 = y.max(), (y + gap).max()
+    largest = m2 - m1 + log_top
+    return top, y, m1, m2, bool(-600.0 <= largest <= 700.0 - math.log(w.size))
+
+
+def _one_buffer_rows(kernel: PhiKernel, betas) -> np.ndarray:
+    """Rows (log phi, log nu^2) of an untied kernel in its one-exponential
+    form, each in one buffer of the row's length: e = exp(y - m1) with
+    y = delta + gap, LSE1 = m1 + log u_0 + log sum e and
+    LSE2 = m1 + log u_0 + log sum e u, or m2 + 2 log u_0 + log sum
+    exp(y + gap - m2) where the second sum's largest term leaves its range."""
+    log_top, gap = kernel.gap
+    rows = []
+    for beta in betas:
+        top, y, m1, m2, fast = _row_scalars(kernel, beta)
+        e = np.exp(y - m1)
+        lse1 = (m1 + log_top) + np.log(e.sum())
+        if fast:
+            lse2 = (m1 + log_top) + np.log((e * kernel.levels.values).sum())
+        else:
+            lse2 = (m2 + 2.0 * log_top) + np.log(np.exp(y + gap - m2).sum())
+        rows.append([lse1 - 0.5 * (lse2 - top), top + lse2])
+    return np.array(rows)
+
+
 def _one_buffer_tail(kernel: PhiKernel, lams, start: int) -> np.ndarray:
-    """``tail_sum`` of an untied kernel in one buffer of the tail's length,
-    the same float operations as each leaf of the walk."""
+    """``tail_sum`` of an untied kernel in one buffer of the tail's length:
+    exp(B r_k) with r_k = neg_r_k t, t = -1/neg_r_top and
+    B = (lam/u_top)^alpha, or exp(-exp(alpha (log lam - log u))) where B,
+    t or the last rate leaves the normal range."""
+    lam = np.asarray(lams, dtype=float)
+    u, neg_r = kernel.levels.values[start:], kernel.neg_r[start:]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = -1.0 / neg_r[0]
+        b = np.exp((np.log(lam) - np.log(u[0])) * kernel.alpha)
+        scaled = TINY <= -neg_r[0] and TINY <= t < np.inf and -neg_r[-1] * t < np.inf
+        fast = scaled & ((lam == 0.0) | ((b >= TINY) & (b < np.inf)))
+        terms = np.where(fast[:, None], np.exp(b[:, None] * (neg_r * t)),
+                         np.exp(-np.exp((np.log(lam)[:, None] - np.log(u)) * kernel.alpha)))
+    return terms.sum(axis=1)
+
+
+def _two_exp_rows(kernel: PhiKernel, betas) -> np.ndarray:
+    """Rows (log phi, log nu^2) in the form that exponentiates both LSE
+    terms: the form of every tied row, and of untied rows before they took
+    one exponential per level."""
+    log_u = np.log(kernel.levels.values)
+    a1 = log_u + np.log(kernel.levels.counts) if kernel.levels.tied else log_u
+    rows = []
+    with np.errstate(over="ignore"):
+        for beta in betas:
+            w = _exponents(kernel, beta)
+            top = w.max()
+            x1 = ((w - top) if np.isfinite(top) else np.zeros(a1.size)) + a1
+            x2 = x1 + log_u
+            lse1, lse2 = (x.max() + np.log(np.exp(x - x.max()).sum()) for x in (x1, x2))
+            rows.append([lse1 - 0.5 * (lse2 - top), top + lse2])
+    return np.array(rows)
+
+
+def _two_exp_tail(kernel: PhiKernel, lams, start: int) -> np.ndarray:
+    """``tail_sum`` of an untied kernel as exp(-exp(alpha (log lam - log u)))
+    per level, the form of every tail row before rows were scaled."""
     lam = np.asarray(lams, dtype=float)
     with np.errstate(divide="ignore", over="ignore"):
-        w = np.exp((np.log(lam)[:, None] - kernel.log_u[start:]) * kernel.alpha)
+        w = np.exp((np.log(lam)[:, None] - np.log(kernel.levels.values[start:])) * kernel.alpha)
     return np.exp(-w).sum(axis=1)
 
 
@@ -198,11 +278,13 @@ def _one_buffer_kernel(lv, alpha: float) -> PhiKernel:
        st.lists(st.floats(min_value=0.0, max_value=1e300), min_size=1, max_size=4))
 def test_walked_rows_equal_one_buffer_rows(split_from, lv, alpha, drawn):
     """Rows at betas in [0, inf) walk leaves on one CPU or two, with leaves of
-    2^16 levels or of 128: each is bit for bit the row that computes its
-    maxima in one buffer, and each tail sum the sum over one buffer."""
+    2^16 levels or of 128, or compute their maxima in one buffer: each is bit
+    for bit the row of the one-exponential form in one buffer of its length,
+    and each tail sum the sum over one buffer."""
     betas = BETAS + drawn
-    ref = _one_buffer_kernel(lv, alpha)
-    want = [_bits(ref.rows(betas)), *(_bits(ref.rows([b])) for b in betas),
+    ref = PhiKernel(lv, alpha)
+    rows = _one_buffer_rows(ref, betas)
+    want = [_bits(rows), *(_bits(row) for row in rows),
             *(_bits(_one_buffer_tail(ref, LAMS, start)) for start in (0, lv.d // 3))]
     for walk in (contextlib.nullcontext, lambda: split_from(129)):
         with walk():
@@ -211,6 +293,102 @@ def test_walked_rows_equal_one_buffer_rows(split_from, lv, alpha, drawn):
                    *(_bits(kernel.tail_sum(LAMS, start)) for start in (0, lv.d // 3))]
             assert kernel._falls
         assert got == want
+    assert _bits(_one_buffer_kernel(lv, alpha).rows(betas)) == want[0]
+
+
+# |new - old| / max(1, |old|) between the one-exponential rows and the
+# two-exp forms, and |new - old| / old between tail sums, pinned from a first
+# measurement over 2300 draws of the test below (worst: 6.4e-14 on log phi,
+# 8.9e-16 on log nu^2 and 1.6e-13 on tail sums)
+LOG_PHI_REL, LOG_NU2_REL, TAIL_REL = 2e-13, 4e-15, 5e-13
+
+
+def _assert_near_two_exp(kernel: PhiKernel, betas) -> None:
+    """Rows of any kernel against the two-exp form: a tied row equals it bit
+    for bit; an untied row is finite where it is, the same infinity where it
+    is not, and within the pinned bounds."""
+    with np.errstate(over="ignore"):
+        new, old = kernel.rows(betas), _two_exp_rows(kernel, betas)
+    if kernel.levels.tied:
+        assert _bits(new) == _bits(old)
+    finite = np.isfinite(old)
+    assert (np.isfinite(new) == finite).all()
+    assert _bits(new[~finite]) == _bits(old[~finite])
+    err = np.abs(np.subtract(new, old, where=finite, out=np.zeros_like(old)))
+    err /= np.maximum(1.0, np.abs(old))
+    assert err[:, 0].max() <= LOG_PHI_REL and err[:, 1].max() <= LOG_NU2_REL
+
+
+@settings(max_examples=40)
+@given(explicit_loadings(), st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+       st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=1, max_size=4))
+def test_rows_stay_near_the_two_exp_forms(lv, alpha, drawn):
+    kernel = PhiKernel(lv, alpha)
+    _assert_near_two_exp(kernel, BETAS + NEGATIVE + drawn)
+    if lv.levels.tied:
+        return
+    lams = np.array(LAMS + [abs(x) for x in drawn])
+    for start in (0, lv.d // 3):
+        new, old = kernel.tail_sum(lams, start), _two_exp_tail(kernel, lams, start)
+        assert _bits(new) == _bits(_one_buffer_tail(kernel, lams, start))
+        assert _bits(new[old == 0.0]) == _bits(old[old == 0.0])
+        assert (np.abs(new - old) <= TAIL_REL * old).all()
+
+
+def test_phi_rows_whose_second_sum_leaves_its_range_exponentiate_both_terms():
+    """At beta < 0 on levels 600 decades apart, the second sum's largest
+    term exp(m2 - m1 + log u_0) leaves [e^-600, e^700 / levels]: those rows
+    take the two-exp second term, and stay near the two-exp form."""
+    lv = make_loading(LoadingSpec("explicit", values=tuple(np.geomspace(1e300, 1e-300, 61))))
+    kernel = PhiKernel(lv, 1.0)
+    betas = [-1e-200, -1e-150, -1.0]
+    assert not any(_row_scalars(kernel, b)[-1] for b in betas)
+    assert _bits(kernel.rows(betas)) == _bits(_one_buffer_rows(kernel, betas))
+    _assert_near_two_exp(kernel, betas + [1.0])
+
+
+@settings(max_examples=25)
+@given(explicit_loadings(), st.sampled_from([0.5, 1.0, 2.0, 4.0]), st.randoms())
+def test_a_block_of_mixed_signs_equals_its_rows(lv, alpha, rnd):
+    """A block holding betas < 0 and >= 0, on a tied kernel or an untied one,
+    computes its maxima in one buffer; each row is bit for bit the row
+    evaluated alone (a walked row where beta >= 0 on an untied kernel)."""
+    betas = BETAS + NEGATIVE
+    rnd.shuffle(betas)
+    kernel = PhiKernel(lv, alpha)
+    block = kernel.rows(betas)
+    assert [_bits(row) for row in block] == [_bits(kernel.rows([b])) for b in betas]
+
+
+@pytest.mark.parametrize("values", [
+    np.geomspace(1e301, 1e299, 300),
+    make_loading(LoadingSpec("two_phase", d=5000, gamma_d=0.4, gamma_lambda=0.2)).values,
+])
+def test_a_block_of_mixed_signs_equals_its_rows_on_fixed_kernels(values):
+    lv = make_loading(LoadingSpec("explicit", values=tuple(values.tolist())))
+    for alpha in (1.0, 8.0):
+        kernel = PhiKernel(lv, alpha)
+        block = kernel.rows(BETAS + NEGATIVE)
+        assert [_bits(row) for row in block] == [_bits(kernel.rows([b])) for b in BETAS + NEGATIVE]
+
+
+@pytest.mark.parametrize("alpha", [8.0, 16.0])
+def test_tail_rows_near_the_float_maximum_take_the_two_exp_form(alpha):
+    """-|eta|^-alpha underflows to -0 for |eta| in [1e299, 1e301] at alpha 8
+    and 16, and lam^alpha overflows, so the unscaled one-exponential term
+    exp(lam^alpha neg_r) is NaN there.  neg_r at the tail's first level is
+    not normal, so no rate can be scaled to it: every row takes the two-exp
+    form, finite and bit for bit that form."""
+    lv = make_loading(LoadingSpec("explicit", values=tuple(np.geomspace(1e301, 1e299, 1000))))
+    kernel = PhiKernel(lv, alpha)
+    lams = np.geomspace(1e299, 1e301, 7)
+    for start in (0, 500):
+        assert kernel.neg_r[start] == 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(np.exp(lams[:, None] ** alpha * kernel.neg_r[start:])).any()
+        got = kernel.tail_sum(lams, start)
+        assert np.isfinite(got).all() and got.max() > 0.0
+        assert _bits(got) == _bits(_two_exp_tail(kernel, lams, start))
 
 
 @pytest.fixture
@@ -268,7 +446,7 @@ def test_computed_maxima_take_one_buffer_and_one_cpu_walks_here(split_from, walk
     halves = []
     monkeypatch.setattr(threshold, "_sum_halves", lambda n, half: halves.append(n))
     kernel = PhiKernel(untied, 1.0)
-    assert _bits(kernel.rows(BETAS)) == _bits(_one_buffer_kernel(untied, 1.0).rows(BETAS))
+    assert _bits(kernel.rows(BETAS)) == _bits(_one_buffer_rows(kernel, BETAS))
     assert _bits(kernel.tail_sum(LAMS, 1)) == _bits(_one_buffer_tail(kernel, LAMS, 1))
     assert halves == []
     assert {n for n, _ in walks} == {1000, 999}

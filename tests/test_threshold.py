@@ -373,6 +373,7 @@ def test_solver_costs_no_more_than_bisection():
         ours += int(iters[0])
         bisection += reference
     assert bisection >= 2.5 * ours, (bisection, ours)
+    assert ours <= 15651, ours  # the count before the exponent step waited for a stall
 
 
 def _scipy_roots(f, levels, **domain):
@@ -557,6 +558,16 @@ def test_batched_steep_roots_take_the_one_target_steps():
     lv = make_loading(LoadingSpec("exp_decay", d=100, c=3.0, gamma=1.0))
     targets = [s / 2.0 for s in range(1, 10)] + [adaptive_target(s) for s in range(1, 10)]
     _assert_batch_equals_one_target_solves(lv, 2.0, targets)
+
+
+def test_a_halving_that_halves_g_takes_no_exponent_step():
+    # the halvings toward 0 of these solves miss the root but halve |g|, so
+    # the objective is not flat there: an exponent step after them (as after
+    # any halving that missed the root) took 24 and 19 evaluations
+    lv = make_loading(LoadingSpec("exp_decay", d=100, c=3.0, gamma=1.0))
+    assert solve_beta(lv, 2.0, 1.0).iterations <= 12
+    assert solve_lambda_H(lv, 2.0, 1).iterations <= 13
+    _assert_batch_equals_one_target_solves(lv, 2.0, [0.5, 1.0, 1.5, adaptive_target(2)])
 
 
 @pytest.mark.parametrize("alpha, ss", [(0.5, (63, 66)), (1.0, (47, 80)), (2.0, (40, 62))])
