@@ -53,14 +53,13 @@ length.  A row of ``_SPLIT`` levels or more, in a process that may run on two
 CPUs or more, walks its upper half in a helper thread at the same time
 (``_sum_halves``): the CPU count picks the thread, never the result.
 
-An untied kernel row takes one exponential per level.  A phi row
-exponentiates only the first log-sum-exp's terms e_k; the second log-sum-exp
-is read from the sum of e_k u_k, one multiply per level.  A tail-sum row
-exponentiates B r_k, with rates r_k = -(u_top/u_k)^alpha scaled to the
-tail's first level and B = (lam/u_top)^alpha.  A row whose scalars leave the
-normal float range takes the two-exponential form instead, decided per row,
-so that a row's bits depend on its beta or lambda alone (``PhiKernel``).
-Tied rows, which are short, keep the two-exponential phi form.
+Every kernel row takes one exponential per level.  A phi row exponentiates
+only the first log-sum-exp's terms e_k; the second log-sum-exp is read from
+the sum of e_k u_k, one multiply per level.  A tail-sum row exponentiates
+B r_k, with rates r_k = -(u_top/u_k)^alpha scaled to the tail's first level
+and B = (lam/u_top)^alpha.  A row whose scalars leave the normal float range
+takes the two-exponential form instead, decided per row, so that a row's
+bits depend on its beta or lambda alone (``PhiKernel``).
 """
 
 from __future__ import annotations
@@ -150,19 +149,22 @@ class ThresholdSolution:
 
 
 _BLOCK = 1 << 16  # elements (rows x levels) per kernel evaluation block
-# Levels (> 128) from which a walked row runs in two halves.  On 2 vCPUs,
-# exp_decay, with one exponential per level (BENCH_21.json "cutoff", medians
-# of 500 calls), a split row takes this share of its one-thread time:
-# 1.13-1.40 (phi row) and 1.18-1.61 (tail row) at 2^15 to 2^18 levels, 1.14
-# and 0.89 at 2.5e5, 1.03-1.08 and 1.04-1.08 at 2^19 to 2^21, 0.97 and 0.65
-# at 3e6, 0.55-0.68 and 0.68-0.77 at 2^22.  Two processes there each ran at
-# half speed: the helper gains only once a row outgrows the caches.
-_SPLIT = 1 << 21
+# Levels (> 128) from which a walked row runs in two halves.  On 2
+# vCPUs, exp_decay (BENCH_16.json "cutoff", medians of 3 runs), a split row
+# takes this share of its one-thread time: at 2^15 levels 1.5-1.7 (phi row)
+# and 1.7-2.0 (tail row), at 2^16 0.90-0.98 and 1.29-1.39, at 2^17 0.60-0.64
+# and 0.77-0.87, at 2^18 0.47-0.60 and 0.53-0.99.  Below 2^16 a block of
+# several rows takes 0.8-1.2 (phi) and 1.1-1.7 (tail) of it.  The rows with
+# one exponential per level (BENCH_21.json "cutoff") were timed only on 2
+# vCPUs where two processes each ran at half speed, and there split rows
+# gained only from 3e6 levels on; that host cannot tell the cutoff.
+_SPLIT = 1 << 17
 # A walked row runs its pass chain on leaves of at most _LEAF levels, in one
 # leaf-sized buffer per half (d = 2.5e5: 2^16 levels beat 2^14).
 _LEAF = 1 << 16
 _helper: tuple[int, object] | None = None  # (pid, the executor of upper halves)
 _TINY = sys.float_info.min  # the smallest normal float
+_NO_ROWS = np.empty(0, dtype=np.intp)
 
 
 def reduce_last(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
@@ -257,35 +259,39 @@ class PhiKernel:
     two_phase kernel costs O(levels) at any d.  Each array it holds over the
     levels is built on first use: ``neg_r = -u^-alpha``, formed in log space
     as ``-exp(-alpha log u)`` (-inf where it overflows), which phi rows and
-    tail sums read; and for phi rows, on a tied kernel ``log_u`` and ``a1 =
-    log u + log c``, on an untied one only the exponent gap ``gap = log u -
-    log u_0``.  So an untied kernel holds two arrays of its levels' length, a
-    kernel that only sums tails one.  The level exponents are ``w_k = beta *
-    neg_r_k``, exactly 0 at beta = 0, and every evaluation subtracts the
-    dominant one, ``w_top``, exactly:
+    tail sums read; for phi rows the exponent gap ``gap = log u - log u_0``;
+    and on a tied kernel ``a1 = gap + log c``.  So an untied kernel holds two
+    arrays of its levels' length, a tied one three, a kernel that only sums
+    tails one.  The level exponents are ``w_k = beta * neg_r_k``, exactly 0
+    at beta = 0, and every evaluation subtracts the dominant one, ``w_top``,
+    exactly:
 
-        log phi = w_top/2 + LSE(a1 + delta) - LSE(a1 + log u + delta)/2,
+        log phi = w_top/2 + LSE(log u + log c + delta)
+                  - LSE(2 log u + log c + delta)/2,
         delta_k = w_k - w_top <= 0,
 
     so the log-sum-exps stay finite and a log phi beyond the float range comes
     out as +-inf, never NaN.  Every method takes a vector of betas (rows) and
     evaluates them in blocks of about ``_BLOCK`` elements.
 
-    A tied row exponentiates both LSE terms.  An untied row takes one
-    exponential per level: with y_k = delta_k + gap_k and its maxima
-    m1 = max y and m2 = max(y + gap),
+    A row takes one exponential per level: with y_k = delta_k + gap_k
+    + log c_k (log c = 0 untied) and its maximum m1,
 
-        e_k = exp(y_k - m1),  LSE(a1 + delta) = log u_0 + m1 + log sum e_k,
-        LSE(a1 + log u + delta) = log u_0 + m1 + log sum e_k u_k,
+        e_k = exp(y_k - m1),  LSE1 = (m1 + log u_0) + log sum e_k,
+        LSE2 = (m1 + log u_0) + log sum e_k u_k,
 
-    since the second term's level is the first's times u_k.  That sum's
-    largest term is exp(m2 - m1 + log u_0); a row where it lies outside
-    [e^-600, e^700 / levels], so that the sum could overflow or its largest
-    terms lose bits below the normal range, exponentiates its second term
-    too: LSE = 2 log u_0 + m2 + log sum exp(y_k + gap_k - m2).  (Scaling u_k
-    by c = exp(m1 - m2 - log u_0) instead would need a clamp where u_k c
-    overflows, and there e_k is subnormal: a clamped product could lose a
-    term of order 1.)
+    since the second term's level is the first's times u_k.  With m2 =
+    max(y + gap), the second sum's largest term is e_j u_j = exp(m2 - m1 +
+    log u_0), and its factor e_j >= exp(m2 - m1), as gap <= 0.  A row where
+    either lies below e^-600, so that the sum's largest terms could lose bits
+    below the normal range, or the term above e^700 / levels, so that the sum
+    could overflow, exponentiates its second term too: LSE2 = (m2 + 2 log u_0)
+    + log sum exp(y_k + gap_k - m2).  m2 - m1 lies in [gap_last, 0], so on a
+    kernel whose levels span at most 599 nats, with log u_last >= -599 and
+    log u_0 <= 700 - log levels (``_narrow``, checked once per kernel), no
+    row needs that check or m2.  (Scaling u_k by c = exp(m1 - m2 - log u_0)
+    instead would need a clamp where u_k c overflows, and there e_k is
+    subnormal: a clamped product could lose a term of order 1.)
 
     One pass over the levels gives both log phi and log nu^2, a row.  ``rows``
     evaluates rows without a lookup, for the batched solves, which share
@@ -301,11 +307,11 @@ class PhiKernel:
     leaf sums are added up numpy's pairwise tree, the upper half in a helper
     thread from ``_SPLIT`` levels on where two CPUs may run.  The levels fall,
     and so, on an untied kernel whose ``gap`` and ``neg_r`` fall as floats
-    too (checked once per kernel), do the exponents at beta >= 0 and both LSE
-    terms: ``w_top`` and both maxima are the first level's (m1 = m2 = 0),
-    known before the walk starts.  So a walked row is bit for bit the row that
-    one buffer of its length gives, which is the path of tied kernels and of
-    blocks holding a beta < 0: they compute their maxima first.  No row
+    too (checked once per kernel), do the exponents at beta >= 0 and both
+    sums' terms: ``w_top`` and both maxima are the first level's (m1 = m2 =
+    0), known before the walk starts.  So a walked row is bit for bit the row
+    that one buffer of its length gives, which is the path of tied kernels
+    and of blocks holding a beta < 0: they compute their maxima first.  No row
     writes into memory another row can see, so threads may share a kernel.
     """
 
@@ -333,22 +339,26 @@ class PhiKernel:
         return self._neg_r(self.levels.values)
 
     @cached_property
-    def log_u(self) -> np.ndarray:
-        """log u per level of a tied kernel."""
-        return np.log(self.levels.values)
-
-    @cached_property
-    def a1(self) -> np.ndarray:
-        """log u + log c per level of a tied kernel."""
-        return self.log_u + np.log(self.levels.counts)
-
-    @cached_property
     def gap(self) -> tuple[float, np.ndarray]:
-        """(log u_0, log u - log u_0 per level) of an untied kernel."""
+        """(log u_0, log u - log u_0 per level)."""
         gap = np.log(self.levels.values)
         log_top = float(gap[0])
         gap -= log_top
         return log_top, gap
+
+    @cached_property
+    def a1(self) -> np.ndarray:
+        """gap + log c per level of a tied kernel."""
+        return self.gap[1] + np.log(self.levels.counts)
+
+    @cached_property
+    def _narrow(self) -> bool:
+        """Whether no phi row's second sum can leave its range: m2 - m1 lies
+        in [gap_last, 0] (rounded by far less than a nat), and the bounds
+        hold at both ends."""
+        log_top, gap = self.gap
+        return (float(gap[-1]) >= -599.0 - min(log_top, 0.0)
+                and 700.0 - math.log(gap.size) - log_top >= 0.0)
 
     @cached_property
     def _falls(self) -> bool:
@@ -378,41 +388,39 @@ class PhiKernel:
         w += a1
 
     def _lse_pair(self, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(w_top, [LSE(a1 + delta), LSE(a1 + log u + delta)]) for a block of
-        rows.  Where the maxima are the first level's (``_falls``, every beta
-        in [0, inf)), the row walks leaves (``_walk``); otherwise it computes
-        its maxima in one buffer of the row's length."""
+        """(w_top, [LSE1, LSE2]) for a block of rows.  Where the maxima are
+        the first level's (``_falls``, every beta in [0, inf)), the row walks
+        leaves (``_walk``); otherwise it computes its maxima in one buffer of
+        the row's length."""
         lv = self.levels
         n = lv.values.size
         falls = self._falls and bool(((betas >= 0.0) & (betas < math.inf)).all())
         k = 1 if falls else n  # the levels that hold the maxima
-        a1, log_u = (self.a1, self.log_u) if lv.tied else (self.gap[1],) * 2
+        log_top, gap = self.gap
+        a1 = self.a1 if lv.tied else gap
         x = np.empty((2, betas.size, k))
         self._exponents(betas, 0, k, x)
         top = reduce_last(np.maximum, x[0])
         self._first_terms(top, a1[:k], x[0])
-        np.add(x[0], log_u[:k], out=x[1])
-        m = reduce_last(np.maximum, x)
-        if lv.tied:
-            x -= m[:, :, None]
-            np.exp(x, out=x)
-            return top, m + np.log(reduce_last(np.add, x))
-
-        log_top = self.gap[0]
-        # the second sum's largest term, e_j u_j = exp(m2 - m1 + log u_0)
-        largest = m[1] - m[0] + log_top
-        slow = np.flatnonzero(~((largest >= -600.0) & (largest <= 700.0 - math.log(n))))
+        m1 = reduce_last(np.maximum, x[0])
+        slow = _NO_ROWS
+        if not self._narrow:  # rows whose second sum leaves its range
+            np.add(x[0], gap[:k], out=x[1])
+            m2 = reduce_last(np.maximum, x[1])
+            lower = m2 - m1
+            slow = np.flatnonzero(~((lower >= -600.0 - min(log_top, 0.0))
+                                    & (lower <= 700.0 - math.log(n) - log_top)))
 
         def sums(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
             """[sum e_k, sum e_k u_k] over levels lo..hi-1, from x[0] = y; a
             slow row's second sum is of exp(y + gap - m2)."""
             y, second = x
             if slow.size:
-                term = y[slow] + log_u[lo:hi]
-                term -= m[1, slow, None]
+                term = y[slow] + gap[lo:hi]
+                term -= m2[slow, None]
                 np.exp(term, out=term)
             if not falls:  # a walked row's m1 is 0
-                y -= m[0, :, None]
+                y -= m1[:, None]
             np.exp(y, out=y)
             np.multiply(y, lv.values[lo:hi], out=second)
             if slow.size:
@@ -429,11 +437,11 @@ class PhiKernel:
             total = _walk(n, x.shape[:2], leaf)
         else:
             total = sums(x, 0, n)
-        slow_offset = m[1, slow] + 2.0 * log_top
-        m[0] += log_top
-        m[1] = m[0]
-        m[1, slow] = slow_offset
-        return top, m + np.log(total)
+        offset = m1 + log_top
+        if slow.size:
+            offset = np.stack([offset, offset])
+            offset[1, slow] = m2[slow] + 2.0 * log_top
+        return top, offset + np.log(total)
 
     def _probe_block(self, betas: np.ndarray) -> np.ndarray:
         """Rows of (log phi, log nu^2) for a block of betas."""
@@ -493,7 +501,7 @@ class PhiKernel:
         first, last = float(neg_r[0]), float(neg_r[-1])
         t = -1.0 / first if _TINY <= -first < math.inf else math.nan
         scaled = _TINY <= t < math.inf and -last * t < math.inf
-        log_top = math.log(float(u[0]))
+        log_top = float(np.log(u[:1])[0])  # np.log, as every log of a level here
 
         def block(lam: np.ndarray) -> np.ndarray:
             with np.errstate(divide="ignore", over="ignore"):  # log 0 = -inf; saturate to inf

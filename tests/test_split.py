@@ -189,25 +189,27 @@ def _exponents(kernel: PhiKernel, beta: float) -> np.ndarray:
 
 
 def _row_scalars(kernel: PhiKernel, beta: float):
-    """(w_top, y = delta + gap, m1, m2, whether the second sum's largest term
-    exp(m2 - m1 + log u_0) lies in [e^-600, e^700 / levels]) of an untied
-    row."""
+    """(w_top, y = delta + gap + log c, m1, m2, whether the second sum's
+    largest term exp(m2 - m1 + log u_0) and its factor e_j >= exp(m2 - m1)
+    lie in [e^-600, e^700 / levels]) of a row."""
     log_top, gap = kernel.gap
+    a1 = gap + np.log(kernel.levels.counts) if kernel.levels.tied else gap
     with np.errstate(over="ignore"):
         w = _exponents(kernel, beta)
         top = w.max()
-        y = ((w - top) if np.isfinite(top) else np.zeros(w.size)) + gap
+        y = ((w - top) if np.isfinite(top) else np.zeros(w.size)) + a1
     m1, m2 = y.max(), (y + gap).max()
-    largest = m2 - m1 + log_top
-    return top, y, m1, m2, bool(-600.0 <= largest <= 700.0 - math.log(w.size))
+    lower = m2 - m1
+    return top, y, m1, m2, bool(-600.0 - min(log_top, 0.0) <= lower
+                                <= 700.0 - math.log(w.size) - log_top)
 
 
 def _one_buffer_rows(kernel: PhiKernel, betas) -> np.ndarray:
-    """Rows (log phi, log nu^2) of an untied kernel in its one-exponential
-    form, each in one buffer of the row's length: e = exp(y - m1) with
-    y = delta + gap, LSE1 = m1 + log u_0 + log sum e and
-    LSE2 = m1 + log u_0 + log sum e u, or m2 + 2 log u_0 + log sum
-    exp(y + gap - m2) where the second sum's largest term leaves its range."""
+    """Rows (log phi, log nu^2) in the one-exponential form, each in one
+    buffer of the row's length: e = exp(y - m1) with y = delta + gap + log c,
+    LSE1 = (m1 + log u_0) + log sum e and LSE2 = (m1 + log u_0) + log sum e u,
+    or (m2 + 2 log u_0) + log sum exp(y + gap - m2) where the second sum's
+    largest term or its factor leaves its range."""
     log_top, gap = kernel.gap
     rows = []
     for beta in betas:
@@ -231,7 +233,7 @@ def _one_buffer_tail(kernel: PhiKernel, lams, start: int) -> np.ndarray:
     u, neg_r = kernel.levels.values[start:], kernel.neg_r[start:]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t = -1.0 / neg_r[0]
-        b = np.exp((np.log(lam) - np.log(u[0])) * kernel.alpha)
+        b = np.exp((np.log(lam) - np.log(u[:1])) * kernel.alpha)
         scaled = TINY <= -neg_r[0] and TINY <= t < np.inf and -neg_r[-1] * t < np.inf
         fast = scaled & ((lam == 0.0) | ((b >= TINY) & (b < np.inf)))
         terms = np.where(fast[:, None], np.exp(b[:, None] * (neg_r * t)),
@@ -239,13 +241,15 @@ def _one_buffer_tail(kernel: PhiKernel, lams, start: int) -> np.ndarray:
     return terms.sum(axis=1)
 
 
-def _two_exp_rows(kernel: PhiKernel, betas) -> np.ndarray:
+def _two_exp_rows(kernel: PhiKernel, betas) -> tuple[np.ndarray, np.ndarray]:
     """Rows (log phi, log nu^2) in the form that exponentiates both LSE
-    terms: the form of every tied row, and of untied rows before they took
-    one exponential per level."""
+    terms: the form of every row before rows took one exponential per
+    level.  With them, per row, the size of the terms that log phi =
+    LSE1 - (LSE2 - w_top)/2 is formed from, max(1, |LSE1|, |LSE2|, |w_top|),
+    which scales its rounding error."""
     log_u = np.log(kernel.levels.values)
     a1 = log_u + np.log(kernel.levels.counts) if kernel.levels.tied else log_u
-    rows = []
+    rows, sizes = [], []
     with np.errstate(over="ignore"):
         for beta in betas:
             w = _exponents(kernel, beta)
@@ -254,7 +258,8 @@ def _two_exp_rows(kernel: PhiKernel, betas) -> np.ndarray:
             x2 = x1 + log_u
             lse1, lse2 = (x.max() + np.log(np.exp(x - x.max()).sum()) for x in (x1, x2))
             rows.append([lse1 - 0.5 * (lse2 - top), top + lse2])
-    return np.array(rows)
+            sizes.append(max(1.0, abs(lse1), abs(lse2), abs(top)))
+    return np.array(rows), np.array(sizes)
 
 
 def _two_exp_tail(kernel: PhiKernel, lams, start: int) -> np.ndarray:
@@ -296,26 +301,29 @@ def test_walked_rows_equal_one_buffer_rows(split_from, lv, alpha, drawn):
     assert _bits(_one_buffer_kernel(lv, alpha).rows(betas)) == want[0]
 
 
-# |new - old| / max(1, |old|) between the one-exponential rows and the
-# two-exp forms, and |new - old| / old between tail sums, pinned from a first
-# measurement over 2300 draws of the test below (worst: 6.4e-14 on log phi,
-# 8.9e-16 on log nu^2 and 1.6e-13 on tail sums)
-LOG_PHI_REL, LOG_NU2_REL, TAIL_REL = 2e-13, 4e-15, 5e-13
+# |new - old| between the one-exponential rows and the two-exp forms,
+# relative to the size of log phi's terms (``_two_exp_rows``) and to
+# max(1, |log nu^2|), and |new - old| / old between tail sums, pinned from a
+# first measurement over two sets of 2300 draws of the test below and over
+# 12002 betas of either sign from 1e-322 to 1e307 on 38 wide loadings at
+# alpha 0.5, 1 and 4 (worst: 3.7e-16 on log phi, 1.8e-15 on log nu^2,
+# 2.2e-13 on tail sums)
+LOG_PHI_REL, LOG_NU2_REL, TAIL_REL = 1e-15, 4e-15, 5e-13
 
 
 def _assert_near_two_exp(kernel: PhiKernel, betas) -> None:
-    """Rows of any kernel against the two-exp form: a tied row equals it bit
-    for bit; an untied row is finite where it is, the same infinity where it
-    is not, and within the pinned bounds."""
+    """Rows of any kernel against the two-exp form: each is bit for bit the
+    one-exponential row in one buffer, finite where the two-exp row is, the
+    same infinity where it is not, and within the pinned bounds."""
     with np.errstate(over="ignore"):
-        new, old = kernel.rows(betas), _two_exp_rows(kernel, betas)
-    if kernel.levels.tied:
-        assert _bits(new) == _bits(old)
+        new, (old, size) = kernel.rows(betas), _two_exp_rows(kernel, betas)
+        assert _bits(new) == _bits(_one_buffer_rows(kernel, betas))
     finite = np.isfinite(old)
     assert (np.isfinite(new) == finite).all()
     assert _bits(new[~finite]) == _bits(old[~finite])
     err = np.abs(np.subtract(new, old, where=finite, out=np.zeros_like(old)))
-    err /= np.maximum(1.0, np.abs(old))
+    err[:, 0] /= size
+    err[:, 1] /= np.maximum(1.0, np.abs(old[:, 1]))
     assert err[:, 0].max() <= LOG_PHI_REL and err[:, 1].max() <= LOG_NU2_REL
 
 
@@ -345,6 +353,32 @@ def test_phi_rows_whose_second_sum_leaves_its_range_exponentiate_both_terms():
     assert not any(_row_scalars(kernel, b)[-1] for b in betas)
     assert _bits(kernel.rows(betas)) == _bits(_one_buffer_rows(kernel, betas))
     _assert_near_two_exp(kernel, betas + [1.0])
+
+
+def test_phi_rows_whose_second_sum_factor_underflows_exponentiate_both_terms():
+    """At beta < 0 the second sum's largest term e_j u_j can lie in range
+    while its factor e_j = exp(y_j - m1) underflows to 0: here m1 is the
+    small level's (-898), m2 the large level's (-1700), and e_j u_j =
+    e^-503, but e_j = e^-802.  Such a row takes the two-exp second term,
+    else its log nu^2 would be some 96 nats low."""
+    lv = make_loading(LoadingSpec("explicit", values=(1e130, 1e-260)))
+    kernel = PhiKernel(lv, 1.0)
+    beta = -1.7e-257
+    _, _, m1, m2, fast = _row_scalars(kernel, beta)
+    assert m2 - m1 + kernel.gap[0] > -600.0 and m2 - m1 < math.log(TINY) and not fast
+    assert _bits(kernel.rows([beta])) == _bits(_one_buffer_rows(kernel, [beta]))
+    _assert_near_two_exp(kernel, [beta])
+
+
+@pytest.mark.parametrize("values", [
+    (1e130, 1e-260), (1e305, 1e304, 1e-5), tuple(np.geomspace(1e300, 1e-300, 61)),
+])
+def test_rows_on_wide_spans_stay_near_the_two_exp_form(values):
+    """Betas < 0 from -1e-322 to -1e307, a factor 1.07 apart, so that every
+    window where a row's maxima put one of its scalars out of range holds a
+    beta (a row at beta >= 0 walks, with maxima the first level's)."""
+    lv = make_loading(LoadingSpec("explicit", values=values))
+    _assert_near_two_exp(PhiKernel(lv, 1.0), -np.geomspace(1e-322, 1e307, 20001))
 
 
 @settings(max_examples=25)
