@@ -19,9 +19,10 @@ import sys
 import numpy as np
 
 from ._version import __version__
-from .config import ConfigError, _schema, parse_config
+from .config import _CHOICES, ConfigError, parse_config
 from .estimators import VARIANTS, EstimationInput, EstimatorSpec, linear_test
-from .loading import LOADING_KINDS, LoadingSpec, LoadingVector, drop_zero_loadings, make_loading
+from .loading import (LOADING_KINDS, LoadingSpec, LoadingVector, drop_zero_loadings, make_loading,
+                      spec_schema)
 from .lowerbound import (C_ALPHA1, THETA_KINDS, ThetaSpec, build_prior, chi2_mixture_bound,
                          prior_moments, sample_prior)
 from .rates import RateCalculator, closed_form_for_spec
@@ -88,15 +89,17 @@ _RESOLVED = {"zeta": "1e3 for alpha >= 2, else 1e4", "c_h": "tau * 4^(1/alpha)"}
 def _add_spec_args(p: argparse.ArgumentParser, cls, section: str, keys,
                    row: dict | None = None) -> None:
     """An option ``--<key>`` for each field ``key`` of the spec dataclass
-    ``cls`` (the config's ``<section>.<key>``) with the type, choices and
-    default of its schema (``config._schema``).  A kind table's ``row``
-    replaces the defaults, and a None in it makes the option required."""
+    ``cls`` (the config's ``<section>.<key>``) with the type and default of
+    its ``loading.spec_schema`` and the choices of ``config._CHOICES``.  A
+    kind table's ``row`` replaces the defaults, and a None in it makes the
+    option required."""
     for key in keys:
-        _name, hint, _check, default, choices = _schema(cls)[key]
+        name, hint, default = spec_schema(cls)[key]
         if row is not None:
             default = row[key]
         shown = "%(default)s" if default is not None else _RESOLVED.get(key)
-        p.add_argument("--" + key.replace("_", "-"), type=_OPTION_TYPES[hint], choices=choices,
+        p.add_argument("--" + key.replace("_", "-"), type=_OPTION_TYPES[hint],
+                       choices=_CHOICES.get((cls, name)),
                        default=default, required=row is not None and default is None,
                        help=f"as {section}.{key} in a config"
                             + (f" (default {shown})" if shown else ""))
@@ -106,7 +109,7 @@ def _spec(cls, args, **fields):
     """The spec dataclass ``cls`` of ``fields`` and of the options that
     ``_add_spec_args`` made for its other fields.  A ValueError whose message
     names a field first is an input error under that field's option."""
-    fields = {k: v for k, v in vars(args).items() if k in _schema(cls)} | fields
+    fields = {k: v for k, v in vars(args).items() if k in spec_schema(cls)} | fields
     try:
         return cls(**fields)
     except ValueError as exc:

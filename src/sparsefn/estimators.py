@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .loading import LoadingVector
+from .loading import LoadingVector, check_types
 from .rates import RateCalculator, RateTable, j3_index
 from .streams import generator
 from .threshold import reduce_last
@@ -74,11 +74,12 @@ class EstimatorSpec:
     c_h: float | None = None
 
     def __post_init__(self) -> None:
+        check_types(self)
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown estimator variant {self.variant!r}")
         for name in ("kappa", "zeta", "c_h"):  # zeta and c_h may be None: the default
             v = getattr(self, name)
-            if v is not None and not 0.0 < v < math.inf:
+            if v is not None and not v > 0.0:
                 raise ValueError(f"{name} must be positive and finite")
         if not 0.0 < self.gamma_split <= 0.5:
             raise ValueError("gamma_split must be in (0, 1/2]")
@@ -316,9 +317,9 @@ def _first_kept(keys: np.ndarray, thr: np.ndarray, head_from: np.ndarray) -> np.
     ``thr`` (nonincreasing in s) lies strictly below its |etay| (``keys``).
 
     A coordinate is kept before its head member only if its key beats the
-    threshold of the member before that one; only those coordinates, a few
-    percent of an estimation input that is mostly noise, are searched among
-    the thresholds."""
+    threshold of the member before that one; only those coordinates are
+    searched among the thresholds, so the search is cheap only when such
+    coordinates are few, which the input does not guarantee."""
     first = np.broadcast_to(head_from, keys.shape).copy()
     early = keys > np.concatenate(([np.inf], thr))[head_from]
     first[early] = np.searchsorted(-thr, -keys[early], side="right")  # thr(s) < key

@@ -12,9 +12,9 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
+from dataclasses import dataclass, fields
+from functools import cache, cached_property
+from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -35,6 +35,59 @@ LOADING_KINDS = {
     "two_phase": {"d": None, "gamma_d": None, "gamma_lambda": None},
     "exp_decay": {"d": None, "c": None, "gamma": None},
 }
+
+
+@cache
+def spec_schema(cls) -> dict:
+    """Config key (``metadata["json"]``, else the field name) -> (field name,
+    type, default) for each field of the dataclass ``cls`` typed ``int``,
+    ``float``, ``str`` or ``tuple[X, ...]`` (or ``X | None`` with default
+    None), read once from its hints.  The config, the CLI and ``check_types`` read it."""
+    hints = get_type_hints(cls)
+    schema = {}
+    for f in fields(cls):
+        hint = hints[f.name]
+        if f.default is None:
+            (hint,) = [a for a in get_args(hint) if a is not type(None)]
+        if hint in (int, float, str) or get_origin(hint) is tuple:
+            schema[f.metadata.get("json", f.name)] = (f.name, hint, f.default)
+    return schema
+
+
+def check_value(kind, value, path: str):
+    """``value`` as a field of type ``kind`` holds it, or ValueError at ``path``.
+    ``int`` takes exactly an int (no bool, no numpy integer); ``float`` takes
+    an int or any float and holds a finite Python float (an int beyond the
+    float range is not finite); ``str`` takes exactly a str; ``tuple[X, ...]``
+    takes a list or tuple of X and holds a tuple, with errors at ``path[i]``."""
+    if kind is float:
+        if isinstance(value, float) or type(value) is int:
+            try:
+                value = float(value)
+            except OverflowError:  # an int beyond the float range
+                value = math.inf
+            if math.isfinite(value):  # json.loads also reads NaN and Infinity
+                return value
+            raise ValueError(f"{path}: expected a finite number")
+        raise ValueError(f"{path}: expected a number")
+    if kind is int or kind is str:
+        if type(value) is kind:
+            return value
+        raise ValueError(f"{path}: expected {'an integer' if kind is int else 'a string'}")
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{path}: expected a list")
+    kind, _ = get_args(kind)
+    return tuple(check_value(kind, x, f"{path}[{i}]") for i, x in enumerate(value))
+
+
+def check_types(spec) -> None:
+    """Hold each field of the frozen dataclass ``spec`` that ``spec_schema``
+    types to ``check_value``, None only where the default is None; a failure
+    names the field first (``gamma_d: expected a finite number``)."""
+    for name, kind, default in spec_schema(type(spec)).values():
+        value = getattr(spec, name)
+        if value is not None or default is not None:
+            object.__setattr__(spec, name, check_value(kind, value, name))
 
 
 def check_kind(spec, noun: str, kinds: dict) -> None:
@@ -247,11 +300,8 @@ class LoadingSpec:
     gamma: float | None = None
 
     def __post_init__(self) -> None:
+        check_types(self)
         check_kind(self, "loading", LOADING_KINDS)
-        for name in ("gamma_d", "gamma_lambda", "c", "gamma"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.kind == "explicit" and not self.values:
             raise ValueError("values: an explicit loading needs at least one")
         if self.d is not None and self.d < 1:
@@ -292,7 +342,7 @@ def make_loading(spec: LoadingSpec) -> LoadingVector:
         order = np.argsort(-np.abs(raw), kind="stable")
         return LoadingVector(raw[order], order, provenance="explicit")
 
-    d = int(spec.d)
+    d = spec.d
     if spec.kind == "homogeneous" or spec.c == 0.0:  # exp_decay with c = 0: ones too
         return _from_levels(spec.kind, [1.0], [d])
     if spec.kind == "two_phase":

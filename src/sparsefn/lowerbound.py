@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .loading import LoadingVector, check_kind
+from .loading import LoadingVector, check_kind, check_types
 from .rates import RateCalculator
 from .streams import Stream
 
@@ -69,6 +69,7 @@ class ThetaSpec:
     c_alpha2: float | None = None
 
     def __post_init__(self) -> None:
+        check_types(self)
         check_kind(self, "theta", THETA_KINDS)
         if self.kind == "fixed":
             if len(self.support) != len(self.values):
@@ -80,7 +81,7 @@ class ThetaSpec:
             raise ValueError("placement: must be 'tail' or 'head'")
         if self.c1 is not None and not 0.0 < self.c1 < 2.0:
             raise ValueError("c1 must be in (0, 2)")
-        if self.c_alpha2 is not None and not 0.0 < self.c_alpha2 < math.inf:
+        if self.c_alpha2 is not None and not self.c_alpha2 > 0.0:
             raise ValueError("c_alpha2 must be positive and finite")
 
 
@@ -133,7 +134,7 @@ def build_prior(loading: LoadingVector, alpha: float, s: int, c1: float,
                 calculator: RateCalculator | None = None) -> LeastFavorablePrior:
     """Construct the prior; rejects configurations where any pi_j >= 1.  A
     ``calculator`` for (loading, alpha) replaces a new one."""
-    ThetaSpec("prior", s=s, c1=c1, c_alpha2=c_alpha2)  # range-checks c1 and c_alpha2
+    spec = ThetaSpec("prior", s=s, c1=c1, c_alpha2=c_alpha2)  # types s, range-checks c1, c_alpha2
     prof = (calculator or RateCalculator(loading, alpha)).oracle(s)
     beta_plus = max(prof.beta, 0.0)
     abs_eta = loading.abs_values
@@ -146,7 +147,7 @@ def build_prior(loading: LoadingVector, alpha: float, s: int, c1: float,
     gamma[: prof.j1] = c_alpha2 * np.sign(loading.values[: prof.j1])
     if prof.j1 < loading.d:
         gamma[prof.j1:] = c_alpha2 * prof.lambda_o / loading.values[prof.j1:]
-    return LeastFavorablePrior(loading, float(alpha), int(s), float(c1), float(c_alpha2),
+    return LeastFavorablePrior(loading, float(alpha), s, spec.c1, spec.c_alpha2,
                                pi, gamma, prof.lambda_o, prof.nu, prof.j1)
 
 

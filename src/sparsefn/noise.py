@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .loading import check_types
 from .streams import Stream, uniforms
 
 __all__ = [
@@ -54,10 +55,10 @@ class NoiseModel:
     tail_class: str = field(default="G", metadata={"json": "class"})
 
     def __post_init__(self) -> None:
+        check_types(self)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown noise family {self.family!r}")
-        if not (math.isfinite(self.alpha) and math.isfinite(self.tau)
-                and self.alpha > 0 and self.tau > 0):
+        if not (self.alpha > 0 and self.tau > 0):
             raise ValueError("alpha and tau must be positive and finite")
         if self.tail_class not in ("G", "H"):
             raise ValueError("tail class must be 'G' or 'H'")

@@ -39,7 +39,7 @@ import numpy as np
 from ._version import __version__
 from .estimators import (VARIANTS, EstimationInput, EstimatorSpec, linear_test, mom_sigma,
                          oracle_estimate)
-from .loading import LoadingSpec, LoadingVector, make_loading
+from .loading import LoadingSpec, LoadingVector, check_types, check_value, make_loading
 from .lowerbound import ThetaSpec, build_prior, draw_prior
 from .noise import NoiseModel, sample_with
 from .rates import RateCalculator
@@ -64,11 +64,9 @@ __all__ = [
     "strict_json",
 ]
 
-_NUMBER, _INTEGER = ((int, float), "a number"), ((int,), "an integer")
-_GRID_TYPES = {"alpha": _NUMBER, "d": _INTEGER, "estimator": ((str,), "a string"),
-               "rho": _NUMBER, "s": _INTEGER, "sigma": _NUMBER}  # exact types, name in errors
+_GRID_TYPES = {"alpha": float, "d": int, "estimator": str, "rho": float, "s": int,
+               "sigma": float}  # axis -> the type of the field it sets
 GRID_AXES = tuple(_GRID_TYPES)
-_FLOAT_BOUND = 2**1024 - 2**970  # above every finite float; the least int float() overflows on
 _THETA_SPARSITY = {"spike_grid": "n_spikes", "prior": "s"}  # the theta field the s axis sets
 RESULT_COLUMNS = ["estimator", "n_rep", "mse", "mse_se", "rate_kind", "rate_value", "ratio"]
 
@@ -104,9 +102,10 @@ class SimConfig:
     s_assumed: int
 
     def __post_init__(self) -> None:
+        check_types(self)
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+        if not self.sigma >= 0:
             raise ValueError("sigma must be nonnegative and finite")
         if self.s_assumed < 1:
             raise ValueError("s_assumed must be >= 1")
@@ -192,7 +191,7 @@ def _fixed_theta(config: SimConfig, loading: LoadingVector,
         theta[support] = np.asarray(spec.values, dtype=float)
         return theta
     if spec.kind == "spike_grid":
-        k = int(spec.n_spikes)
+        k = spec.n_spikes
         if not 1 <= k <= d:
             raise ValueError(f"n_spikes must be in [1, {d}]")
         lam = calc.oracle(k).lambda_o
@@ -209,7 +208,7 @@ def _fixed_theta(config: SimConfig, loading: LoadingVector,
 # ---------------------------------------------------------------------------
 
 def _spec_d(spec: LoadingSpec) -> int:
-    return len(spec.values) if spec.kind == "explicit" else int(spec.d)
+    return len(spec.values) if spec.kind == "explicit" else spec.d
 
 
 def _cell_problem(config: SimConfig) -> tuple[str, str] | None:
@@ -424,9 +423,10 @@ def check_grid(base: SimConfig, grid: dict) -> Grid:
     """Every cell of ``grid`` and its config, each range-checked, so no cell
     fails on a range after earlier cells have run.  The one gate of a grid,
     from a config file or from Python: first, in key order, ``grid`` is a
-    dict from axis names (strings) to nonempty lists (or tuples), each entry of a known axis exactly of
-    a ``_GRID_TYPES`` type (finite if a number: no bool or numpy scalar runs);
-    then every axis must be known.
+    dict from axis names (strings) to nonempty lists (or tuples), and each
+    entry of a known axis passes ``loading.check_value`` for the type of its
+    field (``_GRID_TYPES``) as given, since the CSV and the hash read it so:
+    no numpy scalar runs.  Then every axis must be known.
 
     A failure raises ValueError at a config path: ``simulation.grid.<axis>[i]``
     when that entry alone breaks a base that is fine without it, the base
@@ -448,12 +448,9 @@ def check_grid(base: SimConfig, grid: dict) -> Grid:
         if not isinstance(values, (list, tuple)) or not values:
             raise ValueError(f"simulation.grid.{axis}: expected a nonempty list")
         if axis in _GRID_TYPES:
-            types, noun = _GRID_TYPES[axis]
-            for i, value in enumerate(values):
-                if type(value) not in types:
-                    raise ValueError(f"simulation.grid.{axis}[{i}]: expected {noun}")
-                if types is _NUMBER[0] and not abs(value) < _FLOAT_BOUND:  # NaN too
-                    raise ValueError(f"simulation.grid.{axis}[{i}]: expected a finite number")
+            for i, value in enumerate(values):  # not JSON's type (a numpy scalar): fails as None
+                check_value(_GRID_TYPES[axis], value if type(value) in (int, float, str) else None,
+                            f"simulation.grid.{axis}[{i}]")
     axes = sorted(grid)
     for a in axes:
         if a not in GRID_AXES:

@@ -314,12 +314,16 @@ def test_linear_test_fixtures():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
 def test_tuning_constants_must_be_positive_and_finite(bad):
+    def message(name):  # a non-finite value fails the type rule, a finite one the range
+        return (f"{name} must be positive and finite" if math.isfinite(bad)
+                else f"^{name}: expected a finite number$")
+
     inp = hom_input(np.zeros(100))
-    with pytest.raises(ValueError, match="zeta must be positive and finite"):
+    with pytest.raises(ValueError, match=message("zeta")):
         lepski_select(inp, bad)
-    with pytest.raises(ValueError, match="zeta must be positive and finite"):
+    with pytest.raises(ValueError, match=message("zeta")):
         adaptive_estimate(inp, bad)
-    with pytest.raises(ValueError, match="c_h must be positive and finite"):
+    with pytest.raises(ValueError, match=message("c_h")):
         nonsymmetric_estimate(inp, 5, bad)
 
 

@@ -154,7 +154,7 @@ def test_level_view_untied_shares_abs_values():
     ("gamma", dict(kind="exp_decay", d=10, c=0.1, gamma=math.nan)),
 ])
 def test_spec_rejects_non_finite_fields_by_name(field, spec):
-    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+    with pytest.raises(ValueError, match=f"^{field}: expected a finite number$"):
         LoadingSpec(**spec)
 
 

@@ -84,7 +84,7 @@ def test_rejects_bad_configurations():
     with pytest.raises(ValueError):
         build_prior(HOM100, 2.0, 5, c1=0.5, c_alpha2=-1.0)
     for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="c_alpha2 must be positive and finite"):
+        with pytest.raises(ValueError, match="^c_alpha2: expected a finite number$"):
             build_prior(HOM100, 2.0, 5, c1=0.5, c_alpha2=bad)
     # one dominant coordinate with beta_+ = 0 concentrates the whole
     # activation mass there: pi_1 ~ c1 > 1 must be rejected
