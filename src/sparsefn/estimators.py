@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .loading import LoadingVector, check_types
+from .loading import LoadingVector, check_types, check_value
 from .rates import RateCalculator, RateTable, j3_index
 from .streams import generator
 from .threshold import reduce_last
@@ -113,10 +113,11 @@ class EstimationInput:
             raise ValueError(f"y must have length d={self.loading.d}, or be an (R, d) block")
         if not np.all(np.isfinite(y)):
             raise ValueError("y entries must be finite")
-        if not (math.isfinite(self.alpha) and math.isfinite(self.tau)
-                and self.alpha > 0 and self.tau > 0):
+        for name in ("alpha", "tau") if self.sigma is None else ("alpha", "tau", "sigma"):
+            object.__setattr__(self, name, check_value(float, getattr(self, name), name))
+        if not (self.alpha > 0 and self.tau > 0):
             raise ValueError("alpha and tau must be positive and finite")
-        if self.sigma is not None and not (math.isfinite(self.sigma) and self.sigma >= 0):
+        if self.sigma is not None and not self.sigma >= 0:
             raise ValueError("sigma must be nonnegative and finite, or None (unknown)")
         EstimatorSpec(kappa=self.kappa)  # range-checks kappa
         ys = self.loading.to_sorted(np.atleast_2d(y))

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .loading import LoadingVector, LoadingSpec, effective_dimension
+from .loading import LoadingVector, LoadingSpec, check_value, effective_dimension
 from .threshold import (
     PhiKernel,
     ThresholdSolution,
@@ -103,10 +103,11 @@ class RateCalculator:
     """Rate computations for a fixed loading and tail parameter."""
 
     def __init__(self, loading: LoadingVector, alpha: float):
-        if not (math.isfinite(alpha) and alpha > 0):
+        alpha = check_value(float, alpha, "alpha")
+        if not alpha > 0:
             raise ValueError("alpha must be positive and finite")
         self.loading = loading
-        self.alpha = float(alpha)
+        self.alpha = alpha
         self._oracle: dict[int, RateProfile] = {}
         self._star: dict[int, tuple[ThresholdSolution, float]] = {}  # s -> (root, log nu^2)
         self._ladder: tuple | None = None  # (targets, beta, g, iterations, log nu^2) for s = 1..n

@@ -49,9 +49,7 @@ are sorted, so that the maxima the row subtracts are its first level's.  Each
 such row walks numpy's pairwise-sum tree down to leaves of at most ``_LEAF``
 levels (``_walk``), running every pass on each leaf in one leaf-sized buffer,
 so the row's sum is numpy's bit for bit and no row holds a buffer of its own
-length.  A row of ``_SPLIT`` levels or more, in a process that may run on two
-CPUs or more, walks its upper half in a helper thread at the same time
-(``_sum_halves``): the CPU count picks the thread, never the result.
+length.  Every row runs in the caller's thread, on any CPU count.
 
 Every kernel row takes one exponential per level.  A phi row exponentiates
 only the first log-sum-exp's terms e_k; the second log-sum-exp is read from
@@ -65,16 +63,14 @@ bits depend on its beta or lambda alone (``PhiKernel``).
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import math
-import os
 import sys
 from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
 
-from .loading import LoadingVector
+from .loading import LoadingVector, check_value
 
 __all__ = [
     "Tolerances",
@@ -149,20 +145,9 @@ class ThresholdSolution:
 
 
 _BLOCK = 1 << 16  # elements (rows x levels) per kernel evaluation block
-# Levels (> 128) from which a walked row runs in two halves.  On 2
-# vCPUs, exp_decay (BENCH_16.json "cutoff", medians of 3 runs), a split row
-# takes this share of its one-thread time: at 2^15 levels 1.5-1.7 (phi row)
-# and 1.7-2.0 (tail row), at 2^16 0.90-0.98 and 1.29-1.39, at 2^17 0.60-0.64
-# and 0.77-0.87, at 2^18 0.47-0.60 and 0.53-0.99.  Below 2^16 a block of
-# several rows takes 0.8-1.2 (phi) and 1.1-1.7 (tail) of it.  The rows with
-# one exponential per level (BENCH_21.json "cutoff") were timed only on 2
-# vCPUs where two processes each ran at half speed, and there split rows
-# gained only from 3e6 levels on; that host cannot tell the cutoff.
-_SPLIT = 1 << 17
 # A walked row runs its pass chain on leaves of at most _LEAF levels, in one
-# leaf-sized buffer per half (d = 2.5e5: 2^16 levels beat 2^14).
+# leaf-sized buffer (d = 2.5e5: 2^16 levels beat 2^14).
 _LEAF = 1 << 16
-_helper: tuple[int, object] | None = None  # (pid, the executor of upper halves)
 _TINY = sys.float_info.min  # the smallest normal float
 _NO_ROWS = np.empty(0, dtype=np.intp)
 
@@ -182,14 +167,6 @@ def reduce_last(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _tree_sum(lo: int, n: int, leaf):
     """The sum of levels lo..lo+n-1 as numpy's pairwise sum of n > 128
     elements forms it: split at ``n//2 - (n//2) % 8`` down to leaves of at
@@ -201,54 +178,15 @@ def _tree_sum(lo: int, n: int, leaf):
     return _tree_sum(lo, h, leaf) + _tree_sum(lo + h, n - h, leaf)
 
 
-def _sum_halves(n: int, half):
-    """half(0, h) + half(h, n): the lower half of n levels in this thread and
-    the upper half at the same time in the helper thread, which the first
-    call makes.  The upper half runs in a copy of the caller's context, so
-    under its numpy errstate.  h is the point where numpy's pairwise sum of
-    n > 128 elements splits them, so a sum over the levels equals the sum of
-    the two halves' sums bit for bit.
-
-    An idle helper can take milliseconds to wake, longer than a half takes
-    (2 vCPUs: median 0.2 ms, 90th percentile 1.4-2 ms), so an upper half
-    that the helper has not started when the lower one is done runs in this
-    thread instead, rather than wait for the helper.  The cancelled job stays
-    in the helper's queue until the helper wakes, so it reaches ``half``, and
-    the buffer ``half`` writes into, only through a list emptied here."""
-    global _helper
-    if _helper is None or _helper[0] != os.getpid():  # a forked child has no helper thread
-        from concurrent.futures import ThreadPoolExecutor
-        _helper = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="sparsefn-half"))
-    h = n // 2 - (n // 2) % 8
-    job = [half]
-    upper = _helper[1].submit(contextvars.copy_context().run, lambda: job[0](h, n))
-    try:
-        lower = half(0, h)
-    finally:  # a started upper half writes into the caller's buffer: wait for it
-        here = upper.cancel()
-        if not here:
-            higher = upper.result()
-        job.clear()
-    return lower + (half(h, n) if here else higher)
-
-
 def _walk(n: int, shape: tuple[int, ...], leaf):
     """The sum over n > 0 levels of ``leaf(buf, lo, hi)``, the sums over
     levels lo..hi-1 of a block of ``shape`` rows, added up numpy's pairwise
     tree (``_tree_sum``), so bit for bit numpy's sum of the whole row.  Each
     leaf writes into ``buf``, a leaf-sized buffer that this call allocates
     for the row, so no row holds a buffer of its own length, and rows that
-    threads evaluate at once write into buffers of their own.  From
-    ``_SPLIT`` levels on, in a process that may run on two CPUs or more, the
-    upper half walks a second buffer in the helper thread (``_sum_halves``);
-    this is the only place the CPU count is read."""
-    split = n >= _SPLIT and _cpus() > 1
-    bufs = np.empty((1 + split, *shape, min(n, _LEAF)))  # the helper's arena would keep them
-
-    def half(lo: int, hi: int):
-        return _tree_sum(lo, hi - lo, partial(leaf, bufs[int(lo > 0)]))
-
-    return _sum_halves(n, half) if split else half(0, n)
+    threads evaluate at once write into buffers of their own."""
+    buf = np.empty((*shape, min(n, _LEAF)))
+    return _tree_sum(0, n, partial(leaf, buf))
 
 
 class PhiKernel:
@@ -304,22 +242,23 @@ class PhiKernel:
     on a kernel whose maxima are known (``_falls``), walks its levels
     (``_walk``): the whole chain of passes runs on each leaf of at most
     ``_LEAF`` levels, in a leaf-sized buffer allocated for the row, and the
-    leaf sums are added up numpy's pairwise tree, the upper half in a helper
-    thread from ``_SPLIT`` levels on where two CPUs may run.  The levels fall,
-    and so, on an untied kernel whose ``gap`` and ``neg_r`` fall as floats
-    too (checked once per kernel), do the exponents at beta >= 0 and both
-    sums' terms: ``w_top`` and both maxima are the first level's (m1 = m2 =
-    0), known before the walk starts.  So a walked row is bit for bit the row
-    that one buffer of its length gives, which is the path of tied kernels
-    and of blocks holding a beta < 0: they compute their maxima first.  No row
-    writes into memory another row can see, so threads may share a kernel.
+    leaf sums are added up numpy's pairwise tree in the caller's thread.  The
+    levels fall, and so, on an untied kernel whose ``gap`` and ``neg_r`` fall
+    as floats too (checked once per kernel), do the exponents at beta >= 0
+    and both sums' terms: ``w_top`` and both maxima are the first level's
+    (m1 = m2 = 0), known before the walk starts.  So a walked row is bit for
+    bit the row that one buffer of its length gives, which is the path of
+    tied kernels and of blocks holding a beta < 0: they compute their maxima
+    first.  No row writes into memory another row can see, so threads may
+    share a kernel.
     """
 
     def __init__(self, loading: LoadingVector, alpha: float):
-        if not 0.0 < alpha < math.inf:
+        alpha = check_value(float, alpha, "alpha")
+        if not alpha > 0.0:
             raise ValueError("alpha must be positive and finite")
         self.levels = loading.levels
-        self.alpha = float(alpha)
+        self.alpha = alpha
         # u^-alpha is largest at the last level
         neg_r_last = self._neg_r(self.levels.values[-1:])[0]
         self._r_inf = bool(np.isinf(neg_r_last))

@@ -1,12 +1,10 @@
-"""Kernel rows that walk leaves, in two halves on two threads or in one,
-give every row, tail sum, solve record and CLI output bit for bit as one
-buffer of the row's length does; and the numpy properties that this rests
-on still hold.
+"""Kernel rows that walk leaves, split up numpy's pairwise-sum tree, give
+every row, tail sum, solve record and CLI output bit for bit as one buffer
+of the row's length does, in the caller's thread; and the numpy properties
+that this rests on still hold.
 
-``split_from`` lowers the split threshold so that kernels of a few hundred
-levels split, and the leaf size to numpy's pairwise block of 128, so that
-their halves run on several leaves, and reports 2 CPUs, so that the split
-also runs where the process may use only one.
+``small_leaves`` lowers the leaf size to numpy's pairwise block of 128, so
+that rows of a few hundred levels split into several leaves.
 """
 
 import contextlib
@@ -15,7 +13,6 @@ import os
 import subprocess
 import sys
 import threading
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -35,32 +32,21 @@ LAMS = [0.0, 5e-324, 1e-8, 0.3, 1.0, 7.0, 1e5, 1e300]
 
 
 @pytest.fixture(scope="module")
-def split_from():
-    """A context manager: kernels built inside it split their rows from
-    ``levels`` levels on (> 128, numpy's pairwise block) as on 2 CPUs, into
-    leaves of at most 128 levels; it yields the list of the split rows'
-    lengths."""
+def small_leaves():
+    """A context manager: rows evaluated inside it walk leaves of at most 128
+    levels (numpy's pairwise block), so a row of more than 128 levels walks
+    several."""
 
     @contextlib.contextmanager
-    def split(levels: int):
-        calls = []
-        sum_halves = threshold._sum_halves
-
-        def counted(n, half):
-            calls.append(n)
-            return sum_halves(n, half)
-
+    def leaves():
         mp = pytest.MonkeyPatch()
-        mp.setattr(threshold, "_SPLIT", levels)
         mp.setattr(threshold, "_LEAF", 128)
-        mp.setattr(threshold, "_cpus", lambda: 2)
-        mp.setattr(threshold, "_sum_halves", counted)
         try:
-            yield calls
+            yield
         finally:
             mp.undo()
 
-    return split
+    return leaves
 
 
 def _bits(x) -> bytes:
@@ -94,57 +80,25 @@ def _untied_loadings(min_d: int):
 
 @settings(max_examples=25)
 @given(_untied_loadings(129), st.sampled_from([0.5, 1.0, 2.0, 4.0]))
-def test_split_rows_equal_one_thread_rows(split_from, lv, alpha):
+def test_split_rows_equal_one_thread_rows(small_leaves, lv, alpha):
+    """Rows of d > 128 levels walk several leaves of 128 levels, and give the
+    record that leaves of 2^16 levels give."""
     one = _kernel_record(lv, alpha)
-    with split_from(129) as calls:
-        two = _kernel_record(lv, alpha)
-    assert calls
-    assert two == one
+    with small_leaves():
+        many = _kernel_record(lv, alpha)
+    assert many == one
 
 
-def test_upper_halves_the_helper_has_not_started_run_here(split_from):
-    lv = make_loading(LoadingSpec("exp_decay", d=1000, c=2e-3, gamma=1.0))
-    one = _kernel_record(lv, 1.0)
-    with split_from(129) as calls:
-        PhiKernel(lv, 1.0).rows([1.0])  # the first split makes the helper thread
-        busy = threading.Event()
-        threshold._helper[1].submit(busy.wait)
-        try:
-            two = _kernel_record(lv, 1.0)
-        finally:
-            busy.set()
-    assert len(calls) > 1
-    assert two == one
-
-
-def test_an_upper_half_run_here_leaves_no_reference_in_the_queue():
-    """The helper's queue keeps a cancelled job until the helper wakes; the
-    job must not keep the row's buffer alive meanwhile."""
-    threshold._sum_halves(1000, lambda lo, hi: float(hi - lo))  # makes the helper thread
-    busy = threading.Event()
-    threshold._helper[1].submit(busy.wait)
-    try:
-        def half(lo: int, hi: int) -> float:
-            return float(hi - lo)
-
-        ref = weakref.ref(half)
-        assert threshold._sum_halves(1000, half) == 1000.0
-        del half
-        assert ref() is None
-    finally:
-        busy.set()
-
-
-def test_threads_sharing_a_kernel_get_one_thread_rows(split_from):
-    """Each split row has its own buffer, so two threads evaluating rows on
-    one kernel at once get the rows one thread gets."""
+def test_threads_sharing_a_kernel_get_one_thread_rows(small_leaves):
+    """Each walked row has its own leaf buffer, so two threads evaluating
+    rows on one kernel at once get the rows one thread gets."""
     lv = make_loading(LoadingSpec("exp_decay", d=20_000, c=1e-4, gamma=1.0))
     betas = [[0.5 + 0.01 * i] for i in range(40)]
     lams = [[0.3 + 0.01 * i] for i in range(40)]
     kernel = PhiKernel(lv, 1.0)
     one = [_bits(kernel.rows(b)) + _bits(kernel.tail_sum(lam, 1))
            for b, lam in zip(betas, lams)]
-    with split_from(129) as calls:
+    with small_leaves():
         shared = PhiKernel(lv, 1.0)
         got = [None, None]
 
@@ -159,7 +113,6 @@ def test_threads_sharing_a_kernel_get_one_thread_rows(split_from):
             t.join()
     assert got[0] == one[0::2] + one[1::2]
     assert got[1] == one[1::2] + one[0::2]
-    assert len(calls) == 160
 
 
 @pytest.mark.parametrize("values, alpha", [
@@ -168,14 +121,13 @@ def test_threads_sharing_a_kernel_get_one_thread_rows(split_from):
     (np.geomspace(1e-300, 1e300, 1000), 0.5),
     (1.0 + np.arange(400) * 2.0**-50, 1.0),         # adjacent floats
 ])
-def test_split_rows_on_extreme_levels(split_from, values, alpha):
+def test_split_rows_on_extreme_levels(small_leaves, values, alpha):
     lv = make_loading(LoadingSpec("explicit", values=tuple(values.tolist())))
     one = _kernel_record(lv, alpha)
-    with split_from(129) as calls:
-        two = _kernel_record(lv, alpha)
+    with small_leaves():
+        many = _kernel_record(lv, alpha)
         assert PhiKernel(lv, alpha)._falls
-    assert calls
-    assert two == one
+    assert many == one
 
 
 TINY = sys.float_info.min
@@ -281,17 +233,17 @@ def _one_buffer_kernel(lv, alpha: float) -> PhiKernel:
 @settings(max_examples=25)
 @given(_untied_loadings(1), st.sampled_from([0.5, 1.0, 2.0, 4.0]),
        st.lists(st.floats(min_value=0.0, max_value=1e300), min_size=1, max_size=4))
-def test_walked_rows_equal_one_buffer_rows(split_from, lv, alpha, drawn):
-    """Rows at betas in [0, inf) walk leaves on one CPU or two, with leaves of
-    2^16 levels or of 128, or compute their maxima in one buffer: each is bit
-    for bit the row of the one-exponential form in one buffer of its length,
-    and each tail sum the sum over one buffer."""
+def test_walked_rows_equal_one_buffer_rows(small_leaves, lv, alpha, drawn):
+    """Rows at betas in [0, inf) walk leaves of 2^16 levels or of 128, or
+    compute their maxima in one buffer: each is bit for bit the row of the
+    one-exponential form in one buffer of its length, and each tail sum the
+    sum over one buffer."""
     betas = BETAS + drawn
     ref = PhiKernel(lv, alpha)
     rows = _one_buffer_rows(ref, betas)
     want = [_bits(rows), *(_bits(row) for row in rows),
             *(_bits(_one_buffer_tail(ref, LAMS, start)) for start in (0, lv.d // 3))]
-    for walk in (contextlib.nullcontext, lambda: split_from(129)):
+    for walk in (contextlib.nullcontext, small_leaves):
         with walk():
             kernel = PhiKernel(lv, alpha)
             got = [_bits(kernel.rows(betas)), *(_bits(kernel.rows([b])) for b in betas),
@@ -442,50 +394,41 @@ def walks(monkeypatch):
     return seen
 
 
-def test_computed_maxima_take_one_buffer_and_one_cpu_walks_here(split_from, walks,
-                                                                 monkeypatch):
+def test_computed_maxima_take_one_buffer_and_one_cpu_walks_here(small_leaves, walks):
     """Tied phi rows and blocks with a beta < 0 compute their maxima in one
-    buffer; every other row walks, a tied tail row too, and on one CPU the
-    walk starts no helper."""
+    buffer; every other row walks, a tied tail row too, and every leaf runs
+    in the caller's thread, on one CPU or on all."""
     tied = make_loading(LoadingSpec("two_phase", d=5000, gamma_d=0.4, gamma_lambda=0.2))
     untied = make_loading(LoadingSpec("exp_decay", d=1000, c=2e-3, gamma=1.0))
-    with split_from(129) as calls:
+    with small_leaves():
         PhiKernel(tied, 1.0).rows(BETAS)  # tied phi rows compute their maxima
         PhiKernel(untied, 1.0).rows(BETAS + NEGATIVE)  # so does a block with a beta < 0
         assert walks == []
-        PhiKernel(untied, 1.0).tail_sum(LAMS, 1000 - 128)  # 128 levels: below the split
-        assert calls == [] and {n for n, _ in walks} == {128}
-        PhiKernel(untied, 1.0).rows(BETAS)
-        assert calls == [1000]
+        PhiKernel(untied, 1.0).tail_sum(LAMS, 1000 - 128)  # 128 levels: one leaf
+        assert [n for n, _ in walks] == [128]
+        walks.clear()
+        kernel = PhiKernel(untied, 1.0)
+        assert _bits(kernel.rows(BETAS)) == _bits(_one_buffer_rows(kernel, BETAS))
+        assert _bits(kernel.tail_sum(LAMS, 1)) == _bits(_one_buffer_tail(kernel, LAMS, 1))
+    assert {n for n, _ in walks} == {1000, 999}
+    assert {thread for _, thread in walks} == {threading.get_ident()}
+    assert len(walks) >= 2 * (1000 // 128)  # each row walks several leaves
 
-    # a tied tail row splits as an untied one does: counts scale each leaf
+    # a tied tail row walks as an untied one does: counts scale each leaf
     values = np.geomspace(1.0, 1e-3, 1000)
     values[500] = values[501]
     lv = make_loading(LoadingSpec("explicit", values=tuple(values.tolist())))
     assert lv.levels.tied
     for start in (0, 1, 500, 501, 700):
         one = PhiKernel(lv, 1.0).tail_sum(LAMS, start)
-        with split_from(129) as calls:
+        walks.clear()
+        with small_leaves():
             assert _bits(PhiKernel(lv, 1.0).tail_sum(LAMS, start)) == _bits(one)
-        assert calls == [999 - lv.levels.level_of(start)]
+        assert {n for n, _ in walks} == {999 - lv.levels.level_of(start)}
+        assert len(walks) > 1
         with np.errstate(divide="ignore", over="ignore"):
             w = np.exp(np.log(LAMS)[:, None] - np.log(values[start:]))
         assert np.allclose(one, np.exp(-w).sum(axis=1), rtol=1e-13)
-
-    # on one CPU a row of _SPLIT levels or more walks its leaves in this thread
-    walks.clear()
-    monkeypatch.setattr(threshold, "_SPLIT", 129)
-    monkeypatch.setattr(threshold, "_LEAF", 128)
-    monkeypatch.setattr(threshold, "_cpus", lambda: 1)
-    halves = []
-    monkeypatch.setattr(threshold, "_sum_halves", lambda n, half: halves.append(n))
-    kernel = PhiKernel(untied, 1.0)
-    assert _bits(kernel.rows(BETAS)) == _bits(_one_buffer_rows(kernel, BETAS))
-    assert _bits(kernel.tail_sum(LAMS, 1)) == _bits(_one_buffer_tail(kernel, LAMS, 1))
-    assert halves == []
-    assert {n for n, _ in walks} == {1000, 999}
-    assert {thread for _, thread in walks} == {threading.get_ident()}
-    assert len(walks) >= 2 * (1000 // 128)  # each row walks several leaves
 
 
 @pytest.mark.parametrize("argv", [
@@ -493,47 +436,46 @@ def test_computed_maxima_take_one_buffer_and_one_cpu_walks_here(split_from, walk
     ["solve", "--equation", "asym", "--s", "2"],
     ["solve", "--equation", "oracle", "--s", "2"],
 ])
-def test_cli_output_equal_with_split(split_from, capsys, argv):
+def test_cli_output_equal_with_split(small_leaves, walks, capsys, argv):
     spec = ["--loading-spec", "exp_decay", "--d", "3000", "--c", "6e-4", "--gamma", "1",
             "--alpha", "1"]
     assert main([*argv, *spec]) == 0
     one = capsys.readouterr().out
-    with split_from(129) as calls:
+    walks.clear()
+    with small_leaves():
         assert main([*argv, *spec]) == 0
-    assert calls
+    assert max(n for n, _ in walks) > 128  # some row walked several leaves
     assert capsys.readouterr().out == one
 
 
-def test_split_row_holds_no_buffer_of_its_length(monkeypatch):
-    """A row walks leaves of at most 2^16 levels, on one CPU or two, so
+def test_split_row_holds_no_buffer_of_its_length():
+    """A row walks leaves of at most 2^16 levels in one leaf-sized buffer, so
     evaluating one allocates less than the buffer of its length that the
     one-buffer path holds: 16 bytes per level for a phi row, 8 for a tail
-    row.  At d = 2^19 the leaves hold at most 2 MB and 1 MB, below one
-    d-length array of 8 bytes per level for either row; at d = 2^16 + 1000
-    the row does not split, and its leaves hold 1 MB and 0.5 MB, so it is
-    held to the one-buffer row's bytes."""
+    row.  The leaf buffer holds 1 MB for a phi row and 0.5 MB for a tail
+    row: at d = 2^19 below one d-length array of 8 bytes per level for
+    either row, and at d = 2^16 + 1000, where the row walks two leaves,
+    below the one-buffer row's bytes."""
     import tracemalloc
 
     small = (1 << 16) + 1000
     for d, c, phi_bytes, tail_bytes in ((1 << 19, 4e-6, 8 << 19, 8 << 19),
                                         (small, 2.0 / small, 16 * small, 8 * (small - 1))):
         lv = make_loading(LoadingSpec("exp_decay", d=d, c=c, gamma=1.0))
-        for cpus in (1, 2):
-            monkeypatch.setattr(threshold, "_cpus", lambda: cpus)
-            kernel = PhiKernel(lv, 1.0)
-            kernel.rows([0.5])
-            kernel.tail_sum([0.5], 1)
-            assert kernel._falls
-            tracemalloc.start()
-            try:
-                for evaluate, row_bytes in ((lambda: kernel.rows([2.0]), phi_bytes),
-                                            (lambda: kernel.tail_sum([2.0], 1), tail_bytes)):
-                    tracemalloc.reset_peak()
-                    before = tracemalloc.get_traced_memory()[0]
-                    evaluate()
-                    assert tracemalloc.get_traced_memory()[1] - before < row_bytes, (d, cpus)
-            finally:
-                tracemalloc.stop()
+        kernel = PhiKernel(lv, 1.0)
+        kernel.rows([0.5])
+        kernel.tail_sum([0.5], 1)
+        assert kernel._falls
+        tracemalloc.start()
+        try:
+            for evaluate, row_bytes in ((lambda: kernel.rows([2.0]), phi_bytes),
+                                        (lambda: kernel.tail_sum([2.0], 1), tail_bytes)):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                evaluate()
+                assert tracemalloc.get_traced_memory()[1] - before < row_bytes, d
+        finally:
+            tracemalloc.stop()
 
 
 def test_tree_sum_is_numpys_pairwise_sum(monkeypatch):
@@ -548,7 +490,7 @@ def test_tree_sum_is_numpys_pairwise_sum(monkeypatch):
 
 def test_pairwise_sum_splits_at_its_midpoint():
     """A sum of n > 128 float64s is the sum of its halves split at
-    h = n//2 - (n//2) % 8, as one row or as rows of a 3-d block: the split
+    h = n//2 - (n//2) % 8, as one row or as rows of a 3-d block: the walked
     rows rest on it."""
     rng = np.random.default_rng(16)
     for n in np.unique(np.geomspace(129, 300_000, 60).astype(int)):
@@ -579,3 +521,22 @@ def test_import_starts_no_helper_thread():
             "assert threading.active_count() == 1")
     env = {**os.environ, "PYTHONPATH": str(Path(threshold.__file__).parents[1])}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_rate_on_a_large_untied_loading_starts_no_thread():
+    """``rate`` on an untied loading of 2^17 levels walks every row in the
+    caller's thread, on any CPU count: it starts no thread and imports no
+    executor."""
+    d, c = 1 << 17, 2.0 / (1 << 17)
+    lv = make_loading(LoadingSpec("exp_decay", d=d, c=c, gamma=1.0))
+    assert not lv.levels.tied and lv.levels.values.size == d
+    argv = ["rate", "--csv", "--s-grid", "1,2", "--loading-spec", "exp_decay", "--d", str(d),
+            "--c", repr(c), "--gamma", "1", "--alpha", "1"]
+    code = ("import sys, threading; from sparsefn.cli import main; "
+            f"assert main({argv!r}) == 0; "
+            "assert 'concurrent.futures' not in sys.modules; "
+            "assert threading.active_count() == 1")
+    env = {**os.environ, "PYTHONPATH": str(Path(threshold.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True).stdout
+    assert out.count("\n") == 4  # the meta line, the header and s = 1, 2

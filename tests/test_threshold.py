@@ -244,10 +244,10 @@ def test_solver_rejects_bad_inputs():
         solve_adaptive_beta(lv, 2.0, 0)
     with pytest.raises(ValueError):
         solve_adaptive_beta(lv, 2.0, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
         log_phi_objective(lv, 0.0, 1.0)
-    for alpha in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+    for alpha in (math.nan, math.inf):  # a non-finite alpha fails the type rule
+        with pytest.raises(ValueError, match="^alpha: expected a finite number$"):
             PhiKernel(lv, alpha)
 
 

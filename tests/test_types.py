@@ -13,11 +13,13 @@ import pytest
 
 import sparsefn.sim as sim
 from sparsefn.config import ExperimentConfig, parse_config, serialize_config
-from sparsefn.estimators import EstimatorSpec
-from sparsefn.loading import LoadingSpec, check_types, spec_schema
+from sparsefn.estimators import EstimationInput, EstimatorSpec
+from sparsefn.loading import LoadingSpec, check_types, make_loading, spec_schema
 from sparsefn.lowerbound import ThetaSpec
 from sparsefn.noise import NoiseModel
+from sparsefn.rates import RateCalculator
 from sparsefn.sim import SimConfig, _replace_unchecked, check_grid, run_risk
+from sparsefn.threshold import PhiKernel
 
 
 def config(**kw) -> SimConfig:
@@ -104,3 +106,24 @@ def test_theta_spec_from_lists_holds_tuples_and_hashes():
     assert spec.support == (0, 1) and spec.values == (1.0, 2.0)
     assert type(spec.values[0]) is float
     assert hash(spec) == hash(ThetaSpec("fixed", support=(0, 1), values=(1.0, 2.0)))
+
+
+LOADING = make_loading(LoadingSpec("homogeneous", d=10))
+# the float scalars of the classes that are not specs: name -> build from it
+SCALARS = {
+    "PhiKernel.alpha": lambda v: PhiKernel(LOADING, v),
+    "RateCalculator.alpha": lambda v: RateCalculator(LOADING, v),
+    "EstimationInput.alpha": lambda v: EstimationInput(np.ones(10), LOADING, v, 2.0),
+    "EstimationInput.tau": lambda v: EstimationInput(np.ones(10), LOADING, 1.0, v),
+    "EstimationInput.sigma": lambda v: EstimationInput(np.ones(10), LOADING, 1.0, 2.0, sigma=v),
+}
+
+
+@pytest.mark.parametrize("value", [True, "1"], ids=["bool", "str"])
+@pytest.mark.parametrize("scalar", SCALARS)
+def test_float_scalars_outside_specs_refuse_a_bool_or_a_str(scalar, value):
+    name = scalar.split(".")[1]
+    with pytest.raises(ValueError, match=f"^{name}: expected a number$"):
+        SCALARS[scalar](value)
+    held = SCALARS[scalar](1)  # an int is held as a float
+    assert type(getattr(held, name)) is float and getattr(held, name) == 1.0
