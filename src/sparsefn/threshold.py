@@ -254,9 +254,7 @@ class PhiKernel:
     """
 
     def __init__(self, loading: LoadingVector, alpha: float):
-        alpha = check_value(float, alpha, "alpha")
-        if not alpha > 0.0:
-            raise ValueError("alpha must be positive and finite")
+        alpha = _check_alpha(alpha)
         self.levels = loading.levels
         self.alpha = alpha
         # u^-alpha is largest at the last level
@@ -419,58 +417,6 @@ class PhiKernel:
         """log(sum_j eta_j^2 exp(-beta/|eta_j|^alpha)) for each beta: log(nu^2) at beta >= 0."""
         return self._probe(betas)[:, 1]
 
-    def tail_sum(self, lams, start: int) -> np.ndarray:
-        """sum_{j >= start} exp(-(lam/|eta_j|)^alpha) over 0-based sorted
-        positions j, for each lam >= 0.
-
-        Each term is exp(B r_k), one exponential per level, with rates scaled
-        to the tail's first level u_top: r_k = neg_r_k t = -(u_top/u_k)^alpha,
-        t = -1/neg_r_top, formed on each leaf, and B = (lam/u_top)^alpha
-        formed in log space.  A tail whose neg_r leaves the normal range or
-        whose last rate overflows, and a row whose B is neither 0 (at lam = 0)
-        nor normal, takes the terms exp(-exp(alpha (log lam - log u))) instead,
-        on logs formed per leaf.  Both are decided per row, from scalars."""
-        lv = self.levels
-        k = lv.level_of(start)
-        u, neg_r = lv.values[k:], self.neg_r[k:]
-        counts = None
-        if lv.tied:
-            counts = lv.counts[k:].astype(float)
-            counts[0] = lv.ends[k] - start  # the part of level k at or after start
-        first, last = float(neg_r[0]), float(neg_r[-1])
-        t = -1.0 / first if _TINY <= -first < math.inf else math.nan
-        scaled = _TINY <= t < math.inf and -last * t < math.inf
-        log_top = float(np.log(u[:1])[0])  # np.log, as every log of a level here
-
-        def block(lam: np.ndarray) -> np.ndarray:
-            with np.errstate(divide="ignore", over="ignore"):  # log 0 = -inf; saturate to inf
-                log_lam = np.log(lam)
-                b = np.exp((log_lam - log_top) * self.alpha)
-            slow = (np.flatnonzero((lam != 0.0) & ~((b >= _TINY) & (b < math.inf))) if scaled
-                    else np.arange(lam.size))
-
-            def terms(w: np.ndarray, lo: int, hi: int) -> np.ndarray:
-                w = w[:, :hi - lo]
-                with np.errstate(divide="ignore", over="ignore"):
-                    if slow.size < lam.size:  # the rates in row 0, then each row's B r_k
-                        np.multiply(neg_r[lo:hi], t, out=w[0])
-                        np.multiply(b[1:, None], w[0], out=w[1:])
-                        w[0] *= b[0]
-                        np.exp(w, out=w)
-                    if slow.size:  # rows whose B or rates leave the normal range
-                        x = log_lam[slow, None] - np.log(u[lo:hi])
-                        x *= self.alpha
-                        np.exp(x, out=x)
-                        np.negative(x, out=x)
-                        w[slow] = np.exp(x, out=x)
-                if counts is not None:
-                    w *= counts[lo:hi]
-                return reduce_last(np.add, w)
-
-            return _walk(u.size, lam.shape, terms)
-
-        return self._rows(block, lams)
-
 
 def log_phi_objective(loading: LoadingVector, alpha: float, beta: float) -> float:
     """log(phi(beta)); finite for every finite beta and valid loading unless
@@ -600,7 +546,8 @@ def _unmet(rows_of, target: float, sign: float, root: float, g: float, iters: in
                         f"{resid_rel_of(g):.3g}")
 
 
-def _solve_decreasing(rows_of, t: np.ndarray, row0: np.ndarray, resid_rel_of):
+def _solve_decreasing(rows_of, t: np.ndarray, row0: np.ndarray, resid_rel_of,
+                      start: float = 1.0):
     """The root of F(x) = t for a strictly decreasing F and one target t (a
     one-element array), on plain floats.
 
@@ -626,7 +573,7 @@ def _solve_decreasing(rows_of, t: np.ndarray, row0: np.ndarray, resid_rel_of):
         return np.zeros(1), np.array([g]), np.ones(1, dtype=int), row0[None]
     sign = 1.0 if g > 0.0 else -1.0
     # the bracket: x1 the newest probe, x2 the other end, x3 the end dropped last
-    x2, f2, row2, step = 0.0, g, row0, 1.0
+    x2, f2, row2, step = 0.0, g, row0, start
     for iters in range(2, tol.max_doublings + 2):  # evaluations, F(0) included
         x1 = sign * step
         row1 = rows_of(np.array([x1]))[0]
@@ -820,33 +767,106 @@ def adaptive_target(s: int) -> float:
 
 def solve_adaptive_beta(loading: LoadingVector, alpha: float, s: int) -> ThresholdSolution:
     """Adaptive-family threshold: the oracle equation at target s/(2 sqrt(log(es)))."""
-    s = int(s)
+    s = check_value(int, s, "s")
     if not 1 <= s <= loading.d:
         raise ValueError(f"s must be in [1, {loading.d}]")
     return solve_beta(loading, alpha, adaptive_target(s), equation="adaptive")
 
 
+def _log_tail(levels, alpha: float, start: int):
+    """The rows of the asym equation: a function from a vector of lam >= 0
+    to rows whose one column is log T(lam), T(lam) = sum over 0-based sorted
+    positions j >= start of exp(-(lam/|eta_j|)^alpha).
+
+    With u_top the tail's first level and B = (lam/u_top)^alpha, formed in
+    log space per row, the terms are exp(-B) exp(B q_k), with rates
+
+        q_k = -expm1(alpha (log u_top - log u_k)) <= 0
+
+    formed here once, and counts c_k that cut the first level to its part at
+    or after ``start``.  So log T = -B + log sum_k c_k exp(B q_k): the sum
+    holds c_0 >= 1, T never underflows to 0, a row is log n at lam = 0 and
+    -inf only at B = inf.  A rate of a tail that spans more than 709 nats of
+    alpha log u would overflow, so the tail splits into segments where it
+    passes 709 nats of its segment's first level, each with its rates and B
+    scaled to that level, and a row is the logaddexp over the segments; a
+    tail within 709 nats is one segment.
+
+    Each row walks each segment's leaves (``_walk``): B q_k, its exponential
+    and the sum, three passes per level (one more for a tied tail's counts),
+    so its sum is numpy's pairwise sum bit for bit and it holds no buffer of
+    the tail's length."""
+    k = levels.level_of(start)
+    q = np.log(levels.values[k:])
+    log_top = float(q[0])
+    q -= log_top
+    q *= -alpha  # alpha (log u_top - log u_k), rising from 0
+    firsts = [0]
+    while (f := int(np.searchsorted(q, q[firsts[-1]] + 709.0, side="right"))) < q.size:
+        firsts.append(f)
+    shifts, segments = q[firsts], list(zip(firsts, firsts[1:] + [q.size]))
+    for (f, e), shift in zip(segments, shifts):
+        np.negative(np.expm1(np.subtract(q[f:e], shift, out=q[f:e]), out=q[f:e]), out=q[f:e])
+    counts = None
+    if levels.counts is not None:
+        counts = levels.counts[k:].astype(float)
+        counts[0] = levels.ends[k] - start
+
+    def rows(lams) -> np.ndarray:
+        lam = np.asarray(lams, dtype=float)
+        with np.errstate(divide="ignore", over="ignore"):  # log 0 = -inf; B saturates to inf
+            b = np.exp((np.log(lam) - log_top) * alpha + shifts[:, None])
+        out = np.empty(b.shape)
+        for j, (f, e) in enumerate(segments):
+            bj = np.minimum(b[j], sys.float_info.max)  # B = inf: -B, not NaN, is the row
+
+            def leaf(buf: np.ndarray, lo: int, hi: int, f=f, bj=bj) -> np.ndarray:
+                w = buf[:, :hi - lo]
+                with np.errstate(over="ignore"):  # B q_k saturates to -inf
+                    np.multiply(bj[:, None], q[f + lo:f + hi], out=w)
+                np.exp(w, out=w)
+                if counts is not None:
+                    w *= counts[f + lo:f + hi]
+                return reduce_last(np.add, w)
+
+            out[j] = np.log(_walk(e - f, lam.shape, leaf)) - b[j]
+        return np.logaddexp.reduce(out)[:, None]
+
+    return rows
+
+
+def _check_alpha(alpha) -> float:
+    alpha = check_value(float, alpha, "alpha")
+    if not alpha > 0.0:
+        raise ValueError("alpha must be positive and finite")
+    return alpha
+
+
 def solve_lambda_H(loading: LoadingVector, alpha: float, s: int) -> ThresholdSolution:
     """Solve sum_{j >= s^2} exp(-(lambda/|eta_j|)^alpha) = s for lambda >= 0.
 
-    The sum runs literally over j = s^2, ..., d (d - s^2 + 1 terms), which
-    requires s^2 + s <= d + 1 for a nonnegative root to exist.
+    The sum runs literally over j = s^2, ..., d (n = d - s^2 + 1 terms), which
+    requires s^2 + s <= d + 1 for a nonnegative root to exist.  The solve
+    finds the root of g = log T(lambda) - log s on the rows of ``_log_tail``,
+    so the residual T - s = expm1(g) s meets 1e-10 s as a phi residual does.
+    Its expansion starts at the tail's own scale: the power of two nearest
+    u_m max(1, log(n/s))^(1/alpha), within the normal floats, where u_m is
+    the level at sorted position min(s^2 + s - 1, d - 1).
     """
-    s = int(s)
+    s = check_value(int, s, "s")
     d = loading.d
     if s < 1:
         raise ValueError("s must be >= 1")
     if s * s + s > d + 1:
         raise ValueError(f"existence requires s^2 + s <= d + 1 (s={s}, d={d})")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    kernel = PhiKernel(loading, alpha)
-
-    def rows_of(lams: np.ndarray) -> np.ndarray:
-        return kernel.tail_sum(lams, s * s - 1)[:, None]
-
-    # g(0) = d - s^2 + 1 - s >= 0, so the expansion always runs upward
-    lam, g, iters, _row = _solve_decreasing(rows_of, np.array([float(s)]),
-                                            rows_of(np.zeros(1))[0], lambda v: v / s)
+    alpha = _check_alpha(alpha)
+    levels, n = loading.levels, d - s * s + 1
+    u_m = float(levels.values[levels.level_of(min(s * s + s - 1, d - 1))])
+    scale = round(math.log2(u_m) + math.log2(max(1.0, math.log(n / s))) / alpha)
+    # g(0) = log n - log s >= 0, so the expansion always runs upward
+    lam, g, iters, _row = _solve_decreasing(
+        _log_tail(levels, alpha, s * s - 1), np.array([math.log(s)]),
+        np.array([math.log(n)]), _safe_expm1, math.ldexp(1.0, min(max(scale, -1022), 1023)))
     lam_ = float(lam[0])
-    return ThresholdSolution("asym", float(s), lam_, lam_, float(g[0]), int(iters[0]))
+    return ThresholdSolution("asym", float(s), lam_, lam_, _safe_expm1(float(g[0])) * s,
+                             int(iters[0]))

@@ -1,5 +1,5 @@
 """Kernel rows that walk leaves, split up numpy's pairwise-sum tree, give
-every row, tail sum, solve record and CLI output bit for bit as one buffer
+every phi row, tail row, solve record and CLI output bit for bit as one buffer
 of the row's length does, in the caller's thread; and the numpy properties
 that this rests on still hold.
 
@@ -23,7 +23,8 @@ import sparsefn.threshold as threshold
 from sparsefn.cli import main
 from sparsefn.loading import LoadingSpec, make_loading
 from sparsefn.rates import RateCalculator
-from sparsefn.threshold import BracketError, PhiKernel, reduce_last, solve_beta, solve_lambda_H
+from sparsefn.threshold import (BracketError, PhiKernel, _log_tail, reduce_last, solve_beta,
+                                solve_lambda_H)
 from test_contracts import explicit_loadings
 
 BETAS = [0.0, -0.0, 5e-324, 1e-300, 1e-8, 0.5, 1.0, 3.0, 1e3, 1e30, 1e300]
@@ -54,12 +55,12 @@ def _bits(x) -> bytes:
 
 
 def _kernel_record(lv, alpha: float) -> list:
-    """Every kernel row, tail sum and solve record on lv, with the messages of
+    """Every kernel row, tail row and solve record on lv, with the messages of
     the solves that raise."""
     k = PhiKernel(lv, alpha)
     out = [_bits(k.rows(BETAS)), _bits(k.rows(BETAS + NEGATIVE)),
            *(_bits(k.rows([b])) for b in BETAS + NEGATIVE),
-           *(_bits(k.tail_sum(LAMS, start)) for start in (0, 1, lv.d // 3))]
+           *(_bits(_log_tail(lv.levels, alpha, start)(LAMS)) for start in (0, 1, lv.d // 3))]
     for solve in (lambda: RateCalculator(lv, alpha).table(),
                   lambda: RateCalculator(lv, alpha)._solve([0.5, 2.0, 7.0]),
                   lambda: solve_beta(lv, alpha, 1.5).to_dict(),
@@ -95,16 +96,15 @@ def test_threads_sharing_a_kernel_get_one_thread_rows(small_leaves):
     lv = make_loading(LoadingSpec("exp_decay", d=20_000, c=1e-4, gamma=1.0))
     betas = [[0.5 + 0.01 * i] for i in range(40)]
     lams = [[0.3 + 0.01 * i] for i in range(40)]
-    kernel = PhiKernel(lv, 1.0)
-    one = [_bits(kernel.rows(b)) + _bits(kernel.tail_sum(lam, 1))
-           for b, lam in zip(betas, lams)]
+    kernel, tail = PhiKernel(lv, 1.0), _log_tail(lv.levels, 1.0, 1)
+    one = [_bits(kernel.rows(b)) + _bits(tail(lam)) for b, lam in zip(betas, lams)]
     with small_leaves():
-        shared = PhiKernel(lv, 1.0)
+        shared, shared_tail = PhiKernel(lv, 1.0), _log_tail(lv.levels, 1.0, 1)
         got = [None, None]
 
         def evaluate(t: int) -> None:
             order = zip(betas[t::2] + betas[1 - t::2], lams[t::2] + lams[1 - t::2])
-            got[t] = [_bits(shared.rows(b)) + _bits(shared.tail_sum(lam, 1)) for b, lam in order]
+            got[t] = [_bits(shared.rows(b)) + _bits(shared_tail(lam)) for b, lam in order]
 
         threads = [threading.Thread(target=evaluate, args=(t,)) for t in (0, 1)]
         for t in threads:
@@ -176,21 +176,50 @@ def _one_buffer_rows(kernel: PhiKernel, betas) -> np.ndarray:
     return np.array(rows)
 
 
-def _one_buffer_tail(kernel: PhiKernel, lams, start: int) -> np.ndarray:
-    """``tail_sum`` of an untied kernel in one buffer of the tail's length:
-    exp(B r_k) with r_k = neg_r_k t, t = -1/neg_r_top and
-    B = (lam/u_top)^alpha, or exp(-exp(alpha (log lam - log u))) where B,
-    t or the last rate leaves the normal range."""
+def _one_buffer_tail(lv, alpha: float, lams, start: int) -> np.ndarray:
+    """``_log_tail`` rows with each segment's sum in one buffer of the
+    segment's length: -B_j + log sum_k c_k exp(B_j q_k), q_k = -expm1(x_k -
+    x_f) with x = alpha (log u_top - log u) and x_f its value at the
+    segment's first level, B_j = exp(alpha (log lam - log u_top) + x_f), and
+    segments that start where x passes 709 nats of the last start."""
+    levels = lv.levels
+    k = levels.level_of(start)
+    u = levels.values[k:]
+    counts = np.ones(u.size) if levels.counts is None else levels.counts[k:].astype(float)
+    counts[0] = (k + 1 if levels.ends is None else levels.ends[k]) - start
+    x = (np.log(u) - np.log(u[0])) * -alpha
+    firsts = [0]
+    while (f := int(np.searchsorted(x, x[firsts[-1]] + 709.0, side="right"))) < x.size:
+        firsts.append(f)
     lam = np.asarray(lams, dtype=float)
-    u, neg_r = kernel.levels.values[start:], kernel.neg_r[start:]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        t = -1.0 / neg_r[0]
-        b = np.exp((np.log(lam) - np.log(u[:1])) * kernel.alpha)
-        scaled = TINY <= -neg_r[0] and TINY <= t < np.inf and -neg_r[-1] * t < np.inf
-        fast = scaled & ((lam == 0.0) | ((b >= TINY) & (b < np.inf)))
-        terms = np.where(fast[:, None], np.exp(b[:, None] * (neg_r * t)),
-                         np.exp(-np.exp((np.log(lam)[:, None] - np.log(u)) * kernel.alpha)))
-    return terms.sum(axis=1)
+    parts = []
+    with np.errstate(divide="ignore", over="ignore"):
+        log_b = (np.log(lam) - np.log(u[0])) * alpha
+        for f, e in zip(firsts, firsts[1:] + [x.size]):
+            b = np.exp(log_b + x[f])
+            terms = np.exp(np.minimum(b, sys.float_info.max)[:, None] * -np.expm1(x[f:e] - x[f]))
+            parts.append(np.log((terms * counts[f:e]).sum(axis=1)) - b)
+    return np.logaddexp.reduce(parts)[:, None]
+
+
+def _two_exp_tail(lv, alpha: float, lams, start: int) -> np.ndarray:
+    """T(lam) itself, summed over sorted positions as exp(-exp(alpha (log lam
+    - log |eta|))) per term, the form of every tail row before rows were
+    scaled."""
+    lam = np.asarray(lams, dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):
+        w = np.exp((np.log(lam)[:, None] - np.log(lv.abs_values[start:])) * alpha)
+    return np.exp(-w).sum(axis=1)
+
+
+def _assert_tail_near_two_exp(new: np.ndarray, old: np.ndarray) -> None:
+    """log T rows against the two-exp sums: no NaN, within the pinned bound
+    where the sum is a normal float, and below the normals where it is not."""
+    assert not np.isnan(new).any()
+    normal = old >= TINY
+    with np.errstate(divide="ignore"):
+        assert (np.abs(new[normal] - np.log(old[normal])) <= TAIL_REL).all()
+    assert (new[~normal] <= math.log(TINY) + TAIL_REL).all()
 
 
 def _two_exp_rows(kernel: PhiKernel, betas) -> tuple[np.ndarray, np.ndarray]:
@@ -214,15 +243,6 @@ def _two_exp_rows(kernel: PhiKernel, betas) -> tuple[np.ndarray, np.ndarray]:
     return np.array(rows), np.array(sizes)
 
 
-def _two_exp_tail(kernel: PhiKernel, lams, start: int) -> np.ndarray:
-    """``tail_sum`` of an untied kernel as exp(-exp(alpha (log lam - log u)))
-    per level, the form of every tail row before rows were scaled."""
-    lam = np.asarray(lams, dtype=float)
-    with np.errstate(divide="ignore", over="ignore"):
-        w = np.exp((np.log(lam)[:, None] - np.log(kernel.levels.values[start:])) * kernel.alpha)
-    return np.exp(-w).sum(axis=1)
-
-
 def _one_buffer_kernel(lv, alpha: float) -> PhiKernel:
     """A kernel whose phi rows all compute their maxima in one buffer."""
     kernel = PhiKernel(lv, alpha)
@@ -236,18 +256,18 @@ def _one_buffer_kernel(lv, alpha: float) -> PhiKernel:
 def test_walked_rows_equal_one_buffer_rows(small_leaves, lv, alpha, drawn):
     """Rows at betas in [0, inf) walk leaves of 2^16 levels or of 128, or
     compute their maxima in one buffer: each is bit for bit the row of the
-    one-exponential form in one buffer of its length, and each tail sum the
-    sum over one buffer."""
+    one-exponential form in one buffer of its length, and each tail row the
+    row of one buffer per segment."""
     betas = BETAS + drawn
     ref = PhiKernel(lv, alpha)
     rows = _one_buffer_rows(ref, betas)
     want = [_bits(rows), *(_bits(row) for row in rows),
-            *(_bits(_one_buffer_tail(ref, LAMS, start)) for start in (0, lv.d // 3))]
+            *(_bits(_one_buffer_tail(lv, alpha, LAMS, start)) for start in (0, lv.d // 3))]
     for walk in (contextlib.nullcontext, small_leaves):
         with walk():
             kernel = PhiKernel(lv, alpha)
             got = [_bits(kernel.rows(betas)), *(_bits(kernel.rows([b])) for b in betas),
-                   *(_bits(kernel.tail_sum(LAMS, start)) for start in (0, lv.d // 3))]
+                   *(_bits(_log_tail(lv.levels, alpha, start)(LAMS)) for start in (0, lv.d // 3))]
             assert kernel._falls
         assert got == want
     assert _bits(_one_buffer_kernel(lv, alpha).rows(betas)) == want[0]
@@ -255,7 +275,8 @@ def test_walked_rows_equal_one_buffer_rows(small_leaves, lv, alpha, drawn):
 
 # |new - old| between the one-exponential rows and the two-exp forms,
 # relative to the size of log phi's terms (``_two_exp_rows``) and to
-# max(1, |log nu^2|), and |new - old| / old between tail sums, pinned from a
+# max(1, |log nu^2|), and |new - old| / old between tail sums (now |log T -
+# log old|, the same measure to first order), pinned from a
 # first measurement over two sets of 2300 draws of the test below and over
 # 12002 betas of either sign from 1e-322 to 1e307 on 38 wide loadings at
 # alpha 0.5, 1 and 4 (worst: 3.7e-16 on log phi, 1.8e-15 on log nu^2,
@@ -285,14 +306,11 @@ def _assert_near_two_exp(kernel: PhiKernel, betas) -> None:
 def test_rows_stay_near_the_two_exp_forms(lv, alpha, drawn):
     kernel = PhiKernel(lv, alpha)
     _assert_near_two_exp(kernel, BETAS + NEGATIVE + drawn)
-    if lv.levels.tied:
-        return
     lams = np.array(LAMS + [abs(x) for x in drawn])
     for start in (0, lv.d // 3):
-        new, old = kernel.tail_sum(lams, start), _two_exp_tail(kernel, lams, start)
-        assert _bits(new) == _bits(_one_buffer_tail(kernel, lams, start))
-        assert _bits(new[old == 0.0]) == _bits(old[old == 0.0])
-        assert (np.abs(new - old) <= TAIL_REL * old).all()
+        new = _log_tail(lv.levels, alpha, start)(lams)
+        assert _bits(new) == _bits(_one_buffer_tail(lv, alpha, lams, start))
+        _assert_tail_near_two_exp(new[:, 0], _two_exp_tail(lv, alpha, lams, start))
 
 
 def test_phi_rows_whose_second_sum_leaves_its_range_exponentiate_both_terms():
@@ -359,22 +377,45 @@ def test_a_block_of_mixed_signs_equals_its_rows_on_fixed_kernels(values):
 
 
 @pytest.mark.parametrize("alpha", [8.0, 16.0])
-def test_tail_rows_near_the_float_maximum_take_the_two_exp_form(alpha):
+def test_tail_rows_near_the_float_maximum_stay_near_the_two_exp_form(alpha):
     """-|eta|^-alpha underflows to -0 for |eta| in [1e299, 1e301] at alpha 8
     and 16, and lam^alpha overflows, so the unscaled one-exponential term
-    exp(lam^alpha neg_r) is NaN there.  neg_r at the tail's first level is
-    not normal, so no rate can be scaled to it: every row takes the two-exp
-    form, finite and bit for bit that form."""
-    lv = make_loading(LoadingSpec("explicit", values=tuple(np.geomspace(1e301, 1e299, 1000))))
-    kernel = PhiKernel(lv, alpha)
+    exp(-lam^alpha |eta|^-alpha) is NaN there.  The rates and B of a tail
+    row are formed in log space, scaled to the tail's first level: every
+    row is finite and near the two-exp form."""
+    values = np.geomspace(1e301, 1e299, 1000)
+    lv = make_loading(LoadingSpec("explicit", values=tuple(values.tolist())))
     lams = np.geomspace(1e299, 1e301, 7)
     for start in (0, 500):
-        assert kernel.neg_r[start] == 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            assert np.isnan(np.exp(lams[:, None] ** alpha * kernel.neg_r[start:])).any()
-        got = kernel.tail_sum(lams, start)
-        assert np.isfinite(got).all() and got.max() > 0.0
-        assert _bits(got) == _bits(_two_exp_tail(kernel, lams, start))
+            neg_r = -(values[start:] ** -alpha)
+            assert neg_r[0] == 0.0
+            assert np.isnan(np.exp(lams[:, None] ** alpha * neg_r)).any()
+        got = _log_tail(lv.levels, alpha, start)(lams)
+        assert np.isfinite(got).all()
+        assert _bits(got) == _bits(_one_buffer_tail(lv, alpha, lams, start))
+        _assert_tail_near_two_exp(got[:, 0], _two_exp_tail(lv, alpha, lams, start))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 8.0])
+def test_tail_rows_past_709_nats_sum_in_segments(small_leaves, alpha):
+    """A tail whose alpha log |eta| spans more than 709 nats has rates that
+    overflow when scaled to its first level: it sums in segments, each
+    scaled to its own first level.  At a lam where B of the first level is
+    below the normal floats, the low levels' terms are still of order 1."""
+    values = np.concatenate([[1e300, 9e299, 8e299, 7e299], np.geomspace(1e-298, 1e-300, 400)])
+    lv = make_loading(LoadingSpec("explicit", values=tuple(values.tolist())))
+    lams = np.array(LAMS + [2e-300, 1e-299, 1e-200, 3e299])
+    for start in (0, 3, 4, 300):
+        one = _log_tail(lv.levels, alpha, start)(lams)
+        with small_leaves():
+            assert _bits(_log_tail(lv.levels, alpha, start)(lams)) == _bits(one)
+        assert _bits(one) == _bits(_one_buffer_tail(lv, alpha, lams, start))
+        _assert_tail_near_two_exp(one[:, 0], _two_exp_tail(lv, alpha, lams, start))
+    # at s = 2 the tail's first level, 7e299, holds one of the s terms: the
+    # root lies among the low levels, where B of the first level underflows
+    sol = solve_lambda_H(lv, alpha, 2)
+    assert 1e-301 < sol.lambda_ < 1e-297 and sol.meets(threshold.TOLERANCES), sol
 
 
 @pytest.fixture
@@ -404,12 +445,13 @@ def test_computed_maxima_take_one_buffer_and_one_cpu_walks_here(small_leaves, wa
         PhiKernel(tied, 1.0).rows(BETAS)  # tied phi rows compute their maxima
         PhiKernel(untied, 1.0).rows(BETAS + NEGATIVE)  # so does a block with a beta < 0
         assert walks == []
-        PhiKernel(untied, 1.0).tail_sum(LAMS, 1000 - 128)  # 128 levels: one leaf
+        _log_tail(untied.levels, 1.0, 1000 - 128)(LAMS)  # 128 levels: one leaf
         assert [n for n, _ in walks] == [128]
         walks.clear()
         kernel = PhiKernel(untied, 1.0)
         assert _bits(kernel.rows(BETAS)) == _bits(_one_buffer_rows(kernel, BETAS))
-        assert _bits(kernel.tail_sum(LAMS, 1)) == _bits(_one_buffer_tail(kernel, LAMS, 1))
+        assert (_bits(_log_tail(untied.levels, 1.0, 1)(LAMS))
+                == _bits(_one_buffer_tail(untied, 1.0, LAMS, 1)))
     assert {n for n, _ in walks} == {1000, 999}
     assert {thread for _, thread in walks} == {threading.get_ident()}
     assert len(walks) >= 2 * (1000 // 128)  # each row walks several leaves
@@ -420,15 +462,15 @@ def test_computed_maxima_take_one_buffer_and_one_cpu_walks_here(small_leaves, wa
     lv = make_loading(LoadingSpec("explicit", values=tuple(values.tolist())))
     assert lv.levels.tied
     for start in (0, 1, 500, 501, 700):
-        one = PhiKernel(lv, 1.0).tail_sum(LAMS, start)
+        one = _log_tail(lv.levels, 1.0, start)(LAMS)
         walks.clear()
         with small_leaves():
-            assert _bits(PhiKernel(lv, 1.0).tail_sum(LAMS, start)) == _bits(one)
+            assert _bits(_log_tail(lv.levels, 1.0, start)(LAMS)) == _bits(one)
         assert {n for n, _ in walks} == {999 - lv.levels.level_of(start)}
         assert len(walks) > 1
         with np.errstate(divide="ignore", over="ignore"):
             w = np.exp(np.log(LAMS)[:, None] - np.log(values[start:]))
-        assert np.allclose(one, np.exp(-w).sum(axis=1), rtol=1e-13)
+        assert np.allclose(np.exp(one[:, 0]), np.exp(-w).sum(axis=1), rtol=1e-13)
 
 
 @pytest.mark.parametrize("argv", [
@@ -462,14 +504,14 @@ def test_split_row_holds_no_buffer_of_its_length():
     for d, c, phi_bytes, tail_bytes in ((1 << 19, 4e-6, 8 << 19, 8 << 19),
                                         (small, 2.0 / small, 16 * small, 8 * (small - 1))):
         lv = make_loading(LoadingSpec("exp_decay", d=d, c=c, gamma=1.0))
-        kernel = PhiKernel(lv, 1.0)
+        kernel, tail = PhiKernel(lv, 1.0), _log_tail(lv.levels, 1.0, 1)
         kernel.rows([0.5])
-        kernel.tail_sum([0.5], 1)
+        tail([0.5])
         assert kernel._falls
         tracemalloc.start()
         try:
             for evaluate, row_bytes in ((lambda: kernel.rows([2.0]), phi_bytes),
-                                        (lambda: kernel.tail_sum([2.0], 1), tail_bytes)):
+                                        (lambda: tail([2.0]), tail_bytes)):
                 tracemalloc.reset_peak()
                 before = tracemalloc.get_traced_memory()[0]
                 evaluate()

@@ -290,7 +290,8 @@ def test_level_kernel_matches_dense_formula_on_tied_loadings():
         # (lam/|eta|)^alpha <= 3^alpha keeps exp's conditioning within the tolerance
         lams = rng.uniform(0.0, 3.0, size=4) * lv.abs_values[-1]
         tail = [float(np.exp(-((lam / lv.abs_values[start:]) ** alpha)).sum()) for lam in lams]
-        np.testing.assert_allclose(kernel.tail_sum(lams, start), tail, rtol=1e-13)
+        log_tail = threshold._log_tail(lv.levels, alpha, start)(lams)[:, 0]
+        np.testing.assert_allclose(np.exp(log_tail), tail, rtol=1e-13)
 
 
 def _counting(monkeypatch, name):
@@ -305,6 +306,24 @@ def _counting(monkeypatch, name):
     return calls
 
 
+def counting_tail_rows(monkeypatch):
+    """The number of lams in each call of the asym solve's rows."""
+    calls = []
+    log_tail = threshold._log_tail
+
+    def counted(*args):
+        rows = log_tail(*args)
+
+        def counted_rows(lams):
+            calls.append(np.asarray(lams).size)
+            return rows(lams)
+
+        return counted_rows
+
+    monkeypatch.setattr(threshold, "_log_tail", counted)
+    return calls
+
+
 def test_each_iteration_is_one_kernel_evaluation(monkeypatch):
     # the bracket ends found by the expansion are not evaluated again
     lv = make_loading(LoadingSpec("homogeneous", d=1000))
@@ -312,10 +331,11 @@ def test_each_iteration_is_one_kernel_evaluation(monkeypatch):
     sol = solve_beta(lv, 2.0, 5.0)
     assert rows == [1] * sol.iterations and sol.iterations == 6
     assert sol.beta == 3.6888794541139363 and sol.residual == 1.1102230246251565e-15
-    tails = _counting(monkeypatch, "tail_sum")
+    tails = counting_tail_rows(monkeypatch)
     sol = solve_lambda_H(lv, 2.0, 5)
-    assert tails == [1] * sol.iterations and sol.iterations == 12
-    assert sol.lambda_ == 2.2965244771153515
+    # the row at 0 is log n, an evaluation without a kernel row
+    assert tails == [1] * (sol.iterations - 1) and sol.iterations == 8
+    assert sol.lambda_ == 2.2965244771131847
 
 
 def _random_loading(rng, dmax=1000, lo=1e-2, hi=1e2):
