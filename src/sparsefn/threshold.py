@@ -14,7 +14,9 @@ representable range.  A ``PhiKernel`` evaluates on the loading's distinct
 costs O(#levels) per evaluation, not O(d).
 
 Every equation (oracle, adaptive and the asym tail sum) is solved by one
-routine: geometric bracket expansion from beta = 0, then Chandrupatla's
+routine: geometric bracket expansion from 0 (probes 1, 2, 4, ... of either
+sign for phi; for the tail sum from the power of two nearest the tail's own
+scale, ``solve_lambda_H``), then Chandrupatla's
 method (Adv. Eng. Software 28(3), 1997) inside the bracket.  Each step is an
 inverse quadratic interpolation when the last three points show it to be
 safe and a bisection step otherwise, so the root stays bracketed and
@@ -44,7 +46,7 @@ float lies inside its bracket, or at ``max_iter`` evaluations; a residual
 still unmet then raises BracketError.
 
 Two kinds of kernel row need no maximum computed before their sum: every
-tail sum, and every phi row of an untied loading at beta >= 0, whose levels
+tail row, and every phi row of an untied loading at beta >= 0, whose levels
 are sorted, so that the maxima the row subtracts are its first level's.  Each
 such row walks numpy's pairwise-sum tree down to leaves of at most ``_LEAF``
 levels (``_walk``), running every pass on each leaf in one leaf-sized buffer,
@@ -52,12 +54,10 @@ so the row's sum is numpy's bit for bit and no row holds a buffer of its own
 length.  Every row runs in the caller's thread, on any CPU count.
 
 Every kernel row takes one exponential per level.  A phi row exponentiates
-only the first log-sum-exp's terms e_k; the second log-sum-exp is read from
-the sum of e_k u_k, one multiply per level.  A tail-sum row exponentiates
-B r_k, with rates r_k = -(u_top/u_k)^alpha scaled to the tail's first level
-and B = (lam/u_top)^alpha.  A row whose scalars leave the normal float range
-takes the two-exponential form instead, decided per row, so that a row's
-bits depend on its beta or lambda alone (``PhiKernel``).
+only the first log-sum-exp's terms e_k and reads the second from the sum of
+e_k u_k, unless its scalars put that sum out of range (``PhiKernel``).  A
+tail row is log T = -B + log sum_k c_k exp(B q_k), in the log domain with
+rates q_k <= 0 scaled to the tail's first level (``_log_tail``).
 """
 
 from __future__ import annotations
@@ -148,7 +148,6 @@ _BLOCK = 1 << 16  # elements (rows x levels) per kernel evaluation block
 # A walked row runs its pass chain on leaves of at most _LEAF levels, in one
 # leaf-sized buffer (d = 2.5e5: 2^16 levels beat 2^14).
 _LEAF = 1 << 16
-_TINY = sys.float_info.min  # the smallest normal float
 _NO_ROWS = np.empty(0, dtype=np.intp)
 
 
@@ -190,17 +189,16 @@ def _walk(n: int, shape: tuple[int, ...], leaf):
 
 
 class PhiKernel:
-    """log phi, log nu^2 and tail sums for one (loading, alpha), on the
-    loading's distinct |eta| levels u_0 > u_1 > ... with multiplicities c_k.
+    """log phi and log nu^2 for one (loading, alpha), on the loading's
+    distinct |eta| levels u_0 > u_1 > ... with multiplicities c_k.
 
     Reads nothing of the loading but its ``levels``, so a homogeneous or
     two_phase kernel costs O(levels) at any d.  Each array it holds over the
     levels is built on first use: ``neg_r = -u^-alpha``, formed in log space
-    as ``-exp(-alpha log u)`` (-inf where it overflows), which phi rows and
-    tail sums read; for phi rows the exponent gap ``gap = log u - log u_0``;
-    and on a tied kernel ``a1 = gap + log c``.  So an untied kernel holds two
-    arrays of its levels' length, a tied one three, a kernel that only sums
-    tails one.  The level exponents are ``w_k = beta * neg_r_k``, exactly 0
+    as ``-exp(-alpha log u)`` (-inf where it overflows); the exponent gap
+    ``gap = log u - log u_0``; and on a tied kernel ``a1 = gap + log c``.  So
+    an untied kernel holds two arrays of its levels' length, a tied one
+    three.  The level exponents are ``w_k = beta * neg_r_k``, exactly 0
     at beta = 0, and every evaluation subtracts the dominant one, ``w_top``,
     exactly:
 
@@ -238,25 +236,19 @@ class PhiKernel:
     ``log_energy``: the one-target solves on one kernel share their expansion
     probes, and a repeated target costs no evaluation.
 
-    Each tail-sum row, and each phi row of a block with every beta in [0, inf)
-    on a kernel whose maxima are known (``_falls``), walks its levels
-    (``_walk``): the whole chain of passes runs on each leaf of at most
-    ``_LEAF`` levels, in a leaf-sized buffer allocated for the row, and the
-    leaf sums are added up numpy's pairwise tree in the caller's thread.  The
-    levels fall, and so, on an untied kernel whose ``gap`` and ``neg_r`` fall
-    as floats too (checked once per kernel), do the exponents at beta >= 0
-    and both sums' terms: ``w_top`` and both maxima are the first level's
-    (m1 = m2 = 0), known before the walk starts.  So a walked row is bit for
-    bit the row that one buffer of its length gives, which is the path of
-    tied kernels and of blocks holding a beta < 0: they compute their maxima
-    first.  No row writes into memory another row can see, so threads may
-    share a kernel.
+    Each row of a block with every beta in [0, inf) on a kernel whose maxima
+    are known (``_falls``) walks its levels (``_walk``): on an untied kernel
+    whose ``gap`` and ``neg_r`` fall as floats (checked once per kernel),
+    ``w_top`` and both maxima are the first level's (m1 = m2 = 0), known
+    before the walk starts.  So a walked row is bit for bit the row that one
+    buffer of its length gives, which is the path of tied kernels and of
+    blocks holding a beta < 0: they compute their maxima first.  No row
+    writes into memory another row can see, so threads may share a kernel.
     """
 
     def __init__(self, loading: LoadingVector, alpha: float):
-        alpha = _check_alpha(alpha)
+        self.alpha = _check_alpha(alpha)
         self.levels = loading.levels
-        self.alpha = alpha
         # u^-alpha is largest at the last level
         neg_r_last = self._neg_r(self.levels.values[-1:])[0]
         self._r_inf = bool(np.isinf(neg_r_last))
@@ -272,7 +264,7 @@ class PhiKernel:
 
     @cached_property
     def neg_r(self) -> np.ndarray:
-        """-u^-alpha per level, built on the first phi row or tail sum."""
+        """-u^-alpha per level, built on the first row."""
         return self._neg_r(self.levels.values)
 
     @cached_property
@@ -385,20 +377,17 @@ class PhiKernel:
         top, (lse1, lse2) = self._lse_pair(betas)
         return np.stack([lse1 - 0.5 * (lse2 - top), top + lse2], axis=1)
 
-    def _rows(self, block, betas) -> np.ndarray:
+    def rows(self, betas) -> np.ndarray:
+        """Rows of (log phi, log nu^2), one per beta, evaluated without a memo
+        lookup."""
         betas = np.asarray(betas, dtype=float)
         step = max(1, _BLOCK // self.levels.values.size)
         # exponents saturate to -+inf; with every |eta| >= 1 they cannot overflow
         with contextlib.nullcontext() if self._bounded else np.errstate(over="ignore"):
             if betas.size <= step:
-                return block(betas)
-            return np.concatenate([block(betas[i:i + step])
+                return self._probe_block(betas)
+            return np.concatenate([self._probe_block(betas[i:i + step])
                                    for i in range(0, betas.size, step)])
-
-    def rows(self, betas) -> np.ndarray:
-        """Rows of (log phi, log nu^2), one per beta, evaluated without a memo
-        lookup."""
-        return self._rows(self._probe_block, betas)
 
     def _probe(self, betas) -> np.ndarray:
         """``rows`` through the memo: only betas not seen before are evaluated."""
@@ -553,8 +542,9 @@ def _solve_decreasing(rows_of, t: np.ndarray, row0: np.ndarray, resid_rel_of,
 
     ``rows_of`` maps a vector of x to rows whose column 0 is F(x), and ``row0``
     is its row at x = 0.  After F(0), a geometric bracket expansion from 0
-    probes x = +-1, +-2, +-4, ... on the root's side, then Chandrupatla steps
-    (``_chandrupatla_x``) inside the bracket take one ``rows_of`` call each.
+    probes x = +-start, +-2 start, +-4 start, ... on the root's side, then
+    Chandrupatla steps (``_chandrupatla_x``) inside the bracket take one
+    ``rows_of`` call each.
     ``resid_rel_of`` maps g = F(x) - t to the relative residual, and the solve
     stops once that is within ``TOLERANCES.rel``.  Returns (root, g(root),
     evaluations of g, the row at the root) as one-element arrays and a one-row
@@ -563,8 +553,8 @@ def _solve_decreasing(rows_of, t: np.ndarray, row0: np.ndarray, resid_rel_of,
     evaluation at the smallest float on its root's side tells a root below
     float resolution from a solve that ran out of steps.
 
-    A batch of targets is ``_solve_arrays``, which takes the same arguments and
-    gives each target exactly this solve's probes, root and evaluation count.
+    A batch of targets is ``_solve_arrays``: the same arguments at start 1,
+    and for each target exactly this solve's probes, root and evaluations.
     """
     tol = TOLERANCES
     t = float(t[0])
@@ -774,28 +764,22 @@ def solve_adaptive_beta(loading: LoadingVector, alpha: float, s: int) -> Thresho
 
 
 def _log_tail(levels, alpha: float, start: int):
-    """The rows of the asym equation: a function from a vector of lam >= 0
-    to rows whose one column is log T(lam), T(lam) = sum over 0-based sorted
-    positions j >= start of exp(-(lam/|eta_j|)^alpha).
+    """The asym equation's rows: lams >= 0 -> rows whose one column is log
+    T(lam), T(lam) = sum over 0-based sorted positions j >= start of
+    exp(-(lam/|eta_j|)^alpha).  With u_top the tail's first level, rates
+    q_k = -expm1(alpha (log u_top - log u_k)) <= 0 formed here once, counts
+    c_k that cut level 0 to its part at or after ``start``, and B =
+    (lam/u_top)^alpha formed in log space per row,
 
-    With u_top the tail's first level and B = (lam/u_top)^alpha, formed in
-    log space per row, the terms are exp(-B) exp(B q_k), with rates
+        log T = -B + log sum_k c_k exp(B q_k),
 
-        q_k = -expm1(alpha (log u_top - log u_k)) <= 0
-
-    formed here once, and counts c_k that cut the first level to its part at
-    or after ``start``.  So log T = -B + log sum_k c_k exp(B q_k): the sum
-    holds c_0 >= 1, T never underflows to 0, a row is log n at lam = 0 and
-    -inf only at B = inf.  A rate of a tail that spans more than 709 nats of
-    alpha log u would overflow, so the tail splits into segments where it
-    passes 709 nats of its segment's first level, each with its rates and B
-    scaled to that level, and a row is the logaddexp over the segments; a
-    tail within 709 nats is one segment.
-
-    Each row walks each segment's leaves (``_walk``): B q_k, its exponential
-    and the sum, three passes per level (one more for a tied tail's counts),
-    so its sum is numpy's pairwise sum bit for bit and it holds no buffer of
-    the tail's length."""
+    whose sum holds c_0 >= 1: T never underflows to 0, and a row is -inf only
+    at B = inf.  A rate past 709 nats would overflow, so the tail splits into
+    segments where alpha log u passes 709 nats of the segment's first level,
+    each scaled to that level, and a row is the logaddexp of its segments'.
+    A row walks each segment (``_walk``) in three passes per level (B q_k,
+    its exponential, the sum; one more for counts): numpy's pairwise sum bit
+    for bit, and no buffer of the tail's length."""
     k = levels.level_of(start)
     q = np.log(levels.values[k:])
     log_top = float(q[0])
@@ -806,38 +790,35 @@ def _log_tail(levels, alpha: float, start: int):
         firsts.append(f)
     shifts, segments = q[firsts], list(zip(firsts, firsts[1:] + [q.size]))
     for (f, e), shift in zip(segments, shifts):
-        np.negative(np.expm1(np.subtract(q[f:e], shift, out=q[f:e]), out=q[f:e]), out=q[f:e])
-    counts = None
-    if levels.counts is not None:
-        counts = levels.counts[k:].astype(float)
+        x = q[f:e]
+        np.negative(np.expm1(np.subtract(x, shift, out=x), out=x), out=x)
+    counts = None if levels.counts is None else levels.counts[k:].astype(float)
+    if counts is not None:
         counts[0] = levels.ends[k] - start
 
     def rows(lams) -> np.ndarray:
         lam = np.asarray(lams, dtype=float)
-        with np.errstate(divide="ignore", over="ignore"):  # log 0 = -inf; B saturates to inf
+        out = np.empty((len(segments), lam.size))
+        # log 0 = -inf, and B and B q_k saturate to +-inf
+        with np.errstate(divide="ignore", over="ignore"):
             b = np.exp((np.log(lam) - log_top) * alpha + shifts[:, None])
-        out = np.empty(b.shape)
-        for j, (f, e) in enumerate(segments):
-            bj = np.minimum(b[j], sys.float_info.max)  # B = inf: -B, not NaN, is the row
+            for j, (f, e) in enumerate(segments):
+                bj = np.minimum(b[j], sys.float_info.max)  # B = inf: -B, not NaN, is the row
+                def leaf(buf: np.ndarray, lo: int, hi: int, f=f, bj=bj) -> np.ndarray:
+                    w = buf[:, :hi - lo]
+                    np.exp(np.multiply(bj[:, None], q[f + lo:f + hi], out=w), out=w)
+                    if counts is not None:
+                        w *= counts[f + lo:f + hi]
+                    return reduce_last(np.add, w)
 
-            def leaf(buf: np.ndarray, lo: int, hi: int, f=f, bj=bj) -> np.ndarray:
-                w = buf[:, :hi - lo]
-                with np.errstate(over="ignore"):  # B q_k saturates to -inf
-                    np.multiply(bj[:, None], q[f + lo:f + hi], out=w)
-                np.exp(w, out=w)
-                if counts is not None:
-                    w *= counts[f + lo:f + hi]
-                return reduce_last(np.add, w)
-
-            out[j] = np.log(_walk(e - f, lam.shape, leaf)) - b[j]
+                out[j] = np.log(_walk(e - f, lam.shape, leaf)) - b[j]
         return np.logaddexp.reduce(out)[:, None]
 
     return rows
 
 
 def _check_alpha(alpha) -> float:
-    alpha = check_value(float, alpha, "alpha")
-    if not alpha > 0.0:
+    if not (alpha := check_value(float, alpha, "alpha")) > 0.0:
         raise ValueError("alpha must be positive and finite")
     return alpha
 
@@ -846,13 +827,11 @@ def solve_lambda_H(loading: LoadingVector, alpha: float, s: int) -> ThresholdSol
     """Solve sum_{j >= s^2} exp(-(lambda/|eta_j|)^alpha) = s for lambda >= 0.
 
     The sum runs literally over j = s^2, ..., d (n = d - s^2 + 1 terms), which
-    requires s^2 + s <= d + 1 for a nonnegative root to exist.  The solve
-    finds the root of g = log T(lambda) - log s on the rows of ``_log_tail``,
-    so the residual T - s = expm1(g) s meets 1e-10 s as a phi residual does.
-    Its expansion starts at the tail's own scale: the power of two nearest
-    u_m max(1, log(n/s))^(1/alpha), within the normal floats, where u_m is
-    the level at sorted position min(s^2 + s - 1, d - 1).
-    """
+    requires s^2 + s <= d + 1 for a nonnegative root to exist.  g = log T -
+    log s on the rows of ``_log_tail``, so T - s = expm1(g) s, held to 1e-10 s.
+    The expansion starts at the tail's own scale: the power of two nearest
+    u_m max(1, log(n/s))^(1/alpha) among the normal floats, u_m the level at
+    sorted position min(s^2 + s - 1, d - 1)."""
     s = check_value(int, s, "s")
     d = loading.d
     if s < 1:

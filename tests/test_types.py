@@ -19,7 +19,7 @@ from sparsefn.lowerbound import ThetaSpec
 from sparsefn.noise import NoiseModel
 from sparsefn.rates import RateCalculator
 from sparsefn.sim import SimConfig, _replace_unchecked, check_grid, run_risk
-from sparsefn.threshold import PhiKernel
+from sparsefn.threshold import TOLERANCES, PhiKernel, solve_adaptive_beta, solve_lambda_H
 
 
 def config(**kw) -> SimConfig:
@@ -127,3 +127,23 @@ def test_float_scalars_outside_specs_refuse_a_bool_or_a_str(scalar, value):
         SCALARS[scalar](value)
     held = SCALARS[scalar](1)  # an int is held as a float
     assert type(getattr(held, name)) is float and getattr(held, name) == 1.0
+
+
+# the threshold entry points that take alpha and s themselves
+SOLVES = {"solve_lambda_H": solve_lambda_H, "solve_adaptive_beta": solve_adaptive_beta}
+
+
+@pytest.mark.parametrize("value", [True, "1"], ids=["bool", "str"])
+@pytest.mark.parametrize("solve", SOLVES)
+def test_threshold_solves_refuse_a_bool_or_a_str_alpha(solve, value):
+    with pytest.raises(ValueError, match="^alpha: expected a number$"):
+        SOLVES[solve](LOADING, value, 2)
+    assert SOLVES[solve](LOADING, 1, 2).meets(TOLERANCES)  # an int alpha is a number
+
+
+@pytest.mark.parametrize("value", [2.7, True, "3", np.int64(2)], ids=repr)
+@pytest.mark.parametrize("solve", SOLVES)
+def test_threshold_solves_refuse_s_that_is_not_an_int(solve, value):
+    """s = 2.7 solved s = 2, True s = 1 and "3" s = 3 when s was truncated."""
+    with pytest.raises(ValueError, match="^s: expected an integer$"):
+        SOLVES[solve](LOADING, 1.0, value)
