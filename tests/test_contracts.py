@@ -12,7 +12,6 @@ import warnings
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-import sparsefn.threshold as threshold
 from sparsefn.loading import LoadingSpec, make_loading
 from sparsefn.rates import RateCalculator
 from sparsefn.threshold import (TOLERANCES, BracketError, PhiKernel, solve_adaptive_beta,
