@@ -335,7 +335,8 @@ def make_loading(spec: LoadingSpec) -> LoadingVector:
     exp_decay with c = 0 from their one or two levels (no d-vector is built
     unless read), any other exp_decay from its values, which are checked
     here as an explicit loading's are (underflow to 0, order), with no sort
-    and no order array.
+    and no order array; one strict-decrease test decides both checks and,
+    when it holds, gives the untied levels.
     """
     if spec.kind == "explicit":
         raw = np.asarray(spec.values, dtype=float)
@@ -354,10 +355,18 @@ def make_loading(spec: LoadingSpec) -> LoadingVector:
             return _from_levels(spec.kind, [top if head == d else 1.0], [d])
         return _from_levels(spec.kind, [top, 1.0], [head, d - head])
     # exp_decay with decay profile c * x**gamma
+    vals = np.arange(d, dtype=float)
     with np.errstate(over="ignore"):  # a profile past the float range decays to 0
-        vals = np.arange(d, dtype=float) ** spec.gamma
+        if spec.gamma != 1.0:  # x**1 is x
+            np.power(vals, spec.gamma, out=vals)
         vals *= -spec.c
     np.exp(vals, out=vals)
+    # strictly falling values can hold a 0 only at the end, and are the levels
+    if (vals[1:] < vals[:-1]).all():
+        if vals[-1] == 0.0:
+            raise ValueError("exp_decay underflowed to zero loadings; reduce c or d")
+        return LoadingVector._generated(spec.kind, d, values=vals,
+                                        levels=LoadingLevels(vals, None, None))
     if np.any(vals == 0.0):
         raise ValueError("exp_decay underflowed to zero loadings; reduce c or d")
     if np.any(vals[:-1] < vals[1:]):

@@ -91,6 +91,15 @@ class RateTable(NamedTuple):
     head_from: np.ndarray
 
 
+def _check_s(s) -> int:
+    """``s`` as an int: an int or a numpy integer (``estimators`` passes
+    those), never a bool, a float or a str, which ``int`` would truncate or
+    parse."""
+    if isinstance(s, (int, np.integer)) and not isinstance(s, bool):
+        return int(s)
+    raise ValueError("s: expected an integer")
+
+
 def _cutoff(loading: LoadingVector, lam):
     """max{ j : |eta_j| >= lam } with the empty-set convention 0 (ties
     included), for a scalar or an array of lam; d at lam = 0."""
@@ -143,7 +152,7 @@ class RateCalculator:
     # -- oracle side ---------------------------------------------------------
 
     def oracle(self, s: int) -> RateProfile:
-        s = int(s)
+        s = _check_s(s)
         if not 1 <= s <= self.loading.d:
             raise ValueError(f"s must be in [1, {self.loading.d}]")
         prof = self._oracle.get(s)
@@ -175,7 +184,7 @@ class RateCalculator:
         return star
 
     def star_solution(self, s: int) -> ThresholdSolution:
-        return self._adaptive(int(s))[0]
+        return self._adaptive(_check_s(s))[0]
 
     def lambda_star(self, s: int) -> float:
         return self.star_solution(s).lambda_
@@ -184,7 +193,7 @@ class RateCalculator:
         return int(_cutoff(self.loading, self.lambda_star(s)))
 
     def nu_star(self, s: int) -> float:
-        s = int(s)
+        s = _check_s(s)
         log_nu2 = self._adaptive(s)[1]
         return float(self._nu_star(np.array([float(s)]), np.array([log_nu2]))[0])
 
@@ -225,7 +234,7 @@ class RateCalculator:
         return self.s_star() + 1
 
     def phi_star(self, s: int) -> float:
-        s = int(s)
+        s = _check_s(s)
         s0 = min(self.s0(), self.loading.d)
         if s > s0:
             s = s0
@@ -234,14 +243,14 @@ class RateCalculator:
 
     def phi_adp(self, s: int) -> float:
         """Flat beyond s0: phi_adp(s) = phi_adp(min(s, s0))."""
-        s = min(int(s), self.s0(), self.loading.d)
+        s = min(_check_s(s), self.s0(), self.loading.d)
         ks = np.array([1.0, s])
         lam = np.array([self.lambda_star(1), self.lambda_star(s)])
         nu = np.array([self.nu_star(1), self.nu_star(s)])
         return float(self._phi_adp(ks, lam, nu)[1])
 
     def adaptive(self, s: int) -> AdaptiveRateProfile:
-        s = int(s)
+        s = _check_s(s)
         if not 1 <= s <= self.loading.d:
             raise ValueError(f"s must be in [1, {self.loading.d}]")
         sol = self.star_solution(s)
@@ -278,7 +287,7 @@ def adaptive_rate(loading: LoadingVector, alpha: float, s: int) -> AdaptiveRateP
 def j3_index(d: int, s: int, alpha: float) -> int:
     """ceil(s^2 log^(2/alpha)(ed/s)) clipped at d; plug-in cutoff of the
     non-symmetric estimator."""
-    d, s = int(d), int(s)
+    d, s = int(d), _check_s(s)
     if not 1 <= s <= d:
         raise ValueError(f"s must be in [1, {d}]")
     if alpha <= 0:
@@ -299,7 +308,7 @@ def closed_form_rate(example_kind: str, params: dict, s: int) -> float:
     rates are the two-regime sum (head subvector + full homogeneous vector),
     which agrees with the tabulated branch values up to a factor of two.
     """
-    s = int(s)
+    s = _check_s(s)
     if s < 1:
         raise ValueError("s must be >= 1")
     alpha = float(params["alpha"])

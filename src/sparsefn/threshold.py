@@ -45,28 +45,24 @@ root is some 10 steps away.  A solve stops when its residual is met, when no
 float lies inside its bracket, or at ``max_iter`` evaluations; a residual
 still unmet then raises BracketError.
 
-Two kinds of kernel row need no maximum computed before their sum: every
-tail row, and every phi row of an untied loading at beta >= 0, whose levels
-are sorted, so that the maxima the row subtracts are its first level's.  Each
-such row walks numpy's pairwise-sum tree down to leaves of at most ``_LEAF``
-levels (``_walk``), running every pass on each leaf in one leaf-sized buffer,
-so the row's sum is numpy's bit for bit and no row holds a buffer of its own
-length.  Every row runs in the caller's thread, on any CPU count.
-
-Every kernel row takes one exponential per level.  A phi row exponentiates
-only the first log-sum-exp's terms e_k and reads the second from the sum of
-e_k u_k, unless its scalars put that sum out of range (``PhiKernel``).  A
-tail row is log T = -B + log sum_k c_k exp(B q_k), in the log domain with
-rates q_k <= 0 scaled to the tail's first level (``_log_tail``).
+Every kernel row is scaled to the first level of its 709-nat segment, in
+rates p_k = expm1(alpha (log u_f - log u_k)) >= 0 (``_scaled_rates``): a phi
+row at beta >= 0 and every tail row take one multiply and one exponential per
+level, exp(t p_k) <= 1 with t <= 0 the segment's first exponent, and sum
+them leaf by leaf with einsum, never a BLAS dot (``_leaf_sums``), so no row
+needs a maximum, holds a buffer of its length, or depends on the CPU count.
+A phi row at beta < 0 computes its maxima first (``PhiKernel``).  A tail row
+is log T = -B + log sum_k c_k exp(-B p_k), in the log domain with B scaled to
+the tail's first level (``_log_tail``).  Every row runs in the caller's
+thread.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -144,11 +140,11 @@ class ThresholdSolution:
         }
 
 
-_BLOCK = 1 << 16  # elements (rows x levels) per kernel evaluation block
-# A walked row runs its pass chain on leaves of at most _LEAF levels, in one
-# leaf-sized buffer (d = 2.5e5: 2^16 levels beat 2^14).
-_LEAF = 1 << 16
-_NO_ROWS = np.empty(0, dtype=np.intp)
+# elements (rows x levels) per kernel evaluation block, and per leaf buffer of
+# a row's sums: no row longer than this holds a buffer of its length
+_BLOCK = 1 << 16
+_RUN = 128  # levels per partial sum of a row: numpy's pairwise block
+_FMAX = sys.float_info.max
 
 
 def reduce_last(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
@@ -166,26 +162,67 @@ def reduce_last(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tree_sum(lo: int, n: int, leaf):
-    """The sum of levels lo..lo+n-1 as numpy's pairwise sum of n > 128
-    elements forms it: split at ``n//2 - (n//2) % 8`` down to leaves of at
-    most ``_LEAF`` levels, ``leaf(lo, hi)`` the sum of each, added back up
-    the same tree.  So the sum is numpy's bit for bit."""
-    if n <= _LEAF:
-        return leaf(lo, lo + n)
-    h = n // 2 - (n // 2) % 8
-    return _tree_sum(lo, h, leaf) + _tree_sum(lo + h, n - h, leaf)
+def _scaled_rates(values: np.ndarray, alpha: float):
+    """(p, segments, shifts) for decreasing levels u: with x_k = alpha (log
+    u_0 - log u_k), rising from 0, the levels split into segments (first,
+    end) wherever x passes 709 nats of the segment's first level's x_f
+    (``shifts``), and the rates p_k = expm1(x_k - x_f) >= 0, so that
+    u_k^-alpha = u_f^-alpha (1 + p_k) and no rate overflows."""
+    p = np.log(values)
+    p -= float(p[0])
+    p *= -alpha
+    firsts = [0]
+    while (f := int(np.searchsorted(p, p[firsts[-1]] + 709.0, side="right"))) < p.size:
+        firsts.append(f)
+    shifts, segments = p[firsts], list(zip(firsts, firsts[1:] + [p.size]))
+    for (f, e), shift in zip(segments, shifts):
+        x = p[f:e]
+        if f:  # the first segment's shift is 0
+            x -= shift
+        np.expm1(x, out=x)
+    return p, segments, shifts
 
 
-def _walk(n: int, shape: tuple[int, ...], leaf):
-    """The sum over n > 0 levels of ``leaf(buf, lo, hi)``, the sums over
-    levels lo..hi-1 of a block of ``shape`` rows, added up numpy's pairwise
-    tree (``_tree_sum``), so bit for bit numpy's sum of the whole row.  Each
-    leaf writes into ``buf``, a leaf-sized buffer that this call allocates
-    for the row, so no row holds a buffer of its own length, and rows that
-    threads evaluate at once write into buffers of their own."""
-    buf = np.empty((*shape, min(n, _LEAF)))
-    return _tree_sum(0, n, partial(leaf, buf))
+def _leaf_sums(t: np.ndarray, p: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+    """For each weight row w_i of ``w``, the sum over k of exp(t p_k) w_ik per
+    row t; the plain sum where ``w`` is None (one row).
+
+    The exponentials are taken leaf by leaf in one buffer of at most
+    ``_BLOCK`` elements.  Each run of ``_RUN`` levels is summed alone, by
+    ``np.einsum`` against the weights (never a BLAS dot, whose bits can
+    depend on the thread count), the levels past the last whole run by
+    products and ``reduce_last``, and numpy's pairwise sum adds up the
+    runs' sums: einsum alone adds a long row in a few running sums, up to
+    some 60 eps off at 2^16 levels, the runs some 2 eps.  So a row's bits
+    depend neither on the other rows of its block nor on the leaves."""
+    r, n = t.size, p.size
+    if n < 8:  # one pass per level over the block's rows: numpy's order for so few
+        e = np.exp(np.multiply.outer(p, t))
+        if w is None:
+            return reduce_last(np.add, e.T)[None]
+        sums = w[:, :1] * e[0]
+        for i in range(1, n):
+            sums += w[:, i:i + 1] * e[i]
+        return sums
+    k = 1 if w is None else w.shape[0]
+    leaf = max(_BLOCK // r // _RUN, 1) * _RUN
+    buf = np.empty(r * min(n, leaf))
+    parts = []
+    for lo in range(0, n, leaf):
+        hi = min(lo + leaf, n)
+        e = buf[:r * (hi - lo)].reshape(r, hi - lo)
+        np.exp(np.multiply(t[:, None], p[lo:hi], out=e), out=e)
+        mid = lo + (hi - lo) // _RUN * _RUN  # whole runs from lo, a shorter rest from mid
+        if mid > lo:
+            x = e[:, :mid - lo].reshape(r, -1, _RUN)
+            parts.append(x.sum(axis=-1)[None] if w is None else
+                         np.einsum("rmi,kmi->krm", x, w[:, lo:mid].reshape(k, -1, _RUN)))
+        if hi > mid:
+            x = e[:, mid - lo:] if w is None else e[:, None, mid - lo:] * w[:, mid:hi]
+            parts.append(x.sum(axis=-1).T.reshape(k, r, 1))
+    if len(parts) == 1 and parts[0].shape[-1] == 1:  # one run
+        return parts[0][..., 0]
+    return np.concatenate(parts, axis=-1).sum(axis=-1)
 
 
 class PhiKernel:
@@ -193,41 +230,34 @@ class PhiKernel:
     distinct |eta| levels u_0 > u_1 > ... with multiplicities c_k.
 
     Reads nothing of the loading but its ``levels``, so a homogeneous or
-    two_phase kernel costs O(levels) at any d.  Each array it holds over the
-    levels is built on first use: ``neg_r = -u^-alpha``, formed in log space
-    as ``-exp(-alpha log u)`` (-inf where it overflows); the exponent gap
-    ``gap = log u - log u_0``; and on a tied kernel ``a1 = gap + log c``.  So
-    an untied kernel holds two arrays of its levels' length, a tied one
-    three.  The level exponents are ``w_k = beta * neg_r_k``, exactly 0
-    at beta = 0, and every evaluation subtracts the dominant one, ``w_top``,
-    exactly:
+    two_phase kernel costs O(levels) at any d.  On first use it splits the
+    levels into 709-nat segments and forms, per level, the rate p_k >= 0
+    scaled to its segment's first level u_f (``_scaled_rates``) and the
+    weights w1_k = c_k rho_k and w2_k = c_k rho_k^2, rho_k = u_k/u_f <= 1:
+    three arrays of the levels' length.  With t = -beta u_f^-alpha, one
+    multiply by a factor formed once per segment, the exponent of level k is
+    -beta u_k^-alpha = t + t p_k, so a segment's two sums are
 
-        log phi = w_top/2 + LSE(log u + log c + delta)
-                  - LSE(2 log u + log c + delta)/2,
-        delta_k = w_k - w_top <= 0,
+        sum_k c_k u_k exp(-beta u_k^-alpha) = u_f e^t S1,  S1 = sum_k w1_k E_k,
+        sum_k c_k u_k^2 exp(-beta u_k^-alpha) = u_f^2 e^t S2,  S2 = sum_k w2_k E_k,
 
-    so the log-sum-exps stay finite and a log phi beyond the float range comes
-    out as +-inf, never NaN.  Every method takes a vector of betas (rows) and
-    evaluates them in blocks of about ``_BLOCK`` elements.
+    with E_k = exp(t p_k).  Every later segment starts more than 709 nats
+    lower, where t_j - t_0 rounds to t_j, so the segments combine by
+    ``logaddexp`` relative to the first one's t_0 = w_top, the exponent of
+    the top level, which each row adds back exactly:
 
-    A row takes one exponential per level: with y_k = delta_k + gap_k
-    + log c_k (log c = 0 untied) and its maximum m1,
+        log phi = LSE1 - (LSE2 - w_top)/2,  log nu^2 = LSE2 + w_top.
 
-        e_k = exp(y_k - m1),  LSE1 = (m1 + log u_0) + log sum e_k,
-        LSE2 = (m1 + log u_0) + log sum e_k u_k,
-
-    since the second term's level is the first's times u_k.  With m2 =
-    max(y + gap), the second sum's largest term is e_j u_j = exp(m2 - m1 +
-    log u_0), and its factor e_j >= exp(m2 - m1), as gap <= 0.  A row where
-    either lies below e^-600, so that the sum's largest terms could lose bits
-    below the normal range, or the term above e^700 / levels, so that the sum
-    could overflow, exponentiates its second term too: LSE2 = (m2 + 2 log u_0)
-    + log sum exp(y_k + gap_k - m2).  m2 - m1 lies in [gap_last, 0], so on a
-    kernel whose levels span at most 599 nats, with log u_last >= -599 and
-    log u_0 <= 700 - log levels (``_narrow``, checked once per kernel), no
-    row needs that check or m2.  (Scaling u_k by c = exp(m1 - m2 - log u_0)
-    instead would need a clamp where u_k c overflows, and there e_k is
-    subnormal: a clamped product could lose a term of order 1.)
+    A row at beta >= 0 takes one multiply and one exponential per level,
+    then one einsum for both sums (``_leaf_sums``), with t clamped to the
+    float range.  There E_k <= 1 and each S >= c_f >= 1, so the row needs
+    no maxima and is finite for any finite loading unless w_top itself
+    overflows, where both columns are -inf.  A row at beta < 0, whose top
+    level is the last, computes its maxima first and takes two exponentials
+    in one buffer of its length (``_rows_down``).  Each row takes its path
+    by its own sign, and a block holding both signs is split, so a row's
+    bits depend on its beta alone.  Every method takes a vector of betas
+    (rows) and evaluates them in blocks of about ``_BLOCK`` elements.
 
     One pass over the levels gives both log phi and log nu^2, a row.  ``rows``
     evaluates rows without a lookup, for the batched solves, which share
@@ -235,155 +265,118 @@ class PhiKernel:
     row it has evaluated, for one-target solves, ``log_phi`` and
     ``log_energy``: the one-target solves on one kernel share their expansion
     probes, and a repeated target costs no evaluation.
-
-    Each row of a block with every beta in [0, inf) on a kernel whose maxima
-    are known (``_falls``) walks its levels (``_walk``): on an untied kernel
-    whose ``gap`` and ``neg_r`` fall as floats (checked once per kernel),
-    ``w_top`` and both maxima are the first level's (m1 = m2 = 0), known
-    before the walk starts.  So a walked row is bit for bit the row that one
-    buffer of its length gives, which is the path of tied kernels and of
-    blocks holding a beta < 0: they compute their maxima first.  No row
-    writes into memory another row can see, so threads may share a kernel.
     """
 
     def __init__(self, loading: LoadingVector, alpha: float):
         self.alpha = _check_alpha(alpha)
         self.levels = loading.levels
-        # u^-alpha is largest at the last level
-        neg_r_last = self._neg_r(self.levels.values[-1:])[0]
-        self._r_inf = bool(np.isinf(neg_r_last))
-        self._bounded = bool(neg_r_last >= -1.0)
         self._memo: dict[float, list[float]] = {}  # beta -> [log phi, log nu^2]
 
-    def _neg_r(self, u: np.ndarray) -> np.ndarray:
-        x = np.log(u)
-        x *= -self.alpha
+    @cached_property
+    def _terms(self):
+        """(p, [w1, w2], segments, offsets, factors): per segment j,
+        offsets[j] = [[log u_f], [2 log u_f]], and factors whose product is
+        -u_f^-alpha, formed in log space: -f with f = exp(-alpha log u_f)
+        (inf past the floats), or, on a kernel where some f is below the
+        normal floats and would lose the bits that each t p_k scales up,
+        three, [-g, g, g] with g = exp(-alpha log u_f / 3) there.  Where g is
+        below them too, every level of the segment has u^-alpha < e^-1416,
+        so beta u^-alpha < e^-700 for any beta: t may round to 0."""
+        u, counts = self.levels.values, self.levels.counts
+        p, segments, _shifts = _scaled_rates(u, self.alpha)
+        log_uf = np.log(u[[first for first, _ in segments]])
+        a = log_uf * -self.alpha
         with np.errstate(over="ignore"):
-            np.exp(x, out=x)
-        return np.negative(x, out=x)
+            factors = [-np.exp(a)[:, None]]
+        fine = -factors[0] < sys.float_info.min
+        if fine.any():
+            g = np.exp(a / 3.0)[:, None]
+            factors = [np.where(fine, -g, factors[0]), *[np.where(fine, g, 1.0)] * 2]
+        w = np.empty((2, u.size))
+        for first, end in segments:
+            np.divide(u[first:end], u[first], out=w[0, first:end])
+        np.multiply(w[0], w[0], out=w[1])
+        if counts is not None:
+            w *= counts
+        return p, w, segments, np.multiply.outer(log_uf, [[1.0], [2.0]]), factors
 
     @cached_property
-    def neg_r(self) -> np.ndarray:
-        """-u^-alpha per level, built on the first row."""
-        return self._neg_r(self.levels.values)
+    def _down_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(-u^-alpha, log u, log u + log c) per level, built on the first
+        row at beta < 0."""
+        log_u = np.log(self.levels.values)
+        with np.errstate(over="ignore"):
+            neg_r = -np.exp(log_u * -self.alpha)
+        counts = self.levels.counts
+        return neg_r, log_u, log_u if counts is None else log_u + np.log(counts)
 
-    @cached_property
-    def gap(self) -> tuple[float, np.ndarray]:
-        """(log u_0, log u - log u_0 per level)."""
-        gap = np.log(self.levels.values)
-        log_top = float(gap[0])
-        gap -= log_top
-        return log_top, gap
+    def _tops(self, betas: np.ndarray) -> np.ndarray:
+        """t_j = -beta u_f^-alpha per segment (rows), 0 at beta = 0."""
+        first, *rest = self._terms[4]
+        t = np.zeros((first.size, betas.size))
+        np.multiply(first, betas, out=t, where=betas != 0.0)
+        for c in rest:
+            t *= c
+        return t
 
-    @cached_property
-    def a1(self) -> np.ndarray:
-        """gap + log c per level of a tied kernel."""
-        return self.gap[1] + np.log(self.levels.counts)
+    def _rows_up(self, t: np.ndarray) -> np.ndarray:
+        """[LSE1, LSE2] relative to w_top = t_0 for rows at beta >= 0, from
+        their t."""
+        p, w, segments, offsets, _ = self._terms
+        for j, (f, e) in enumerate(segments):
+            s = np.log(_leaf_sums(np.maximum(t[j], -_FMAX), p[f:e], w[:, f:e]))
+            s += offsets[j]
+            lse = np.logaddexp(lse, s + t[j]) if j else s
+        return lse
 
-    @cached_property
-    def _narrow(self) -> bool:
-        """Whether no phi row's second sum can leave its range: m2 - m1 lies
-        in [gap_last, 0] (rounded by far less than a nat), and the bounds
-        hold at both ends."""
-        log_top, gap = self.gap
-        return (float(gap[-1]) >= -599.0 - min(log_top, 0.0)
-                and 700.0 - math.log(gap.size) - log_top >= 0.0)
-
-    @cached_property
-    def _falls(self) -> bool:
-        """Whether the maxima of a phi row at betas in [0, inf) are its first
-        level's: on an untied kernel whose ``gap`` and ``neg_r`` fall with
-        the level as floats."""
-        return not self.levels.tied and all(bool((v[:-1] >= v[1:]).all())
-                                            for v in (self.gap[1], self.neg_r))
-
-    def _exponents(self, betas: np.ndarray, lo: int, hi: int, x: np.ndarray) -> None:
-        """x[0] = w over levels lo..hi-1 for a block of rows."""
-        w, neg_r = x[0], self.neg_r[lo:hi]
-        if self._r_inf and not betas.all():  # 0 * inf: rows at beta = 0 stay 0
-            w[...] = 0.0
-            np.multiply(betas[:, None], neg_r, out=w, where=betas[:, None] != 0.0)
-        else:
-            np.multiply(betas[:, None], neg_r, out=w)
-
-    def _first_terms(self, top: np.ndarray, a1: np.ndarray, w: np.ndarray) -> None:
-        """w = a1 + delta in place, from w = w over the levels of a1."""
-        if self._bounded or np.isfinite(top).all():
-            w -= top[:, None]
-        else:  # the log is w_top's infinity; a zero delta keeps the row finite
-            finite = np.isfinite(top)
-            w -= np.where(finite, top, 0.0)[:, None]
-            w[~finite] = 0.0
-        w += a1
-
-    def _lse_pair(self, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(w_top, [LSE1, LSE2]) for a block of rows.  Where the maxima are
-        the first level's (``_falls``, every beta in [0, inf)), the row walks
-        leaves (``_walk``); otherwise it computes its maxima in one buffer of
-        the row's length."""
-        lv = self.levels
-        n = lv.values.size
-        falls = self._falls and bool(((betas >= 0.0) & (betas < math.inf)).all())
-        k = 1 if falls else n  # the levels that hold the maxima
-        log_top, gap = self.gap
-        a1 = self.a1 if lv.tied else gap
-        x = np.empty((2, betas.size, k))
-        self._exponents(betas, 0, k, x)
+    def _rows_down(self, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(w_top, [LSE1, LSE2] relative to it) for rows at beta < 0, whose
+        top level is the last: the exponents w_k = -beta u_k^-alpha, their
+        maximum w_top, then both log-sum-exps in one buffer of the row's
+        length.  A row whose w_top passes the float range keeps a zero
+        delta, so that both columns come out +inf."""
+        neg_r, log_u, a1 = self._down_terms
+        n, r = neg_r.size, betas.size
+        # level-major on fewer than 8 levels: reduce_last passes contiguous columns
+        x = np.empty((2, n, r)).transpose(0, 2, 1) if n < 8 else np.empty((2, r, n))
+        np.multiply(betas[:, None], neg_r, out=x[0])
         top = reduce_last(np.maximum, x[0])
-        self._first_terms(top, a1[:k], x[0])
-        m1 = reduce_last(np.maximum, x[0])
-        slow = _NO_ROWS
-        if not self._narrow:  # rows whose second sum leaves its range
-            np.add(x[0], gap[:k], out=x[1])
-            m2 = reduce_last(np.maximum, x[1])
-            lower = m2 - m1
-            slow = np.flatnonzero(~((lower >= -600.0 - min(log_top, 0.0))
-                                    & (lower <= 700.0 - math.log(n) - log_top)))
-
-        def sums(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
-            """[sum e_k, sum e_k u_k] over levels lo..hi-1, from x[0] = y; a
-            slow row's second sum is of exp(y + gap - m2)."""
-            y, second = x
-            if slow.size:
-                term = y[slow] + gap[lo:hi]
-                term -= m2[slow, None]
-                np.exp(term, out=term)
-            if not falls:  # a walked row's m1 is 0
-                y -= m1[:, None]
-            np.exp(y, out=y)
-            np.multiply(y, lv.values[lo:hi], out=second)
-            if slow.size:
-                second[slow] = term
-            return reduce_last(np.add, x)
-
-        if falls:
-            def leaf(buf: np.ndarray, lo: int, hi: int) -> np.ndarray:
-                x = buf[:, :, :hi - lo]
-                self._exponents(betas, lo, hi, x)
-                self._first_terms(top, a1[lo:hi], x[0])
-                return sums(x, lo, hi)
-
-            total = _walk(n, x.shape[:2], leaf)
-        else:
-            total = sums(x, 0, n)
-        offset = m1 + log_top
-        if slow.size:
-            offset = np.stack([offset, offset])
-            offset[1, slow] = m2[slow] + 2.0 * log_top
-        return top, offset + np.log(total)
+        over = np.isposinf(top)
+        x[0] -= np.where(over, 0.0, top)[:, None]
+        if over.any():
+            x[0, over] = 0.0
+        x[0] += a1
+        np.add(x[0], log_u, out=x[1])
+        m = reduce_last(np.maximum, x)
+        x -= m[:, :, None]
+        np.exp(x, out=x)
+        return top, m + np.log(reduce_last(np.add, x))
 
     def _probe_block(self, betas: np.ndarray) -> np.ndarray:
-        """Rows of (log phi, log nu^2) for a block of betas."""
-        top, (lse1, lse2) = self._lse_pair(betas)
-        return np.stack([lse1 - 0.5 * (lse2 - top), top + lse2], axis=1)
+        """Rows of (log phi, log nu^2) for a block of betas, each by the path
+        of its sign."""
+        up = betas >= 0.0
+        if up.all():
+            t = self._tops(betas)
+            top, lse = t[0], self._rows_up(t)
+        elif not up.any():
+            top, lse = self._rows_down(betas)
+        else:
+            top, lse = np.empty(betas.size), np.empty((2, betas.size))
+            t = self._tops(betas[up])
+            top[up], lse[:, up] = t[0], self._rows_up(t)
+            top[~up], lse[:, ~up] = self._rows_down(betas[~up])
+        lse[0] -= 0.5 * (lse[1] - top)
+        lse[1] += top
+        return lse.T
 
     def rows(self, betas) -> np.ndarray:
         """Rows of (log phi, log nu^2), one per beta, evaluated without a memo
         lookup."""
         betas = np.asarray(betas, dtype=float)
         step = max(1, _BLOCK // self.levels.values.size)
-        # exponents saturate to -+inf; with every |eta| >= 1 they cannot overflow
-        with contextlib.nullcontext() if self._bounded else np.errstate(over="ignore"):
+        # exponents saturate to -+inf
+        with np.errstate(over="ignore"):
             if betas.size <= step:
                 return self._probe_block(betas)
             return np.concatenate([self._probe_block(betas[i:i + step])
@@ -766,52 +759,36 @@ def solve_adaptive_beta(loading: LoadingVector, alpha: float, s: int) -> Thresho
 def _log_tail(levels, alpha: float, start: int):
     """The asym equation's rows: lams >= 0 -> rows whose one column is log
     T(lam), T(lam) = sum over 0-based sorted positions j >= start of
-    exp(-(lam/|eta_j|)^alpha).  With u_top the tail's first level, rates
-    q_k = -expm1(alpha (log u_top - log u_k)) <= 0 formed here once, counts
+    exp(-(lam/|eta_j|)^alpha).  With u_top the tail's first level, counts
     c_k that cut level 0 to its part at or after ``start``, and B =
     (lam/u_top)^alpha formed in log space per row,
 
-        log T = -B + log sum_k c_k exp(B q_k),
+        log T = -B + log sum_k c_k exp(-B p_k),
 
-    whose sum holds c_0 >= 1: T never underflows to 0, and a row is -inf only
-    at B = inf.  A rate past 709 nats would overflow, so the tail splits into
-    segments where alpha log u passes 709 nats of the segment's first level,
-    each scaled to that level, and a row is the logaddexp of its segments'.
-    A row walks each segment (``_walk``) in three passes per level (B q_k,
-    its exponential, the sum; one more for counts): numpy's pairwise sum bit
-    for bit, and no buffer of the tail's length."""
+    with the rates p_k >= 0 of ``_scaled_rates``, formed here once, and a
+    logaddexp over their 709-nat segments, each scaled to its first level.
+    The sum holds c_0 >= 1: T never underflows to 0, and a row is -inf only
+    at B = inf.  Each segment sums leaf by leaf (``_leaf_sums``): a plain
+    sum when untied, an einsum against the counts when tied."""
     k = levels.level_of(start)
-    q = np.log(levels.values[k:])
-    log_top = float(q[0])
-    q -= log_top
-    q *= -alpha  # alpha (log u_top - log u_k), rising from 0
-    firsts = [0]
-    while (f := int(np.searchsorted(q, q[firsts[-1]] + 709.0, side="right"))) < q.size:
-        firsts.append(f)
-    shifts, segments = q[firsts], list(zip(firsts, firsts[1:] + [q.size]))
-    for (f, e), shift in zip(segments, shifts):
-        x = q[f:e]
-        np.negative(np.expm1(np.subtract(x, shift, out=x), out=x), out=x)
-    counts = None if levels.counts is None else levels.counts[k:].astype(float)
+    u = levels.values[k:]
+    p, segments, shifts = _scaled_rates(u, alpha)
+    log_top = math.log(u[0])
+    counts = None if levels.counts is None else levels.counts[None, k:].astype(float)
     if counts is not None:
-        counts[0] = levels.ends[k] - start
+        counts[0, 0] = levels.ends[k] - start
 
     def rows(lams) -> np.ndarray:
         lam = np.asarray(lams, dtype=float)
         out = np.empty((len(segments), lam.size))
-        # log 0 = -inf, and B and B q_k saturate to +-inf
+        # log 0 = -inf, and B and B p_k saturate to inf
         with np.errstate(divide="ignore", over="ignore"):
             b = np.exp((np.log(lam) - log_top) * alpha + shifts[:, None])
             for j, (f, e) in enumerate(segments):
-                bj = np.minimum(b[j], sys.float_info.max)  # B = inf: -B, not NaN, is the row
-                def leaf(buf: np.ndarray, lo: int, hi: int, f=f, bj=bj) -> np.ndarray:
-                    w = buf[:, :hi - lo]
-                    np.exp(np.multiply(bj[:, None], q[f + lo:f + hi], out=w), out=w)
-                    if counts is not None:
-                        w *= counts[f + lo:f + hi]
-                    return reduce_last(np.add, w)
-
-                out[j] = np.log(_walk(e - f, lam.shape, leaf)) - b[j]
+                # B = inf: -B, not NaN, is the row
+                sums = _leaf_sums(np.negative(np.minimum(b[j], _FMAX)), p[f:e],
+                                  None if counts is None else counts[:, f:e])
+                out[j] = np.log(sums[0]) - b[j]
         return np.logaddexp.reduce(out)[:, None]
 
     return rows
