@@ -190,13 +190,14 @@ def _leaf_sums(t: np.ndarray, p: np.ndarray, w: np.ndarray | None) -> np.ndarray
     The exponentials are taken leaf by leaf in one buffer of at most
     ``_BLOCK`` elements.  Each run of ``_RUN`` levels is summed alone, by
     ``np.einsum`` against the weights (never a BLAS dot, whose bits can
-    depend on the thread count), the levels past the last whole run by
-    products and ``reduce_last``, and numpy's pairwise sum adds up the
-    runs' sums: einsum alone adds a long row in a few running sums, up to
-    some 60 eps off at 2^16 levels, the runs some 2 eps.  So a row's bits
-    depend neither on the other rows of its block nor on the leaves."""
+    depend on the thread count), and numpy's pairwise sum adds up the runs'
+    sums: einsum alone adds a long row in a few running sums, up to some 60
+    eps off at 2^16 levels, the runs some 2 eps.  So a row's bits depend
+    neither on the other rows of its block nor on the leaves.  Fewer than 8
+    levels take one pass each over the block's rows, numpy's order for so
+    few."""
     r, n = t.size, p.size
-    if n < 8:  # one pass per level over the block's rows: numpy's order for so few
+    if n < 8:
         e = np.exp(np.multiply.outer(p, t))
         if w is None:
             return reduce_last(np.add, e.T)[None]
@@ -207,22 +208,24 @@ def _leaf_sums(t: np.ndarray, p: np.ndarray, w: np.ndarray | None) -> np.ndarray
     k = 1 if w is None else w.shape[0]
     leaf = max(_BLOCK // r // _RUN, 1) * _RUN
     buf = np.empty(r * min(n, leaf))
-    parts = []
+    runs = np.empty((k, r, -(-n // _RUN)))  # each run's sum, the rest's last
     for lo in range(0, n, leaf):
         hi = min(lo + leaf, n)
         e = buf[:r * (hi - lo)].reshape(r, hi - lo)
         np.exp(np.multiply(t[:, None], p[lo:hi], out=e), out=e)
-        mid = lo + (hi - lo) // _RUN * _RUN  # whole runs from lo, a shorter rest from mid
-        if mid > lo:
-            x = e[:, :mid - lo].reshape(r, -1, _RUN)
-            parts.append(x.sum(axis=-1)[None] if w is None else
-                         np.einsum("rmi,kmi->krm", x, w[:, lo:mid].reshape(k, -1, _RUN)))
+        m = (hi - lo) // _RUN  # whole runs from lo, a shorter rest from mid
+        mid = lo + m * _RUN
+        if m:
+            x = e[:, :mid - lo].reshape(r, m, _RUN)
+            out = runs[:, :, lo // _RUN:lo // _RUN + m]
+            if w is None:
+                x.sum(axis=-1, out=out[0])
+            else:
+                np.einsum("rmi,kmi->krm", x, w[:, lo:mid].reshape(k, m, _RUN), out=out)
         if hi > mid:
-            x = e[:, mid - lo:] if w is None else e[:, None, mid - lo:] * w[:, mid:hi]
-            parts.append(x.sum(axis=-1).T.reshape(k, r, 1))
-    if len(parts) == 1 and parts[0].shape[-1] == 1:  # one run
-        return parts[0][..., 0]
-    return np.concatenate(parts, axis=-1).sum(axis=-1)
+            x = e[:, mid - lo:]
+            runs[:, :, -1] = (x if w is None else x[:, None] * w[:, mid:hi]).sum(axis=-1).T
+    return runs[..., 0] if runs.shape[-1] == 1 else runs.sum(axis=-1)
 
 
 class PhiKernel:
@@ -362,10 +365,10 @@ class PhiKernel:
         elif not up.any():
             top, lse = self._rows_down(betas)
         else:
-            top, lse = np.empty(betas.size), np.empty((2, betas.size))
+            top, lse, down = np.empty(betas.size), np.empty((2, betas.size)), ~up
             t = self._tops(betas[up])
             top[up], lse[:, up] = t[0], self._rows_up(t)
-            top[~up], lse[:, ~up] = self._rows_down(betas[~up])
+            top[down], lse[:, down] = self._rows_down(betas[down])
         lse[0] -= 0.5 * (lse[1] - top)
         lse[1] += top
         return lse.T

@@ -1,9 +1,10 @@
 """Contracts drawn over the inputs the types admit rather than fixtures.
 
 The batched adaptive ladder (``RateCalculator.table``) against the one-target
-solves it must reproduce, and the asym solve against its residual contract,
-on explicit loadings whose |eta| spans 1e-300 to 1e300, with ties and signs,
-at every sparsity level.
+solves it must reproduce, the asym solve against its residual contract, and
+every phi kernel row against the form that exponentiates both log-sum-exp
+terms, on explicit loadings whose |eta| spans 1e-300 to 1e300, with ties and
+signs, at every sparsity level.
 """
 
 import math
@@ -75,6 +76,50 @@ def test_ladder_equals_its_one_target_solves(lv, alpha):
     energy = PhiKernel(lv, alpha).log_energy(np.maximum(beta, 0.0))
     nu = np.sqrt((1.0 + np.log(np.arange(1, len(ss) + 1))) * np.exp(energy))
     assert _bits(table.nu_star) == _bits(nu)
+
+
+def two_exp_rows(lv, alpha: float, betas) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (log phi, log nu^2) in the form that exponentiates both LSE terms
+    over the levels of ``lv`` (a loading or a kernel), with w_k = -beta
+    u_k^-alpha formed per level in log space (-inf where u^-alpha overflows,
+    0 at beta = 0) and w_top their maximum subtracted, a zero delta where
+    w_top is infinite.  With them, per row, the size of the terms that log
+    phi = LSE1 - (LSE2 - w_top)/2 is formed from, max(1, |LSE1|, |LSE2|,
+    |w_top|), which scales its rounding error."""
+    log_u = np.log(lv.levels.values)
+    with np.errstate(over="ignore"):
+        neg_r = -np.exp(log_u * -alpha)
+    a1 = log_u + np.log(lv.levels.counts) if lv.levels.tied else log_u
+    rows, sizes = [], []
+    with np.errstate(over="ignore"):
+        for beta in np.asarray(betas, dtype=float).tolist():
+            w = np.zeros(log_u.size) if beta == 0.0 else beta * neg_r
+            top = w.max()
+            x1 = ((w - top) if np.isfinite(top) else np.zeros(a1.size)) + a1
+            x2 = x1 + log_u
+            lse1, lse2 = (x.max() + np.log(np.exp(x - x.max()).sum()) for x in (x1, x2))
+            rows.append([lse1 - 0.5 * (lse2 - top), top + lse2])
+            sizes.append(max(1.0, abs(lse1), abs(lse2), abs(top)))
+    return np.array(rows), np.array(sizes)
+
+
+@settings(max_examples=40)
+@given(explicit_loadings(), st.sampled_from([0.5, 1.0, 2.0, 4.0, 8.0]),
+       st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=1, max_size=6))
+def test_phi_rows_are_finite_where_the_two_exp_form_is(lv, alpha, drawn):
+    """Rows of both signs, alone and in one block: finite wherever the two-exp
+    form is, the same infinity where it is not, and no RuntimeWarning."""
+    betas = [0.0, -0.0, 5e-324, 1.0, -1.0, *drawn]
+    kernel = PhiKernel(lv, alpha)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        block = kernel.rows(betas)
+        alone = np.concatenate([kernel.rows([b]) for b in betas])
+    old, _size = two_exp_rows(lv, alpha, betas)
+    finite = np.isfinite(old)
+    for rows in (block, alone):
+        assert (np.isfinite(rows) == finite).all(), (betas, rows, old)
+        assert _bits(rows[~finite]) == _bits(old[~finite])
 
 
 def _asym_solves(lv, alpha: float):

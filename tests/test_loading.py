@@ -247,6 +247,33 @@ def test_exp_decay_profile_past_the_float_range_underflows_without_warnings():
             make_loading(LoadingSpec("exp_decay", d=5, c=1.0, gamma=1e308))
 
 
+@pytest.mark.parametrize("d, c, gamma", [
+    (1, 0.5, 1.0), (2, 0.5, 1.0), (1000, 2e-3, 1.0), (1000, 2e-3, 1.5), (257, 3e-3, 2.0),
+    (100, 1e-300, 1.0),     # every value rounds to 1: one tied level
+    (100, 1e-17, 1.0),      # ties among the first values only
+    (300, 1e-7, 3.0),
+])
+def test_exp_decay_values_and_levels_equal_the_general_path(d, c, gamma):
+    """exp(-c j^gamma) as ``j ** gamma * -c`` then exp, byte for byte, with
+    the levels that run-length over the values finds."""
+    lv = make_loading(LoadingSpec("exp_decay", d=d, c=c, gamma=gamma))
+    want = np.arange(d, dtype=float) ** gamma
+    want *= -c
+    np.exp(want, out=want)
+    assert lv.values.tobytes() == want.tobytes()
+    general = LoadingVector(want, np.arange(d)).levels
+    assert lv.levels.tied == general.tied
+    for got, ref in zip(lv.levels, general):
+        assert (got is None and ref is None) or got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("d, c, gamma", [(2000, 0.5, 1.0), (40, 1.0, 2.0)])
+def test_exp_decay_underflow_at_the_end_is_refused(d, c, gamma):
+    """Strictly falling values can reach 0 only at the last entry."""
+    with pytest.raises(ValueError, match="^exp_decay underflowed to zero loadings"):
+        make_loading(LoadingSpec("exp_decay", d=d, c=c, gamma=gamma))
+
+
 def test_exp_decay_identity_order_equals_a_gather():
     d = 257
     lv = make_loading(LoadingSpec("exp_decay", d=d, c=0.03, gamma=1.5))

@@ -292,6 +292,29 @@ def test_rate_calculator_validates_s():
         calc.adaptive(101)
 
 
+@pytest.mark.parametrize("s", [2.7, True, "3", np.float64(3.0)])
+def test_rates_refuse_an_s_that_int_would_truncate(s):
+    """int() took 2.7 as 2, True as 1 and "3" as 3; every entry point that
+    takes s refuses them."""
+    calc = RateCalculator(HOM100, 1.0)
+    for take in (calc.oracle, calc.adaptive, calc.phi_star, calc.star_solution, calc.nu_star,
+                 calc.phi_adp, lambda s: oracle_rate(HOM100, 1.0, s),
+                 lambda s: adaptive_rate(HOM100, 1.0, s), lambda s: j3_index(100, s, 1.0),
+                 lambda s: closed_form_rate("homogeneous_oracle", {"alpha": 1.0, "d": 100}, s)):
+        with pytest.raises(ValueError, match="^s: expected an integer$"):
+            take(s)
+
+
+def test_rates_take_a_numpy_integer_s():
+    calc = RateCalculator(HOM100, 1.0)
+    assert calc.oracle(np.int64(3)) == calc.oracle(3) and calc.oracle(np.int64(3)).s == 3
+    assert adaptive_rate(HOM100, 1.0, np.int64(3)) == adaptive_rate(HOM100, 1.0, 3)
+    assert j3_index(100, np.int64(3), 1.0) == j3_index(100, 3, 1.0)
+    params = {"alpha": 1.0, "d": 100}
+    assert (closed_form_rate("homogeneous_oracle", params, np.int64(3))
+            == closed_form_rate("homogeneous_oracle", params, 3))
+
+
 @pytest.mark.parametrize("alpha", [math.nan, math.inf])
 def test_rate_calculator_rejects_non_finite_alpha(alpha):
     with pytest.raises(ValueError, match="finite"):
