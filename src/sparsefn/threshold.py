@@ -183,48 +183,52 @@ def _scaled_rates(values: np.ndarray, alpha: float):
     return p, segments, shifts
 
 
-def _leaf_sums(t: np.ndarray, p: np.ndarray, w: np.ndarray | None) -> np.ndarray:
-    """For each weight row w_i of ``w``, the sum over k of exp(t p_k) w_ik per
-    row t; the plain sum where ``w`` is None (one row).
+def _leaf_sums(t: np.ndarray, p: np.ndarray, w1: np.ndarray | None,
+               w2: np.ndarray | None = None) -> np.ndarray:
+    """Per row t, with E_k = exp(t p_k): [sum_k w1_k E_k] and, where ``w2`` is
+    given, [sum_k w1_k E_k, sum_k w1_k w2_k E_k]; w1 = 1 where None.
 
-    The exponentials are taken leaf by leaf in one buffer of at most
-    ``_BLOCK`` elements.  Each run of ``_RUN`` levels is summed alone, by
-    ``np.einsum`` against the weights (never a BLAS dot, whose bits can
-    depend on the thread count), and numpy's pairwise sum adds up the runs'
-    sums: einsum alone adds a long row in a few running sums, up to some 60
-    eps off at 2^16 levels, the runs some 2 eps.  So a row's bits depend
-    neither on the other rows of its block nor on the leaves.  Fewer than 8
-    levels take one pass each over the block's rows, numpy's order for so
-    few."""
+    Per level, one multiply, one exponential and a multiply by w1, leaf by
+    leaf in one buffer of at most ``_BLOCK`` elements.  Each run of ``_RUN``
+    levels is summed alone, the second sum by ``np.einsum`` against w2
+    (never a BLAS dot, whose bits can depend on the thread count), and
+    numpy's pairwise sum adds up the runs' sums: einsum alone adds a long row
+    in a few running sums, up to some 60 eps off at 2^16 levels, the runs
+    some 2 eps.  So a row's bits depend neither on the other rows of its
+    block nor on the leaves.  Fewer than 8 levels take one pass each over
+    the block's rows, numpy's order for so few."""
     r, n = t.size, p.size
     if n < 8:
         e = np.exp(np.multiply.outer(p, t))
-        if w is None:
+        if w1 is None:
             return reduce_last(np.add, e.T)[None]
-        sums = w[:, :1] * e[0]
+        w = w1[:, None] if w2 is None else np.stack([w1, w1 * w2], axis=1)
+        sums = w[0, :, None] * e[0]
         for i in range(1, n):
-            sums += w[:, i:i + 1] * e[i]
+            sums += w[i, :, None] * e[i]
         return sums
-    k = 1 if w is None else w.shape[0]
     leaf = max(_BLOCK // r // _RUN, 1) * _RUN
     buf = np.empty(r * min(n, leaf))
-    runs = np.empty((k, r, -(-n // _RUN)))  # each run's sum, the rest's last
+    runs = np.empty((1 if w2 is None else 2, r, -(-n // _RUN)))  # the rest's sums last
     for lo in range(0, n, leaf):
         hi = min(lo + leaf, n)
         e = buf[:r * (hi - lo)].reshape(r, hi - lo)
         np.exp(np.multiply(t[:, None], p[lo:hi], out=e), out=e)
+        if w1 is not None:
+            e *= w1[lo:hi]
         m = (hi - lo) // _RUN  # whole runs from lo, a shorter rest from mid
         mid = lo + m * _RUN
         if m:
             x = e[:, :mid - lo].reshape(r, m, _RUN)
             out = runs[:, :, lo // _RUN:lo // _RUN + m]
-            if w is None:
-                x.sum(axis=-1, out=out[0])
-            else:
-                np.einsum("rmi,kmi->krm", x, w[:, lo:mid].reshape(k, m, _RUN), out=out)
+            x.sum(axis=-1, out=out[0])
+            if w2 is not None:
+                np.einsum("rmi,mi->rm", x, w2[lo:mid].reshape(m, _RUN), out=out[1])
         if hi > mid:
             x = e[:, mid - lo:]
-            runs[:, :, -1] = (x if w is None else x[:, None] * w[:, mid:hi]).sum(axis=-1).T
+            runs[0, :, -1] = x.sum(axis=-1)
+            if w2 is not None:
+                runs[1, :, -1] = (x * w2[mid:hi]).sum(axis=-1)
     return runs[..., 0] if runs.shape[-1] == 1 else runs.sum(axis=-1)
 
 
@@ -235,14 +239,14 @@ class PhiKernel:
     Reads nothing of the loading but its ``levels``, so a homogeneous or
     two_phase kernel costs O(levels) at any d.  On first use it splits the
     levels into 709-nat segments and forms, per level, the rate p_k >= 0
-    scaled to its segment's first level u_f (``_scaled_rates``) and the
-    weights w1_k = c_k rho_k and w2_k = c_k rho_k^2, rho_k = u_k/u_f <= 1:
-    three arrays of the levels' length.  With t = -beta u_f^-alpha, one
-    multiply by a factor formed once per segment, the exponent of level k is
-    -beta u_k^-alpha = t + t p_k, so a segment's two sums are
+    scaled to its segment's first level u_f (``_scaled_rates``) and rho_k =
+    u_k/u_f <= 1: two arrays of the levels' length, and a third on a tied
+    kernel, c_k rho_k.  With t = -beta u_f^-alpha, one multiply by a factor
+    formed once per segment, the exponent of level k is -beta u_k^-alpha =
+    t + t p_k, so a segment's two sums are
 
-        sum_k c_k u_k exp(-beta u_k^-alpha) = u_f e^t S1,  S1 = sum_k w1_k E_k,
-        sum_k c_k u_k^2 exp(-beta u_k^-alpha) = u_f^2 e^t S2,  S2 = sum_k w2_k E_k,
+        sum_k c_k u_k exp(-beta u_k^-alpha) = u_f e^t S1,  S1 = sum_k c_k rho_k E_k,
+        sum_k c_k u_k^2 exp(-beta u_k^-alpha) = u_f^2 e^t S2,  S2 = sum_k c_k rho_k^2 E_k,
 
     with E_k = exp(t p_k).  Every later segment starts more than 709 nats
     lower, where t_j - t_0 rounds to t_j, so the segments combine by
@@ -251,11 +255,12 @@ class PhiKernel:
 
         log phi = LSE1 - (LSE2 - w_top)/2,  log nu^2 = LSE2 + w_top.
 
-    A row at beta >= 0 takes one multiply and one exponential per level,
-    then one einsum for both sums (``_leaf_sums``), with t clamped to the
-    float range.  There E_k <= 1 and each S >= c_f >= 1, so the row needs
-    no maxima and is finite for any finite loading unless w_top itself
-    overflows, where both columns are -inf.  A row at beta < 0, whose top
+    A row at beta >= 0 takes one multiply and one exponential per level, a
+    multiply by c_k rho_k, then a pairwise sum and an einsum against rho
+    (``_leaf_sums``), with t clamped to the float range.  There E_k <= 1 and
+    each S >= c_f >= 1, so the row needs no maxima and is finite for any
+    finite loading unless w_top itself overflows, where both columns are
+    -inf.  A row at beta < 0, whose top
     level is the last, computes its maxima first and takes two exponentials
     in one buffer of its length (``_rows_down``).  Each row takes its path
     by its own sign, and a block holding both signs is split, so a row's
@@ -277,14 +282,12 @@ class PhiKernel:
 
     @cached_property
     def _terms(self):
-        """(p, [w1, w2], segments, offsets, factors): per segment j,
+        """(p, c rho, rho, segments, offsets, factors): per segment j,
         offsets[j] = [[log u_f], [2 log u_f]], and factors whose product is
-        -u_f^-alpha, formed in log space: -f with f = exp(-alpha log u_f)
-        (inf past the floats), or, on a kernel where some f is below the
-        normal floats and would lose the bits that each t p_k scales up,
-        three, [-g, g, g] with g = exp(-alpha log u_f / 3) there.  Where g is
-        below them too, every level of the segment has u^-alpha < e^-1416,
-        so beta u^-alpha < e^-700 for any beta: t may round to 0."""
+        -u_f^-alpha: -exp(-alpha log u_f) (inf past the floats), or, where
+        that is below the normal floats and would lose the bits that t p_k
+        scales up, [-g, g, g] with g = exp(-alpha log u_f / 3).  Where g is
+        too, every u^-alpha of the segment is below e^-1416: t may be 0."""
         u, counts = self.levels.values, self.levels.counts
         p, segments, _shifts = _scaled_rates(u, self.alpha)
         log_uf = np.log(u[[first for first, _ in segments]])
@@ -295,13 +298,11 @@ class PhiKernel:
         if fine.any():
             g = np.exp(a / 3.0)[:, None]
             factors = [np.where(fine, -g, factors[0]), *[np.where(fine, g, 1.0)] * 2]
-        w = np.empty((2, u.size))
+        rho = np.empty(u.size)
         for first, end in segments:
-            np.divide(u[first:end], u[first], out=w[0, first:end])
-        np.multiply(w[0], w[0], out=w[1])
-        if counts is not None:
-            w *= counts
-        return p, w, segments, np.multiply.outer(log_uf, [[1.0], [2.0]]), factors
+            np.divide(u[first:end], u[first], out=rho[first:end])
+        w1 = rho if counts is None else rho * counts
+        return p, w1, rho, segments, np.multiply.outer(log_uf, [[1.0], [2.0]]), factors
 
     @cached_property
     def _down_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -315,7 +316,7 @@ class PhiKernel:
 
     def _tops(self, betas: np.ndarray) -> np.ndarray:
         """t_j = -beta u_f^-alpha per segment (rows), 0 at beta = 0."""
-        first, *rest = self._terms[4]
+        first, *rest = self._terms[5]
         t = np.zeros((first.size, betas.size))
         np.multiply(first, betas, out=t, where=betas != 0.0)
         for c in rest:
@@ -325,9 +326,9 @@ class PhiKernel:
     def _rows_up(self, t: np.ndarray) -> np.ndarray:
         """[LSE1, LSE2] relative to w_top = t_0 for rows at beta >= 0, from
         their t."""
-        p, w, segments, offsets, _ = self._terms
+        p, w1, rho, segments, offsets, _ = self._terms
         for j, (f, e) in enumerate(segments):
-            s = np.log(_leaf_sums(np.maximum(t[j], -_FMAX), p[f:e], w[:, f:e]))
+            s = np.log(_leaf_sums(np.maximum(t[j], -_FMAX), p[f:e], w1[f:e], rho[f:e]))
             s += offsets[j]
             lse = np.logaddexp(lse, s + t[j]) if j else s
         return lse
@@ -771,15 +772,15 @@ def _log_tail(levels, alpha: float, start: int):
     with the rates p_k >= 0 of ``_scaled_rates``, formed here once, and a
     logaddexp over their 709-nat segments, each scaled to its first level.
     The sum holds c_0 >= 1: T never underflows to 0, and a row is -inf only
-    at B = inf.  Each segment sums leaf by leaf (``_leaf_sums``): a plain
-    sum when untied, an einsum against the counts when tied."""
+    at B = inf.  Each segment sums leaf by leaf (``_leaf_sums``), its terms
+    times the counts when tied."""
     k = levels.level_of(start)
     u = levels.values[k:]
     p, segments, shifts = _scaled_rates(u, alpha)
     log_top = math.log(u[0])
-    counts = None if levels.counts is None else levels.counts[None, k:].astype(float)
+    counts = None if levels.counts is None else levels.counts[k:].astype(float)
     if counts is not None:
-        counts[0, 0] = levels.ends[k] - start
+        counts[0] = levels.ends[k] - start
 
     def rows(lams) -> np.ndarray:
         lam = np.asarray(lams, dtype=float)
@@ -790,7 +791,7 @@ def _log_tail(levels, alpha: float, start: int):
             for j, (f, e) in enumerate(segments):
                 # B = inf: -B, not NaN, is the row
                 sums = _leaf_sums(np.negative(np.minimum(b[j], _FMAX)), p[f:e],
-                                  None if counts is None else counts[:, f:e])
+                                  None if counts is None else counts[f:e])
                 out[j] = np.log(sums[0]) - b[j]
         return np.logaddexp.reduce(out)[:, None]
 

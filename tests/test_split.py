@@ -347,9 +347,9 @@ def leaf_sums(monkeypatch):
     seen = []
     sums = threshold._leaf_sums
 
-    def recorded(t, p, w):
+    def recorded(t, p, *weights):
         seen.append((p.size, t.size, threading.get_ident()))
-        return sums(t, p, w)
+        return sums(t, p, *weights)
 
     monkeypatch.setattr(threshold, "_leaf_sums", recorded)
     return seen
