@@ -193,7 +193,7 @@ def test_walked_rows_equal_one_buffer_rows(small_leaves, one_leaf, lv, alpha, dr
 # draws of the test below and over 12002 betas of either sign from 1e-322 to
 # 1e307 on 38 wide loadings at alpha 0.5, 1 and 4 (worst: 3.7e-16 on log
 # phi, 1.8e-15 on log nu^2, 2.2e-13 on tail sums).  The rows summed in runs
-# of 128 levels read at most 4.4e-16 and 3.6e-15 over 950 loadings drawn as
+# of 128 levels read at most 4.2e-16 and 3.6e-15 over 950 loadings drawn as
 # ``explicit_loadings`` draws them, at alpha 0.5 to 8.
 LOG_PHI_REL, LOG_NU2_REL, TAIL_REL = 1e-15, 4e-15, 5e-13
 
